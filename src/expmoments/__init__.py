@@ -18,7 +18,7 @@ from .analysis import (
     verify_mrtt,
     verify_theorem1,
 )
-from .engines import MomentEstimate, cross_validate, density_at, moment, signed_moment
+from .engines import MomentEstimate, cross_validate, density_at, moment, moments, signed_moment
 from .model import (
     GammaSumModel,
     MomentQuery,

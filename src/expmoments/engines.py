@@ -19,20 +19,23 @@ from fractions import Fraction
 import numpy as np
 
 from .model import (
+    _MERGE_GAP,
     GammaSumModel,
     MomentQuery,
     PartialFractionDensity,
     charfn,
     even_moment_exact,
     partial_fraction_density,
+    term_roundoff,
 )
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureError, integrate, integrate_abs_power
-from .specialfn import fourier_constant
+from .specialfn import fourier_constant, loggamma
 
 __all__ = [
     "MomentEstimate",
     "CrossValidationReport",
     "moment",
+    "moments",
     "signed_moment",
     "density_at",
     "cross_validate",
@@ -44,7 +47,11 @@ ENGINES = ("exact", "density", "fourier", "montecarlo")
 # two-sided 99% normal quantile for Monte Carlo confidence intervals
 _Z99 = 2.5758293035489004
 _MC_PARTITIONS = 8
+# relative floor under every density error bound
 _REL_FLOOR = 1e-15
+# auto dispatch leaves the density closed form when its bound exceeds this
+# fraction of max(1, |value|)
+_FALLBACK_REL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -80,14 +87,10 @@ def moment(
     if engine is not None and engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
 
-    pfd = None
-    if model.integer_shapes:
-        try:
-            pfd = partial_fraction_density(model)
-        except ValueError:
-            pfd = None
-
     auto = engine is None
+    pfd = None
+    if engine == "density" or (auto and not _exact_applies(model, query)):
+        pfd = _density_or_none(model)
     if auto:
         engine = _auto_engine(model, query, pfd)
 
@@ -97,7 +100,7 @@ def moment(
         if pfd is None:
             raise ValueError("density engine unavailable: needs integer shapes and mergeable weights")
         est = _density_moment(model, pfd, query, cfg)
-        if auto and est.error > 1e-3 * max(1.0, abs(est.value)):
+        if auto and est.error > _FALLBACK_REL * max(1.0, abs(est.value)):
             # closely spaced poles can wreck the closed form; the error
             # bound is honest about it, so fall through to a slower engine
             if (not query.signed) and 0.0 < query.p < 2.0:
@@ -113,6 +116,94 @@ def moment(
         value, err = _fourier_moment(model, query.p, query.shift, cfg)
         return MomentEstimate(value, err, "fourier", query.p, model.fingerprint())
     return _montecarlo_moment(model, query, seed, count)
+
+
+def moments(W, p: float, cfg: QuadratureConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """E|S_b|^p with S_b = sum_k W[b, k] E_k, for every row b of a (B, n)
+    array of nonnegative exponential weights; zero entries are absent terms.
+
+    Returns (values, errors), each of shape (B,).  Row b gets what
+    auto-dispatched `moment` gives for the nonzero weights of W[b] (an
+    all-zero row gets 0, or 1 at p = 0, as the zero sum):
+
+    - even integer p: the exact engine, error 0;
+    - distinct weights at relative gaps of at least 1e-10: the density
+      closed form Gamma(p+1) sum_k c_k w_k^p with
+      c_k = prod_{j != k} 1 / (1 - w_j / w_k), evaluated in one numpy pass
+      per count of nonzero entries, with the scalar path's
+      sensitivity-charged bound;
+    - every other row (merged or nearly coincident poles, a bound above
+      the fallback threshold, a non-finite result): `moment` itself.
+    """
+    W = np.asarray(W, dtype=float)
+    if W.ndim != 2:
+        raise ValueError("weights must form a (B, n) array")
+    if not (np.isfinite(W).all() and (W >= 0.0).all()):
+        raise ValueError("weights must be finite and nonnegative")
+    query = MomentQuery(p=float(p))
+    p = query.p
+    active = W > 0.0
+    values = np.zeros(W.shape[0])
+    errors = np.zeros(W.shape[0])
+    if _even_integer(p):
+        ell = int(p)
+        for b, row in enumerate(W):
+            values[b] = float(even_moment_exact(row[active[b]].tolist(), ell))
+        return values, errors
+
+    counts = active.sum(axis=1)
+    if p < 0.0 and not counts.all():
+        raise ValueError("negative moment of the zero sum diverges")
+    # each row's nonzero entries first, in their order
+    packed = np.take_along_axis(W, np.argsort(~active, axis=1, kind="stable"), axis=1)
+    log_gamma = loggamma(p + 1.0)
+    scalar_rows = []
+    for m in range(1, W.shape[1] + 1):
+        rows = np.flatnonzero(counts == m)
+        if not rows.size:
+            continue
+        value, err, ok = _simple_pole_moments(packed[rows, :m], p, log_gamma)
+        values[rows[ok]] = value[ok]
+        errors[rows[ok]] = err[ok]
+        scalar_rows.extend(rows[~ok].tolist())
+    for b in scalar_rows:
+        est = moment(GammaSumModel.of(W[b, active[b]].tolist()), query, cfg=cfg)
+        values[b] = est.value
+        errors[b] = est.error
+    return values, errors
+
+
+def _simple_pole_moments(w: np.ndarray, p: float, log_gamma: float):
+    """Density closed form over the rows of a (B, m) array of positive
+    weights: (values, errors, ok), where ok marks the rows that auto
+    dispatch keeps on the density engine as simple poles."""
+    coeff = np.ones_like(w)
+    sensitivity = np.ones_like(w)
+    separated = np.ones(len(w), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # pole j's factor in the coefficient and sensitivity of every other
+        # pole k, accumulated in the order partial_fraction_density uses
+        for j in range(w.shape[1]):
+            wj = w[:, j : j + 1]
+            top = np.maximum(w, wj)
+            gap = np.abs(w - wj)
+            gap[:, j] = np.inf
+            factor = 1.0 / (1.0 - wj / w)
+            factor[:, j] = 1.0
+            coeff *= factor
+            sensitivity += top / gap
+            # equal weights merge into a higher-order pole and nearly
+            # coincident ones have no partial fractions: both stay scalar
+            separated &= ~(gap < _MERGE_GAP * top).any(axis=1)
+        # math.log as on the scalar path: exp turns a one-ulp change in its
+        # argument log Gamma(p+1) + p log w into |argument| ulps of the term,
+        # which the roundoff bound does not charge
+        log_w = np.fromiter(map(math.log, w.ravel().tolist()), float, w.size).reshape(w.shape)
+        mag = coeff * np.exp(log_gamma + p * log_w)
+        value = mag.sum(axis=1)
+        err = np.maximum(term_roundoff(mag, sensitivity).sum(axis=1), _REL_FLOOR * np.abs(value))
+        ok = separated & np.isfinite(value) & (err <= _FALLBACK_REL * np.maximum(1.0, np.abs(value)))
+    return value, err, ok
 
 
 def signed_moment(
@@ -137,9 +228,25 @@ def density_at(model: GammaSumModel, t: float, shift: float = 0.0) -> float:
     return pfd.density(float(t) + float(shift))
 
 
+def _even_integer(p: float) -> bool:
+    return float(p).is_integer() and p >= 0.0 and int(p) % 2 == 0
+
+
+def _exact_applies(model: GammaSumModel, q: MomentQuery) -> bool:
+    return (not q.signed) and q.shift == 0.0 and _even_integer(q.p) and model.integer_shapes
+
+
+def _density_or_none(model: GammaSumModel) -> PartialFractionDensity | None:
+    if not model.integer_shapes:
+        return None
+    try:
+        return partial_fraction_density(model)
+    except ValueError:
+        return None
+
+
 def _auto_engine(model: GammaSumModel, q: MomentQuery, pfd) -> str:
-    p_int = float(q.p).is_integer() and q.p >= 0.0
-    if (not q.signed) and q.shift == 0.0 and p_int and int(q.p) % 2 == 0 and model.integer_shapes:
+    if _exact_applies(model, q):
         return "exact"
     if pfd is not None:
         return "density"
@@ -151,7 +258,7 @@ def _auto_engine(model: GammaSumModel, q: MomentQuery, pfd) -> str:
 def _exact_moment(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
     if q.signed or q.shift != 0.0:
         raise ValueError("exact engine requires an unsigned, unshifted query")
-    if not (float(q.p).is_integer() and q.p >= 0.0 and int(q.p) % 2 == 0):
+    if not _even_integer(q.p):
         raise ValueError("exact engine requires an even integer exponent")
     ws = [Fraction(float(w)) for w in model.expanded_weights()]
     value = even_moment_exact(ws, int(q.p))
@@ -380,14 +487,10 @@ def cross_validate(
     q = MomentQuery(p=float(p))
     report = CrossValidationReport(model=model.fingerprint(), p=float(p))
     tags = []
-    if model.integer_shapes and float(p).is_integer() and p >= 0 and int(p) % 2 == 0:
+    if model.integer_shapes and _even_integer(p):
         tags.append("exact")
-    if model.integer_shapes:
-        try:
-            partial_fraction_density(model)
-            tags.append("density")
-        except ValueError:
-            pass
+    if _density_or_none(model) is not None:
+        tags.append("density")
     if 0.0 < p < 2.0:
         tags.append("fourier")
     tags.append("montecarlo")

@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 _MERGE_GAP = 1e-10
+# machine epsilon with a little slack, the unit of the closed-form roundoff bound
+_UNIT_ROUNDOFF = 1.1e-16
 
 
 @dataclass(frozen=True)
@@ -113,16 +115,22 @@ def chs(x: Sequence, ell: int) -> Fraction:
     """Complete homogeneous symmetric polynomial h_ell(x), exact.
 
     Uses the recurrence h_ell(x_1..x_n) = h_ell(x_1..x_{n-1})
-    + x_n h_{ell-1}(x_1..x_n) in arbitrary-precision rationals; h_0 = 1.
+    + x_n h_{ell-1}(x_1..x_n); h_0 = 1.  h_ell is homogeneous of degree
+    ell, so the recurrence runs on the integers D x_j, with D the least
+    common denominator of the exact rationals x_j, and the result is
+    h_ell(D x) / D^ell.  Python integers keep it exact without a gcd
+    per step.
     """
     if ell < 0:
         raise ValueError("degree must be nonnegative")
-    h = [Fraction(1)] + [Fraction(0)] * ell
-    for w in x:
-        w = Fraction(w)
+    xs = [Fraction(w) for w in x]
+    d = math.lcm(*(int(w.denominator) for w in xs))
+    h = [1] + [0] * ell
+    for w in xs:
+        w = int(w.numerator) * (d // int(w.denominator))
         for degree in range(1, ell + 1):
             h[degree] += w * h[degree - 1]
-    return h[ell]
+    return Fraction(h[ell], d**ell)
 
 
 def even_moment_exact(x: Sequence, ell: int) -> Fraction:
@@ -213,8 +221,15 @@ class PartialFractionDensity:
                 loggamma(p + r) - loggamma(float(r)) + p * math.log(abs(term.scale))
             )
             total += mag * (math.copysign(1.0, term.scale) if signed else 1.0)
-            err += abs(mag) * (2.0 + term.sensitivity) * 1.1e-16
+            err += term_roundoff(mag, term.sensitivity)
         return total, err
+
+
+def term_roundoff(mag, sensitivity):
+    """Absolute roundoff charged to a closed-form moment term of magnitude
+    mag: machine epsilon times |mag|, amplified by the term's coefficient
+    sensitivity.  Works elementwise on numpy arrays."""
+    return abs(mag) * (2.0 + sensitivity) * _UNIT_ROUNDOFF
 
 
 def partial_fraction_density(model: GammaSumModel) -> PartialFractionDensity:

@@ -210,15 +210,8 @@ def f_k_mc(x, k: int, seed: int = 0, count: int = 1_000_000) -> engines.MomentEs
     s = sample(GammaSumModel.of(weights), seed, count)
     vals = q_k_array(k, s)
     mean = float(vals.mean())
-    ci = _Z99_CI(vals)
+    ci = engines._Z99 * float(vals.std(ddof=1)) / math.sqrt(count) if count > 1 else math.inf
     return engines.MomentEstimate(mean, ci, "montecarlo", float(k), fp)
-
-
-def _Z99_CI(vals: np.ndarray) -> float:
-    n = vals.size
-    if n < 2:
-        return math.inf
-    return 2.5758293035489004 * float(vals.std(ddof=1)) / math.sqrt(n)
 
 
 def _f_k_series(h, k: int, t: float) -> float:
@@ -415,61 +408,68 @@ def schur_scan(
     times the combined engine error budgets; verdicts: convex when only
     M_p(x) > M_p(y) gaps appear (x majorizes y), concave when only the
     reverse, neither when both, inconclusive when every gap is in budget.
+    All trials are drawn first; their 2 * trials moments then go through
+    one `engines.moments` batch.
     """
     p = float(p)
     if p <= -1.0:
         raise ValueError("schur_scan requires p > -1")
     if n < 2:
         raise ValueError("schur_scan requires n >= 2")
+    if trials < 0:
+        raise ValueError("schur_scan requires trials >= 0")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    convex = 0
-    concave = 0
-    neutral = 0
-    rows = []
-    cx_examples = []
-    cc_examples = []
+    xs = np.empty((trials, n))
+    ij = np.empty((trials, 2), dtype=int)
+    lam = np.empty(trials)
     for trial in range(trials):
-        x = _scan_vector(rng, n)
-        active = [idx for idx, v in enumerate(x) if v > 1e-9]
-        pick = rng.permutation(len(active))[:2]
-        i, j = active[pick[0]], active[pick[1]]
-        lam = float(rng.uniform(0.0, 1.0))
-        y = t_transform(x, i, j, lam)
-        mx = m_p(x, p, cfg)
-        my = m_p(y, p, cfg)
-        budget = 3.0 * (mx.error + my.error) + 1e-13 * max(abs(mx.value), abs(my.value))
-        gap = mx.value - my.value
-        if gap > budget:
-            contribution = "convex"
-            convex += 1
-            if len(cx_examples) < 3:
-                cx_examples.append(
-                    {"x": [float(v) for v in x], "y": [float(v) for v in y], "mp_x": mx.value, "mp_y": my.value}
-                )
-        elif gap < -budget:
-            contribution = "concave"
-            concave += 1
-            if len(cc_examples) < 3:
-                cc_examples.append(
-                    {"x": [float(v) for v in x], "y": [float(v) for v in y], "mp_x": mx.value, "mp_y": my.value}
-                )
-        else:
-            contribution = "within-budget"
-            neutral += 1
+        xs[trial] = _scan_vector(rng, n)
+        active = np.flatnonzero(xs[trial] > 1e-9)
+        ij[trial] = active[rng.permutation(active.size)[:2]]
+        lam[trial] = rng.uniform(0.0, 1.0)
+
+    # T-transform of every trial, entrywise as in t_transform
+    t = np.arange(trials)
+    xi = xs[t, ij[:, 0]]
+    xj = xs[t, ij[:, 1]]
+    ys = xs.copy()
+    ys[t, ij[:, 0]] = lam * xi + (1.0 - lam) * xj
+    ys[t, ij[:, 1]] = (1.0 - lam) * xi + lam * xj
+
+    # M_p(x) = E|sum sqrt(x_j) E_j|^p for the x rows, then the y rows
+    values, errors = engines.moments(np.sqrt(np.concatenate([xs, ys])), p, cfg)
+    mx, my = values[:trials], values[trials:]
+    ex, ey = errors[:trials], errors[trials:]
+    budget = 3.0 * (ex + ey) + 1e-13 * np.maximum(np.abs(mx), np.abs(my))
+    gap = mx - my
+    kinds = np.where(gap > budget, "convex", np.where(gap < -budget, "concave", "within-budget"))
+    convex = int((kinds == "convex").sum())
+    concave = int((kinds == "concave").sum())
+
+    rows = []
+    examples = {"convex": [], "concave": []}
+    columns = zip(xs.tolist(), ys.tolist(), ij.tolist(), lam.tolist(), mx.tolist(), ex.tolist(),
+                  my.tolist(), ey.tolist(), gap.tolist(), kinds.tolist())
+    for trial, (x, y, (i, j), lam_t, vx, err_x, vy, err_y, g, kind) in enumerate(columns):
+        if kind in examples and len(examples[kind]) < 3:
+            # a reported example carries exactly what the single-query m_p
+            # gives for it; the batch agrees with that within the error bars
+            examples[kind].append({"x": list(x), "y": list(y), "mp_x": m_p(x, p, cfg).value,
+                                   "mp_y": m_p(y, p, cfg).value})
         rows.append(
             {
                 "trial": trial,
-                "x": list(map(float, x)),
-                "y": list(map(float, y)),
+                "x": x,
+                "y": y,
                 "i": i,
                 "j": j,
-                "lam": lam,
-                "mp_x": mx.value,
-                "err_x": mx.error,
-                "mp_y": my.value,
-                "err_y": my.error,
-                "gap": gap,
-                "contribution": contribution,
+                "lam": lam_t,
+                "mp_x": vx,
+                "err_x": err_x,
+                "mp_y": vy,
+                "err_y": err_y,
+                "gap": g,
+                "contribution": kind,
             }
         )
     if convex and concave:
@@ -487,10 +487,10 @@ def schur_scan(
         verdict=verdict,
         convex_evidence=convex,
         concave_evidence=concave,
-        within_budget=neutral,
+        within_budget=trials - convex - concave,
         rows=rows,
-        convex_examples=cx_examples,
-        concave_examples=cc_examples,
+        convex_examples=examples["convex"],
+        concave_examples=examples["concave"],
     )
 
 

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from expmoments import engines
 from expmoments.engines import (
     cross_validate,
     density_at,
     fourier_abs_moment_from_cf,
     moment,
+    moments,
     signed_moment,
 )
 from expmoments.model import GammaSumModel, MomentQuery
+from expmoments.schur import t_transform
 from expmoments.specialfn import loggamma
 
 LAPLACE = GammaSumModel.of([1.0, -1.0])
@@ -206,3 +209,63 @@ def test_gaussian_cf_through_fourier_helper():
         lambda t: math.exp(-0.5 * t * t), 1.0, (1.0, 3.0, 15.0), lambda t: math.exp(-0.5 * t * t)
     )
     assert val == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-8)
+
+
+def test_density_is_built_only_where_dispatch_needs_it(monkeypatch):
+    def refuse(model):
+        raise AssertionError("partial-fraction density built but not used")
+
+    monkeypatch.setattr(engines, "partial_fraction_density", refuse)
+    model = GammaSumModel.of([0.3, -0.7, 1.1])
+    assert moment(model, MomentQuery(p=4.0)).engine == "exact"
+    assert moment(model, MomentQuery(p=2.0), engine="exact").engine == "exact"
+    assert moment(model, MomentQuery(p=1.5), engine="fourier").engine == "fourier"
+    mc = moment(model, MomentQuery(p=3.0), engine="montecarlo", count=20_000)
+    assert mc.engine == "montecarlo"
+
+
+def test_moments_match_moment_row_by_row():
+    rng = np.random.default_rng(5)
+    rows = [list(rng.uniform(0.05, 2.0, 4)) for _ in range(20)]
+    rows += [
+        [0.0, 0.7, 0.0, 1.3],  # zero entries are absent terms
+        [1.1, 0.0, 0.0, 0.0],
+        t_transform([0.4, 0.9, 1.6, 0.0], 0, 2, 0.5),  # an exactly equal pair: a merged pole
+        [1.0, 1.0 + 1e-12, 0.3, 2.0],  # inside the 1e-10 merge gap
+        [1.0, 1.0 + 1e-6, 1.0 + 2e-6, 1.0 + 3e-6],  # a cluster whose closed-form bound is too poor
+        [1e-3, 1.0, 0.0, 1e3],
+    ]
+    W = np.array(rows)
+    engines_seen = set()
+    for p in (-0.75, 0.5, 1.5, 2.0, 3.5, 4.0, 5.3):
+        values, errors = moments(W, p)
+        assert values.shape == errors.shape == (len(rows),)
+        for row, value, err in zip(rows, values, errors):
+            est = moment(GammaSumModel.of([w for w in row if w > 0.0]), MomentQuery(p=p))
+            engines_seen.add(est.engine)
+            if est.engine == "exact":
+                assert value == est.value and err == 0.0
+            else:
+                assert abs(value - est.value) <= est.error
+                assert 0.0 <= err < math.inf
+    # every scalar route appears: exact, density (simple and merged poles), fourier, montecarlo
+    assert engines_seen == {"exact", "density", "fourier", "montecarlo"}
+
+
+def test_moments_zero_rows_and_rejections():
+    W = np.array([[0.0, 0.0], [1.0, 2.0]])
+    values, errors = moments(W, 1.5)
+    assert values[0] == 0.0 and errors[0] == 0.0
+    assert moments(W, 0.0)[0].tolist() == [1.0, 1.0]
+    assert moments(W, 2.0)[0].tolist() == [0.0, 14.0]
+    assert moments(np.zeros((0, 3)), 2.5)[0].shape == (0,)
+    with pytest.raises(ValueError):
+        moments(W, -0.5)  # the zero sum has no negative moment
+    with pytest.raises(ValueError):
+        moments(W, -1.0)
+    with pytest.raises(ValueError):
+        moments([[1.0, -2.0]], 1.5)
+    with pytest.raises(ValueError):
+        moments([1.0, 2.0], 1.5)
+    with pytest.raises(ValueError):
+        moments([[1.0, math.nan]], 1.5)

@@ -51,6 +51,34 @@ def test_chs_sign_symmetry():
             assert chs([-v for v in x], ell) == (-1) ** ell * chs(x, ell)
 
 
+def _chs_fraction_recurrence(x, ell):
+    """h_ell(x) by the plain recurrence in Fraction arithmetic."""
+    h = [Fraction(1)] + [Fraction(0)] * ell
+    for w in x:
+        w = Fraction(w)
+        for degree in range(1, ell + 1):
+            h[degree] += w * h[degree - 1]
+    return h[ell]
+
+
+def test_chs_scaled_integers_match_fraction_recurrence():
+    rng = np.random.default_rng(17)
+    kinds = (
+        lambda: float(rng.uniform(-3.0, 3.0)),
+        lambda: float(rng.uniform(0.0, 1.0)) ** 5,  # small floats: large denominators
+        lambda: Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10))),
+        lambda: int(rng.integers(-5, 6)),
+    )
+    for _ in range(400):
+        x = [kinds[int(rng.integers(len(kinds)))]() for _ in range(int(rng.integers(0, 7)))]
+        for ell in (0, 1, 2, 3, 6):
+            val = chs(x, ell)
+            assert isinstance(val, Fraction)
+            assert val == _chs_fraction_recurrence(x, ell)
+    assert chs([], 0) == 1 and chs([], 3) == 0
+    assert chs([np.int64(3), np.float64(0.5)], 4) == _chs_fraction_recurrence([3, 0.5], 4)
+
+
 def test_generating_function_partial_sums():
     x = [Fraction(1, 3), Fraction(-1, 4), Fraction(2, 5)]
     t = Fraction(1, 2)

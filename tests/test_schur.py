@@ -186,6 +186,55 @@ def test_schur_scan_rejections():
         schur_scan(2.0, 1, trials=10)
     with pytest.raises(ValueError):
         schur_scan(-1.5, 2, trials=10)
+    with pytest.raises(ValueError):
+        schur_scan(2.0, 2, trials=-1)
+
+
+def _reference_scan(p, n, trials, seed):
+    """The scan one trial at a time: scalar m_p on each side of every pair."""
+    from expmoments.schur import _scan_vector
+
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rows = []
+    examples = {"convex": [], "concave": []}
+    for trial in range(trials):
+        x = _scan_vector(rng, n)
+        active = [idx for idx, v in enumerate(x) if v > 1e-9]
+        pick = rng.permutation(len(active))[:2]
+        i, j = active[pick[0]], active[pick[1]]
+        lam = float(rng.uniform(0.0, 1.0))
+        y = t_transform(x, i, j, lam)
+        mx = m_p(x, p)
+        my = m_p(y, p)
+        budget = 3.0 * (mx.error + my.error) + 1e-13 * max(abs(mx.value), abs(my.value))
+        gap = mx.value - my.value
+        kind = "convex" if gap > budget else "concave" if gap < -budget else "within-budget"
+        if kind in examples and len(examples[kind]) < 3:
+            examples[kind].append({"x": [float(v) for v in x], "y": [float(v) for v in y],
+                                   "mp_x": mx.value, "mp_y": my.value})
+        rows.append({"x": list(map(float, x)), "y": list(map(float, y)), "i": i, "j": j, "lam": lam,
+                     "mx": mx, "my": my, "contribution": kind})
+    return rows, examples
+
+
+@pytest.mark.parametrize("p,n", [(-0.75, 2), (0.5, 4), (2.0, 3), (3.9, 2), (4.5, 3), (6.0, 4)])
+def test_schur_scan_matches_scalar_reference(p, n):
+    res = schur_scan(p, n, trials=100, seed=8)
+    rows, examples = _reference_scan(p, n, trials=100, seed=8)
+    for got, ref in zip(res.rows, rows, strict=True):
+        for key in ("x", "y", "i", "j", "lam", "contribution"):
+            assert got[key] == ref[key]
+        for side in ("x", "y"):
+            est = ref[f"m{side}"]
+            if est.engine == "exact":
+                assert got[f"mp_{side}"] == est.value and got[f"err_{side}"] == 0.0
+            else:
+                assert abs(got[f"mp_{side}"] - est.value) <= est.error
+    assert res.convex_examples == examples["convex"]
+    assert res.concave_examples == examples["concave"]
+    assert res.convex_evidence == sum(r["contribution"] == "convex" for r in rows)
+    assert res.concave_evidence == sum(r["contribution"] == "concave" for r in rows)
+    assert res.within_budget == sum(r["contribution"] == "within-budget" for r in rows)
 
 
 def test_failure_profile_p5():
