@@ -23,8 +23,10 @@ from .model import (
     GammaSumModel,
     MomentQuery,
     PartialFractionDensity,
+    centred_power_moment,
     charfn,
     chs,
+    clustered_power_moment,
     even_moment_exact,
     mean_variance,
     partial_fraction_density,

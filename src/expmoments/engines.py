@@ -5,8 +5,12 @@ Engine order for auto dispatch is exact > density > fourier > montecarlo,
 decreasing in accuracy: exact rational polynomial moments apply to even
 integer exponents of unshifted sums; the density engine serves integer
 shapes through the closed-form Erlang mixture (term algebra at shift 0,
-quadrature otherwise); the Fourier engine serves 0 < p < 2 unsigned; the
-Monte Carlo engine serves everything that is left.
+quadrature otherwise), and where that mixture does not exist or its bound
+is poor (nearly coincident poles), unsigned unshifted queries on weights
+of one sign through the centred divided-difference series, then the
+clustered one (the same series about each cluster of weights, partial
+fractions between clusters); the Fourier engine serves 0 < p < 2
+unsigned; the Monte Carlo engine serves everything that is left.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -23,8 +26,10 @@ from .model import (
     GammaSumModel,
     MomentQuery,
     PartialFractionDensity,
+    _chs_scaled,
+    centred_power_moment,
     charfn,
-    even_moment_exact,
+    clustered_power_moment,
     partial_fraction_density,
     term_roundoff,
 )
@@ -84,38 +89,49 @@ def moment(
     raises if the query is outside its domain.
     """
     cfg = cfg or DEFAULT_CONFIG
-    if engine is not None and engine not in ENGINES:
+    if engine is None:
+        return _auto_moment(model, query, cfg, seed, count)
+    if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-
-    auto = engine is None
-    pfd = None
-    if engine == "density" or (auto and not _exact_applies(model, query)):
-        pfd = _density_or_none(model)
-    if auto:
-        engine = _auto_engine(model, query, pfd)
-
     if engine == "exact":
         return _exact_moment(model, query)
     if engine == "density":
+        pfd = _density_or_none(model)
         if pfd is None:
             raise ValueError("density engine unavailable: needs integer shapes and mergeable weights")
-        est = _density_moment(model, pfd, query, cfg)
-        if auto and est.error > _FALLBACK_REL * max(1.0, abs(est.value)):
-            # closely spaced poles can wreck the closed form; the error
-            # bound is honest about it, so fall through to a slower engine
-            if (not query.signed) and 0.0 < query.p < 2.0:
-                value, err = _fourier_moment(model, query.p, query.shift, cfg)
-                return MomentEstimate(value, err, "fourier", query.p, model.fingerprint())
-            return _montecarlo_moment(model, query, seed, count)
-        return est
+        return _density_moment(model, pfd, query, cfg)
     if engine == "fourier":
         if query.signed:
             raise ValueError("fourier engine cannot compute signed moments")
         if not 0.0 < query.p < 2.0:
             raise ValueError("fourier engine requires 0 < p < 2")
-        value, err = _fourier_moment(model, query.p, query.shift, cfg)
-        return MomentEstimate(value, err, "fourier", query.p, model.fingerprint())
+        return _fourier_estimate(model, query, cfg)
     return _montecarlo_moment(model, query, seed, count)
+
+
+def _auto_moment(
+    model: GammaSumModel, query: MomentQuery, cfg: QuadratureConfig, seed: int, count: int
+) -> MomentEstimate:
+    if _exact_applies(model, query):
+        return _exact_moment(model, query)
+    # the density engine: partial fractions, then the centred series, each
+    # kept only while its honest bound is good; closely spaced poles wreck
+    # partial fractions but not the series
+    pfd = _density_or_none(model)
+    if pfd is not None:
+        est = _density_moment(model, pfd, query, cfg)
+        if not _poor(est):
+            return est
+    est = _series_moment(model, query)
+    if est is not None:
+        return est
+    if (not query.signed) and 0.0 < query.p < 2.0:
+        return _fourier_estimate(model, query, cfg)
+    return _montecarlo_moment(model, query, seed, count)
+
+
+def _poor(est: MomentEstimate) -> bool:
+    return est.error > _FALLBACK_REL * max(1.0, abs(est.value))
 
 
 def moments(W, p: float, cfg: QuadratureConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -133,7 +149,8 @@ def moments(W, p: float, cfg: QuadratureConfig | None = None) -> tuple[np.ndarra
       per count of nonzero entries, with the scalar path's
       sensitivity-charged bound;
     - every other row (merged or nearly coincident poles, a bound above
-      the fallback threshold, a non-finite result): `moment` itself.
+      the fallback threshold, a non-finite result): `moment` itself, whose
+      centred and clustered series keep clustered rows on the density engine.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2:
@@ -146,9 +163,8 @@ def moments(W, p: float, cfg: QuadratureConfig | None = None) -> tuple[np.ndarra
     values = np.zeros(W.shape[0])
     errors = np.zeros(W.shape[0])
     if _even_integer(p):
-        ell = int(p)
         for b, row in enumerate(W):
-            values[b] = float(even_moment_exact(row[active[b]].tolist(), ell))
+            values[b] = _exact_value(row[active[b]].tolist(), int(p))
         return values, errors
 
     counts = active.sum(axis=1)
@@ -245,24 +261,20 @@ def _density_or_none(model: GammaSumModel) -> PartialFractionDensity | None:
         return None
 
 
-def _auto_engine(model: GammaSumModel, q: MomentQuery, pfd) -> str:
-    if _exact_applies(model, q):
-        return "exact"
-    if pfd is not None:
-        return "density"
-    if (not q.signed) and 0.0 < q.p < 2.0:
-        return "fourier"
-    return "montecarlo"
-
-
 def _exact_moment(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
     if q.signed or q.shift != 0.0:
         raise ValueError("exact engine requires an unsigned, unshifted query")
     if not _even_integer(q.p):
         raise ValueError("exact engine requires an even integer exponent")
-    ws = [Fraction(float(w)) for w in model.expanded_weights()]
-    value = even_moment_exact(ws, int(q.p))
-    return MomentEstimate(float(value), 0.0, "exact", q.p, model.fingerprint())
+    value = _exact_value([float(w) for w in model.expanded_weights()], int(q.p))
+    return MomentEstimate(value, 0.0, "exact", q.p, model.fingerprint())
+
+
+def _exact_value(ws: list, ell: int) -> float:
+    """float(even_moment_exact(ws, ell)) without building Fractions:
+    ell! h_ell(D w) / D^ell, and int true division rounds correctly."""
+    h, d = _chs_scaled(ws, ell)
+    return math.factorial(ell) * h / d**ell
 
 
 def _density_moment(
@@ -276,6 +288,24 @@ def _density_moment(
         return MomentEstimate(value, err, "density", q.p, fp)
     value, err = _density_quadrature(pfd, q.p, q.shift, q.signed, cfg)
     return MomentEstimate(value, err, "density", q.p, fp)
+
+
+def _series_moment(model: GammaSumModel, q: MomentQuery) -> MomentEstimate | None:
+    """The density engine's series closed forms at shift 0: the centred
+    series, then the clustered one; None where neither applies with a good
+    bound: a signed or shifted query, a fractional shape, weights of both
+    signs or spread too far about their clusters."""
+    if q.signed or q.shift != 0.0 or not model.integer_shapes:
+        return None
+    for series in (centred_power_moment, clustered_power_moment):
+        try:
+            value, err = series(model.expanded_weights(), q.p)
+        except ValueError:
+            continue
+        est = MomentEstimate(value, max(err, _REL_FLOOR * abs(value)), "density", q.p, model.fingerprint())
+        if not _poor(est):
+            return est
+    return None
 
 
 def _density_quadrature(
@@ -330,6 +360,11 @@ def _moments_about(model: GammaSumModel, m: float) -> tuple[float, float, float]
     mu4 = c4 + 4.0 * c3 * d + 6.0 * c2 * d * d + d**4
     mu6 = c6 + 6.0 * c5 * d + 15.0 * c4 * d * d + 20.0 * c3 * d**3 + 15.0 * c2 * d**4 + d**6
     return mu2, mu4, mu6
+
+
+def _fourier_estimate(model: GammaSumModel, q: MomentQuery, cfg: QuadratureConfig) -> MomentEstimate:
+    value, err = _fourier_moment(model, q.p, q.shift, cfg)
+    return MomentEstimate(value, err, "fourier", q.p, model.fingerprint())
 
 
 def _fourier_moment(model: GammaSumModel, q: float, m: float, cfg: QuadratureConfig) -> tuple[float, float]:

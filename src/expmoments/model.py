@@ -25,6 +25,8 @@ __all__ = [
     "PartialFractionDensity",
     "chs",
     "even_moment_exact",
+    "centred_power_moment",
+    "clustered_power_moment",
     "charfn",
     "partial_fraction_density",
     "mean_variance",
@@ -32,6 +34,14 @@ __all__ = [
 ]
 
 _MERGE_GAP = 1e-10
+# highest order of the centred series; its tail is charged wherever it stops
+_SERIES_MAX_ORDER = 200
+# the clustered series joins sorted weights closer than this relative gap;
+# partial fractions between its clusters then see gaps at least this wide
+_CLUSTER_GAP = 1e-3
+# highest total order of the clustered series, whose every multi-index
+# costs one partial-fraction expansion; its tail is charged wherever it stops
+_CLUSTER_MAX_ORDER = 60
 # machine epsilon with a little slack, the unit of the closed-form roundoff bound
 _UNIT_ROUNDOFF = 1.1e-16
 
@@ -114,23 +124,36 @@ class MomentQuery:
 def chs(x: Sequence, ell: int) -> Fraction:
     """Complete homogeneous symmetric polynomial h_ell(x), exact.
 
-    Uses the recurrence h_ell(x_1..x_n) = h_ell(x_1..x_{n-1})
-    + x_n h_{ell-1}(x_1..x_n); h_0 = 1.  h_ell is homogeneous of degree
-    ell, so the recurrence runs on the integers D x_j, with D the least
-    common denominator of the exact rationals x_j, and the result is
-    h_ell(D x) / D^ell.  Python integers keep it exact without a gcd
-    per step.
+    h_ell is homogeneous of degree ell, so the recurrence runs on the
+    integers D x_j, with D the least common denominator of the exact
+    rationals x_j (see `_chs_scaled`), and the result is h_ell(D x) / D^ell.
     """
     if ell < 0:
         raise ValueError("degree must be nonnegative")
-    xs = [Fraction(w) for w in x]
-    d = math.lcm(*(int(w.denominator) for w in xs))
-    h = [1] + [0] * ell
-    for w in xs:
-        w = int(w.numerator) * (d // int(w.denominator))
-        for degree in range(1, ell + 1):
+    xs = [w if isinstance(w, (int, float, Fraction)) else Fraction(w) for w in x]
+    h, d = _chs_scaled(xs, ell)
+    return Fraction(h, d**ell)
+
+
+def _chs_scaled(x: Sequence, ell: int) -> tuple[int, int]:
+    """(h_ell(D x), D) on Python integers, with D the least common
+    denominator of the x_j, which must have `as_integer_ratio` (int, float,
+    Fraction).  h_ell(x) = h_ell(D x) / D^ell exactly, without a gcd per
+    step."""
+    ratios = [w.as_integer_ratio() for w in x]
+    d = math.lcm(*(den for _, den in ratios))
+    return _h_table([num * (d // den) for num, den in ratios], ell)[ell], d
+
+
+def _h_table(x: Sequence, max_ell: int) -> list:
+    """h_0(x) .. h_max_ell(x) by the recurrence h_ell(x_1..x_n) =
+    h_ell(x_1..x_{n-1}) + x_n h_{ell-1}(x_1..x_n), h_0 = 1; exact on
+    integers, in floating point on floats."""
+    h = [1] + [0] * max_ell
+    for w in x:
+        for degree in range(1, max_ell + 1):
             h[degree] += w * h[degree - 1]
-    return Fraction(h[ell], d**ell)
+    return h
 
 
 def even_moment_exact(x: Sequence, ell: int) -> Fraction:
@@ -230,6 +253,193 @@ def term_roundoff(mag, sensitivity):
     mag: machine epsilon times |mag|, amplified by the term's coefficient
     sensitivity.  Works elementwise on numpy arrays."""
     return abs(mag) * (2.0 + sensitivity) * _UNIT_ROUNDOFF
+
+
+def centred_power_moment(weights: Sequence, p: float) -> tuple[float, float]:
+    """E|S|^p for S = sum_k w_k E_k, all w_k of one sign, by the Taylor
+    series of a divided difference about the weights' mean; returns
+    (value, absolute error bound).
+
+    Hermite-Genocchi gives E|S|^p = Gamma(p+1) f[|w_1|..|w_n|] for
+    f(t) = t^(p+n-1).  About c = mean|w|, with u_k = (|w_k| - c) / c,
+
+        E|S|^p = Gamma(p+n)/Gamma(n) c^p sum_m beta_m h_m(u),
+        beta_0 = 1,  beta_{m+1} = beta_m (p - m) / (n + m)
+
+    (McCurdy, Ng & Parlett, Math. Comp. 43, 1984), accurate however close
+    the weights are.  Since |beta_m h_m(u)| <= a_m = |C(p, m)| rho^m with
+    rho = max|u_k|, and a_m decreases for m >= p, the series converges for
+    rho < 1 and its tail after M >= p is at most a_{M+1} / (1 - rho).
+    Raises ValueError unless rho < 1/2.
+
+    The bound charges that tail; the rounding of the sum, 6m + n + 2 units
+    of a_m on term m; the rounding of u, 2 units on each u_k carried
+    through dF/du_k for F(u) = E (1 + D.u)^p, D uniform on the simplex; and
+    the rounding of the exponent log Gamma(p+n) - log Gamma(n) + p log c,
+    16 units of |log Gamma| + 1 for each `loggamma`.
+    """
+    ws = [abs(float(w)) for w in weights]
+    n = len(ws)
+    signs = {math.copysign(1.0, float(w)) for w in weights}
+    if not n or len(signs) > 1 or not all(0.0 < w < math.inf for w in ws):
+        raise ValueError("the centred series needs nonzero finite weights of one sign")
+    c = math.fsum(ws) / n
+    u = [(w - c) / c for w in ws]
+    rho = max(map(abs, u))
+    if not rho < 0.5:
+        raise ValueError(f"weights spread {rho!r} about their mean; the centred series needs < 1/2")
+
+    # the sum is at least floor, so the loop stops once the tail is below
+    # an eighth of a unit of it
+    floor = min((1.0 - rho) ** p, (1.0 + rho) ** p)
+    a = 1.0
+    weighted = n + 2.0  # sum of (6m + n + 2) a_m: the rounding of the sum
+    order = 0
+    while True:
+        a_next = a * abs(p - order) / (order + 1) * rho
+        tail = a_next / (1.0 - rho)
+        if order >= p and (tail <= 0.125 * _UNIT_ROUNDOFF * floor or order >= _SERIES_MAX_ORDER):
+            break
+        order += 1
+        a = a_next
+        weighted += (6 * order + n + 2) * a
+    h = _h_table(u, order)
+    beta = 1.0
+    terms = [1.0]
+    for m in range(order):
+        beta *= (p - m) / (n + m)
+        terms.append(beta * h[m + 1])
+    total = math.fsum(terms)
+
+    lg_top = loggamma(p + n)
+    lg_bottom = loggamma(float(n))
+    log_c = p * math.log(c)
+    exponent = lg_top - lg_bottom + log_c
+    scale = math.exp(exponent)
+    u_units = 2.0 * rho * abs(p) * max((1.0 - rho) ** (p - 1.0), (1.0 + rho) ** (p - 1.0))
+    exponent_units = (
+        16.0 * (abs(lg_top) + abs(lg_bottom) + 2.0) + 3.0 * abs(log_c) + 2.0 * abs(exponent) + 2.0
+    )
+    err = scale * (tail + _UNIT_ROUNDOFF * (weighted + u_units + exponent_units * abs(total)))
+    return scale * total, err
+
+
+def clustered_power_moment(weights: Sequence, p: float) -> tuple[float, float]:
+    """E|S|^p for S = sum_k w_k E_k, all w_k of one sign, where some weights
+    cluster and others stand apart; returns (value, absolute error bound).
+
+    Sorted |w| split into clusters at relative gaps of _CLUSTER_GAP or more.
+    Each cluster C_j of r_j > 1 weights has centre c_j (its mean) and
+    offsets d_i = |w_i| - c_j, exact by Sterbenz's lemma.  With
+    f(t) = t^(p+n-1), a divided difference expands about the centres as
+
+        f[all weights] = sum_m prod_j h_{m_j}(d of C_j) f[c_j^(r_j + m_j) .., singletons]
+
+    (the series of `centred_power_moment`, which is the case of one cluster
+    and no singletons).  Each coefficient is a confluent divided difference
+    on well-separated nodes: the partial-fraction density of the merged
+    model, read at exponent q = p - |m| as
+    sum_terms coeff scale^q (q+1)_(order-1) / (order-1)!.  E|S|^p is
+    Gamma(p+1) times the sum.
+
+    By Hermite-Genocchi every coefficient of order s = |m| > p is at most
+    |C(p+n-1, n+s-1)| v^(p-s), v = min|w|, and the h products of order s
+    sum to at most C(s+R-1, R-1) d^s, d = max|d_i|, R = sum r_j; so the
+    bound b_s on order s falls by at least tau = d / v per order once
+    s >= p, and the tail after M >= p is at most b_(M+1) / (1 - tau).
+    Raises ValueError unless some weights cluster and tau < 1/2.
+
+    The bound charges that tail; each partial-fraction term's roundoff
+    (`term_roundoff`) once per step of the highest pole order, and its
+    power and rising factorial, 3 order + 3 units; the rounding of the h products, 2 (m_j + r_j) + 2 units of the
+    products of h_m(|d|) per cluster; and the rounding of Gamma(p+1), as
+    in `centred_power_moment`.
+    """
+    signs = {math.copysign(1.0, float(w)) for w in weights}
+    ws = sorted(abs(float(w)) for w in weights)
+    n = len(ws)
+    if not n or len(signs) > 1 or not all(0.0 < w < math.inf for w in ws):
+        raise ValueError("the clustered series needs nonzero finite weights of one sign")
+    if not p > -1.0:
+        raise ValueError(f"moment exponent must exceed -1, got {p!r}")
+    groups = [[ws[0]]]
+    for w in ws[1:]:
+        if w - groups[-1][-1] < _CLUSTER_GAP * w:
+            groups[-1].append(w)
+        else:
+            groups.append([w])
+    clusters = [g for g in groups if len(g) > 1]
+    singles = [g[0] for g in groups if len(g) == 1]
+    if not clusters:
+        raise ValueError("no weights cluster; partial fractions apply")
+    centres = [math.fsum(g) / len(g) for g in clusters]
+    offsets = [[w - c for w in g] for g, c in zip(clusters, centres)]
+    d = max(abs(x) for xs in offsets for x in xs)
+    tau = d / ws[0]
+    if not tau < 0.5:
+        raise ValueError(f"cluster spread {d!r} against smallest weight {ws[0]!r}; the clustered series needs < 1/2")
+
+    sizes = [len(g) for g in clusters]
+    big = sum(sizes)
+    top = loggamma(p + n) - loggamma(float(n))
+    floor = math.exp(top + p * min(math.log(ws[0]), math.log(ws[-1])))
+    b = math.exp(top + p * math.log(ws[0]))
+    order = 0
+    while True:
+        b_next = b * (order + big) / (order + 1) * abs(p - order) / (n + order) * tau
+        tail = b_next / (1.0 - tau)
+        if order >= p and (tail <= 0.125 * _UNIT_ROUNDOFF * floor or order >= _CLUSTER_MAX_ORDER):
+            break
+        order += 1
+        b = b_next
+
+    h = [_h_table(xs, order) for xs in offsets]
+    h_abs = [_h_table([abs(x) for x in xs], order) for xs in offsets]
+    terms = []
+    err_sum = 0.0
+    for m in _multi_indices(len(clusters), order):
+        s = sum(m)
+        model = GammaSumModel.of(centres + singles, [r + k for r, k in zip(sizes, m)] + [1] * len(singles))
+        # the expansion's coefficient recurrences run as many steps as the
+        # highest pole order, so each term's roundoff is charged that often
+        steps = max(r + k for r, k in zip(sizes, m))
+        mags = []
+        f_err = 0.0
+        for term in partial_fraction_density(model).terms:
+            rising = 1.0
+            for i in range(1, term.order):
+                rising *= (p - (s - i)) / i
+            mag = term.coeff * math.pow(term.scale, p - s) * rising
+            mags.append(mag)
+            f_err += steps * term_roundoff(mag, term.sensitivity) + (3 * term.order + 3) * _UNIT_ROUNDOFF * abs(mag)
+        f = math.fsum(mags)
+        h_prod = 1.0
+        h_prod_abs = 1.0
+        h_units = len(m) + 1.0
+        for j, k in enumerate(m):
+            h_prod *= h[j][k]
+            h_prod_abs *= h_abs[j][k]
+            h_units += 2 * (k + sizes[j]) + 2
+        terms.append(h_prod * f)
+        err_sum += abs(h_prod) * (f_err + _UNIT_ROUNDOFF * abs(f)) + h_prod_abs * abs(f) * h_units * _UNIT_ROUNDOFF
+    total = math.fsum(terms)
+
+    lg = loggamma(p + 1.0)
+    scale = math.exp(lg)
+    value = scale * total
+    exponent_units = 16.0 * (abs(lg) + 1.0) + 2.0 * abs(lg) + 3.0
+    err = scale * err_sum + tail + exponent_units * _UNIT_ROUNDOFF * abs(value)
+    return value, err
+
+
+def _multi_indices(k: int, order: int):
+    """Every k-tuple of nonnegative integers with sum at most order."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(order + 1):
+        for rest in _multi_indices(k - 1, order - first):
+            yield (first,) + rest
 
 
 def partial_fraction_density(model: GammaSumModel) -> PartialFractionDensity:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engines
-from .model import GammaSumModel, MomentQuery, sample
+from .model import GammaSumModel, MomentQuery, _h_table, sample
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
 
 __all__ = [
@@ -157,15 +157,6 @@ def c_p_constant(p: float, cfg: QuadratureConfig | None = None) -> float:
     exp_val, _ = integrate(exp_piece, 1.0, math.inf, cfg)
     poly_val = sum((-1.0) ** j / math.factorial(j) / (p - j) for j in range(0, k + 1))
     return head_val + sign * (exp_val - poly_val)
-
-
-def _h_table(b, max_ell: int) -> list[float]:
-    """Floating complete homogeneous symmetric polynomials h_0..h_max of b."""
-    h = [1.0] + [0.0] * max_ell
-    for w in b:
-        for degree in range(1, max_ell + 1):
-            h[degree] += w * h[degree - 1]
-    return h
 
 
 def f_k(x, k: int) -> float:

@@ -1,11 +1,10 @@
 """Closed-form special-function kernel.
 
-All gamma-function machinery funnels through :func:`loggamma`, a
-Stirling-series implementation with argument shifting, so that gamma
-ratios are always formed in log space and nothing overflows for
-arguments far above 170.  Even-integer Gaussian moments take an exact
-integer double-factorial path, which the exact-arithmetic certification
-suites rely on.
+All gamma-function machinery funnels through :func:`loggamma`
+(`math.lgamma` on x > 0), so that gamma ratios are always formed in log
+space and nothing overflows for arguments far above 170.  Even-integer
+Gaussian moments take an exact integer double-factorial path, which the
+exact-arithmetic certification suites rely on.
 """
 
 from __future__ import annotations
@@ -22,47 +21,15 @@ __all__ = [
     "closed_integral_iqs",
 ]
 
-# Stirling correction sum B_{2n} / (2n(2n-1) x^(2n-1)), n = 1..7.
-_STIRLING = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    7.0 / 1092.0,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
-_SHIFT_CUTOFF = 10.0
 
 
 def loggamma(x: float) -> float:
-    """ln Gamma(x) for x > 0.
-
-    Stirling series above x = 10, recurrence shifting below it, and the
-    reflection formula on (0, 0.5).  Relative accuracy is ~1e-14 on
-    [0.5, 1e6] (taking max(1, |ln Gamma|) as the scale near the zeros
-    at x = 1 and x = 2).
-    """
+    """ln Gamma(x) for x > 0, by the standard library's math.lgamma."""
     x = float(x)
     if math.isnan(x) or x <= 0.0:
         raise ValueError(f"loggamma requires x > 0, got {x!r}")
-    if x < 0.5:
-        # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.log(math.pi / math.sin(math.pi * x)) - loggamma(1.0 - x)
-    shift = 0.0
-    while x < _SHIFT_CUTOFF:
-        shift -= math.log(x)
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    corr = 0.0
-    power = inv
-    for c in _STIRLING:
-        corr += c * power
-        power *= inv2
-    return (x - 0.5) * math.log(x) - x + _HALF_LOG_TWO_PI + corr + shift
+    return math.lgamma(x)
 
 
 def gaussian_even_moment_exact(ell: int) -> int:

@@ -12,7 +12,7 @@ from expmoments.engines import (
     moments,
     signed_moment,
 )
-from expmoments.model import GammaSumModel, MomentQuery
+from expmoments.model import GammaSumModel, MomentQuery, even_moment_exact
 from expmoments.schur import t_transform
 from expmoments.specialfn import loggamma
 
@@ -145,13 +145,21 @@ def test_montecarlo_calibration_quick():
 
 
 def test_auto_fallback_on_ill_conditioned_poles():
-    # a gap just above the merge threshold wrecks the closed form; auto
-    # dispatch must notice the error bound and fall back
+    # a gap just above the merge threshold wrecks partial fractions; on
+    # weights of one sign the centred series keeps the density engine
     model = GammaSumModel.of([1.0, 1.0, 1.0 + 2e-9])
     est = moment(model, MomentQuery(p=1.5), seed=6, count=100_000)
-    assert est.engine in ("fourier", "montecarlo")
+    assert est.engine == "density"
     erlang3 = moment(GammaSumModel.of([1.0], [3.0]), MomentQuery(p=1.5))
     assert est.value == pytest.approx(erlang3.value, abs=4.0 * (est.error + 1e-4))
+    # with a weight of the other sign the series does not apply, so auto
+    # dispatch must notice the poor bound and fall back
+    model = GammaSumModel.of([1.0, 1.0 + 2e-9, -1.0])
+    est = moment(model, MomentQuery(p=1.5), seed=6, count=100_000)
+    assert est.engine in ("fourier", "montecarlo")
+    merged = moment(GammaSumModel.of([1.0, -1.0], [2.0, 1.0]), MomentQuery(p=1.5))
+    assert merged.engine == "density"
+    assert est.value == pytest.approx(merged.value, abs=4.0 * (est.error + 1e-4))
 
 
 def test_cross_validate_laplace():
@@ -231,9 +239,10 @@ def test_moments_match_moment_row_by_row():
         [0.0, 0.7, 0.0, 1.3],  # zero entries are absent terms
         [1.1, 0.0, 0.0, 0.0],
         t_transform([0.4, 0.9, 1.6, 0.0], 0, 2, 0.5),  # an exactly equal pair: a merged pole
-        [1.0, 1.0 + 1e-12, 0.3, 2.0],  # inside the 1e-10 merge gap
-        [1.0, 1.0 + 1e-6, 1.0 + 2e-6, 1.0 + 3e-6],  # a cluster whose closed-form bound is too poor
+        [1.0, 1.0 + 1e-12, 0.3, 2.0],  # inside the 1e-10 merge gap: the clustered series keeps it
+        [1.0, 1.0 + 1e-6, 1.0 + 2e-6, 1.0 + 3e-6],  # a cluster: the centred series keeps it
         [1e-3, 1.0, 0.0, 1e3],
+        [1e-7, 1.0, 1.0 + 1e-7, 0.0],  # a pair as far apart as it is from 0: no series, a fallback
     ]
     W = np.array(rows)
     engines_seen = set()
@@ -269,3 +278,14 @@ def test_moments_zero_rows_and_rejections():
         moments([1.0, 2.0], 1.5)
     with pytest.raises(ValueError):
         moments([[1.0, math.nan]], 1.5)
+
+
+def test_moments_exact_rows_are_bit_identical_to_even_moment_exact():
+    rng = np.random.default_rng(23)
+    W = rng.uniform(0.0, 2.0, (200, 4)) ** 3  # small entries: large denominators
+    W[rng.random(W.shape) < 0.2] = 0.0
+    for ell in (0, 2, 4, 6, 10):
+        values, errors = moments(W, float(ell))
+        assert not errors.any()
+        for row, value in zip(W, values):
+            assert value == float(even_moment_exact(row[row > 0.0].tolist(), ell))
