@@ -10,12 +10,14 @@ is poor (nearly coincident poles), unsigned unshifted queries on weights
 of one sign through the centred divided-difference series, then the
 clustered one (the same series about each cluster of weights, partial
 fractions between clusters); the Fourier engine serves 0 < p < 2
-unsigned; the Monte Carlo engine serves everything that is left.
+unsigned; the Monte Carlo engine serves everything that is left.  A
+density quadrature or Fourier integral that fails to converge
+(`QuadratureError`) falls through to the next engine, as a poor bound
+does; a forced engine raises it instead.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -28,7 +30,6 @@ from .model import (
     PartialFractionDensity,
     _chs_scaled,
     centred_power_moment,
-    charfn,
     clustered_power_moment,
     partial_fraction_density,
     term_roundoff,
@@ -116,17 +117,24 @@ def _auto_moment(
         return _exact_moment(model, query)
     # the density engine: partial fractions, then the centred series, each
     # kept only while its honest bound is good; closely spaced poles wreck
-    # partial fractions but not the series
+    # partial fractions but not the series.  A quadrature that fails to
+    # converge falls through to the next engine as a poor bound does.
     pfd = _density_or_none(model)
     if pfd is not None:
-        est = _density_moment(model, pfd, query, cfg)
-        if not _poor(est):
-            return est
+        try:
+            est = _density_moment(model, pfd, query, cfg)
+            if not _poor(est):
+                return est
+        except QuadratureError:
+            pass
     est = _series_moment(model, query)
     if est is not None:
         return est
     if (not query.signed) and 0.0 < query.p < 2.0:
-        return _fourier_estimate(model, query, cfg)
+        try:
+            return _fourier_estimate(model, query, cfg)
+        except QuadratureError:
+            pass
     return _montecarlo_moment(model, query, seed, count)
 
 
@@ -311,38 +319,27 @@ def _series_moment(model: GammaSumModel, q: MomentQuery) -> MomentEstimate | Non
 def _density_quadrature(
     pfd: PartialFractionDensity, p: float, m: float, signed: bool, cfg: QuadratureConfig
 ) -> tuple[float, float]:
-    has_pos = any(t.scale > 0.0 for t in pfd.terms)
-    has_neg = any(t.scale < 0.0 for t in pfd.terms)
+    """E|S - m|^p (times sgn(S - m) when signed) by quadrature of the
+    density, one half-line at a time, in the coordinate tau = |t| of that
+    half-line.  Where the shift lies inside a half-line it splits it into
+    [0, |m|] and [|m|, inf); each piece is integrated once and the pieces
+    combine by the sign of t - m on them: sgn(t) beyond the shift, the
+    opposite below it.  The error is the sum of the pieces' errors."""
     value = 0.0
     err = 0.0
-
-    if has_pos:
-        f = pfd._one_sided
-        v, e = integrate_abs_power(f, p, m, 0.0, math.inf, cfg)
-        value += v
-        err += e
-        if signed and m > 0.0:
-            # flip the t < m part, where sgn(t - m) = -1
-            below, eb = integrate_abs_power(f, p, m, 0.0, m, cfg)
-            value -= 2.0 * below
-            err += 2.0 * eb
-    if has_neg:
-        g = lambda tau: pfd._one_sided(-tau)
-        mm = -m
-        sign_whole = -1.0 if signed else 1.0  # on t < min(0, m): sgn(t - m) = -1
+    for side in (1.0, -1.0):
+        if not any(term.scale * side > 0.0 for term in pfd.terms):
+            continue
+        f = pfd._one_sided if side > 0.0 else (lambda tau: pfd._one_sided(-tau))
+        mm = side * m
         if mm > 0.0:
-            whole, e = integrate_abs_power(g, p, mm, 0.0, math.inf, cfg)
-            if signed:
-                below, eb = integrate_abs_power(g, p, mm, 0.0, mm, cfg)
-                # tau < mm means t > m, positive sign; tau > mm means t < m
-                value += below - (whole - below)
-                err += e + eb
-            else:
-                value += whole
-                err += e
+            below, eb = integrate_abs_power(f, p, mm, 0.0, mm, cfg)
+            above, ea = integrate_abs_power(f, p, mm, mm, math.inf, cfg)
+            value += side * (above - below) if signed else below + above
+            err += eb + ea
         else:
-            whole, e = integrate_abs_power(g, p, mm, 0.0, math.inf, cfg)
-            value += sign_whole * whole
+            whole, e = integrate_abs_power(f, p, mm, 0.0, math.inf, cfg)
+            value += side * whole if signed else whole
             err += e
     return value, err
 
@@ -368,16 +365,32 @@ def _fourier_estimate(model: GammaSumModel, q: MomentQuery, cfg: QuadratureConfi
 
 
 def _fourier_moment(model: GammaSumModel, q: float, m: float, cfg: QuadratureConfig) -> tuple[float, float]:
-    def re_phi(t: float) -> float:
-        return (charfn(model, t) * cmath.exp(-1j * t * m)).real
-
     def abs_phi_bound(t: float) -> float:
         acc = 0.0
         for w, s in zip(model.weights, model.shapes):
             acc += s * math.log1p((float(w) * t) ** 2)
         return math.exp(-0.5 * acc)
 
+    re_phi = _shifted_re_phi(model, m)
     return fourier_abs_moment_from_cf(re_phi, q, _moments_about(model, m), abs_phi_bound, cfg)
+
+
+def _shifted_re_phi(model: GammaSumModel, m: float):
+    """t -> Re E exp(it(S - m)) in real arithmetic: the principal branch of
+    (1 - i w t)^(-s) is (1 + w^2 t^2)^(-s/2) exp(i s atan(w t)), so
+    Re phi(t) e^(-itm) = exp(-1/2 sum s log1p(w^2 t^2)) cos(sum s atan(w t) - t m)."""
+    factors = [(float(w), s) for w, s in zip(model.weights, model.shapes)]
+
+    def re_phi(t: float) -> float:
+        log_mod = 0.0
+        arg = 0.0
+        for w, s in factors:
+            wt = w * t
+            log_mod += s * math.log1p(wt * wt)
+            arg += s * math.atan(wt)
+        return math.exp(-0.5 * log_mod) * math.cos(arg - t * m)
+
+    return re_phi
 
 
 def fourier_abs_moment_from_cf(re_phi, q, mu246, abs_phi_bound, cfg=None):

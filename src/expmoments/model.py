@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -206,17 +207,26 @@ class PartialFractionDensity:
             return 0.5 * (self._one_sided(1e-300) + self._one_sided(-1e-300))
         return self._one_sided(t)
 
-    def _one_sided(self, t: float) -> float:
-        out = 0.0
-        at = abs(t)
+    @cached_property
+    def _half_lines(self) -> tuple[tuple, tuple]:
+        """The terms of the half-lines t > 0 and t < 0, each as rows
+        (1 / |scale|, order - 1, coeff / ((order-1)! |scale|^order))."""
+        rows = ([], [])
         for term in self.terms:
-            if term.scale * t <= 0.0:
-                continue
+            a = abs(term.scale)
             r = term.order
-            z = -at / abs(term.scale)
-            if r > 1:
-                z += (r - 1) * math.log(at)
-            out += term.coeff * math.exp(z) / (math.factorial(r - 1) * abs(term.scale) ** r)
+            rows[term.scale < 0.0].append((1.0 / a, r - 1, term.coeff / (math.factorial(r - 1) * a**r)))
+        return tuple(rows[0]), tuple(rows[1])
+
+    def _one_sided(self, t: float) -> float:
+        """The density at t from the terms on t's half-line; 0 at t = 0."""
+        if t == 0.0:
+            return 0.0
+        at = abs(t)
+        log_at = math.log(at)
+        out = 0.0
+        for inv_scale, k, c in self._half_lines[t < 0.0]:
+            out += c * math.exp(k * log_at - at * inv_scale)
         return out
 
     def abs_power_moment(self, p: float) -> float:

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -12,7 +13,8 @@ from expmoments.engines import (
     moments,
     signed_moment,
 )
-from expmoments.model import GammaSumModel, MomentQuery, even_moment_exact
+from expmoments.model import GammaSumModel, MomentQuery, charfn, even_moment_exact, partial_fraction_density
+from expmoments.quadrature import QuadratureConfig, QuadratureError, integrate_abs_power
 from expmoments.schur import t_transform
 from expmoments.specialfn import loggamma
 
@@ -160,6 +162,87 @@ def test_auto_fallback_on_ill_conditioned_poles():
     merged = moment(GammaSumModel.of([1.0, -1.0], [2.0, 1.0]), MomentQuery(p=1.5))
     assert merged.engine == "density"
     assert est.value == pytest.approx(merged.value, abs=4.0 * (est.error + 1e-4))
+
+
+def test_shifted_re_phi_matches_complex_charfn():
+    models = [
+        GammaSumModel.of([0.9, -1.7, 0.35], [0.8, 1.3, 2.6]),
+        GammaSumModel.of([-0.2347, -1.652, -0.6886, -0.2928], [1.372, 0.404, 0.615, 1.229]),
+        GammaSumModel.of([1.0, -1.0]),
+    ]
+    for model in models:
+        for m in (0.0, -0.888, 1.74):
+            re_phi = engines._shifted_re_phi(model, m)
+            for t in (0.0, 1e-8, 0.3, 2.0, 17.0, 1e3, 4.5e4, 1e6):
+                ref = (charfn(model, t) * cmath.exp(-1j * t * m)).real
+                assert abs(re_phi(t) - ref) <= 1e-13
+
+
+def test_signed_shifted_density_integrates_each_piece_once(monkeypatch):
+    calls = []
+
+    def counted(f, p, m, a, b, cfg=None):
+        calls.append((a, b))
+        return integrate_abs_power(f, p, m, a, b, cfg)
+
+    monkeypatch.setattr(engines, "integrate_abs_power", counted)
+    model = GammaSumModel.of([0.5, 1.3], [2.0, 1.0])
+    pfd = partial_fraction_density(model)
+    for p, m in ((2.5, 1.2), (-0.4, 0.7)):
+        calls.clear()
+        est = moment(model, MomentQuery(p, m, signed=True))
+        assert est.engine == "density"
+        assert calls == [(0.0, m), (m, math.inf)]
+        below, eb = integrate_abs_power(pfd._one_sided, p, m, 0.0, m)
+        above, ea = integrate_abs_power(pfd._one_sided, p, m, m, math.inf)
+        assert est.value == above - below
+        assert est.error == eb + ea
+    # two half-lines, the shift on the negative one: three pieces
+    calls.clear()
+    est = moment(GammaSumModel.of([0.8, -1.1]), MomentQuery(1.5, -0.6, signed=True))
+    assert est.engine == "density"
+    assert calls == [(0.0, math.inf), (0.0, 0.6), (0.6, math.inf)]
+
+
+# weights 0.29^2, 0.51, 1.73^2, 1.84^2: close poles of order 2 whose
+# partial fractions cancel, so the piece of the density quadrature next to
+# the origin cannot reach its relative tolerance
+CANCELLING = GammaSumModel.of([0.29, 0.51, 1.73, 1.84], [2.0, 1.0, 2.0, 2.0])
+SMALL_BUDGET = QuadratureConfig(max_panels=200)
+
+
+def test_auto_falls_through_when_density_quadrature_fails():
+    cases = [
+        (CANCELLING, MomentQuery(3.54, 1.74, signed=False)),
+        (CANCELLING, MomentQuery(3.54, 1.74, signed=True)),
+        (GammaSumModel.of([0.375, 1.276, 0.505, 1.76], [2.0] * 4), MomentQuery(5.30, 1.87, signed=True)),
+    ]
+    for model, query in cases:
+        with pytest.raises(QuadratureError):
+            moment(model, query, engine="density", cfg=SMALL_BUDGET)
+        est = moment(model, query, cfg=SMALL_BUDGET, count=40_000)
+        assert est.engine == "montecarlo"
+        # a looser relative tolerance lets the density quadrature converge
+        ref = moment(model, query, engine="density", cfg=QuadratureConfig(rel_tol=1e-8))
+        assert abs(est.value - ref.value) <= est.error + ref.error
+    # unsigned 0 < p < 2 falls through to the Fourier engine first
+    query = MomentQuery(1.5, 1.74)
+    est = moment(CANCELLING, query, cfg=SMALL_BUDGET)
+    assert est.engine == "fourier"
+    ref = moment(CANCELLING, query, engine="density", cfg=QuadratureConfig(rel_tol=1e-8))
+    assert abs(est.value - ref.value) <= est.error + ref.error
+
+
+def test_auto_falls_through_when_fourier_quadrature_fails():
+    # total shape below 1: |phi| decays so slowly that the doubling blocks
+    # run out of panels
+    model = GammaSumModel.of([0.9], [0.8])
+    query = MomentQuery(0.7, 0.5)
+    with pytest.raises(QuadratureError):
+        moment(model, query, engine="fourier", cfg=SMALL_BUDGET)
+    est = moment(model, query, cfg=SMALL_BUDGET, count=40_000)
+    assert est.engine == "montecarlo"
+    assert 0.0 < est.error < 0.05 * est.value
 
 
 def test_cross_validate_laplace():

@@ -171,6 +171,46 @@ def test_partial_fraction_density_integer_shapes_expand():
     assert pfd.density(2.0) == pytest.approx(2.0 * math.exp(-2.0), rel=1e-13)
 
 
+def _pfd_term_density(pfd, t):
+    """The PfdTerm docstring formula summed over the terms on t's half-line."""
+    out = 0.0
+    for term in pfd.terms:
+        if term.scale * t > 0.0:
+            r = term.order
+            out += (
+                term.coeff * abs(t) ** (r - 1) * math.exp(-t / term.scale)
+                / (math.factorial(r - 1) * abs(term.scale) ** r)
+            )
+    return out
+
+
+def test_one_sided_matches_the_term_formula_on_both_half_lines():
+    # poles of orders 1-3 on each half-line
+    model = GammaSumModel.of([0.6, 1.7, -0.9, -2.3], [3.0, 1.0, 2.0, 3.0])
+    pfd = partial_fraction_density(model)
+    assert {(t.scale > 0.0, t.order) for t in pfd.terms} == {
+        (side, r) for side in (True, False) for r in (1, 2, 3)
+    }
+    for t in (1e-3, 0.25, 1.0, 3.7, 12.0, 40.0):
+        for x in (t, -t):
+            ref = _pfd_term_density(pfd, x)
+            assert pfd._one_sided(x) == pytest.approx(ref, rel=1e-12, abs=1e-15)
+            assert pfd.density(x) == pfd._one_sided(x)
+    # one-sided models have nothing on the other half-line
+    pos = partial_fraction_density(GammaSumModel.of([0.5, 1.5], [2.0, 1.0]))
+    assert pos._one_sided(-1.0) == 0.0
+    assert pos._one_sided(1.0) == pytest.approx(_pfd_term_density(pos, 1.0), rel=1e-13)
+
+
+def test_one_sided_at_zero():
+    pfd = partial_fraction_density(GammaSumModel.of([1.0, -1.0]))
+    assert pfd._one_sided(0.0) == 0.0
+    # density(0) averages the two sides just off the origin: 1/2 for Laplace
+    assert pfd.density(0.0) == pytest.approx(0.5, rel=1e-13)
+    # an order-2 pole vanishes at the origin
+    assert partial_fraction_density(GammaSumModel.of([1.0], [2.0])).density(0.0) == pytest.approx(0.0, abs=1e-290)
+
+
 def test_partial_fraction_rejections():
     with pytest.raises(ValueError):
         partial_fraction_density(GammaSumModel.of([1.0, 0.0]))
