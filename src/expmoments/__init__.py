@@ -28,7 +28,6 @@ from .model import (
     chs,
     clustered_power_moment,
     even_moment_exact,
-    mean_variance,
     partial_fraction_density,
     sample,
 )

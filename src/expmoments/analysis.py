@@ -9,6 +9,7 @@ budgets.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -323,14 +324,9 @@ def verify_hunter_exact(trials: int = 1000, ell_set=(2, 4, 6, 8), seed: int = 0)
     return report
 
 
-def _pstar_cached() -> float:
-    global _PSTAR_VALUE
-    if _PSTAR_VALUE is None:
-        _PSTAR_VALUE = solve_pstar().value
-    return _PSTAR_VALUE
-
-
-_PSTAR_VALUE = None
+@functools.cache
+def _pstar() -> float:
+    return solve_pstar().value
 
 
 def verify_mrtt(
@@ -345,7 +341,7 @@ def verify_mrtt(
         raise ValueError("verify_mrtt requires p > -1, p != 0")
     cfg = cfg or DEFAULT_CONFIG
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    pstar = _pstar_cached()
+    pstar = _pstar()
     report = VerificationReport(
         suite="mrtt", params={"p": p, "seed": seed, "pstar": pstar}, trials=trials
     )
@@ -516,8 +512,8 @@ def gradient(
 ) -> float:
     """d/dx_j E|S_x|^p = p E |S_x + x_j E|^(p-1) sgn(S_x + x_j E), p >= 2.
 
-    The extra summand repeats the j-th weight, so the augmented model has
-    a doubled pole there; zero weights contribute no factor.
+    The extra summand repeats the j-th weight, which the augmented model
+    merges into a doubled pole there.
     """
     p = float(p)
     if p < 2.0:
@@ -525,12 +521,9 @@ def gradient(
     xs = [float(v) for v in x]
     if not (0 <= j < len(xs)):
         raise ValueError("index out of range")
-    weights = [v for v in xs if v != 0.0]
-    if xs[j] != 0.0:
-        weights.append(xs[j])
-    if not weights:
+    if not any(xs):
         return 0.0
-    model = GammaSumModel.of(weights)
+    model = GammaSumModel.of(xs + [xs[j]])
     est = engines.signed_moment(
         model, MomentQuery(p=p - 1.0, signed=True), engine=engine, cfg=cfg, seed=seed, count=count
     )
@@ -578,10 +571,7 @@ def _sphere_objective(x: np.ndarray, p: float, cfg) -> float:
     # cancelling coefficients
     est = None
     for rel in _SNAP_LADDER:
-        weights = [v for v in _snapped_values(x, rel) if v != 0.0]
-        if not weights:
-            return 0.0
-        est = engines.moment(GammaSumModel.of(weights), MomentQuery(p=p), cfg=cfg)
+        est = engines.moment(GammaSumModel.of(_snapped_values(x, rel)), MomentQuery(p=p), cfg=cfg)
         if est.error <= 1e-6 * max(1.0, abs(est.value)):
             break
     return est.value
@@ -593,15 +583,8 @@ def _sphere_gradient(x: np.ndarray, p: float, cfg) -> np.ndarray:
         snapped = _snapped_values(x, rel)
         ok = True
         for j in range(len(x)):
-            weights = [v for v in snapped if v != 0.0]
-            if snapped[j] != 0.0:
-                weights.append(snapped[j])
-            if not weights:
-                g[j] = 0.0
-                continue
-            est = engines.signed_moment(
-                GammaSumModel.of(weights), MomentQuery(p=p - 1.0, signed=True), engine="density", cfg=cfg
-            )
+            model = GammaSumModel.of(snapped + [snapped[j]])
+            est = engines.signed_moment(model, MomentQuery(p=p - 1.0, signed=True), engine="density", cfg=cfg)
             g[j] = p * est.value
             if est.error > 1e-6 * max(1.0, abs(est.value)):
                 ok = False
@@ -678,13 +661,11 @@ def minimize_sphere(
 def _crux_residual(x: np.ndarray, p: float, val: float, cfg) -> float | None:
     """|p E|S|^p - p(p-1) E|S + x1 E + x2 E'|^(p-2)| / (p E|S|^p) for the two
     largest-magnitude distinct coordinate values; None when all equal."""
-    snapped = [v for v in _snapped_values(x, 1e-7) if v != 0.0]
-    vals = sorted(snapped, key=abs, reverse=True)
-    x1 = vals[0]
-    x2 = next((v for v in vals[1:] if v != x1), None)
-    if x2 is None:
+    snapped = _snapped_values(x, 1e-7)
+    vals = sorted(GammaSumModel.of(snapped).weights, key=abs, reverse=True)
+    if len(vals) < 2:
         return None
-    model = GammaSumModel.of(snapped + [x1, x2])
+    model = GammaSumModel.of(snapped + vals[:2])
     inner = engines.moment(model, MomentQuery(p=p - 2.0), cfg=cfg)
     lhs = p * val
     rhs = p * (p - 1.0) * inner.value
@@ -777,10 +758,7 @@ def tang_density_check(x, cfg: QuadratureConfig | None = None) -> TangReport:
     norm = math.sqrt(sum(v * v for v in xs))
     if abs(norm - 1.0) > 1e-9:
         raise ValueError("tang check requires unit-norm weights")
-    active = [v for v in xs if v > 0.0]
-    model = GammaSumModel.of(active)
-    shift = sum(active)
-    value = engines.density_at(model, 0.0, shift=shift)
+    value = engines.density_at(GammaSumModel.of(xs), 0.0, shift=sum(xs))
     ref = math.exp(-1.0)
     return TangReport(
         weights=xs,

@@ -2,6 +2,9 @@
 
 Model literals are comma-separated weights with an optional ``^shape``
 suffix per weight (e.g. ``1,2^3,-0.5``); scientific notation is fine.
+Zero weights are dropped and equal weights merge with their shapes
+added (``1,0,2,1^0.5`` is ``1^1.5,2``); the ``model`` field shows that
+canonical fingerprint, and a literal of only zero weights exits 3.
 Output formats: ``table`` (human), ``csv`` (header row, comma separator,
 dot decimal), and ``json`` (sorted keys, carries a schema_version field;
 byte-identical across runs for a fixed seed).  Exit codes: 0 success /

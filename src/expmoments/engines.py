@@ -29,6 +29,7 @@ from .model import (
     MomentQuery,
     PartialFractionDensity,
     _chs_scaled,
+    _draw,
     centred_power_moment,
     clustered_power_moment,
     partial_fraction_density,
@@ -147,8 +148,9 @@ def moments(W, p: float, cfg: QuadratureConfig | None = None) -> tuple[np.ndarra
     array of nonnegative exponential weights; zero entries are absent terms.
 
     Returns (values, errors), each of shape (B,).  Row b gets what
-    auto-dispatched `moment` gives for the nonzero weights of W[b] (an
-    all-zero row gets 0, or 1 at p = 0, as the zero sum):
+    auto-dispatched `moment` gives for the model of W[b], which drops its
+    zeros and merges its equal weights (an all-zero row, which has no
+    model, gets 0, or 1 at p = 0, as the zero sum):
 
     - even integer p: the exact engine, error 0;
     - distinct weights at relative gaps of at least 1e-10: the density
@@ -156,7 +158,7 @@ def moments(W, p: float, cfg: QuadratureConfig | None = None) -> tuple[np.ndarra
       c_k = prod_{j != k} 1 / (1 - w_j / w_k), evaluated in one numpy pass
       per count of nonzero entries, with the scalar path's
       sensitivity-charged bound;
-    - every other row (merged or nearly coincident poles, a bound above
+    - every other row (equal or nearly coincident weights, a bound above
       the fallback threshold, a non-finite result): `moment` itself, whose
       centred and clustered series keep clustered rows on the density engine.
     """
@@ -191,7 +193,7 @@ def moments(W, p: float, cfg: QuadratureConfig | None = None) -> tuple[np.ndarra
         errors[rows[ok]] = err[ok]
         scalar_rows.extend(rows[~ok].tolist())
     for b in scalar_rows:
-        est = moment(GammaSumModel.of(W[b, active[b]].tolist()), query, cfg=cfg)
+        est = moment(GammaSumModel.of(W[b].tolist()), query, cfg=cfg)
         values[b] = est.value
         errors[b] = est.error
     return values, errors
@@ -241,8 +243,6 @@ def signed_moment(
     """E|S - shift|^p sgn(S - shift) via the density or Monte Carlo engine."""
     if not query.signed:
         query = MomentQuery(query.p, query.shift, signed=True)
-    if engine == "fourier":
-        raise ValueError("fourier engine cannot compute signed moments")
     return moment(model, query, engine=engine, cfg=cfg, seed=seed, count=count)
 
 
@@ -458,7 +458,7 @@ def _montecarlo_moment(model: GammaSumModel, q: MomentQuery, seed: int, count: i
         if antithetic:
             h = _antithetic_batch(model, q, rng, per // 2)
         else:
-            h = _plain_batch(model, q, rng, per)
+            h = _payoff(_draw(model, rng, per), q)
         n += h.size
         acc += float(h.sum())
         acc2 += float((h * h).sum())
@@ -489,15 +489,6 @@ def _antithetic_batch(model: GammaSumModel, q: MomentQuery, rng, pairs: int) -> 
         s2 += float(w) * (-np.log(block)).sum(axis=1)
         base += k
     return 0.5 * (_payoff(s1, q) + _payoff(s2, q))
-
-
-def _plain_batch(model: GammaSumModel, q: MomentQuery, rng, size: int) -> np.ndarray:
-    from .model import _gamma_variates
-
-    s = np.zeros(size)
-    for w, sh in zip(model.weights, model.shapes):
-        s += float(w) * _gamma_variates(rng, sh, size)
-    return _payoff(s, q)
 
 
 @dataclass

@@ -30,7 +30,6 @@ __all__ = [
     "clustered_power_moment",
     "charfn",
     "partial_fraction_density",
-    "mean_variance",
     "sample",
 ]
 
@@ -52,7 +51,12 @@ class GammaSumModel:
     """The random variable S = sum_j weights[j] * V_j with V_j ~ Gamma(shapes[j]).
 
     Shape 1 (the default) is the standard exponential.  Weights may carry
-    either sign; shapes are strictly positive.
+    either sign; shapes are strictly positive.  The model is kept in one
+    canonical form: zero weights (0 or -0.0) are dropped, since they add
+    nothing to S, and equal weights merge into the place of their first
+    appearance with their shapes added, since Gamma(a) + Gamma(b) is
+    Gamma(a + b) in law.  The weights are not sorted.  A model whose
+    weights are all zero raises ValueError.
     """
 
     weights: tuple
@@ -61,16 +65,20 @@ class GammaSumModel:
     def __post_init__(self):
         weights = tuple(self.weights)
         shapes = tuple(float(s) for s in self.shapes)
-        if len(weights) == 0:
-            raise ValueError("model needs at least one weight")
         if len(shapes) != len(weights):
             raise ValueError("weights and shapes must have the same length")
         if not all(math.isfinite(float(w)) for w in weights):
             raise ValueError("weights must be finite")
         if not all(s > 0.0 and math.isfinite(s) for s in shapes):
             raise ValueError("shapes must be positive and finite")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "shapes", shapes)
+        merged = {}
+        for w, s in zip(weights, shapes):
+            if w != 0:
+                merged[w] = merged.get(w, 0.0) + s
+        if not merged:
+            raise ValueError("model needs at least one nonzero weight")
+        object.__setattr__(self, "weights", tuple(merged))
+        object.__setattr__(self, "shapes", tuple(merged.values()))
 
     @classmethod
     def of(cls, weights: Sequence, shapes: Sequence | None = None) -> "GammaSumModel":
@@ -228,14 +236,6 @@ class PartialFractionDensity:
         for inv_scale, k, c in self._half_lines[t < 0.0]:
             out += c * math.exp(k * log_at - at * inv_scale)
         return out
-
-    def abs_power_moment(self, p: float) -> float:
-        """E|S|^p = sum_k coeff_k Gamma(p + r_k) / (r_k - 1)! |scale_k|^p."""
-        return self.power_moment_with_error(p, signed=False)[0]
-
-    def signed_power_moment(self, p: float) -> float:
-        """E |S|^p sgn(S); per-term sign is the sign of the half-line."""
-        return self.power_moment_with_error(p, signed=True)[0]
 
     def power_moment_with_error(self, p: float, signed: bool = False) -> tuple[float, float]:
         """Closed-form power moment with an absolute roundoff bound.
@@ -455,25 +455,13 @@ def _multi_indices(k: int, order: int):
 def partial_fraction_density(model: GammaSumModel) -> PartialFractionDensity:
     """Expand prod_j (1 - i w_j t)^(-shape_j) into partial fractions.
 
-    Integer shapes only; equal weights are merged into higher-order poles
-    rather than perturbed, and nearly coincident distinct weights are
-    rejected because their coefficients blow up.
+    Integer shapes only.  The model's equal weights arrive merged, so
+    each weight is one pole of order its shape; nearly coincident distinct
+    weights are rejected because their coefficients blow up.
     """
     if not model.integer_shapes:
         raise ValueError("partial fractions require integer shapes")
-    ws = [float(w) for w in model.expanded_weights()]
-    if any(w == 0.0 for w in ws):
-        raise ValueError("zero weights carry no density factor; drop them first")
-
-    poles: list[list] = []  # [scale, order]
-    for w in ws:
-        for pole in poles:
-            if pole[0] == w:
-                pole[1] += 1
-                break
-        else:
-            poles.append([w, 1])
-
+    poles = [(float(w), int(s)) for w, s in zip(model.weights, model.shapes)]
     for i in range(len(poles)):
         for j in range(i + 1, len(poles)):
             wi, wj = poles[i][0], poles[j][0]
@@ -518,11 +506,6 @@ def _convolve_trunc(a, b, n):
     return out
 
 
-def mean_variance(model: GammaSumModel) -> tuple[float, float]:
-    """(sum w_j shape_j, sum w_j^2 shape_j)."""
-    return model.mean_variance()
-
-
 def sample(model: GammaSumModel, seed: int, count: int) -> np.ndarray:
     """count realizations of S, deterministic in seed.
 
@@ -532,7 +515,11 @@ def sample(model: GammaSumModel, seed: int, count: int) -> np.ndarray:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    return _draw(model, np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))), count)
+
+
+def _draw(model: GammaSumModel, rng: np.random.Generator, count: int) -> np.ndarray:
+    """count realizations of S from rng, one weight after another."""
     out = np.zeros(count)
     for w, s in zip(model.weights, model.shapes):
         out += float(w) * _gamma_variates(rng, s, count)

@@ -47,8 +47,8 @@ def m_p(x, p, cfg: QuadratureConfig | None = None) -> engines.MomentEstimate:
     """M_p(x) = E (sum_j sqrt(x_j) E_j)^p for nonnegative x and p > -1.
 
     The sum is nonnegative, so the power moment equals the absolute
-    moment and routes through the moment engines on sqrt(x) weights.
-    Zero entries contribute nothing and are dropped.
+    moment and routes through the moment engines on sqrt(x) weights,
+    whose model drops the zero entries.
     """
     xs = [float(v) for v in x]
     if any(v < 0.0 for v in xs):
@@ -56,15 +56,14 @@ def m_p(x, p, cfg: QuadratureConfig | None = None) -> engines.MomentEstimate:
     p = float(p)
     if p <= -1.0:
         raise ValueError("m_p requires p > -1")
-    weights = [math.sqrt(v) for v in xs if v > 0.0]
-    if not weights:
+    weights = [math.sqrt(v) for v in xs]
+    if not any(weights):
         if p > 0.0:
             return engines.MomentEstimate(0.0, 0.0, "exact", p, "w=[];g=[]")
         if p == 0.0:
             return engines.MomentEstimate(1.0, 0.0, "exact", p, "w=[];g=[]")
         raise ValueError("negative moment of the zero sum diverges")
-    model = GammaSumModel.of(weights)
-    return engines.moment(model, MomentQuery(p=p), cfg=cfg)
+    return engines.moment(GammaSumModel.of(weights), MomentQuery(p=p), cfg=cfg)
 
 
 def q_k(k: int, t: float) -> float:
@@ -194,9 +193,9 @@ def f_k_mc(x, k: int, seed: int = 0, count: int = 1_000_000) -> engines.MomentEs
     xs = [float(v) for v in x]
     if any(v < 0.0 for v in xs):
         raise ValueError("f_k_mc requires nonnegative entries")
-    weights = [math.sqrt(v) for v in xs if v > 0.0]
+    weights = [math.sqrt(v) for v in xs]
     fp = f"Fk(k={k});x={xs!r}"
-    if not weights:
+    if not any(weights):
         return engines.MomentEstimate(0.0, 0.0, "exact", float(k), fp)
     s = sample(GammaSumModel.of(weights), seed, count)
     vals = q_k_array(k, s)

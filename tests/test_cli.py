@@ -45,6 +45,10 @@ def test_moment_exit_codes(capsys):
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "moment", "-m", "1", "-p", "-2")
     assert code == 3 and "error" in err
+    # a literal of only zero weights has no model
+    for literal, p in (("0", "-0.5"), ("0", "2"), ("0,-0.0", "2.5")):
+        code, _, err = run(capsys, "moment", "-m", literal, "-p", p)
+        assert code == 3 and "nonzero weight" in err
 
 
 def test_json_output_is_deterministic(capsys):

@@ -164,6 +164,20 @@ def test_auto_fallback_on_ill_conditioned_poles():
     assert est.value == pytest.approx(merged.value, abs=4.0 * (est.error + 1e-4))
 
 
+def test_zero_and_repeated_weights_stay_on_closed_forms():
+    # the model drops the zero weight: the density closed form of one exponential
+    est = moment(GammaSumModel.of([1.0, 0.0]), MomentQuery(p=2.5))
+    assert est.engine == "density"
+    assert abs(est.value - math.gamma(3.5)) <= est.error <= 1e-14 * math.gamma(3.5)
+    # two halves of an exponential merge into one
+    halves = moment(GammaSumModel.of([0.5, 0.5], [0.5, 0.5]), MomentQuery(p=2.5))
+    assert halves == moment(GammaSumModel.of([0.5]), MomentQuery(p=2.5), engine="density")
+    q = MomentQuery(p=1.7, shift=0.4, signed=True)
+    shifted = moment(GammaSumModel.of([0.7, -1.1, 0.7, 0.0]), q)
+    assert shifted.engine == "density"
+    assert shifted == moment(GammaSumModel.of([0.7, -1.1], [2.0, 1.0]), q)
+
+
 def test_shifted_re_phi_matches_complex_charfn():
     models = [
         GammaSumModel.of([0.9, -1.7, 0.35], [0.8, 1.3, 2.6]),
@@ -333,7 +347,7 @@ def test_moments_match_moment_row_by_row():
         values, errors = moments(W, p)
         assert values.shape == errors.shape == (len(rows),)
         for row, value, err in zip(rows, values, errors):
-            est = moment(GammaSumModel.of([w for w in row if w > 0.0]), MomentQuery(p=p))
+            est = moment(GammaSumModel.of(row), MomentQuery(p=p))
             engines_seen.add(est.engine)
             if est.engine == "exact":
                 assert value == est.value and err == 0.0

@@ -10,7 +10,6 @@ from expmoments.model import (
     charfn,
     chs,
     even_moment_exact,
-    mean_variance,
     partial_fraction_density,
     sample,
 )
@@ -110,12 +109,24 @@ def test_model_validation():
         GammaSumModel.of([1.0, 2.0], [1.0])
 
 
+def test_canonical_form_drops_zeros_and_merges_equal_weights():
+    model = GammaSumModel.of([1, 0, 2, 1], [1, 1, 1, 0.5])
+    assert model.weights == (1, 2) and model.shapes == (1.5, 1.0)
+    # first-appearance order, not sorted
+    assert GammaSumModel.of([0.7, -1.1, 0.7, 0.0]).weights == (0.7, -1.1)
+    assert GammaSumModel.of([0.7, -1.1, 0.7, 0.0]) == GammaSumModel.of([0.7, -1.1], [2.0, 1.0])
+    assert GammaSumModel.of([-0.0, 3.0]).fingerprint() == "w=[3.0];g=[1.0]"
+    for weights in ([0.0], [0.0, -0.0]):
+        with pytest.raises(ValueError, match="nonzero weight"):
+            GammaSumModel.of(weights)
+
+
 def test_mean_variance():
-    assert mean_variance(GammaSumModel.of([1.0])) == (1.0, 1.0)
-    m, v = mean_variance(GammaSumModel.of([2**-0.5, -(2**-0.5)]))
+    assert GammaSumModel.of([1.0]).mean_variance() == (1.0, 1.0)
+    m, v = GammaSumModel.of([2**-0.5, -(2**-0.5)]).mean_variance()
     assert m == pytest.approx(0.0, abs=1e-15)
     assert v == pytest.approx(1.0, rel=1e-15)
-    assert mean_variance(GammaSumModel.of([1.0, 2.0], [1.0, 3.0])) == (7.0, 13.0)
+    assert GammaSumModel.of([1.0, 2.0], [1.0, 3.0]).mean_variance() == (7.0, 13.0)
 
 
 def test_charfn_values():
@@ -212,8 +223,10 @@ def test_one_sided_at_zero():
 
 
 def test_partial_fraction_rejections():
-    with pytest.raises(ValueError):
-        partial_fraction_density(GammaSumModel.of([1.0, 0.0]))
+    # a zero weight is dropped by the model, not rejected
+    assert partial_fraction_density(GammaSumModel.of([1.0, 0.0])).terms == (
+        partial_fraction_density(GammaSumModel.of([1.0])).terms
+    )
     with pytest.raises(ValueError):
         partial_fraction_density(GammaSumModel.of([1.0], [0.5]))
     with pytest.raises(ValueError, match="coincident"):
@@ -258,12 +271,12 @@ def test_density_matches_monte_carlo_histogram():
 
 def test_abs_power_moment_closed_forms():
     pfd = partial_fraction_density(GammaSumModel.of([2.0, 1.0]))
-    assert pfd.abs_power_moment(2.0) == pytest.approx(14.0, rel=1e-12)
-    assert pfd.abs_power_moment(3.0) == pytest.approx(90.0, rel=1e-12)
+    assert pfd.power_moment_with_error(2.0)[0] == pytest.approx(14.0, rel=1e-12)
+    assert pfd.power_moment_with_error(3.0)[0] == pytest.approx(90.0, rel=1e-12)
     lap = partial_fraction_density(GammaSumModel.of([1.0, -1.0]))
-    assert lap.abs_power_moment(1.0) == pytest.approx(1.0, rel=1e-13)
+    assert lap.power_moment_with_error(1.0)[0] == pytest.approx(1.0, rel=1e-13)
     for p in (-0.5, 0.5, 2.2, 5.0):
-        assert lap.abs_power_moment(p) == pytest.approx(math.exp(loggamma(p + 1.0)), rel=1e-12)
+        assert lap.power_moment_with_error(p)[0] == pytest.approx(math.exp(loggamma(p + 1.0)), rel=1e-12)
 
 
 def test_gaussian_mixture_law():
@@ -271,7 +284,7 @@ def test_gaussian_mixture_law():
     # absolute moments to 2^(p/2) Gamma(p/2 + 1) E|G|^p
     lap = partial_fraction_density(GammaSumModel.of([1.0, -1.0]))
     for p in (0.5, 1.5, 3.0, 4.5):
-        lhs = lap.abs_power_moment(p)
+        lhs = lap.power_moment_with_error(p)[0]
         rhs = 2.0 ** (0.5 * p) * math.exp(loggamma(0.5 * p + 1.0)) * gaussian_abs_moment(p)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
@@ -294,7 +307,7 @@ def test_density_even_moments_match_exact_polynomials():
         pfd = partial_fraction_density(GammaSumModel.of(fx))
         for ell in (2, 4, 6):
             exact = float(even_moment_exact(x, ell))
-            assert pfd.abs_power_moment(float(ell)) == pytest.approx(exact, rel=1e-9)
+            assert pfd.power_moment_with_error(float(ell))[0] == pytest.approx(exact, rel=1e-9)
         checked += 1
 
 
