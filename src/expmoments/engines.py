@@ -2,8 +2,16 @@
 independent engines with automatic dispatch and cross-validation.
 
 Engine order for auto dispatch is exact > density > fourier > montecarlo,
-decreasing in accuracy: exact rational polynomial moments apply to even
-integer exponents of unshifted sums; the density engine serves integer
+decreasing in accuracy.  The exact engine answers every query whose
+moment is a polynomial in the cumulants, in exact rationals: integer
+p >= 0 where E|S - m|^p (times sgn(S - m) when signed) is sigma E(S - m)^p,
+that is unsigned even p and signed odd p, and every p when S - m has one
+sign almost surely (weights all positive and m <= 0, or all negative and
+m >= 0).  Signed even p and unsigned odd p on mixed support are not
+polynomial.  Auto dispatch leaves two parts of that domain to the engines
+below: shift 0 with integer shapes (other than unsigned even p), where the
+density closed form is cheaper, and p above _EXACT_MAX_P, where the
+integer recurrence grows too costly.  The density engine serves integer
 shapes through the closed-form Erlang mixture (term algebra at shift 0,
 quadrature otherwise), and where that mixture does not exist or its bound
 is poor (nearly coincident poles), unsigned unshifted queries on weights
@@ -30,6 +38,7 @@ from .model import (
     PartialFractionDensity,
     _chs_scaled,
     _draw,
+    _power_moment_scaled,
     centred_power_moment,
     clustered_power_moment,
     partial_fraction_density,
@@ -59,6 +68,10 @@ _REL_FLOOR = 1e-15
 # auto dispatch leaves the density closed form when its bound exceeds this
 # fraction of max(1, |value|)
 _FALLBACK_REL = 1e-3
+# highest p of the exact engine's cumulant recurrence, whose integers grow
+# with p: at n = 4 with fractional shapes, on a 2-vCPU Xeon VM under
+# Python 3.11, about 4 ms at p = 50, 50 ms at p = 100 and 0.6 s at p = 200
+_EXACT_MAX_P = 100
 
 
 @dataclass(frozen=True)
@@ -257,7 +270,28 @@ def _even_integer(p: float) -> bool:
 
 
 def _exact_applies(model: GammaSumModel, q: MomentQuery) -> bool:
-    return (not q.signed) and q.shift == 0.0 and _even_integer(q.p) and model.integer_shapes
+    """Auto dispatch's part of the exact engine's domain: at shift 0 with
+    integer shapes only unsigned even p (the density closed form is cheaper
+    for the rest), elsewhere every polynomial query up to _EXACT_MAX_P."""
+    if q.shift == 0.0 and model.integer_shapes:
+        return (not q.signed) and _even_integer(q.p)
+    return q.p <= _EXACT_MAX_P and _polynomial_sign(model, q) is not None
+
+
+def _polynomial_sign(model: GammaSumModel, q: MomentQuery) -> int | None:
+    """sigma in {1, -1} with E|S - m|^p (times sgn(S - m) when signed) =
+    sigma E(S - m)^p, or None where no such identity holds: p not an
+    integer >= 0, or a signed even p or unsigned odd p while S - m takes
+    both signs."""
+    if not (float(q.p).is_integer() and q.p >= 0.0):
+        return None
+    power = int(q.p) + q.signed
+    if all(w > 0 for w in model.weights) and q.shift <= 0.0:
+        return 1
+    if all(w < 0 for w in model.weights) and q.shift >= 0.0:
+        # S - m < 0: |x|^p = (-x)^p and sgn(x) = -1
+        return -1 if power % 2 else 1
+    return 1 if power % 2 == 0 else None
 
 
 def _density_or_none(model: GammaSumModel) -> PartialFractionDensity | None:
@@ -270,19 +304,36 @@ def _density_or_none(model: GammaSumModel) -> PartialFractionDensity | None:
 
 
 def _exact_moment(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
-    if q.signed or q.shift != 0.0:
-        raise ValueError("exact engine requires an unsigned, unshifted query")
-    if not _even_integer(q.p):
-        raise ValueError("exact engine requires an even integer exponent")
-    value = _exact_value([float(w) for w in model.expanded_weights()], int(q.p))
-    return MomentEstimate(value, 0.0, "exact", q.p, model.fingerprint())
+    if (not q.signed) and q.shift == 0.0 and _even_integer(q.p) and model.integer_shapes:
+        # Hunter's identity E S^ell = ell! h_ell(w), at any ell
+        value = _exact_value([float(w) for w in model.expanded_weights()], int(q.p))
+        return MomentEstimate(value, 0.0, "exact", q.p, model.fingerprint())
+    sign = _polynomial_sign(model, q)
+    if sign is None:
+        raise ValueError(
+            "exact engine requires an integer p >= 0 with a polynomial moment: "
+            "unsigned even p, signed odd p, or any p where S - shift has one sign"
+        )
+    if q.p > _EXACT_MAX_P:
+        raise ValueError(f"exact engine's cumulant recurrence is capped at p = {_EXACT_MAX_P}")
+    num, den = _power_moment_scaled(model.weights, model.shapes, q.shift, int(q.p))
+    return MomentEstimate(_exact_float(sign * num, den), 0.0, "exact", q.p, model.fingerprint())
 
 
 def _exact_value(ws: list, ell: int) -> float:
     """float(even_moment_exact(ws, ell)) without building Fractions:
-    ell! h_ell(D w) / D^ell, and int true division rounds correctly."""
+    ell! h_ell(D w) / D^ell."""
     h, d = _chs_scaled(ws, ell)
-    return math.factorial(ell) * h / d**ell
+    return _exact_float(math.factorial(ell) * h, d**ell)
+
+
+def _exact_float(num: int, den: int) -> float:
+    """num / den, correctly rounded by int true division; ValueError where
+    it lies beyond the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        raise ValueError("exact moment lies beyond the float range") from None
 
 
 def _density_moment(

@@ -2,7 +2,8 @@
 gamma random variables.
 
 Holds the exact complete-homogeneous-symmetric-polynomial moment
-arithmetic, characteristic functions, the closed-form two-sided
+arithmetic, the exact cumulant recurrence for integer moments about a
+shift, characteristic functions, the closed-form two-sided
 Erlang-mixture density obtained by partial fractions, and seeded
 sampling.  Models are immutable values, safe to share across workers.
 """
@@ -163,6 +164,43 @@ def _h_table(x: Sequence, max_ell: int) -> list:
         for degree in range(1, max_ell + 1):
             h[degree] += w * h[degree - 1]
     return h
+
+
+def _power_moment_scaled(weights: Sequence, shapes: Sequence, shift: float, p: int) -> tuple[int, int]:
+    """(num, den) with E (S - shift)^p = num / den exactly, for integer
+    p >= 0, any positive shapes and any shift: the moments of S - shift
+    from its cumulants kappa_r = (r-1)! sum_j s_j w_j^r, kappa_1 less the
+    shift, by mu_k = sum_i C(k-1, i-1) kappa_i mu_{k-i}, on Python integers.
+
+    With the weights and the shift over their least common denominator D
+    (w_j = a_j / D, shift = b / D) and the shapes over theirs, E
+    (s_j = c_j / E), the integers P_i = sum_j c_j a_j^i (less E b at i = 1)
+    give kappa_i = (i-1)! P_i / (E D^i), and M_k = mu_k (E D)^k obeys
+    M_k = sum_i (k-1)! / (k-i)! E^(i-1) P_i M_{k-i}; den = (E D)^p."""
+    ratios = [float(w).as_integer_ratio() for w in weights] + [float(shift).as_integer_ratio()]
+    d = math.lcm(*(den for _, den in ratios))
+    a = [num * (d // den) for num, den in ratios]
+    b = a.pop()
+    shape_ratios = [float(s).as_integer_ratio() for s in shapes]
+    e = math.lcm(*(den for _, den in shape_ratios))
+    c = [num * (e // den) for num, den in shape_ratios]
+    # scaled[i] = E^(i-1) P_i
+    scaled = [0] * (p + 1)
+    powers = c
+    for i in range(1, p + 1):
+        powers = [x * y for x, y in zip(powers, a)]
+        scaled[i] = e ** (i - 1) * sum(powers)
+    if p >= 1:
+        scaled[1] -= e * b
+    moments = [1] + [0] * p
+    for k in range(1, p + 1):
+        acc = 0
+        falling = 1  # (k-1)! / (k-i)!
+        for i in range(1, k + 1):
+            acc += falling * scaled[i] * moments[k - i]
+            falling *= k - i
+        moments[k] = acc
+    return moments[p], (e * d) ** p
 
 
 def even_moment_exact(x: Sequence, ell: int) -> Fraction:

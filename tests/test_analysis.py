@@ -171,6 +171,8 @@ def test_verify_gamma_extension():
     # the worked example: shape 2, p = 2 gives E X^3 = 24 on both routes
     row = next(r for r in rows if r["shape"] == 2.0 and r["p"] == 2.0)
     assert row["lhs"] == pytest.approx(24.0, rel=1e-12)
+    # the right side stays an engine independent of the Gamma closed form
+    assert {r["engine"] for r in rows if not float(r["shape"]).is_integer()} == {"montecarlo"}
 
 
 def test_verify_claim_and_stepII():

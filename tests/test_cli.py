@@ -39,12 +39,29 @@ def test_moment_command_values(capsys):
     code, out, _ = run(capsys, "moment", "-m", "1", "-p", "1", "--shift", "1", "--format", "json")
     assert json.loads(out)["value"] == pytest.approx(2.0 / math.e, rel=1e-8)
 
+    # polynomial moments are exact at fractional shapes and at a shift:
+    # Var + mean^2 for the float shape 0.7, correctly rounded, and E(S - 1)^2 = 9
+    for argv, value in (
+        (("-m", "1^0.5,2^0.7", "-p", "2"), 6.909999999999999),
+        (("-m", "1,2", "-p", "2", "--shift", "1"), 9.0),
+        (("-m", "1", "-p", "170"), float(math.factorial(170))),
+    ):
+        code, out, _ = run(capsys, "moment", *argv, "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and payload["engine"] == "exact", argv
+        assert payload["value"] == value and payload["error"] == 0.0, argv
+
 
 def test_moment_exit_codes(capsys):
     code, _, err = run(capsys, "moment", "-m", "1,,2", "-p", "2")
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "moment", "-m", "1", "-p", "-2")
     assert code == 3 and "error" in err
+    # 172! is beyond the float range: a domain error, not an OverflowError
+    code, _, err = run(capsys, "moment", "-m", "1", "-p", "172")
+    assert code == 3 and "float range" in err
+    code, _, err = run(capsys, "moment", "-m", "1000", "-p", "100", "--shift", "-1")
+    assert code == 3 and "float range" in err
     # a literal of only zero weights has no model
     for literal, p in (("0", "-0.5"), ("0", "2"), ("0,-0.0", "2.5")):
         code, _, err = run(capsys, "moment", "-m", literal, "-p", p)

@@ -1,8 +1,11 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expmoments import engines
 from expmoments.engines import (
@@ -26,7 +29,10 @@ def test_auto_dispatch_order():
     assert moment(GammaSumModel.of([1.0, 1.0]), MomentQuery(p=2.0)).engine == "exact"
     assert moment(LAPLACE, MomentQuery(p=1.5)).engine == "density"
     assert moment(GammaSumModel.of([1.0], [0.5]), MomentQuery(p=1.5)).engine == "fourier"
-    assert moment(GammaSumModel.of([1.0], [0.5]), MomentQuery(p=3.0)).engine == "montecarlo"
+    # a polynomial moment takes the exact engine at any shapes; |S|^3 on
+    # mixed support is not polynomial
+    assert moment(GammaSumModel.of([1.0], [0.5]), MomentQuery(p=3.0)).engine == "exact"
+    assert moment(GammaSumModel.of([1.0, -2.0], [0.5, 0.5]), MomentQuery(p=3.0)).engine == "montecarlo"
     assert (
         signed_moment(GammaSumModel.of([1.0], [0.5]), MomentQuery(p=1.5, signed=True)).engine
         == "montecarlo"
@@ -40,6 +46,98 @@ def test_exact_engine_even_moments():
     est = moment(GammaSumModel.of([1.0], [2.0]), MomentQuery(p=4.0))
     # Erlang-2 fourth moment: Gamma(6)/Gamma(2) = 120
     assert est.value == 120.0
+
+
+def fraction_moment(weights, shapes, p, shift):
+    """E (S - shift)^p in Fractions: cumulants kappa_r = (r-1)! sum s_j w_j^r,
+    kappa_1 less the shift, and mu_k = sum_i C(k-1, i-1) kappa_i mu_{k-i}."""
+    kappa = [Fraction(0)] + [
+        math.factorial(r - 1) * sum(Fraction(s) * Fraction(w) ** r for w, s in zip(weights, shapes))
+        for r in range(1, p + 1)
+    ]
+    if p >= 1:
+        kappa[1] -= Fraction(shift)
+    mu = [Fraction(1)]
+    for k in range(1, p + 1):
+        mu.append(sum(math.comb(k - 1, i - 1) * kappa[i] * mu[k - i] for i in range(1, k + 1)))
+    return mu[p]
+
+
+@st.composite
+def polynomial_queries(draw):
+    """(weights, shapes, p, shift, signed, sigma) with E|S - shift|^p (times
+    sgn(S - shift) when signed) = sigma E(S - shift)^p: on mixed support
+    unsigned even p or signed odd p, and any p where S - shift has one sign."""
+    n = draw(st.integers(1, 4))
+    mags = draw(st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n))
+    shapes = draw(st.lists(st.floats(0.1, 4.0) | st.integers(1, 3).map(float), min_size=n, max_size=n))
+    p = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        # one sign: the shift on the far side of the support, or at 0
+        side = draw(st.sampled_from((1.0, -1.0)))
+        weights = [side * m for m in mags]
+        shift = -side * draw(st.floats(0.0, 3.0))
+        signed = draw(st.booleans())
+        sigma = side ** (p + signed)
+    else:
+        signs = draw(st.lists(st.sampled_from((1.0, -1.0)), min_size=n, max_size=n))
+        weights = [s * m for s, m in zip(signs, mags)]
+        shift = draw(st.floats(-3.0, 3.0))
+        signed = p % 2 == 1
+        sigma = 1.0
+    return weights, shapes, p, shift, signed, sigma
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomial_queries())
+def test_exact_engine_matches_fraction_recurrence(case):
+    weights, shapes, p, shift, signed, sigma = case
+    model = GammaSumModel.of(weights, shapes)
+    query = MomentQuery(float(p), shift, signed)
+    # the canonical model's shapes: merging equal weights adds shapes in floats
+    want = float(sigma * fraction_moment(model.weights, model.shapes, p, shift))
+    est = moment(model, query, engine="exact")
+    assert est.engine == "exact"
+    assert est.value == want and est.error == 0.0
+    if shift != 0.0 or not model.integer_shapes:
+        assert moment(model, query) == est
+
+
+def test_exact_engine_domain():
+    mixed = GammaSumModel.of([1.0, -2.0])
+    # not polynomial on mixed support: signed even p, unsigned odd p
+    for query in (MomentQuery(2.0, 0.3, signed=True), MomentQuery(3.0, 0.3)):
+        assert moment(mixed, query).engine == "density"
+        with pytest.raises(ValueError, match="polynomial"):
+            moment(mixed, query, engine="exact")
+    fractional = GammaSumModel.of([1.0, -2.0], [0.5, 1.5])
+    assert moment(fractional, MomentQuery(2.0, 0.3, signed=True), count=2_000).engine == "montecarlo"
+    for p in (-0.5, 2.5):
+        with pytest.raises(ValueError):
+            moment(fractional, MomentQuery(p, 0.3, signed=True), engine="exact")
+    # one sign: every integer p, signed or not
+    negative = GammaSumModel.of([-1.0, -2.0], [0.5, 1.5])
+    for p, signed in ((3.0, False), (2.0, True)):
+        est = moment(negative, MomentQuery(p, 0.5, signed))
+        assert est.engine == "exact"
+        want = fraction_moment([-1.0, -2.0], [0.5, 1.5], int(p), 0.5) * (-1) ** (int(p) + signed)
+        assert est.value == float(want)
+    # shift 0 with integer shapes stays on the density closed form except for
+    # unsigned even p; the forced exact engine takes all of it
+    positive = GammaSumModel.of([1.0, 2.0])
+    for query in (MomentQuery(3.0), MomentQuery(3.0, signed=True), MomentQuery(4.0, signed=True)):
+        assert moment(positive, query).engine == "density"
+        want = fraction_moment([1.0, 2.0], [1, 1], int(query.p), 0)
+        assert moment(positive, query, engine="exact").value == float(want)
+    assert moment(mixed, MomentQuery(3.0, signed=True)).engine == "density"
+    # above the cap, auto dispatch goes on as before and the forced engine refuses;
+    # Hunter's identity at shift 0 keeps no cap
+    p = float(engines._EXACT_MAX_P + 2)
+    half = GammaSumModel.of([1.0], [0.5])
+    assert moment(half, MomentQuery(p, -1.0), count=2_000).engine == "montecarlo"
+    with pytest.raises(ValueError, match="capped"):
+        moment(half, MomentQuery(p, -1.0), engine="exact")
+    assert moment(positive, MomentQuery(p)).engine == "exact"
 
 
 def test_density_engine_unshifted():
@@ -356,6 +454,21 @@ def test_moments_match_moment_row_by_row():
                 assert 0.0 <= err < math.inf
     # every scalar route appears: exact, density (simple and merged poles), fourier, montecarlo
     assert engines_seen == {"exact", "density", "fourier", "montecarlo"}
+
+
+def test_moments_match_moment_at_odd_integer_p():
+    # at odd p the batch keeps no exact rows, so the scalar route must stay
+    # on the density closed form too: the shift-0 integer-shape limit
+    rng = np.random.default_rng(11)
+    W = rng.uniform(0.05, 2.0, (60, 4))
+    W[rng.random(W.shape) < 0.25] = 0.0
+    for p in (3.0, 5.0):
+        values, errors = moments(W, p)
+        for row, value, err in zip(W, values, errors):
+            est = moment(GammaSumModel.of(row.tolist()), MomentQuery(p=p))
+            assert est.engine == "density"
+            assert abs(value - est.value) <= est.error
+            assert 0.0 < err <= 2.0 * est.error
 
 
 def test_moments_zero_rows_and_rejections():
