@@ -18,16 +18,15 @@ from .analysis import (
     verify_mrtt,
     verify_theorem1,
 )
-from .engines import MomentEstimate, cross_validate, density_at, moment, moments, signed_moment
+from .engines import MomentEstimate, density_at, moment, moments
 from .model import (
     GammaSumModel,
     MomentQuery,
     PartialFractionDensity,
-    centred_power_moment,
     charfn,
     chs,
-    clustered_power_moment,
     even_moment_exact,
+    gamma_mixture,
     partial_fraction_density,
     sample,
 )

@@ -532,7 +532,7 @@ def gradient(
     if not any(xs):
         return 0.0
     model = GammaSumModel.of(xs + [xs[j]])
-    est = engines.signed_moment(
+    est = engines.moment(
         model, MomentQuery(p=p - 1.0, signed=True), engine=engine, cfg=cfg, seed=seed, count=count
     )
     return p * est.value
@@ -557,49 +557,16 @@ class MinimizeResult:
         }
 
 
-_SNAP_LADDER = (1e-9, 1e-4, 1e-2)
-
-
-def _snapped_values(x, rel: float) -> list[float]:
-    """Coordinates with nearly equal values glued together (gap below rel),
-    index-aligned with the input; gluing turns near-coincident poles into
-    exactly mergeable ones for the closed-form density engine."""
-    vals = [float(v) for v in x]
-    order = sorted(range(len(vals)), key=lambda i: vals[i])
-    for prev, cur in zip(order, order[1:]):
-        if abs(vals[cur] - vals[prev]) < rel * max(abs(vals[cur]), abs(vals[prev])):
-            vals[cur] = vals[prev]
-    scale = max((abs(v) for v in vals), default=0.0)
-    return [0.0 if abs(v) <= 1e-12 * max(scale, 1.0) else v for v in vals]
-
-
 def _sphere_objective(x: np.ndarray, p: float, cfg) -> float:
-    # widen the glue until the closed-form error bar is trustworthy;
-    # clusters just above a snap threshold otherwise breed huge
-    # cancelling coefficients
-    est = None
-    for rel in _SNAP_LADDER:
-        est = engines.moment(GammaSumModel.of(_snapped_values(x, rel)), MomentQuery(p=p), cfg=cfg)
-        if est.error <= 1e-6 * max(1.0, abs(est.value)):
-            break
-    return est.value
+    return engines.moment(GammaSumModel.of(x.tolist()), MomentQuery(p=p), cfg=cfg).value
 
 
 def _sphere_gradient(x: np.ndarray, p: float, cfg) -> np.ndarray:
-    g = np.zeros(len(x))
-    for rel in _SNAP_LADDER:
-        snapped = _snapped_values(x, rel)
-        ok = True
-        for j in range(len(x)):
-            model = GammaSumModel.of(snapped + [snapped[j]])
-            est = engines.signed_moment(model, MomentQuery(p=p - 1.0, signed=True), engine="density", cfg=cfg)
-            g[j] = p * est.value
-            if est.error > 1e-6 * max(1.0, abs(est.value)):
-                ok = False
-                break
-        if ok:
-            break
-    return g
+    xs = x.tolist()
+    query = MomentQuery(p=p - 1.0, signed=True)
+    return np.array(
+        [p * engines.moment(GammaSumModel.of(xs + [v]), query, engine="density", cfg=cfg).value for v in xs]
+    )
 
 
 def minimize_sphere(
@@ -669,11 +636,11 @@ def minimize_sphere(
 def _crux_residual(x: np.ndarray, p: float, val: float, cfg) -> float | None:
     """|p E|S|^p - p(p-1) E|S + x1 E + x2 E'|^(p-2)| / (p E|S|^p) for the two
     largest-magnitude distinct coordinate values; None when all equal."""
-    snapped = _snapped_values(x, 1e-7)
-    vals = sorted(GammaSumModel.of(snapped).weights, key=abs, reverse=True)
+    xs = x.tolist()
+    vals = sorted(GammaSumModel.of(xs).weights, key=abs, reverse=True)
     if len(vals) < 2:
         return None
-    model = GammaSumModel.of(snapped + vals[:2])
+    model = GammaSumModel.of(xs + vals[:2])
     inner = engines.moment(model, MomentQuery(p=p - 2.0), cfg=cfg)
     lhs = p * val
     rhs = p * (p - 1.0) * inner.value

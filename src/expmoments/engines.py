@@ -1,5 +1,5 @@
 """Unified computation of E|S - m|^p (and the signed variant) by several
-independent engines with automatic dispatch and cross-validation.
+independent engines with automatic dispatch.
 
 Engine order for auto dispatch is exact > density > fourier > montecarlo,
 decreasing in accuracy.  The exact engine answers every query whose
@@ -13,21 +13,22 @@ below: shift 0 with integer shapes (other than unsigned even p), where the
 density closed form is cheaper, and p above _EXACT_MAX_P, where the
 integer recurrence grows too costly.  The density engine serves integer
 shapes through the closed-form Erlang mixture (term algebra at shift 0,
-quadrature otherwise), and where that mixture does not exist or its bound
-is poor (nearly coincident poles), unsigned unshifted queries on weights
-of one sign through the centred divided-difference series, then the
-clustered one (the same series about each cluster of weights, partial
-fractions between clusters); the Fourier engine serves 0 < p < 2
+quadrature otherwise): the partial fractions of the model, and where
+those reject it (weights closer than model._MERGE_GAP), fail to converge
+or give a poor bound, the partial fractions of its gamma mixture, in which
+each group of close weights of one sign is one pole (`gamma_mixture`),
+signed or not, shifted or not.  The Fourier engine serves 0 < p < 2
 unsigned; the Monte Carlo engine serves everything that is left.  A
 density quadrature or Fourier integral that fails to converge
-(`QuadratureError`) falls through to the next engine, as a poor bound
-does; a forced engine raises it instead.
+(`QuadratureError`), or a density outside the float range, falls through
+to the next engine, as a poor bound does; a forced engine raises it
+instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,11 +37,13 @@ from .model import (
     GammaSumModel,
     MomentQuery,
     PartialFractionDensity,
+    PfdTerm,
+    _UNIT_ROUNDOFF,
     _chs_scaled,
     _draw,
+    _partial_fractions,
     _power_moment_scaled,
-    centred_power_moment,
-    clustered_power_moment,
+    gamma_mixture,
     partial_fraction_density,
     term_roundoff,
 )
@@ -49,12 +52,9 @@ from .specialfn import fourier_constant, loggamma
 
 __all__ = [
     "MomentEstimate",
-    "CrossValidationReport",
     "moment",
     "moments",
-    "signed_moment",
     "density_at",
-    "cross_validate",
     "fourier_abs_moment_from_cf",
 ]
 
@@ -111,10 +111,7 @@ def moment(
     if engine == "exact":
         return _exact_moment(model, query)
     if engine == "density":
-        pfd = _density_or_none(model)
-        if pfd is None:
-            raise ValueError("density engine unavailable: needs integer shapes and mergeable weights")
-        return _density_moment(model, pfd, query, cfg)
+        return _density_estimate(model, query, cfg)
     if engine == "fourier":
         if query.signed:
             raise ValueError("fourier engine cannot compute signed moments")
@@ -129,25 +126,19 @@ def _auto_moment(
 ) -> MomentEstimate:
     if _exact_applies(model, query):
         return _exact_moment(model, query)
-    # the density engine: partial fractions, then the centred series, each
-    # kept only while its honest bound is good; closely spaced poles wreck
-    # partial fractions but not the series.  A quadrature that fails to
-    # converge falls through to the next engine as a poor bound does.
-    pfd = _density_or_none(model)
-    if pfd is not None:
-        try:
-            est = _density_moment(model, pfd, query, cfg)
-            if not _poor(est):
-                return est
-        except QuadratureError:
-            pass
-    est = _series_moment(model, query)
-    if est is not None:
-        return est
+    # a density estimate is kept only while its honest bound is good; one
+    # outside the engine's domain, or a quadrature that fails to converge,
+    # falls through to the next engine as a poor bound does
+    try:
+        est = _density_estimate(model, query, cfg)
+        if not _poor(est):
+            return est
+    except (ValueError, QuadratureError):
+        pass
     if (not query.signed) and 0.0 < query.p < 2.0:
         try:
             return _fourier_estimate(model, query, cfg)
-        except QuadratureError:
+        except (ValueError, QuadratureError):
             pass
     return _montecarlo_moment(model, query, seed, count)
 
@@ -166,14 +157,14 @@ def moments(W, p: float, cfg: QuadratureConfig | None = None) -> tuple[np.ndarra
     model, gets 0, or 1 at p = 0, as the zero sum):
 
     - even integer p: the exact engine, error 0;
-    - distinct weights at relative gaps of at least 1e-10: the density
+    - distinct weights at relative gaps of at least model._MERGE_GAP: the density
       closed form Gamma(p+1) sum_k c_k w_k^p with
       c_k = prod_{j != k} 1 / (1 - w_j / w_k), evaluated in one numpy pass
       per count of nonzero entries, with the scalar path's
       sensitivity-charged bound;
     - every other row (equal or nearly coincident weights, a bound above
       the fallback threshold, a non-finite result): `moment` itself, whose
-      centred and clustered series keep clustered rows on the density engine.
+      gamma mixture keeps clustered rows on the density engine.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2:
@@ -245,20 +236,6 @@ def _simple_pole_moments(w: np.ndarray, p: float, log_gamma: float):
     return value, err, ok
 
 
-def signed_moment(
-    model: GammaSumModel,
-    query: MomentQuery,
-    engine: str | None = None,
-    cfg: QuadratureConfig | None = None,
-    seed: int = 0,
-    count: int = 1_000_000,
-) -> MomentEstimate:
-    """E|S - shift|^p sgn(S - shift) via the density or Monte Carlo engine."""
-    if not query.signed:
-        query = MomentQuery(query.p, query.shift, signed=True)
-    return moment(model, query, engine=engine, cfg=cfg, seed=seed, count=count)
-
-
 def density_at(model: GammaSumModel, t: float, shift: float = 0.0) -> float:
     """Closed-form density of S - shift evaluated at t (integer shapes)."""
     pfd = partial_fraction_density(model)
@@ -292,15 +269,6 @@ def _polynomial_sign(model: GammaSumModel, q: MomentQuery) -> int | None:
         # S - m < 0: |x|^p = (-x)^p and sgn(x) = -1
         return -1 if power % 2 else 1
     return 1 if power % 2 == 0 else None
-
-
-def _density_or_none(model: GammaSumModel) -> PartialFractionDensity | None:
-    if not model.integer_shapes:
-        return None
-    try:
-        return partial_fraction_density(model)
-    except ValueError:
-        return None
 
 
 def _exact_moment(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
@@ -349,22 +317,63 @@ def _density_moment(
     return MomentEstimate(value, err, "density", q.p, fp)
 
 
-def _series_moment(model: GammaSumModel, q: MomentQuery) -> MomentEstimate | None:
-    """The density engine's series closed forms at shift 0: the centred
-    series, then the clustered one; None where neither applies with a good
-    bound: a signed or shifted query, a fractional shape, weights of both
-    signs or spread too far about their clusters."""
-    if q.signed or q.shift != 0.0 or not model.integer_shapes:
-        return None
-    for series in (centred_power_moment, clustered_power_moment):
+def _density_estimate(model: GammaSumModel, q: MomentQuery, cfg: QuadratureConfig) -> MomentEstimate:
+    """The density engine: partial fractions, then, where they reject the
+    model (nearly coincident weights), fail to converge or give a poor
+    bound, the gamma mixture; the smaller bound of the two is kept.
+    Raises ValueError outside the engine's domain (a fractional shape, a
+    term table beyond the float range) and QuadratureError where no
+    attempt converges."""
+    if not model.integer_shapes:
+        raise ValueError("density engine needs integer shapes")
+    best = failure = None
+    for attempt in (_partial_fraction_moment, _mixture_moment):
         try:
-            value, err = series(model.expanded_weights(), q.p)
-        except ValueError:
+            est = attempt(model, q, cfg)
+        except (ValueError, QuadratureError) as exc:
+            failure = failure or exc
             continue
-        est = MomentEstimate(value, max(err, _REL_FLOOR * abs(value)), "density", q.p, model.fingerprint())
-        if not _poor(est):
-            return est
-    return None
+        if best is None or est.error < best.error:
+            best = est
+        if not _poor(best):
+            break
+    if best is None:
+        raise failure
+    return best
+
+
+def _partial_fraction_moment(model: GammaSumModel, q: MomentQuery, cfg: QuadratureConfig) -> MomentEstimate:
+    return _density_moment(model, partial_fraction_density(model), q, cfg)
+
+
+def _mixture_moment(model: GammaSumModel, q: MomentQuery, cfg: QuadratureConfig) -> MomentEstimate:
+    """The query on `gamma_mixture`'s merged model: its partial fractions,
+    taken once over the groups' weighted orders, are the mixture of the
+    merged models' partial fractions, which the term algebra (shift 0) or
+    the quadrature (otherwise) takes as it takes any other density.
+
+    Each coefficient is charged as clustered poles need, on the sum of the
+    magnitudes of its parts: the coefficient recurrences run as many steps
+    as the highest pole order, so its `term_roundoff` counts that often;
+    its power and rising factorial 3 order + 3 units; and the mixture
+    weights, products of C h_k(q), 4 units per unit of the total order and
+    4 more.  The mixture's tail is added to the error."""
+    poles, tail = gamma_mixture(model, q)
+    steps = max(len(d) for _, d in poles)
+    units = 4.0 * sum(len(d) for _, d in poles) + 7.0
+    signed = _partial_fractions(poles).terms
+    # a lone pole's coefficients are its mixture weights, their own magnitudes
+    magnitudes = signed if len(poles) == 1 else _partial_fractions(poles, magnitudes=True).terms
+    terms = []
+    for term, scale in zip(signed, magnitudes):
+        if scale.coeff:
+            charge = scale.coeff * (steps * (2.0 + term.sensitivity) + 3.0 * term.order + units)
+            # term_roundoff charges 2 + sensitivity units of |coeff|; a
+            # coefficient that cancels to 0 carries its charge instead
+            coeff = term.coeff or charge * _UNIT_ROUNDOFF
+            terms.append(PfdTerm(coeff, term.scale, term.order, charge / abs(coeff) - 2.0))
+    est = _density_moment(model, PartialFractionDensity(tuple(terms)), q, cfg)
+    return MomentEstimate(est.value, est.error + tail, "density", q.p, est.fingerprint)
 
 
 def _density_quadrature(
@@ -395,21 +404,6 @@ def _density_quadrature(
     return value, err
 
 
-def _moments_about(model: GammaSumModel, m: float) -> tuple[float, float, float]:
-    """E(S - m)^k for k = 2, 4, 6 from cumulants."""
-    k = [model.cumulant(r) for r in range(1, 7)]
-    c2 = k[1]
-    c3 = k[2]
-    c4 = k[3] + 3.0 * k[1] ** 2
-    c5 = k[4] + 10.0 * k[2] * k[1]
-    c6 = k[5] + 15.0 * k[3] * k[1] + 10.0 * k[2] ** 2 + 15.0 * k[1] ** 3
-    d = k[0] - m
-    mu2 = c2 + d * d
-    mu4 = c4 + 4.0 * c3 * d + 6.0 * c2 * d * d + d**4
-    mu6 = c6 + 6.0 * c5 * d + 15.0 * c4 * d * d + 20.0 * c3 * d**3 + 15.0 * c2 * d**4 + d**6
-    return mu2, mu4, mu6
-
-
 def _fourier_estimate(model: GammaSumModel, q: MomentQuery, cfg: QuadratureConfig) -> MomentEstimate:
     value, err = _fourier_moment(model, q.p, q.shift, cfg)
     return MomentEstimate(value, err, "fourier", q.p, model.fingerprint())
@@ -423,7 +417,8 @@ def _fourier_moment(model: GammaSumModel, q: float, m: float, cfg: QuadratureCon
         return math.exp(-0.5 * acc)
 
     re_phi = _shifted_re_phi(model, m)
-    return fourier_abs_moment_from_cf(re_phi, q, _moments_about(model, m), abs_phi_bound, cfg)
+    mu246 = [_exact_float(*_power_moment_scaled(model.weights, model.shapes, m, k)) for k in (2, 4, 6)]
+    return fourier_abs_moment_from_cf(re_phi, q, mu246, abs_phi_bound, cfg)
 
 
 def _shifted_re_phi(model: GammaSumModel, m: float):
@@ -540,60 +535,3 @@ def _antithetic_batch(model: GammaSumModel, q: MomentQuery, rng, pairs: int) -> 
         s2 += float(w) * (-np.log(block)).sum(axis=1)
         base += k
     return 0.5 * (_payoff(s1, q) + _payoff(s2, q))
-
-
-@dataclass
-class CrossValidationReport:
-    model: str
-    p: float
-    estimates: list = field(default_factory=list)
-    pairs: list = field(default_factory=list)  # (engine_a, engine_b, gap, budget, ok)
-    all_ok: bool = True
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "p": self.p,
-            "estimates": [
-                {"engine": e.engine, "value": e.value, "error": e.error} for e in self.estimates
-            ],
-            "pairs": [
-                {"engines": [a, b], "gap": g, "budget": bud, "ok": ok}
-                for a, b, g, bud, ok in self.pairs
-            ],
-            "all_ok": self.all_ok,
-        }
-
-
-def cross_validate(
-    model: GammaSumModel,
-    p: float,
-    seed: int = 0,
-    count: int = 200_000,
-    cfg: QuadratureConfig | None = None,
-) -> CrossValidationReport:
-    """Run every applicable engine at shift 0 and flag pairwise disagreements
-    beyond combined error budgets."""
-    q = MomentQuery(p=float(p))
-    report = CrossValidationReport(model=model.fingerprint(), p=float(p))
-    tags = []
-    if model.integer_shapes and _even_integer(p):
-        tags.append("exact")
-    if _density_or_none(model) is not None:
-        tags.append("density")
-    if 0.0 < p < 2.0:
-        tags.append("fourier")
-    tags.append("montecarlo")
-
-    for tag in tags:
-        report.estimates.append(moment(model, q, engine=tag, cfg=cfg, seed=seed, count=count))
-    for i in range(len(report.estimates)):
-        for j in range(i + 1, len(report.estimates)):
-            a = report.estimates[i]
-            b = report.estimates[j]
-            gap = abs(a.value - b.value)
-            budget = a.error + b.error + 1e-12 * max(abs(a.value), abs(b.value))
-            ok = gap <= budget
-            report.pairs.append((a.engine, b.engine, gap, budget, ok))
-            report.all_ok = report.all_ok and ok
-    return report

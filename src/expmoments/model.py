@@ -4,8 +4,11 @@ gamma random variables.
 Holds the exact complete-homogeneous-symmetric-polynomial moment
 arithmetic, the exact cumulant recurrence for integer moments about a
 shift, characteristic functions, the closed-form two-sided
-Erlang-mixture density obtained by partial fractions, and seeded
-sampling.  Models are immutable values, safe to share across workers.
+Erlang-mixture density obtained by partial fractions, the gamma mixture
+that makes each group of close weights one pole of mixed order (so that
+partial fractions stay well conditioned on clusters of either sign), and
+seeded sampling.  Models are immutable values, safe to share across
+workers.
 """
 
 from __future__ import annotations
@@ -27,22 +30,25 @@ __all__ = [
     "PartialFractionDensity",
     "chs",
     "even_moment_exact",
-    "centred_power_moment",
-    "clustered_power_moment",
     "charfn",
     "partial_fraction_density",
+    "gamma_mixture",
     "sample",
 ]
 
-_MERGE_GAP = 1e-10
-# highest order of the centred series; its tail is charged wherever it stops
-_SERIES_MAX_ORDER = 200
-# the clustered series joins sorted weights closer than this relative gap;
-# partial fractions between its clusters then see gaps at least this wide
-_CLUSTER_GAP = 1e-3
-# highest total order of the clustered series, whose every multi-index
-# costs one partial-fraction expansion; its tail is charged wherever it stops
-_CLUSTER_MAX_ORDER = 60
+# partial fractions reject two weights closer than this relative gap:
+# a pair at gap g costs them about 2 log10(1/g) digits, at 1e-4 half of
+# double precision; the gamma mixture takes such weights exactly
+_MERGE_GAP = 1e-4
+# the widest spread r = 1 - min|w| / max|w| of a group of the gamma mixture,
+# whose terms fall by about the ratio r
+_CLUSTER_SPREAD = 0.4
+# the largest ratio of a group's spread to its relative distance from the
+# nearest pole of its sign outside it, by which the partial fractions of the
+# group's orders grow
+_CLUSTER_RATIO = 0.25
+# highest order of a group's gamma mixture; its tail is charged wherever it stops
+_MIXTURE_MAX_ORDER = 100
 # machine epsilon with a little slack, the unit of the closed-form roundoff bound
 _UNIT_ROUNDOFF = 1.1e-16
 
@@ -105,12 +111,6 @@ class GammaSumModel:
         mean = sum(float(w) * s for w, s in zip(self.weights, self.shapes))
         var = sum(float(w) ** 2 * s for w, s in zip(self.weights, self.shapes))
         return mean, var
-
-    def cumulant(self, r: int) -> float:
-        """r-th cumulant, (r-1)! sum_j w_j^r shape_j."""
-        if r < 1:
-            raise ValueError("cumulant order must be >= 1")
-        return math.factorial(r - 1) * sum(float(w) ** r * s for w, s in zip(self.weights, self.shapes))
 
     def fingerprint(self) -> str:
         ws = ",".join(repr(float(w)) for w in self.weights)
@@ -256,12 +256,21 @@ class PartialFractionDensity:
     @cached_property
     def _half_lines(self) -> tuple[tuple, tuple]:
         """The terms of the half-lines t > 0 and t < 0, each as rows
-        (1 / |scale|, order - 1, coeff / ((order-1)! |scale|^order))."""
+        (1 / |scale|, order - 1, coeff / ((order-1)! |scale|^order)).
+        Raises ValueError where a row's coefficient leaves the float range
+        (a pole of high order), which would otherwise overflow, divide by
+        zero or vanish silently."""
         rows = ([], [])
         for term in self.terms:
             a = abs(term.scale)
             r = term.order
-            rows[term.scale < 0.0].append((1.0 / a, r - 1, term.coeff / (math.factorial(r - 1) * a**r)))
+            try:
+                c = term.coeff / (math.factorial(r - 1) * a**r)
+            except (OverflowError, ZeroDivisionError):
+                c = 0.0
+            if term.coeff and not 0.0 < abs(c) < math.inf:
+                raise ValueError(f"the density term of order {r} at scale {term.scale!r} leaves the float range")
+            rows[term.scale < 0.0].append((1.0 / a, r - 1, c))
         return tuple(rows[0]), tuple(rows[1])
 
     def _one_sided(self, t: float) -> float:
@@ -303,193 +312,6 @@ def term_roundoff(mag, sensitivity):
     return abs(mag) * (2.0 + sensitivity) * _UNIT_ROUNDOFF
 
 
-def centred_power_moment(weights: Sequence, p: float) -> tuple[float, float]:
-    """E|S|^p for S = sum_k w_k E_k, all w_k of one sign, by the Taylor
-    series of a divided difference about the weights' mean; returns
-    (value, absolute error bound).
-
-    Hermite-Genocchi gives E|S|^p = Gamma(p+1) f[|w_1|..|w_n|] for
-    f(t) = t^(p+n-1).  About c = mean|w|, with u_k = (|w_k| - c) / c,
-
-        E|S|^p = Gamma(p+n)/Gamma(n) c^p sum_m beta_m h_m(u),
-        beta_0 = 1,  beta_{m+1} = beta_m (p - m) / (n + m)
-
-    (McCurdy, Ng & Parlett, Math. Comp. 43, 1984), accurate however close
-    the weights are.  Since |beta_m h_m(u)| <= a_m = |C(p, m)| rho^m with
-    rho = max|u_k|, and a_m decreases for m >= p, the series converges for
-    rho < 1 and its tail after M >= p is at most a_{M+1} / (1 - rho).
-    Raises ValueError unless rho < 1/2.
-
-    The bound charges that tail; the rounding of the sum, 6m + n + 2 units
-    of a_m on term m; the rounding of u, 2 units on each u_k carried
-    through dF/du_k for F(u) = E (1 + D.u)^p, D uniform on the simplex; and
-    the rounding of the exponent log Gamma(p+n) - log Gamma(n) + p log c,
-    16 units of |log Gamma| + 1 for each `loggamma`.
-    """
-    ws = [abs(float(w)) for w in weights]
-    n = len(ws)
-    signs = {math.copysign(1.0, float(w)) for w in weights}
-    if not n or len(signs) > 1 or not all(0.0 < w < math.inf for w in ws):
-        raise ValueError("the centred series needs nonzero finite weights of one sign")
-    c = math.fsum(ws) / n
-    u = [(w - c) / c for w in ws]
-    rho = max(map(abs, u))
-    if not rho < 0.5:
-        raise ValueError(f"weights spread {rho!r} about their mean; the centred series needs < 1/2")
-
-    # the sum is at least floor, so the loop stops once the tail is below
-    # an eighth of a unit of it
-    floor = min((1.0 - rho) ** p, (1.0 + rho) ** p)
-    a = 1.0
-    weighted = n + 2.0  # sum of (6m + n + 2) a_m: the rounding of the sum
-    order = 0
-    while True:
-        a_next = a * abs(p - order) / (order + 1) * rho
-        tail = a_next / (1.0 - rho)
-        if order >= p and (tail <= 0.125 * _UNIT_ROUNDOFF * floor or order >= _SERIES_MAX_ORDER):
-            break
-        order += 1
-        a = a_next
-        weighted += (6 * order + n + 2) * a
-    h = _h_table(u, order)
-    beta = 1.0
-    terms = [1.0]
-    for m in range(order):
-        beta *= (p - m) / (n + m)
-        terms.append(beta * h[m + 1])
-    total = math.fsum(terms)
-
-    lg_top = loggamma(p + n)
-    lg_bottom = loggamma(float(n))
-    log_c = p * math.log(c)
-    exponent = lg_top - lg_bottom + log_c
-    scale = math.exp(exponent)
-    u_units = 2.0 * rho * abs(p) * max((1.0 - rho) ** (p - 1.0), (1.0 + rho) ** (p - 1.0))
-    exponent_units = (
-        16.0 * (abs(lg_top) + abs(lg_bottom) + 2.0) + 3.0 * abs(log_c) + 2.0 * abs(exponent) + 2.0
-    )
-    err = scale * (tail + _UNIT_ROUNDOFF * (weighted + u_units + exponent_units * abs(total)))
-    return scale * total, err
-
-
-def clustered_power_moment(weights: Sequence, p: float) -> tuple[float, float]:
-    """E|S|^p for S = sum_k w_k E_k, all w_k of one sign, where some weights
-    cluster and others stand apart; returns (value, absolute error bound).
-
-    Sorted |w| split into clusters at relative gaps of _CLUSTER_GAP or more.
-    Each cluster C_j of r_j > 1 weights has centre c_j (its mean) and
-    offsets d_i = |w_i| - c_j, exact by Sterbenz's lemma.  With
-    f(t) = t^(p+n-1), a divided difference expands about the centres as
-
-        f[all weights] = sum_m prod_j h_{m_j}(d of C_j) f[c_j^(r_j + m_j) .., singletons]
-
-    (the series of `centred_power_moment`, which is the case of one cluster
-    and no singletons).  Each coefficient is a confluent divided difference
-    on well-separated nodes: the partial-fraction density of the merged
-    model, read at exponent q = p - |m| as
-    sum_terms coeff scale^q (q+1)_(order-1) / (order-1)!.  E|S|^p is
-    Gamma(p+1) times the sum.
-
-    By Hermite-Genocchi every coefficient of order s = |m| > p is at most
-    |C(p+n-1, n+s-1)| v^(p-s), v = min|w|, and the h products of order s
-    sum to at most C(s+R-1, R-1) d^s, d = max|d_i|, R = sum r_j; so the
-    bound b_s on order s falls by at least tau = d / v per order once
-    s >= p, and the tail after M >= p is at most b_(M+1) / (1 - tau).
-    Raises ValueError unless some weights cluster and tau < 1/2.
-
-    The bound charges that tail; each partial-fraction term's roundoff
-    (`term_roundoff`) once per step of the highest pole order, and its
-    power and rising factorial, 3 order + 3 units; the rounding of the h products, 2 (m_j + r_j) + 2 units of the
-    products of h_m(|d|) per cluster; and the rounding of Gamma(p+1), as
-    in `centred_power_moment`.
-    """
-    signs = {math.copysign(1.0, float(w)) for w in weights}
-    ws = sorted(abs(float(w)) for w in weights)
-    n = len(ws)
-    if not n or len(signs) > 1 or not all(0.0 < w < math.inf for w in ws):
-        raise ValueError("the clustered series needs nonzero finite weights of one sign")
-    if not p > -1.0:
-        raise ValueError(f"moment exponent must exceed -1, got {p!r}")
-    groups = [[ws[0]]]
-    for w in ws[1:]:
-        if w - groups[-1][-1] < _CLUSTER_GAP * w:
-            groups[-1].append(w)
-        else:
-            groups.append([w])
-    clusters = [g for g in groups if len(g) > 1]
-    singles = [g[0] for g in groups if len(g) == 1]
-    if not clusters:
-        raise ValueError("no weights cluster; partial fractions apply")
-    centres = [math.fsum(g) / len(g) for g in clusters]
-    offsets = [[w - c for w in g] for g, c in zip(clusters, centres)]
-    d = max(abs(x) for xs in offsets for x in xs)
-    tau = d / ws[0]
-    if not tau < 0.5:
-        raise ValueError(f"cluster spread {d!r} against smallest weight {ws[0]!r}; the clustered series needs < 1/2")
-
-    sizes = [len(g) for g in clusters]
-    big = sum(sizes)
-    top = loggamma(p + n) - loggamma(float(n))
-    floor = math.exp(top + p * min(math.log(ws[0]), math.log(ws[-1])))
-    b = math.exp(top + p * math.log(ws[0]))
-    order = 0
-    while True:
-        b_next = b * (order + big) / (order + 1) * abs(p - order) / (n + order) * tau
-        tail = b_next / (1.0 - tau)
-        if order >= p and (tail <= 0.125 * _UNIT_ROUNDOFF * floor or order >= _CLUSTER_MAX_ORDER):
-            break
-        order += 1
-        b = b_next
-
-    h = [_h_table(xs, order) for xs in offsets]
-    h_abs = [_h_table([abs(x) for x in xs], order) for xs in offsets]
-    terms = []
-    err_sum = 0.0
-    for m in _multi_indices(len(clusters), order):
-        s = sum(m)
-        model = GammaSumModel.of(centres + singles, [r + k for r, k in zip(sizes, m)] + [1] * len(singles))
-        # the expansion's coefficient recurrences run as many steps as the
-        # highest pole order, so each term's roundoff is charged that often
-        steps = max(r + k for r, k in zip(sizes, m))
-        mags = []
-        f_err = 0.0
-        for term in partial_fraction_density(model).terms:
-            rising = 1.0
-            for i in range(1, term.order):
-                rising *= (p - (s - i)) / i
-            mag = term.coeff * math.pow(term.scale, p - s) * rising
-            mags.append(mag)
-            f_err += steps * term_roundoff(mag, term.sensitivity) + (3 * term.order + 3) * _UNIT_ROUNDOFF * abs(mag)
-        f = math.fsum(mags)
-        h_prod = 1.0
-        h_prod_abs = 1.0
-        h_units = len(m) + 1.0
-        for j, k in enumerate(m):
-            h_prod *= h[j][k]
-            h_prod_abs *= h_abs[j][k]
-            h_units += 2 * (k + sizes[j]) + 2
-        terms.append(h_prod * f)
-        err_sum += abs(h_prod) * (f_err + _UNIT_ROUNDOFF * abs(f)) + h_prod_abs * abs(f) * h_units * _UNIT_ROUNDOFF
-    total = math.fsum(terms)
-
-    lg = loggamma(p + 1.0)
-    scale = math.exp(lg)
-    value = scale * total
-    exponent_units = 16.0 * (abs(lg) + 1.0) + 2.0 * abs(lg) + 3.0
-    err = scale * err_sum + tail + exponent_units * _UNIT_ROUNDOFF * abs(value)
-    return value, err
-
-
-def _multi_indices(k: int, order: int):
-    """Every k-tuple of nonnegative integers with sum at most order."""
-    if k == 0:
-        yield ()
-        return
-    for first in range(order + 1):
-        for rest in _multi_indices(k - 1, order - first):
-            yield (first,) + rest
-
-
 def partial_fraction_density(model: GammaSumModel) -> PartialFractionDensity:
     """Expand prod_j (1 - i w_j t)^(-shape_j) into partial fractions.
 
@@ -506,29 +328,68 @@ def partial_fraction_density(model: GammaSumModel) -> PartialFractionDensity:
             if abs(wi - wj) < _MERGE_GAP * max(abs(wi), abs(wj)):
                 raise ValueError(
                     f"weights {wi!r} and {wj!r} are nearly coincident "
-                    "(relative gap < 1e-10): merge them or perturb them apart"
+                    f"(relative gap < {_MERGE_GAP:g}): merge them or perturb them apart"
                 )
 
+    return _partial_fractions([(w, (0.0,) * (m - 1) + (1.0,)) for w, m in poles])
+
+
+def _partial_fractions(poles: Sequence, magnitudes: bool = False) -> PartialFractionDensity:
+    """Partial fractions of prod_j sum_r d_j[r-1] (1 - i w_j t)^(-r) over
+    poles (w_j, d_j) at distinct w_j: a pole of order m is d_j = (0, .., 0, 1),
+    a gamma mixture's group carries its mixture weights by order.
+
+    About pole k, u = 1 - i w_k t turns every other factor (1 - i w_j t)^(-r)
+    into (c + ratio u)^(-r), c = 1 - ratio, ratio = w_j / w_k, whose Taylor
+    series in u is c^(-r) sum_i (-1)^i C(r+i-1, i) (ratio/c)^i u^i; their
+    product times sum_r d_k[r-1] u^(-r) has the principal part of pole k.
+    With magnitudes, c and ratio/c enter by their absolute values, so each
+    coefficient becomes the sum of the magnitudes of its parts, the scale
+    of its rounding.  The sensitivity counts the highest order len(d_j) of
+    each other pole.
+    """
+    if len(poles) == 1:
+        # a lone pole is its own expansion
+        w, d = poles[0]
+        return PartialFractionDensity(tuple(PfdTerm(c, w, r) for r, c in enumerate(d, start=1)))
+    # the orders of each pole that carry weight, as (order, weight)
+    weighted = [[(r, d) for r, d in enumerate(dj, start=1) if d] for _, dj in poles]
     terms = []
-    for k, (wk, mk) in enumerate(poles):
+    for k, (wk, dk) in enumerate(poles):
+        mk = len(dk)
         series = [1.0] + [0.0] * (mk - 1)
         sensitivity = 1.0
-        for j, (wj, mj) in enumerate(poles):
+        for j, (wj, dj) in enumerate(poles):
             if j == k:
                 continue
-            sensitivity += mj * max(abs(wk), abs(wj)) / abs(wk - wj)
+            sensitivity += len(dj) * max(abs(wk), abs(wj)) / abs(wk - wj)
             ratio = wj / wk
             c = 1.0 - ratio
-            base = c ** (-mj)
-            # (c + ratio u)^(-mj) = base * sum_i (-1)^i C(mj+i-1, i) (ratio/c)^i u^i
-            factor = [base]
-            coef = base
-            for i in range(1, mk):
-                coef *= -(ratio / c) * (mj + i - 1) / i
-                factor.append(coef)
+            step = -(ratio / c)
+            if magnitudes:
+                c, step = abs(c), abs(step)
+            factor = None
+            for r, d in weighted[j]:
+                try:
+                    coef = d * c ** (-r)
+                except OverflowError:
+                    coef = math.inf
+                part = [coef]
+                for i in range(1, mk):
+                    coef *= step * (r + i - 1) / i
+                    part.append(coef)
+                factor = part if factor is None else [a + b for a, b in zip(factor, part)]
             series = _convolve_trunc(series, factor, mk)
-        for r in range(1, mk + 1):
-            terms.append(PfdTerm(coeff=series[mk - r], scale=wk, order=r, sensitivity=sensitivity))
+        if len(weighted[k]) == 1:
+            ((r, d),) = weighted[k]
+            coeffs = [d * series[r - order] if r >= order else 0.0 for order in range(1, mk + 1)]
+        else:
+            # the coefficient of order o is sum_(r >= o) d_r series[r - o]
+            coeffs = np.convolve(dk[::-1], series)[mk - 1 :: -1].tolist()
+        if not all(map(math.isfinite, coeffs)):
+            raise ValueError(f"the partial-fraction coefficients of the pole at {wk!r} leave the float range")
+        for order, coeff in enumerate(coeffs, start=1):
+            terms.append(PfdTerm(coeff=coeff, scale=wk, order=order, sensitivity=sensitivity))
     return PartialFractionDensity(terms=tuple(terms))
 
 
@@ -542,6 +403,121 @@ def _convolve_trunc(a, b, n):
                 break
             out[i + j] += ai * bj
     return out
+
+
+def gamma_mixture(model: GammaSumModel, query: MomentQuery) -> tuple[list, float]:
+    """S as a probability mixture of merged models, in which each group of
+    close weights is one pole; returns (poles, tail).
+
+    The weights of each sign, sorted by magnitude, start as one group, and
+    a group splits at its widest relative gap while its spread
+    r = 1 - min|w| / max|w| exceeds _CLUSTER_SPREAD, or r over its relative
+    distance from the nearest pole of its sign outside it exceeds
+    _CLUSTER_RATIO.  About the smallest |w| = v of a group of total shape
+    N, with q_i = 1 - v / |w_i| and C = prod_i (v / |w_i|)^(s_i),
+
+        prod_i (1 - i w_i t)^(-s_i) = sum_k C h_k(q) (1 - i sgn(w) v t)^(-(N+k)),
+
+    h_k counting each q_i s_i times (Moschopoulos, Ann. Inst. Statist.
+    Math. 37, 1985): the group's sum is sgn(w) v Gamma(N + k) with
+    probability delta_k = C h_k(q) >= 0.  The groups are independent, so S
+    is the mixture of the merged models, one per k = (k_g) with weight
+    prod_g delta_(k_g), and so is every query E|S - m|^p, signed or not.
+    Each entry of poles is (sgn(w) v, weights), weights[r-1] = delta_(r-N)
+    the weight of order r; a weight that stands alone is its own group,
+    weights (0, .., 0, 1).
+
+    tail bounds the query's share of the merged models left out when group
+    g stops at order K_g.  Those with k_g > K_g average, over the other
+    groups, to the model whose group g is the pole at order N_g + k_g and
+    whose other weights are as given.  With W the largest |w| and N_S the
+    total shape, |S - m| is at most |m| + W Gamma(N_S + k_g) in law there,
+    so for p >= 0 its query is at most
+    B_k = max(1, 2^(p-1)) (|m|^p + W^p Gamma(N_S + k + p) / Gamma(N_S + k)),
+    and B_(k+1) / B_k <= 1 + p / (N_S + k).  For p < 0 the density of
+    S - m is at most 1/V, V the largest |pole|, so B_k = V^p (1 + 2/(p+1)).
+    As h_k(q) <= C(k+n-1, n-1) r^k over the n values q_i > 0 of the group,
+    group g's share is at most sum_(k > K_g) C(k+n-1, n-1) r^k B_k, whose
+    terms fall by a ratio that itself falls with k.  Each group stops at
+    the first order whose share is below a sixteenth of a unit of a lower
+    bound on the unsigned query (Jensen's inequality for p < 0 and p >= 1,
+    the density bound 1/W for p > 0), or at _MIXTURE_MAX_ORDER.
+
+    Integer shapes only, so that partial fractions take the merged models.
+    Raises ValueError for a fractional shape, and where no two weights of
+    one sign group together (the mixture is then the model itself).
+    """
+    if not model.integer_shapes:
+        raise ValueError("the gamma mixture requires integer shapes")
+    groups = []  # (pole, total shape, q) of each group of weights of one sign
+    for sign in (1.0, -1.0):
+        side = sorted((abs(float(w)), int(s)) for w, s in zip(model.weights, model.shapes) if w * sign > 0.0)
+        cuts = [0, len(side)] if side else [0]  # the groups are side[cuts[i] : cuts[i + 1]]
+        while True:
+            for i in range(len(cuts) - 1):
+                lo, hi = cuts[i], cuts[i + 1]
+                v, top = side[lo][0], side[hi - 1][0]
+                r = 1.0 - v / top
+                below = r * side[cuts[i - 1]][0] / (v - side[cuts[i - 1]][0]) if i else 0.0
+                above = r / (1.0 - v / side[hi][0]) if hi < len(side) else 0.0
+                if r > _CLUSTER_SPREAD or max(below, above) > _CLUSTER_RATIO:
+                    # split at the widest relative gap
+                    _, k = max((side[k][0] / side[k - 1][0], k) for k in range(lo + 1, hi))
+                    cuts.insert(i + 1, k)
+                    break
+            else:
+                break
+        for lo, hi in zip(cuts, cuts[1:]):
+            members = side[lo:hi]
+            v = members[0][0]
+            q = [(w - v) / w for w, s in members[1:] for _ in range(s)]
+            groups.append((sign * v, sum(s for _, s in members), q))
+    if not any(q for _, _, q in groups):
+        raise ValueError("no two weights of one sign group together; partial fractions apply")
+
+    p, m = float(query.p), float(query.shift)
+    total = sum(n for _, n, _ in groups)
+    widest = max(abs(float(w)) for w in model.weights)
+    top_pole = max(abs(v) for v, _, _ in groups)
+    if p >= 0.0:
+        log_spread = p * math.log(widest) + loggamma(total + p) - loggamma(float(total))
+        log_shift = p * math.log(abs(m)) if m else -math.inf
+        log_b0 = (
+            max(0.0, (p - 1.0) * math.log(2.0))
+            + max(log_spread, log_shift)
+            + math.log1p(math.exp(-abs(log_spread - log_shift)))
+        )
+        log_low = p * math.log(0.25 * widest) - math.log(2.0)
+        offset = abs(sum(float(w) * s for w, s in zip(model.weights, model.shapes)) - m)
+        if p >= 1.0 and offset:
+            log_low = max(log_low, p * math.log(offset))
+    else:
+        log_b0 = p * math.log(top_pole) + math.log1p(2.0 / (p + 1.0))
+        log_low = p * math.log(abs(m) + sum(abs(float(w)) * s for w, s in zip(model.weights, model.shapes)))
+    rise = max(p, 0.0)  # B_(k+1) / B_k <= 1 + rise / (N_S + k)
+    # each group's share in units of B_0
+    budget = math.exp(min(log_low - log_b0, 700.0)) * _UNIT_ROUNDOFF / 16.0 / sum(bool(q) for _, _, q in groups)
+
+    tail = 0.0
+    poles = []
+    for v, n_g, q in groups:
+        order = 0
+        if q:
+            n = len(q)
+            r = max(q)
+            # t_k = C(k+n-1, n-1) r^k B_k / B_0, whose ratio falls with k
+            term = 1.0
+            while True:
+                term *= (order + n) / (order + 1) * r * (1.0 + rise / (total + order))
+                ratio = (order + 1 + n) / (order + 2) * r * (1.0 + rise / (total + order + 1))
+                share = term / (1.0 - ratio) if ratio < 1.0 else math.inf
+                if share <= budget or order >= _MIXTURE_MAX_ORDER:
+                    break
+                order += 1
+            tail += share
+        c = math.prod(1.0 - x for x in q)
+        poles.append((v, (0.0,) * (n_g - 1) + tuple(c * h for h in _h_table(q, order))))
+    return poles, tail * (math.exp(log_b0) if log_b0 < 709.0 else math.inf)
 
 
 def sample(model: GammaSumModel, seed: int, count: int) -> np.ndarray:

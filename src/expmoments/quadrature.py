@@ -197,12 +197,24 @@ def integrate_abs_power(g, p, m, a, b, cfg=None, singular_points=()):
             v, e = _abs_power_endpoint(g, p, m, lo, hi, cfg, singular_points)
         else:
             def h(t, _g=g):
-                return abs(t - m) ** p * _g(t)
+                try:
+                    return abs(t - m) ** p * _g(t)
+                except OverflowError:
+                    return _power_times(abs(t - m), p, _g(t))
 
             v, e = integrate(h, lo, hi, cfg, singular_points)
         val += v
         err += e
     return val, err
+
+
+def _power_times(d, p, value):
+    """d**p * value where d**p alone overflows: in logarithms, so that a
+    finite product stays finite; an infinite one is inf."""
+    if not value:
+        return 0.0
+    log_mag = p * math.log(d) + math.log(abs(value))
+    return math.copysign(math.exp(log_mag) if log_mag < 709.0 else math.inf, value)
 
 
 def _abs_power_endpoint(g, p, m, lo, hi, cfg, singular_points):

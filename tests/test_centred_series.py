@@ -1,5 +1,5 @@
-"""The centred and clustered divided-difference series against a 50-digit
-reference."""
+"""The gamma mixture about each group of close weights against 50-digit
+references."""
 
 import math
 
@@ -9,10 +9,23 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from expmoments.engines import moment, moments
-from expmoments.model import GammaSumModel, MomentQuery, centred_power_moment, clustered_power_moment
+from expmoments.engines import _mixture_moment, moment, moments
+from expmoments.model import GammaSumModel, MomentQuery, gamma_mixture
+from expmoments.quadrature import DEFAULT_CONFIG
 
 DIGITS = 50
+
+
+def mixture_moment(weights, p, signed=False):
+    """(value, error) of E|S|^p (signed) on the gamma mixture; an example
+    without two distinct weights of one sign close together, which the
+    mixture leaves to partial fractions, is skipped."""
+    model = GammaSumModel.of(weights)
+    try:
+        est = _mixture_moment(model, MomentQuery(p=p, signed=signed), DEFAULT_CONFIG)
+    except ValueError:
+        assume(False)
+    return est.value, est.error
 
 
 def divided_difference_reference(weights, p, digits=DIGITS):
@@ -28,7 +41,9 @@ def divided_difference_reference(weights, p, digits=DIGITS):
     c = sum(abs(mpmath.mpf(w)) for w in weights) / n
     rho = float(max(abs(abs(mpmath.mpf(w)) - c) for w in weights) / c)
     ratio = max(math.sqrt(rho), 1e-6)  # r / c, geometric mean of rho and 1
-    points = int((digits + 10) / -math.log10(ratio)) + 8
+    # the powers (z - c)^(-m) that alias onto the mean carry (c / r)^(n-1)
+    # from the n-fold pole: n more points outrun it
+    points = int((digits + 10) / -math.log10(ratio)) + 8 + n
     with mpmath.workdps(digits + int(-(n - 1) * math.log10(ratio)) + 20):
         p = mpmath.mpf(p)
         w = [abs(mpmath.mpf(x)) for x in weights]
@@ -76,24 +91,35 @@ exponents = st.one_of(
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(clusters(), exponents)
-def test_centred_series_bound_holds_against_reference(weights, p):
-    value, err = centred_power_moment(weights, p)
+def test_mixture_bound_holds_against_reference_on_clusters(weights, p):
+    value, err = mixture_moment(weights, p)
     with mpmath.workdps(DIGITS):
         ref = divided_difference_reference(weights, p)
         gap = float(abs(value - ref))
     assert gap <= err <= 1e-12 * float(abs(ref))
 
 
-def test_centred_series_rejections():
+def test_gamma_mixture_rejections():
     with pytest.raises(ValueError):
-        centred_power_moment([1.0, -1.0], 1.5)  # weights of both signs
+        gamma_mixture(GammaSumModel.of([1.0, 1.0 + 1e-9], [0.5, 1.0]), MomentQuery(1.5))  # fractional shape
     with pytest.raises(ValueError):
-        centred_power_moment([1.0, 0.0], 1.5)  # a zero weight is u = -1
+        gamma_mixture(GammaSumModel.of([1.0, -1.0, 2.0]), MomentQuery(1.5))  # no two weights close
     with pytest.raises(ValueError):
-        centred_power_moment([1.0, 3.0], 1.5)  # rho = 1/2
-    with pytest.raises(ValueError):
-        centred_power_moment([], 1.5)
-    assert centred_power_moment([2.0, 2.0, 2.0], 0.0)[0] == 1.0
+        # r = 1 - 1.09^-17 = 0.77 and beta = 1 + p / (4 p r): r beta > 1
+        gamma_mixture(GammaSumModel.of([1.09**k for k in range(18)]), MomentQuery(60.0))
+    assert mixture_moment([2.0, 2.0 * (1.0 + 1e-9), 2.0], 0.0)[0] == pytest.approx(1.0, rel=1e-15)
+
+
+def test_gamma_mixture_weights_are_a_probability_mixture():
+    weights = [0.5, 0.5 * (1 + 1e-3), 0.5 * (1 + 4e-2), -1.0, -2.0, -2.0 * (1 + 1e-7)]
+    model = GammaSumModel.of(weights, [1, 2, 1, 1, 1, 3])
+    poles, tail = gamma_mixture(model, MomentQuery(2.5, shift=0.3))
+    assert sorted(v for v, _ in poles) == [-2.0, -1.0, 0.5]
+    for v, weights in poles:
+        shape = {0.5: 4, -1.0: 1, -2.0: 4}[v]
+        assert all(w == 0.0 for w in weights[: shape - 1]) and min(weights) >= 0.0
+        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-15)
+    assert 0.0 < tail < 1e-15
 
 
 @pytest.mark.parametrize(
@@ -114,7 +140,7 @@ def test_auto_dispatch_keeps_clusters_on_the_density_engine(weights, shapes, p):
         assert float(abs(est.value - ref)) <= est.error <= 1e-12 * float(abs(ref))
 
 
-def test_moments_keeps_clustered_rows_on_the_series():
+def test_moments_keeps_clustered_rows_on_the_mixture():
     rows = [
         [1.0, 1.0 + 1e-6, 1.0 + 2e-6, 1.0 + 3e-6],
         [0.3, 0.3 * (1 + 1e-5), 0.0, 0.3 * (1 - 1e-5)],
@@ -212,28 +238,15 @@ def clusters_and_singletons(draw):
 @given(
     clusters_and_singletons(),
     # near p = -1 the partial fractions cancel Gamma(p+1)-sized terms, an
-    # honest but wide bound; the centred series covers (-1, -0.9]
+    # honest but wide bound
     st.one_of(st.floats(-0.9, 8.0, exclude_max=True), st.integers(0, 7).map(float)),
 )
-def test_clustered_series_bound_holds_against_reference(weights, p):
-    value, err = clustered_power_moment(weights, p)
+def test_mixture_bound_holds_against_reference_on_clusters_and_singletons(weights, p):
+    value, err = mixture_moment(weights, p)
     with mpmath.workdps(DIGITS):
         ref = spread_reference(weights, p)
         gap = float(abs(value - ref))
     assert gap <= err <= 1e-6 * float(abs(ref))
-
-
-def test_clustered_series_rejections():
-    with pytest.raises(ValueError):
-        clustered_power_moment([1.0, 1.0, -0.5], 1.5)  # weights of both signs
-    with pytest.raises(ValueError):
-        clustered_power_moment([1.0, 0.0, 0.0], 1.5)
-    with pytest.raises(ValueError):
-        clustered_power_moment([1.0, 1.5, 3.0], 1.5)  # no cluster
-    with pytest.raises(ValueError):
-        clustered_power_moment([1e-7, 1.0, 1.0 + 1e-7], 1.5)  # tau = 1/2
-    with pytest.raises(ValueError):
-        clustered_power_moment([1.0, 1.0, 0.5], -1.0)
 
 
 @pytest.mark.parametrize(
@@ -248,12 +261,102 @@ def test_clustered_series_rejections():
 )
 @pytest.mark.parametrize("p", [-0.75, 0.5, 1.5, 3.0, 4.5])
 def test_auto_dispatch_keeps_clusters_among_single_weights_on_the_density_engine(weights, p):
-    # partial fractions keep the first two rows at p > 0 with a bound under
-    # the fallback threshold; the series takes every row they give up on
+    # each row has a pair inside the merge gap, which the mixture takes
     est = moment(GammaSumModel.of(weights), MomentQuery(p=p))
     assert est.engine == "density"
-    value, err = clustered_power_moment(weights, p)
+    value, err = mixture_moment(weights, p)
     with mpmath.workdps(DIGITS):
         ref = spread_reference(weights, p)
         assert float(abs(est.value - ref)) <= est.error <= 1e-3 * float(abs(ref))
         assert float(abs(value - ref)) <= err <= 1e-8 * float(abs(ref))
+
+
+def partial_fraction_reference(weights, p, signed, shift=0.0, digits=DIGITS):
+    """E|S - m|^p (times sgn(S - m) when signed) for distinct exponential
+    weights, S = sum_k w_k E_k: the density of S is sum_k c_k times that of
+    w_k E, c_k = prod_(j != k) 1/(1 - w_j/w_k), so the query is
+    sum_k c_k |w_k|^p E|E - a_k|^p (times sgn(w_k) sgn(E - a_k)),
+    a_k = m / w_k, at a working precision raised by the digits the close
+    pairs cancel."""
+    lost = sum(
+        max(0.0, -math.log10(abs(a - b) / max(abs(a), abs(b))))
+        for i, a in enumerate(weights)
+        for b in weights[i + 1 :]
+    )
+    with mpmath.workdps(digits + int(lost) + 20):
+        w = [mpmath.mpf(x) for x in weights]
+        p = mpmath.mpf(p)
+        total = 0
+        for k, wk in enumerate(w):
+            c = 1
+            for j, wj in enumerate(w):
+                if j != k:
+                    c /= 1 - wj / wk
+            a = mpmath.mpf(shift) / wk
+            if a <= 0:
+                # E - a > 0: e^(-a) Gamma(p+1, -a)
+                above, below = mpmath.exp(-a) * mpmath.gammainc(p + 1, -a), 0
+            else:
+                # int_0^a u^p e^u du = sum_j a^(p+j+1) / (j! (p+j+1))
+                above = mpmath.exp(-a) * mpmath.gamma(p + 1)
+                series = mpmath.nsum(lambda j: a ** (p + j + 1) / (mpmath.factorial(j) * (p + j + 1)), [0, mpmath.inf])
+                below = mpmath.exp(-a) * series
+            part = (above - below) * mpmath.sign(wk) if signed else above + below
+            total += c * abs(wk) ** p * part
+        return +total
+
+
+def test_partial_fraction_reference_matches_closed_forms():
+    with mpmath.workdps(DIGITS):
+        # Laplace: E|S|^p = Gamma(p+1), E|S|^p sgn S = 0
+        assert abs(partial_fraction_reference([1.0, -1.0], 2.5, False) - mpmath.gamma(3.5)) < 1e-45
+        assert abs(partial_fraction_reference([1.0, -1.0], 2.5, True)) < 1e-45
+        want = divided_difference_reference([0.5, 0.5 * (1 + 1e-9), 0.6], 3.3)
+        assert abs(partial_fraction_reference([0.5, 0.5 * (1 + 1e-9), 0.6], 3.3, False) - want) < 1e-45 * want
+
+
+@st.composite
+def clusters_among_other_sign(draw):
+    """A cluster of 2-3 distinct weights of one sign, spread 1e-11 to 1e-4,
+    among 1-2 weights of the other sign that are well below or well above
+    it, so that neither sign's share of S cancels the other's."""
+    base = draw(st.floats(0.3, 3.0))
+    spread = 10.0 ** draw(st.floats(-11.0, -4.0))
+    offsets = draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=3, unique=True))
+    assume(min(abs(a - b) for i, a in enumerate(offsets) for b in offsets[i + 1 :]) > 0.05)
+    scale = draw(st.sampled_from((draw(st.floats(0.05, 0.4)), draw(st.floats(2.5, 6.0)))))
+    others = draw(st.lists(st.floats(0.8, 1.25), min_size=1, max_size=2, unique=True))
+    assume(len(others) == 1 or abs(others[0] - others[1]) > 0.05)
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    cluster = [sign * base * (1.0 + spread * t) for t in offsets]
+    return cluster + [-sign * base * scale * o for o in others]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(clusters_among_other_sign(), st.floats(-0.9, 8.0, exclude_max=True), st.booleans())
+def test_mixture_bound_holds_against_reference_on_clusters_among_the_other_sign(weights, p, signed):
+    value, err = mixture_moment(weights, p, signed)
+    with mpmath.workdps(DIGITS):
+        ref = partial_fraction_reference(weights, p, signed)
+        gap = float(abs(value - ref))
+    assert gap <= err <= 1e-9 * float(abs(ref))
+
+
+@pytest.mark.parametrize(
+    "weights, p, shift, signed",
+    [
+        ([1.0, 1.000000001, -1.0], 3.0, 0.0, False),
+        ([1.0, 1.000000001, -1.0], 3.0, 0.0, True),
+        ([1.0, 1.000000001, -1.0], 2.5, 0.5, False),
+        ([1.0, 1.000001, -1.0], 2.5, 0.0, False),
+        ([0.486, 0.48604, -0.726], 5.3, 0.0, False),
+    ],
+)
+def test_clusters_among_the_other_sign_stay_on_the_density_engine(weights, p, shift, signed):
+    est = moment(GammaSumModel.of(weights), MomentQuery(p=p, shift=shift, signed=signed))
+    assert est.engine == "density"
+    with mpmath.workdps(DIGITS):
+        ref = partial_fraction_reference(weights, p, signed, shift)
+        assert float(abs(est.value - ref)) <= est.error
+    # the closed form at shift 0 is exact to ulps; the quadrature to its tolerance
+    assert est.error <= (1e-12 if shift == 0.0 else 1e-9) * abs(est.value)

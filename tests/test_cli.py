@@ -68,6 +68,30 @@ def test_moment_exit_codes(capsys):
         assert code == 3 and "nonzero weight" in err
 
 
+def test_large_powers_and_pole_orders_end_in_a_value_or_a_domain_error(capsys):
+    # |t + 1|^80.5 alone overflows where the density quadrature's integrand is finite
+    code, out, _ = run(capsys, "moment", "-m", "1", "-p", "80.5", "--shift", "-1", "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["engine"] == "density" and math.isfinite(payload["value"])
+    argv = ("moment", "-m", "1", "-p", "81", "--shift", "-1", "--format", "json")
+    code, out, _ = run(capsys, *argv, "--engine", "density")
+    density = json.loads(out)
+    assert code == 0 and math.isfinite(density["value"])
+    _, out, _ = run(capsys, *argv)
+    exact = json.loads(out)
+    assert exact["engine"] == "exact"
+    assert abs(density["value"] - exact["value"]) <= density["error"]
+    # a pole of order 200 or 400 takes the density's term table beyond the
+    # float range: the forced engine declines, auto dispatch goes on
+    for literal, shift in (("2^200", "1"), ("0.01^400", "4")):
+        argv = ("moment", "-m", literal, "-p", "2.5", "--shift", shift)
+        code, _, err = run(capsys, *argv, "--engine", "density")
+        assert code == 3 and "float range" in err
+        code, out, _ = run(capsys, *argv, "--count", "20000", "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and payload["engine"] == "montecarlo" and math.isfinite(payload["value"])
+
+
 def test_json_output_is_deterministic(capsys):
     args = ("schur", "-p", "2", "-n", "3", "--trials", "15", "--seed", "4", "--format", "json")
     _, out1, _ = run(capsys, *args)

@@ -8,14 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expmoments import engines
-from expmoments.engines import (
-    cross_validate,
-    density_at,
-    fourier_abs_moment_from_cf,
-    moment,
-    moments,
-    signed_moment,
-)
+from expmoments.engines import density_at, fourier_abs_moment_from_cf, moment, moments
 from expmoments.model import GammaSumModel, MomentQuery, charfn, even_moment_exact, partial_fraction_density
 from expmoments.quadrature import QuadratureConfig, QuadratureError, integrate_abs_power
 from expmoments.schur import t_transform
@@ -33,10 +26,7 @@ def test_auto_dispatch_order():
     # mixed support is not polynomial
     assert moment(GammaSumModel.of([1.0], [0.5]), MomentQuery(p=3.0)).engine == "exact"
     assert moment(GammaSumModel.of([1.0, -2.0], [0.5, 0.5]), MomentQuery(p=3.0)).engine == "montecarlo"
-    assert (
-        signed_moment(GammaSumModel.of([1.0], [0.5]), MomentQuery(p=1.5, signed=True)).engine
-        == "montecarlo"
-    )
+    assert moment(GammaSumModel.of([1.0], [0.5]), MomentQuery(p=1.5, signed=True)).engine == "montecarlo"
 
 
 def test_exact_engine_even_moments():
@@ -179,7 +169,7 @@ def test_fourier_engine_rejections():
     with pytest.raises(ValueError):
         moment(LAPLACE, MomentQuery(p=2.5), engine="fourier")
     with pytest.raises(ValueError):
-        signed_moment(LAPLACE, MomentQuery(p=1.0, signed=True), engine="fourier")
+        moment(LAPLACE, MomentQuery(p=1.0, signed=True), engine="fourier")
 
 
 def test_density_engine_rejects_fractional_shapes():
@@ -193,19 +183,19 @@ def test_unknown_engine_rejected():
 
 
 def test_signed_moments():
-    est = signed_moment(LAPLACE, MomentQuery(p=1.3, signed=True))
+    est = moment(LAPLACE, MomentQuery(p=1.3, signed=True))
     assert est.value == pytest.approx(0.0, abs=1e-12)
-    est = signed_moment(GammaSumModel.of([1.0]), MomentQuery(p=1.0, signed=True))
+    est = moment(GammaSumModel.of([1.0]), MomentQuery(p=1.0, signed=True))
     assert est.value == pytest.approx(1.0, rel=1e-12)
     # E (E-1)^2 sgn(E-1) = 4/e - 1 by splitting the defining integral at 1
-    est = signed_moment(GammaSumModel.of([1.0]), MomentQuery(p=2.0, shift=1.0, signed=True))
+    est = moment(GammaSumModel.of([1.0]), MomentQuery(p=2.0, shift=1.0, signed=True))
     assert est.value == pytest.approx(4.0 / math.e - 1.0, rel=1e-8)
 
 
 def test_signed_shifted_density_vs_montecarlo():
     q = MomentQuery(p=2.0, shift=1.0, signed=True)
-    dens = signed_moment(GammaSumModel.of([1.0]), q, engine="density")
-    mc = signed_moment(GammaSumModel.of([1.0]), q, engine="montecarlo", seed=4, count=400_000)
+    dens = moment(GammaSumModel.of([1.0]), q, engine="density")
+    mc = moment(GammaSumModel.of([1.0]), q, engine="montecarlo", seed=4, count=400_000)
     assert abs(dens.value - mc.value) <= mc.error + dens.error
 
 
@@ -244,22 +234,33 @@ def test_montecarlo_calibration_quick():
     assert covered >= int(0.9 * runs)
 
 
+# 50 weights evenly across a spread of 0.4 and a pair inside the merge gap:
+# one group of the gamma mixture, whose tail its highest order cannot cut
+CROWD = [1.0 + 0.66 * i / 49 for i in range(50)] + [1.0 + 1e-9]
+
+
 def test_auto_fallback_on_ill_conditioned_poles():
-    # a gap just above the merge threshold wrecks partial fractions; on
-    # weights of one sign the centred series keeps the density engine
+    # a gap just above the merge threshold wrecks partial fractions; the
+    # gamma mixture keeps the density engine, on weights of one sign
     model = GammaSumModel.of([1.0, 1.0, 1.0 + 2e-9])
     est = moment(model, MomentQuery(p=1.5), seed=6, count=100_000)
     assert est.engine == "density"
     erlang3 = moment(GammaSumModel.of([1.0], [3.0]), MomentQuery(p=1.5))
     assert est.value == pytest.approx(erlang3.value, abs=4.0 * (est.error + 1e-4))
-    # with a weight of the other sign the series does not apply, so auto
-    # dispatch must notice the poor bound and fall back
+    # and with a weight of the other sign
     model = GammaSumModel.of([1.0, 1.0 + 2e-9, -1.0])
     est = moment(model, MomentQuery(p=1.5), seed=6, count=100_000)
-    assert est.engine in ("fourier", "montecarlo")
+    assert est.engine == "density"
     merged = moment(GammaSumModel.of([1.0, -1.0], [2.0, 1.0]), MomentQuery(p=1.5))
     assert merged.engine == "density"
     assert est.value == pytest.approx(merged.value, abs=4.0 * (est.error + 1e-4))
+    # a crowd of weights too many and too spread for the mixture's tail
+    # bound: auto dispatch must notice the poor bound and fall back
+    model = GammaSumModel.of(CROWD + [-1.0])
+    est = moment(model, MomentQuery(p=1.5), seed=6, count=100_000)
+    assert est.engine in ("fourier", "montecarlo")
+    forced = moment(model, MomentQuery(p=1.5), engine="density")
+    assert forced.engine == "density" and forced.error > 1e-3 * forced.value
 
 
 def test_zero_and_repeated_weights_stay_on_closed_forms():
@@ -318,31 +319,49 @@ def test_signed_shifted_density_integrates_each_piece_once(monkeypatch):
 
 # weights 0.29^2, 0.51, 1.73^2, 1.84^2: close poles of order 2 whose
 # partial fractions cancel, so the piece of the density quadrature next to
-# the origin cannot reach its relative tolerance
+# the origin cannot reach its relative tolerance within a small panel budget
 CANCELLING = GammaSumModel.of([0.29, 0.51, 1.73, 1.84], [2.0, 1.0, 2.0, 2.0])
 SMALL_BUDGET = QuadratureConfig(max_panels=200)
 
 
-def test_auto_falls_through_when_density_quadrature_fails():
+def test_gamma_mixture_keeps_cancelling_close_poles_on_the_density_engine():
+    # grouped into poles of the gamma mixture, the weights integrate within
+    # the small budget that partial fractions exhaust
+    for query in (MomentQuery(3.54, 1.74), MomentQuery(3.54, 1.74, signed=True), MomentQuery(1.5, 1.74)):
+        with pytest.raises(QuadratureError):
+            engines._partial_fraction_moment(CANCELLING, query, SMALL_BUDGET)
+        est = moment(CANCELLING, query, cfg=SMALL_BUDGET)
+        assert est.engine == "density"
+        ref = moment(CANCELLING, query, engine="density", cfg=QuadratureConfig(rel_tol=1e-8))
+        assert abs(est.value - ref.value) <= est.error + ref.error
+
+
+def test_auto_falls_through_when_density_quadrature_fails(monkeypatch):
     cases = [
         (CANCELLING, MomentQuery(3.54, 1.74, signed=False)),
         (CANCELLING, MomentQuery(3.54, 1.74, signed=True)),
         (GammaSumModel.of([0.375, 1.276, 0.505, 1.76], [2.0] * 4), MomentQuery(5.30, 1.87, signed=True)),
     ]
-    for model, query in cases:
+    # partial fractions exhaust the small budget at once, the mixture not
+    refs = [moment(model, query, engine="density", cfg=SMALL_BUDGET) for model, query in cases]
+    fourier_query = MomentQuery(1.5, 1.74)
+    fourier_ref = moment(CANCELLING, fourier_query, engine="density", cfg=SMALL_BUDGET)
+
+    # every density quadrature, of partial fractions and of the mixture, fails
+    def fail(*args, **kwargs):
+        raise QuadratureError("panel budget exhausted", 0.0, math.inf)
+
+    monkeypatch.setattr(engines, "integrate_abs_power", fail)
+    for (model, query), ref in zip(cases, refs):
         with pytest.raises(QuadratureError):
-            moment(model, query, engine="density", cfg=SMALL_BUDGET)
-        est = moment(model, query, cfg=SMALL_BUDGET, count=40_000)
+            moment(model, query, engine="density")
+        est = moment(model, query, count=40_000)
         assert est.engine == "montecarlo"
-        # a looser relative tolerance lets the density quadrature converge
-        ref = moment(model, query, engine="density", cfg=QuadratureConfig(rel_tol=1e-8))
         assert abs(est.value - ref.value) <= est.error + ref.error
     # unsigned 0 < p < 2 falls through to the Fourier engine first
-    query = MomentQuery(1.5, 1.74)
-    est = moment(CANCELLING, query, cfg=SMALL_BUDGET)
+    est = moment(CANCELLING, fourier_query)
     assert est.engine == "fourier"
-    ref = moment(CANCELLING, query, engine="density", cfg=QuadratureConfig(rel_tol=1e-8))
-    assert abs(est.value - ref.value) <= est.error + ref.error
+    assert abs(est.value - fourier_ref.value) <= est.error + fourier_ref.error
 
 
 def test_auto_falls_through_when_fourier_quadrature_fails():
@@ -357,22 +376,26 @@ def test_auto_falls_through_when_fourier_quadrature_fails():
     assert 0.0 < est.error < 0.05 * est.value
 
 
-def test_cross_validate_laplace():
-    report = cross_validate(LAPLACE, 1.2, seed=0, count=150_000)
-    assert report.all_ok
-    engines_run = {e.engine for e in report.estimates}
-    assert engines_run == {"density", "fourier", "montecarlo"}
+def _engines_agree(model, p, tags, seed):
+    """Every pair of the tagged engines at shift 0 agrees within its two
+    error bounds and a 1e-12 relative allowance."""
+    ests = [moment(model, MomentQuery(p=p), engine=tag, seed=seed, count=150_000) for tag in tags]
+    for i, a in enumerate(ests):
+        for b in ests[i + 1 :]:
+            assert abs(a.value - b.value) <= a.error + b.error + 1e-12 * max(abs(a.value), abs(b.value))
+    return ests
+
+
+def test_engines_agree_on_laplace():
     truth = GAMMA_P1(1.2)
-    for est in report.estimates:
+    for est in _engines_agree(LAPLACE, 1.2, ("density", "fourier", "montecarlo"), seed=0):
         assert abs(est.value - truth) <= max(est.error, 1e-6) * 4.0
 
 
-def test_cross_validate_exact_cases():
-    report = cross_validate(GammaSumModel.of([1.0, 1.0]), 4.0, seed=1, count=150_000)
-    assert report.all_ok
-    assert any(e.engine == "exact" and e.value == 120.0 for e in report.estimates)
-    report = cross_validate(GammaSumModel.of([0.3, -0.7, 1.1]), 2.0, seed=2, count=150_000)
-    assert report.all_ok
+def test_engines_agree_on_exact_cases():
+    ests = _engines_agree(GammaSumModel.of([1.0, 1.0]), 4.0, ("exact", "density", "montecarlo"), seed=1)
+    assert ests[0].value == 120.0
+    _engines_agree(GammaSumModel.of([0.3, -0.7, 1.1]), 2.0, ("exact", "density", "montecarlo"), seed=2)
 
 
 def test_norm_monotonicity_in_p():
@@ -401,9 +424,8 @@ def test_density_vs_montecarlo_sweep():
     ]
     for model, shift, p, signed in cases:
         q = MomentQuery(p=p, shift=shift, signed=signed)
-        fn = signed_moment if signed else moment
-        dens = fn(model, q, engine="density")
-        mc = fn(model, q, engine="montecarlo", seed=11, count=150_000)
+        dens = moment(model, q, engine="density")
+        mc = moment(model, q, engine="montecarlo", seed=11, count=150_000)
         assert abs(dens.value - mc.value) <= 3.0 * (dens.error + mc.error) + 1e-5
 
 
@@ -434,11 +456,13 @@ def test_moments_match_moment_row_by_row():
         [0.0, 0.7, 0.0, 1.3],  # zero entries are absent terms
         [1.1, 0.0, 0.0, 0.0],
         t_transform([0.4, 0.9, 1.6, 0.0], 0, 2, 0.5),  # an exactly equal pair: a merged pole
-        [1.0, 1.0 + 1e-12, 0.3, 2.0],  # inside the 1e-10 merge gap: the clustered series keeps it
-        [1.0, 1.0 + 1e-6, 1.0 + 2e-6, 1.0 + 3e-6],  # a cluster: the centred series keeps it
+        [1.0, 1.0 + 1e-12, 0.3, 2.0],  # inside the merge gap: the gamma mixture keeps it
+        [1.0, 1.0 + 1e-6, 1.0 + 2e-6, 1.0 + 3e-6],  # a cluster: one pole of the gamma mixture
         [1e-3, 1.0, 0.0, 1e3],
-        [1e-7, 1.0, 1.0 + 1e-7, 0.0],  # a pair as far apart as it is from 0: no series, a fallback
+        [1e-7, 1.0, 1.0 + 1e-7, 0.0],  # a pair far from a tiny weight: the gamma mixture
     ]
+    # the crowd, which falls back to the Fourier and Monte Carlo engines
+    rows = [row + [0.0] * (len(CROWD) - len(row)) for row in rows] + [CROWD]
     W = np.array(rows)
     engines_seen = set()
     for p in (-0.75, 0.5, 1.5, 2.0, 3.5, 4.0, 5.3):
