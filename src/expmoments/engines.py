@@ -41,6 +41,7 @@ from .model import (
     _UNIT_ROUNDOFF,
     _chs_scaled,
     _draw,
+    _erlang_rows,
     _partial_fractions,
     _power_moment_scaled,
     gamma_mixture,
@@ -488,26 +489,37 @@ def fourier_abs_moment_from_cf(re_phi, q, mu246, abs_phi_bound, cfg=None):
 
 
 def _montecarlo_moment(model: GammaSumModel, q: MomentQuery, seed: int, count: int) -> MomentEstimate:
-    """Partitioned, antithetic Monte Carlo (antithetic only when every shape
-    is an integer; rejection-sampled gamma components run plain).
+    """Partitioned Monte Carlo with a 99% normal-quantile interval.
 
-    Trials split across a fixed number of partitions with seeds derived
-    from (seed, partition), so results do not depend on worker count.
+    Trials split across _MC_PARTITIONS partitions, each drawing from a seed
+    derived from (seed, partition), so results depend on (seed, count) and
+    not on the sampler's block size.  With every shape an integer, each
+    partition runs count // _MC_PARTITIONS // 2 antithetic pairs through
+    the Erlang kernel `model._erlang_rows`; otherwise it takes
+    count // _MC_PARTITIONS plain draws of S (`model._draw`).  Raises
+    ValueError where the sum of the payoffs or of their squares leaves the
+    float range (or a payoff is not a number): the interval would be
+    meaningless there.
     """
     n = 0
     acc = 0.0
     acc2 = 0.0
     antithetic = model.integer_shapes
     per = max(2, count // _MC_PARTITIONS)
-    for part in range(_MC_PARTITIONS):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(part,))))
-        if antithetic:
-            h = _antithetic_batch(model, q, rng, per // 2)
-        else:
-            h = _payoff(_draw(model, rng, per), q)
-        n += h.size
-        acc += float(h.sum())
-        acc2 += float((h * h).sum())
+    # an overflowing payoff or sum is caught by the finiteness check below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for part in range(_MC_PARTITIONS):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(part,))))
+            if antithetic:
+                orders = [int(s) for s in model.shapes]
+                h = _erlang_rows(rng, model.weights, orders, per // 2, lambda s: _payoff(s, q))
+            else:
+                h = _payoff(_draw(model, rng, per), q)
+            n += h.size
+            acc += float(h.sum())
+            acc2 += float((h * h).sum())
+    if not (math.isfinite(acc) and math.isfinite(acc2)):
+        raise ValueError("Monte Carlo payoffs or their squares sum beyond the float range")
     mean = acc / n
     var = max(0.0, (acc2 - n * mean * mean) / (n - 1))
     ci = _Z99 * math.sqrt(var / n)
@@ -520,18 +532,3 @@ def _payoff(s: np.ndarray, q: MomentQuery) -> np.ndarray:
     if q.signed:
         out = out * np.sign(d)
     return out
-
-
-def _antithetic_batch(model: GammaSumModel, q: MomentQuery, rng, pairs: int) -> np.ndarray:
-    cols = sum(int(s) for s in model.shapes)
-    u = rng.random((pairs, cols))
-    s1 = np.zeros(pairs)
-    s2 = np.zeros(pairs)
-    base = 0
-    for w, s in zip(model.weights, model.shapes):
-        k = int(s)
-        block = u[:, base : base + k]
-        s1 += float(w) * (-np.log1p(-block)).sum(axis=1)
-        s2 += float(w) * (-np.log(block)).sum(axis=1)
-        base += k
-    return 0.5 * (_payoff(s1, q) + _payoff(s2, q))

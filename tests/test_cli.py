@@ -62,6 +62,9 @@ def test_moment_exit_codes(capsys):
     assert code == 3 and "float range" in err
     code, _, err = run(capsys, "moment", "-m", "1000", "-p", "100", "--shift", "-1")
     assert code == 3 and "float range" in err
+    # Monte Carlo payoffs whose squares sum beyond the float range
+    code, out, err = run(capsys, "moment", "-m", "1", "-p", "200.5", "--shift", "-1", "--count", "20000")
+    assert code == 3 and "float range" in err and not out
     # a literal of only zero weights has no model
     for literal, p in (("0", "-0.5"), ("0", "2"), ("0,-0.0", "2.5")):
         code, _, err = run(capsys, "moment", "-m", literal, "-p", p)
