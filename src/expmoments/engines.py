@@ -12,17 +12,20 @@ polynomial.  Auto dispatch leaves two parts of that domain to the engines
 below: shift 0 with integer shapes (other than unsigned even p), where the
 density closed form is cheaper, and p above _EXACT_MAX_P, where the
 integer recurrence grows too costly.  The density engine serves integer
-shapes through the closed-form Erlang mixture (term algebra at shift 0,
-quadrature otherwise): the partial fractions of the model, and where
-those reject it (weights closer than model._MERGE_GAP), fail to converge
-or give a poor bound, the partial fractions of its gamma mixture, in which
-each group of close weights of one sign is one pole (`gamma_mixture`),
-signed or not, shifted or not.  The Fourier engine serves 0 < p < 2
-unsigned; the Monte Carlo engine serves everything that is left.  A
-density quadrature or Fourier integral that fails to converge
-(`QuadratureError`), or a density outside the float range, falls through
-to the next engine, as a poor bound does; a forced engine raises it
-instead.
+shapes through the closed-form Erlang mixture, each term integrated
+against |t - shift|^p in closed form at every shift (Gamma values at
+shift 0; Gamma sums, a Kummer series and a scaled incomplete gamma
+otherwise): the partial fractions of the model, and where those reject it
+(weights closer than model._MERGE_GAP), leave the float range or give a
+poor bound, the partial fractions of its gamma mixture, in which each
+group of close weights of one sign is one pole (`gamma_mixture`), signed
+or not, shifted or not.  Off shift 0, where neither closed form gives a
+good bound, the density quadrature of each takes over.  The Fourier
+engine serves 0 < p < 2 unsigned; the Monte Carlo engine serves
+everything that is left.  A density quadrature or Fourier integral that
+fails to converge (`QuadratureError`), or a density outside the float
+range, falls through to the next engine, as a poor bound does; a forced
+engine raises it instead.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .model import (
     term_roundoff,
 )
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureError, integrate, integrate_abs_power
-from .specialfn import fourier_constant, loggamma
+from .specialfn import exp_units, fourier_constant, loggamma
 
 __all__ = [
     "MomentEstimate",
@@ -161,8 +164,9 @@ def moments(W, p: float, cfg: QuadratureConfig | None = None) -> tuple[np.ndarra
     - distinct weights at relative gaps of at least model._MERGE_GAP: the density
       closed form Gamma(p+1) sum_k c_k w_k^p with
       c_k = prod_{j != k} 1 / (1 - w_j / w_k), evaluated in one numpy pass
-      per count of nonzero entries, with the scalar path's
-      sensitivity-charged bound;
+      per count of nonzero entries, with the scalar path's charges
+      (`model.term_roundoff` with the coefficient product and the exp
+      argument, and the sum), less the log Gamma(1) it need not compute;
     - every other row (equal or nearly coincident weights, a bound above
       the fallback threshold, a non-finite result): `moment` itself, whose
       gamma mixture keeps clustered rows on the density engine.
@@ -226,13 +230,17 @@ def _simple_pole_moments(w: np.ndarray, p: float, log_gamma: float):
             # equal weights merge into a higher-order pole and nearly
             # coincident ones have no partial fractions: both stay scalar
             separated &= ~(gap < _MERGE_GAP * top).any(axis=1)
-        # math.log as on the scalar path: exp turns a one-ulp change in its
-        # argument log Gamma(p+1) + p log w into |argument| ulps of the term,
-        # which the roundoff bound does not charge
+        # math.log as on the scalar path, and its charges: the coefficient's
+        # product of m factors, exp's argument log Gamma(p+1) + p log w and
+        # the sum of the m terms
         log_w = np.fromiter(map(math.log, w.ravel().tolist()), float, w.size).reshape(w.shape)
-        mag = coeff * np.exp(log_gamma + p * log_w)
+        log_power = p * log_w
+        mag = coeff * np.exp(log_gamma + log_power)
         value = mag.sum(axis=1)
-        err = np.maximum(term_roundoff(mag, sensitivity).sum(axis=1), _REL_FLOOR * np.abs(value))
+        m = w.shape[1]
+        units = exp_units((log_gamma, log_power), (p + 1.0,))
+        err = term_roundoff(mag, sensitivity, m, units).sum(axis=1) + m * _UNIT_ROUNDOFF * np.abs(mag).sum(axis=1)
+        err = np.maximum(err, _REL_FLOOR * np.abs(value))
         ok = separated & np.isfinite(value) & (err <= _FALLBACK_REL * np.maximum(1.0, np.abs(value)))
     return value, err, ok
 
@@ -306,52 +314,62 @@ def _exact_float(num: int, den: int) -> float:
 
 
 def _density_moment(
-    model: GammaSumModel, pfd: PartialFractionDensity, q: MomentQuery, cfg: QuadratureConfig
+    model: GammaSumModel, pfd: PartialFractionDensity, q: MomentQuery, cfg: QuadratureConfig, quadrature: bool = False
 ) -> MomentEstimate:
-    fp = model.fingerprint()
-    if q.shift == 0.0:
-        # term algebra: each |t|^p weight against an Erlang term has a Gamma closed form
-        value, err = pfd.power_moment_with_error(q.p, signed=q.signed)
+    """The query on one partial-fraction density: its closed form
+    (`PartialFractionDensity.power_moment_with_error`) at every shift, or,
+    with quadrature, its density quadrature (`_density_quadrature`)."""
+    if quadrature:
+        value, err = _density_quadrature(pfd, q.p, q.shift, q.signed, cfg)
+    else:
+        value, err = pfd.power_moment_with_error(q.p, signed=q.signed, shift=q.shift)
         err = max(err, _REL_FLOOR * abs(value))
-        return MomentEstimate(value, err, "density", q.p, fp)
-    value, err = _density_quadrature(pfd, q.p, q.shift, q.signed, cfg)
-    return MomentEstimate(value, err, "density", q.p, fp)
+    return MomentEstimate(value, err, "density", q.p, model.fingerprint())
 
 
 def _density_estimate(model: GammaSumModel, q: MomentQuery, cfg: QuadratureConfig) -> MomentEstimate:
-    """The density engine: partial fractions, then, where they reject the
-    model (nearly coincident weights), fail to converge or give a poor
-    bound, the gamma mixture; the smaller bound of the two is kept.
-    Raises ValueError outside the engine's domain (a fractional shape, a
-    term table beyond the float range) and QuadratureError where no
-    attempt converges."""
+    """The density engine: the closed form of the model's partial
+    fractions, then, where they reject the model (nearly coincident
+    weights), leave the float range or give a poor bound, that of its gamma
+    mixture; off shift 0, where neither closed form gives a good bound, the
+    density quadrature of each in the same order.  The quadrature integrates
+    the same terms, so it can only help where a closed form overflows or a
+    piece of it cancels (a high order far beyond the shift).  The smallest
+    bound is kept.  Raises ValueError outside the engine's domain (a
+    fractional shape, a term table beyond the float range) and
+    QuadratureError where no attempt converges."""
     if not model.integer_shapes:
         raise ValueError("density engine needs integer shapes")
     best = failure = None
-    for attempt in (_partial_fraction_moment, _mixture_moment):
-        try:
-            est = attempt(model, q, cfg)
-        except (ValueError, QuadratureError) as exc:
-            failure = failure or exc
-            continue
-        if best is None or est.error < best.error:
-            best = est
-        if not _poor(best):
-            break
+    for quadrature in (False, True) if q.shift else (False,):
+        for attempt in (_partial_fraction_moment, _mixture_moment):
+            try:
+                est = attempt(model, q, cfg, quadrature)
+            except (ValueError, QuadratureError) as exc:
+                failure = failure or exc
+                continue
+            if best is None or est.error < best.error:
+                best = est
+            if not _poor(best):
+                return best
     if best is None:
         raise failure
     return best
 
 
-def _partial_fraction_moment(model: GammaSumModel, q: MomentQuery, cfg: QuadratureConfig) -> MomentEstimate:
-    return _density_moment(model, partial_fraction_density(model), q, cfg)
+def _partial_fraction_moment(
+    model: GammaSumModel, q: MomentQuery, cfg: QuadratureConfig, quadrature: bool = False
+) -> MomentEstimate:
+    return _density_moment(model, partial_fraction_density(model), q, cfg, quadrature)
 
 
-def _mixture_moment(model: GammaSumModel, q: MomentQuery, cfg: QuadratureConfig) -> MomentEstimate:
+def _mixture_moment(
+    model: GammaSumModel, q: MomentQuery, cfg: QuadratureConfig, quadrature: bool = False
+) -> MomentEstimate:
     """The query on `gamma_mixture`'s merged model: its partial fractions,
     taken once over the groups' weighted orders, are the mixture of the
-    merged models' partial fractions, which the term algebra (shift 0) or
-    the quadrature (otherwise) takes as it takes any other density.
+    merged models' partial fractions, which the closed form (or the
+    quadrature) takes as it takes any other density.
 
     Each coefficient is charged as clustered poles need, on the sum of the
     magnitudes of its parts: the coefficient recurrences run as many steps
@@ -373,7 +391,7 @@ def _mixture_moment(model: GammaSumModel, q: MomentQuery, cfg: QuadratureConfig)
             # coefficient that cancels to 0 carries its charge instead
             coeff = term.coeff or charge * _UNIT_ROUNDOFF
             terms.append(PfdTerm(coeff, term.scale, term.order, charge / abs(coeff) - 2.0))
-    est = _density_moment(model, PartialFractionDensity(tuple(terms)), q, cfg)
+    est = _density_moment(model, PartialFractionDensity(tuple(terms)), q, cfg, quadrature)
     return MomentEstimate(est.value, est.error + tail, "density", q.p, est.fingerprint)
 
 
@@ -382,10 +400,13 @@ def _density_quadrature(
 ) -> tuple[float, float]:
     """E|S - m|^p (times sgn(S - m) when signed) by quadrature of the
     density, one half-line at a time, in the coordinate tau = |t| of that
-    half-line.  Where the shift lies inside a half-line it splits it into
-    [0, |m|] and [|m|, inf); each piece is integrated once and the pieces
-    combine by the sign of t - m on them: sgn(t) beyond the shift, the
-    opposite below it.  The error is the sum of the pieces' errors."""
+    half-line: the density engine's fallback off shift 0, where the closed
+    form leaves the float range or cancels.  Where the shift lies inside a
+    half-line it splits it into [0, |m|] and [|m|, inf); each piece is
+    integrated once and the pieces combine by the sign of t - m on them:
+    sgn(t) beyond the shift, the opposite below it.  The error is the sum
+    of the pieces' errors; the rounding of cancelling partial-fraction
+    terms is not charged."""
     value = 0.0
     err = 0.0
     for side in (1.0, -1.0):

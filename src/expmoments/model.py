@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .specialfn import loggamma
+from .specialfn import _UNIT_ROUNDOFF, erlang_abs_moment, exp_units, loggamma
 
 __all__ = [
     "GammaSumModel",
@@ -49,8 +49,6 @@ _CLUSTER_SPREAD = 0.4
 _CLUSTER_RATIO = 0.25
 # highest order of a group's gamma mixture; its tail is charged wherever it stops
 _MIXTURE_MAX_ORDER = 100
-# machine epsilon with a little slack, the unit of the closed-form roundoff bound
-_UNIT_ROUNDOFF = 1.1e-16
 # uniforms per block of the Erlang kernel `_erlang_rows`: 64 KiB, so that a
 # block's row sums and payoffs stay below glibc's 128 KiB mmap threshold and
 # come from the heap, not from fresh mappings; blocks 8 times larger ran the
@@ -261,7 +259,7 @@ class PartialFractionDensity:
     @cached_property
     def _half_lines(self) -> tuple[tuple, tuple]:
         """The terms of the half-lines t > 0 and t < 0, each as rows
-        (1 / |scale|, order - 1, coeff / ((order-1)! |scale|^order)).
+        (1 / |scale|, order - 1, coeff / ((order-1)! |scale|^order), term).
         Raises ValueError where a row's coefficient leaves the float range
         (a pole of high order), which would otherwise overflow, divide by
         zero or vanish silently."""
@@ -275,7 +273,7 @@ class PartialFractionDensity:
                 c = 0.0
             if term.coeff and not 0.0 < abs(c) < math.inf:
                 raise ValueError(f"the density term of order {r} at scale {term.scale!r} leaves the float range")
-            rows[term.scale < 0.0].append((1.0 / a, r - 1, c))
+            rows[term.scale < 0.0].append((1.0 / a, r - 1, c, term))
         return tuple(rows[0]), tuple(rows[1])
 
     def _one_sided(self, t: float) -> float:
@@ -285,36 +283,73 @@ class PartialFractionDensity:
         at = abs(t)
         log_at = math.log(at)
         out = 0.0
-        for inv_scale, k, c in self._half_lines[t < 0.0]:
+        for inv_scale, k, c, _ in self._half_lines[t < 0.0]:
             out += c * math.exp(k * log_at - at * inv_scale)
         return out
 
-    def power_moment_with_error(self, p: float, signed: bool = False) -> tuple[float, float]:
-        """Closed-form power moment with an absolute roundoff bound.
+    def power_moment_with_error(self, p: float, signed: bool = False, shift: float = 0.0) -> tuple[float, float]:
+        """E|S - shift|^p (times sgn(S - shift) when signed) in closed form,
+        with an absolute bound on its rounding.
 
-        The bound charges each term's magnitude with machine epsilon times
-        its coefficient sensitivity, which is what cancellation between
-        close poles actually costs.
+        At shift 0 each term is coeff Gamma(p+r) |scale|^p / Gamma(r).
+        Otherwise each row c tau^k e^(-tau/a) of the term table
+        (`_half_lines`, tau = |t| on its half-line) is integrated against
+        |tau - mu|^p, mu = side * shift, by `specialfn.erlang_abs_moment` at
+        zeta = mu / a, split at mu where mu > 0: the part above mu counts
+        with the sign of its side when signed, the part below with the
+        opposite one.  Raises ValueError where the term table or a piece
+        leaves the float range.
+
+        The bound charges each term its coefficient's sensitivity and the
+        product that forms it (`term_roundoff`), the rounding of exp's
+        argument (`specialfn.exp_units`) or of the pieces and of zeta, and
+        the sum of the terms, one unit of their magnitudes per term.
         """
         if p <= -1.0:
             raise ValueError(f"moment exponent must exceed -1, got {p!r}")
-        total = 0.0
-        err = 0.0
-        for term in self.terms:
-            r = term.order
-            mag = term.coeff * math.exp(
-                loggamma(p + r) - loggamma(float(r)) + p * math.log(abs(term.scale))
-            )
-            total += mag * (math.copysign(1.0, term.scale) if signed else 1.0)
-            err += term_roundoff(mag, term.sensitivity)
-        return total, err
+        n = len(self.terms)
+        total = err = mags = 0.0
+        if shift == 0.0:
+            for term in self.terms:
+                r = term.order
+                log_gamma = loggamma(p + r)
+                log_base = loggamma(float(r))
+                log_power = p * math.log(abs(term.scale))
+                try:
+                    mag = term.coeff * math.exp(log_gamma - log_base + log_power)
+                except OverflowError:
+                    raise ValueError("a density moment term leaves the float range") from None
+                units = exp_units((log_gamma, log_base, log_power), (p + r, float(r)))
+                total += mag * (math.copysign(1.0, term.scale) if signed else 1.0)
+                err += term_roundoff(mag, term.sensitivity, n, units)
+                mags += abs(mag)
+            return total, err + n * _UNIT_ROUNDOFF * mags
+        for side, rows in zip((1.0, -1.0), self._half_lines):
+            mu = side * shift
+            for _, k, c, term in rows:
+                a = abs(term.scale)
+                zeta = mu / a
+                upper, lower, piece_err = erlang_abs_moment(p, k, zeta, (p + (k + 1)) * math.log(a))
+                mag = c * (upper - lower if signed else upper + lower)
+                total += side * mag if signed else mag
+                # zeta's rounding moves either piece by at most
+                # |p| + k + 1 + |zeta| units of it, and the pieces' sum and
+                # product with c cost two more; the row's division by
+                # (order-1)! |scale|^order is one more factor of its coefficient
+                err += abs(c) * (piece_err + (abs(p) + k + 3.0 + abs(zeta)) * _UNIT_ROUNDOFF * (upper + lower))
+                err += term_roundoff(mag, term.sensitivity, n + 1)
+                mags += abs(mag)
+        return total, err + n * _UNIT_ROUNDOFF * mags
 
 
-def term_roundoff(mag, sensitivity):
+def term_roundoff(mag, sensitivity, count=0, units=0.0):
     """Absolute roundoff charged to a closed-form moment term of magnitude
-    mag: machine epsilon times |mag|, amplified by the term's coefficient
-    sensitivity.  Works elementwise on numpy arrays."""
-    return abs(mag) * (2.0 + sensitivity) * _UNIT_ROUNDOFF
+    mag, in units of machine epsilon times |mag|: 2 + sensitivity for its
+    coefficient's amplification of weight roundoff, 4 for each of the count
+    factors of the product that forms the coefficient, and units more, those
+    of the exp that scales it (`specialfn.exp_units`).  Works elementwise
+    on numpy arrays."""
+    return abs(mag) * (2.0 + sensitivity + 4.0 * count + units) * _UNIT_ROUNDOFF
 
 
 def partial_fraction_density(model: GammaSumModel) -> PartialFractionDensity:

@@ -9,8 +9,15 @@ from hypothesis import strategies as st
 
 from expmoments import engines
 from expmoments.engines import density_at, fourier_abs_moment_from_cf, moment, moments
-from expmoments.model import GammaSumModel, MomentQuery, charfn, even_moment_exact, partial_fraction_density
-from expmoments.quadrature import QuadratureConfig, QuadratureError, integrate_abs_power
+from expmoments.model import (
+    GammaSumModel,
+    MomentQuery,
+    PartialFractionDensity,
+    charfn,
+    even_moment_exact,
+    partial_fraction_density,
+)
+from expmoments.quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureError, integrate_abs_power
 from expmoments.schur import t_transform
 from expmoments.specialfn import loggamma
 
@@ -303,17 +310,20 @@ def test_signed_shifted_density_integrates_each_piece_once(monkeypatch):
     pfd = partial_fraction_density(model)
     for p, m in ((2.5, 1.2), (-0.4, 0.7)):
         calls.clear()
-        est = moment(model, MomentQuery(p, m, signed=True))
-        assert est.engine == "density"
+        value, err = engines._density_quadrature(pfd, p, m, True, DEFAULT_CONFIG)
         assert calls == [(0.0, m), (m, math.inf)]
         below, eb = integrate_abs_power(pfd._one_sided, p, m, 0.0, m)
         above, ea = integrate_abs_power(pfd._one_sided, p, m, m, math.inf)
-        assert est.value == above - below
-        assert est.error == eb + ea
+        assert value == above - below
+        assert err == eb + ea
+        # the closed form answers the query without quadrature, within both bars
+        calls.clear()
+        est = moment(model, MomentQuery(p, m, signed=True))
+        assert est.engine == "density" and not calls
+        assert abs(est.value - value) <= est.error + err
     # two half-lines, the shift on the negative one: three pieces
     calls.clear()
-    est = moment(GammaSumModel.of([0.8, -1.1]), MomentQuery(1.5, -0.6, signed=True))
-    assert est.engine == "density"
+    engines._density_quadrature(partial_fraction_density(GammaSumModel.of([0.8, -1.1])), 1.5, -0.6, True, DEFAULT_CONFIG)
     assert calls == [(0.0, math.inf), (0.0, 0.6), (0.6, math.inf)]
 
 
@@ -325,15 +335,17 @@ SMALL_BUDGET = QuadratureConfig(max_panels=200)
 
 
 def test_gamma_mixture_keeps_cancelling_close_poles_on_the_density_engine():
-    # grouped into poles of the gamma mixture, the weights integrate within
-    # the small budget that partial fractions exhaust
+    # the quadrature of the partial fractions exhausts the small budget; the
+    # closed form of the partial fractions answers, and that of the gamma
+    # mixture agrees with it
     for query in (MomentQuery(3.54, 1.74), MomentQuery(3.54, 1.74, signed=True), MomentQuery(1.5, 1.74)):
+        pfd = partial_fraction_density(CANCELLING)
         with pytest.raises(QuadratureError):
-            engines._partial_fraction_moment(CANCELLING, query, SMALL_BUDGET)
+            engines._density_quadrature(pfd, query.p, query.shift, query.signed, SMALL_BUDGET)
         est = moment(CANCELLING, query, cfg=SMALL_BUDGET)
-        assert est.engine == "density"
-        ref = moment(CANCELLING, query, engine="density", cfg=QuadratureConfig(rel_tol=1e-8))
-        assert abs(est.value - ref.value) <= est.error + ref.error
+        assert est == engines._partial_fraction_moment(CANCELLING, query, SMALL_BUDGET)
+        mixture = engines._mixture_moment(CANCELLING, query, SMALL_BUDGET)
+        assert abs(est.value - mixture.value) <= est.error + mixture.error
 
 
 def test_auto_falls_through_when_density_quadrature_fails(monkeypatch):
@@ -342,16 +354,17 @@ def test_auto_falls_through_when_density_quadrature_fails(monkeypatch):
         (CANCELLING, MomentQuery(3.54, 1.74, signed=True)),
         (GammaSumModel.of([0.375, 1.276, 0.505, 1.76], [2.0] * 4), MomentQuery(5.30, 1.87, signed=True)),
     ]
-    # partial fractions exhaust the small budget at once, the mixture not
     refs = [moment(model, query, engine="density", cfg=SMALL_BUDGET) for model, query in cases]
     fourier_query = MomentQuery(1.5, 1.74)
     fourier_ref = moment(CANCELLING, fourier_query, engine="density", cfg=SMALL_BUDGET)
 
-    # every density quadrature, of partial fractions and of the mixture, fails
+    # every density route fails: the closed form of partial fractions and of
+    # the mixture, and the quadrature of both
     def fail(*args, **kwargs):
         raise QuadratureError("panel budget exhausted", 0.0, math.inf)
 
     monkeypatch.setattr(engines, "integrate_abs_power", fail)
+    monkeypatch.setattr(PartialFractionDensity, "power_moment_with_error", fail)
     for (model, query), ref in zip(cases, refs):
         with pytest.raises(QuadratureError):
             moment(model, query, engine="density")
