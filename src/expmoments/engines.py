@@ -42,9 +42,9 @@ from .model import (
     PartialFractionDensity,
     PfdTerm,
     _UNIT_ROUNDOFF,
-    _chs_scaled,
     _draw,
     _erlang_rows,
+    _h_table,
     _partial_fractions,
     _power_moment_scaled,
     gamma_mixture,
@@ -160,7 +160,8 @@ def moments(W, p: float, cfg: QuadratureConfig | None = None) -> tuple[np.ndarra
     zeros and merges its equal weights (an all-zero row, which has no
     model, gets 0, or 1 at p = 0, as the zero sum):
 
-    - even integer p: the exact engine, error 0;
+    - even integer p: the exact engine, error 0, one pass per count of
+      nonzero entries (`_exact_rows`);
     - distinct weights at relative gaps of at least model._MERGE_GAP: the density
       closed form Gamma(p+1) sum_k c_k w_k^p with
       c_k = prod_{j != k} 1 / (1 - w_j / w_k), evaluated in one numpy pass
@@ -181,16 +182,18 @@ def moments(W, p: float, cfg: QuadratureConfig | None = None) -> tuple[np.ndarra
     active = W > 0.0
     values = np.zeros(W.shape[0])
     errors = np.zeros(W.shape[0])
-    if _even_integer(p):
-        for b, row in enumerate(W):
-            values[b] = _exact_value(row[active[b]].tolist(), int(p))
-        return values, errors
-
     counts = active.sum(axis=1)
     if p < 0.0 and not counts.all():
         raise ValueError("negative moment of the zero sum diverges")
     # each row's nonzero entries first, in their order
     packed = np.take_along_axis(W, np.argsort(~active, axis=1, kind="stable"), axis=1)
+    if _even_integer(p):
+        for m in range(W.shape[1] + 1):
+            rows = np.flatnonzero(counts == m)
+            if rows.size:
+                values[rows] = _exact_rows(packed[rows, :m], int(p))
+        return values, errors
+
     log_gamma = loggamma(p + 1.0)
     scalar_rows = []
     for m in range(1, W.shape[1] + 1):
@@ -283,8 +286,8 @@ def _polynomial_sign(model: GammaSumModel, q: MomentQuery) -> int | None:
 def _exact_moment(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
     if (not q.signed) and q.shift == 0.0 and _even_integer(q.p) and model.integer_shapes:
         # Hunter's identity E S^ell = ell! h_ell(w), at any ell
-        value = _exact_value([float(w) for w in model.expanded_weights()], int(q.p))
-        return MomentEstimate(value, 0.0, "exact", q.p, model.fingerprint())
+        value = _exact_rows(np.array([model.expanded_weights()], dtype=float), int(q.p))[0]
+        return MomentEstimate(float(value), 0.0, "exact", q.p, model.fingerprint())
     sign = _polynomial_sign(model, q)
     if sign is None:
         raise ValueError(
@@ -297,11 +300,33 @@ def _exact_moment(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
     return MomentEstimate(_exact_float(sign * num, den), 0.0, "exact", q.p, model.fingerprint())
 
 
-def _exact_value(ws: list, ell: int) -> float:
-    """float(even_moment_exact(ws, ell)) without building Fractions:
-    ell! h_ell(D w) / D^ell."""
-    h, d = _chs_scaled(ws, ell)
-    return _exact_float(math.factorial(ell) * h, d**ell)
+def _exact_rows(w: np.ndarray, ell: int) -> np.ndarray:
+    """float(ell! h_ell(w_b)) for every row b of a (B, m) array of nonzero
+    weights, correctly rounded: Hunter's identity E S_b^ell at even ell.
+
+    One np.frexp writes each entry as M 2^e with M an odd integer of at
+    most 53 bits, as float.as_integer_ratio does.  With e_0 the row's
+    smallest e, capped at 0, the row over D = 2^(-e_0) is the integers
+    M 2^(e - e_0), so ell! h_ell(D w) and D^ell are Python integers whose
+    ratio is h_ell(w) exactly; `_h_table` runs on each row's integers, and
+    one int true division rounds.  ValueError where a value lies beyond the
+    float range."""
+    mantissa, exponent = np.frexp(w)
+    digits = np.ldexp(mantissa, 53).astype(np.int64)
+    # the trailing zero bits of each M, from its lowest set bit
+    zeros = np.frexp((digits & -digits).astype(float))[1] - 1
+    digits >>= zeros
+    exponent += zeros - 53
+    base = exponent.min(axis=1, initial=0)
+    scaled = (digits.astype(object) << (exponent - base[:, None]).astype(object)).tolist()
+    factorial = math.factorial(ell)
+    try:
+        return np.array(
+            [factorial * _h_table(row, ell)[ell] / (1 << -ell * e0) for row, e0 in zip(scaled, base.tolist())],
+            dtype=float,
+        )
+    except OverflowError:
+        raise ValueError("exact moment lies beyond the float range") from None
 
 
 def _exact_float(num: int, den: int) -> float:

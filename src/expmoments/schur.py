@@ -368,25 +368,42 @@ class ScanResult:
         }
 
 
-def _scan_vector(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Stratified random nonnegative vector: uniform, near-equal, or
-    two-active with a log-uniform split, so balanced and lopsided
-    configurations (the two monotonicity regions for p > 4) both get
-    sampled."""
-    style = int(rng.integers(3))
-    if style == 0:
-        x = rng.uniform(0.0, 1.0, n)
-    elif style == 1:
-        x = rng.uniform(0.2, 2.0) * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, n))
-    else:
-        x = np.zeros(n)
-        a = math.exp(rng.uniform(math.log(2e-3), math.log(0.5)))
-        idx = rng.permutation(n)[:2]
-        x[idx[0]] = a
-        x[idx[1]] = 1.0 - a
-    if np.count_nonzero(x > 1e-9) < 2:
-        x = rng.uniform(0.1, 1.0, n)
-    return x
+def _draw_trials(seed: int, n: int, trials: int):
+    """(xs, ij, lam): each trial's vector, the pair (i, j) its T-transform
+    averages and lambda, drawn on Python floats by the Generator calls of
+    `schur_scan`'s stream contract."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    log_lo, log_hi = math.log(2e-3), math.log(0.5)
+    x_rows, ij_rows, lams = [], [], []
+    for _ in range(trials):
+        # a stratified random nonnegative vector: uniform, near-equal, or
+        # two-active with a log-uniform split, so balanced and lopsided
+        # configurations (the two monotonicity regions for p > 4) both get
+        # sampled
+        style = int(rng.integers(3))
+        if style == 0:
+            x = rng.random(n).tolist()
+        elif style == 1:
+            level = 0.2 + (2.0 - 0.2) * rng.random()
+            x = [level * (1.0 + 0.1 * (-1.0 + 2.0 * u)) for u in rng.random(n).tolist()]
+        else:
+            a = math.exp(log_lo + (log_hi - log_lo) * rng.random())
+            order = list(range(n))
+            rng.shuffle(order)
+            x = [0.0] * n
+            x[order[0]] = a
+            x[order[1]] = 1.0 - a
+        active = [k for k, v in enumerate(x) if v > 1e-9]
+        if len(active) < 2:
+            x = [0.1 + (1.0 - 0.1) * u for u in rng.random(n).tolist()]
+            active = [k for k, v in enumerate(x) if v > 1e-9]
+        order = list(range(len(active)))
+        rng.shuffle(order)
+        x_rows.append(x)
+        ij_rows.append((active[order[0]], active[order[1]]))
+        lams.append(rng.random())
+    return (np.array(x_rows, dtype=float).reshape(trials, n), np.array(ij_rows, dtype=int).reshape(trials, 2),
+            np.array(lams, dtype=float))
 
 
 def schur_scan(
@@ -400,6 +417,27 @@ def schur_scan(
     reverse, neither when both, inconclusive when every gap is in budget.
     All trials are drawn first; their 2 * trials moments then go through
     one `engines.moments` batch.
+
+    The draws are the scan's stream contract: a (seed, n, trials) gives the
+    same vectors, pairs and lambdas, hence the same rows, verdicts and
+    evidence counts, as it always has.  Each trial makes these Generator
+    calls, in this order; none may be reordered, moved to another trial or
+    drawn in whole arrays across trials:
+
+    1. `integers(3)`, the style;
+    2. style 0, uniform on [0, 1): `random(n)`; style 1, near-equal: one
+       `random()` for the level, then `random(n)` for the jitter; style 2,
+       two active entries: one `random()` for the log-uniform split, then a
+       `shuffle` of range(n), whose first two entries take it;
+    3. only where fewer than two entries exceed 1e-9: `random(n)` again,
+       uniform on [0.1, 1);
+    4. a `shuffle` of the positions of the entries above 1e-9, whose first
+       two give i and j;
+    5. `random()`, lambda.
+
+    `uniform(a, b[, n])` is a + (b - a) * `random([n])` on the same doubles,
+    and `shuffle` of a list makes the bounded draws `permutation` makes, so
+    either form of each may stand for the other.
     """
     p = float(p)
     if p <= -1.0:
@@ -408,15 +446,7 @@ def schur_scan(
         raise ValueError("schur_scan requires n >= 2")
     if trials < 0:
         raise ValueError("schur_scan requires trials >= 0")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    xs = np.empty((trials, n))
-    ij = np.empty((trials, 2), dtype=int)
-    lam = np.empty(trials)
-    for trial in range(trials):
-        xs[trial] = _scan_vector(rng, n)
-        active = np.flatnonzero(xs[trial] > 1e-9)
-        ij[trial] = active[rng.permutation(active.size)[:2]]
-        lam[trial] = rng.uniform(0.0, 1.0)
+    xs, ij, lam = _draw_trials(seed, n, trials)
 
     # T-transform of every trial, entrywise as in t_transform
     t = np.arange(trials)
@@ -436,32 +466,20 @@ def schur_scan(
     convex = int((kinds == "convex").sum())
     concave = int((kinds == "concave").sum())
 
-    rows = []
-    examples = {"convex": [], "concave": []}
-    columns = zip(xs.tolist(), ys.tolist(), ij.tolist(), lam.tolist(), mx.tolist(), ex.tolist(),
-                  my.tolist(), ey.tolist(), gap.tolist(), kinds.tolist())
-    for trial, (x, y, (i, j), lam_t, vx, err_x, vy, err_y, g, kind) in enumerate(columns):
-        if kind in examples and len(examples[kind]) < 3:
-            # a reported example carries exactly what the single-query m_p
-            # gives for it; the batch agrees with that within the error bars
-            examples[kind].append({"x": list(x), "y": list(y), "mp_x": m_p(x, p, cfg).value,
-                                   "mp_y": m_p(y, p, cfg).value})
-        rows.append(
-            {
-                "trial": trial,
-                "x": x,
-                "y": y,
-                "i": i,
-                "j": j,
-                "lam": lam_t,
-                "mp_x": vx,
-                "err_x": err_x,
-                "mp_y": vy,
-                "err_y": err_y,
-                "gap": g,
-                "contribution": kind,
-            }
-        )
+    columns = zip(xs.tolist(), ys.tolist(), ij.tolist(), lam.tolist(), mx.tolist(), ex.tolist(), my.tolist(),
+                  ey.tolist(), gap.tolist(), kinds.tolist())
+    rows = [
+        {"trial": trial, "x": x, "y": y, "i": i, "j": j, "lam": lam_t, "mp_x": vx, "err_x": err_x, "mp_y": vy,
+         "err_y": err_y, "gap": g, "contribution": kind}
+        for trial, (x, y, (i, j), lam_t, vx, err_x, vy, err_y, g, kind) in enumerate(columns)
+    ]
+    # a reported example carries exactly what the single-query m_p gives for
+    # it; the batch agrees with that within the error bars
+    examples = {}
+    for kind in ("convex", "concave"):
+        picks = [rows[t] for t in np.flatnonzero(kinds == kind)[:3].tolist()]
+        examples[kind] = [{"x": list(r["x"]), "y": list(r["y"]), "mp_x": m_p(r["x"], p, cfg).value,
+                           "mp_y": m_p(r["y"], p, cfg).value} for r in picks]
     if convex and concave:
         verdict = "neither"
     elif convex:

@@ -536,3 +536,52 @@ def test_moments_exact_rows_are_bit_identical_to_even_moment_exact():
         assert not errors.any()
         for row, value in zip(W, values):
             assert value == float(even_moment_exact(row[row > 0.0].tolist(), ell))
+
+
+def _exact_or_none(row, ell):
+    try:
+        return float(even_moment_exact([w for w in row if w > 0.0], ell))
+    except OverflowError:
+        return None
+
+
+# zeros, subnormals, and normal entries from 2^-600 to 2^500, so that one
+# row can span 2^+-500 and more
+_EXACT_ENTRIES = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=5e-324, max_value=2.0**-1022, exclude_max=True),
+    st.builds(math.ldexp, st.floats(min_value=0.5, max_value=1.0, exclude_max=True), st.integers(-600, 500)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(_EXACT_ENTRIES, min_size=n, max_size=n), min_size=1, max_size=6)
+    ),
+    st.sampled_from(range(0, 13, 2)),
+)
+def test_moments_exact_rows_match_the_rational_at_any_scale(rows, ell):
+    expected = [_exact_or_none(row, ell) for row in rows]
+    W = np.array(rows)
+    if None in expected:
+        with pytest.raises(ValueError):
+            moments(W, float(ell))
+    else:
+        values, errors = moments(W, float(ell))
+        assert values.tolist() == expected and not errors.any()
+    for row, value in zip(rows, expected):
+        if value is None:
+            with pytest.raises(ValueError):
+                moments(np.array([row]), float(ell))
+        else:
+            assert moments(np.array([row]), float(ell))[0].tolist() == [value]
+        if not any(row):
+            continue
+        model = GammaSumModel.of(row)
+        if value is None:
+            with pytest.raises(ValueError):
+                moment(model, MomentQuery(p=float(ell)), engine="exact")
+        else:
+            est = moment(model, MomentQuery(p=float(ell)), engine="exact")
+            assert est.value == value and est.error == 0.0

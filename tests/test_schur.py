@@ -190,31 +190,85 @@ def test_schur_scan_rejections():
         schur_scan(2.0, 2, trials=-1)
 
 
+def _reference_scan_vector(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A scan trial's vector as the scan first drew it, on numpy arrays,
+    frozen here as the reference for the stream `schur_scan` draws on Python
+    floats."""
+    style = int(rng.integers(3))
+    if style == 0:
+        x = rng.uniform(0.0, 1.0, n)
+    elif style == 1:
+        x = rng.uniform(0.2, 2.0) * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, n))
+    else:
+        x = np.zeros(n)
+        a = math.exp(rng.uniform(math.log(2e-3), math.log(0.5)))
+        idx = rng.permutation(n)[:2]
+        x[idx[0]] = a
+        x[idx[1]] = 1.0 - a
+    if np.count_nonzero(x > 1e-9) < 2:
+        x = rng.uniform(0.1, 1.0, n)
+    return x
+
+
+def _reference_draws(n, trials, seed):
+    """(x, y, i, j, lam) of each trial of the reference stream."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    draws = []
+    for _ in range(trials):
+        x = _reference_scan_vector(rng, n)
+        active = np.flatnonzero(x > 1e-9)
+        i, j = active[rng.permutation(active.size)[:2]].tolist()
+        lam = float(rng.uniform(0.0, 1.0))
+        draws.append((x.tolist(), t_transform(x.tolist(), i, j, lam), i, j, lam))
+    return draws
+
+
 def _reference_scan(p, n, trials, seed):
     """The scan one trial at a time: scalar m_p on each side of every pair."""
-    from expmoments.schur import _scan_vector
-
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     rows = []
     examples = {"convex": [], "concave": []}
-    for trial in range(trials):
-        x = _scan_vector(rng, n)
-        active = [idx for idx, v in enumerate(x) if v > 1e-9]
-        pick = rng.permutation(len(active))[:2]
-        i, j = active[pick[0]], active[pick[1]]
-        lam = float(rng.uniform(0.0, 1.0))
-        y = t_transform(x, i, j, lam)
+    for x, y, i, j, lam in _reference_draws(n, trials, seed):
         mx = m_p(x, p)
         my = m_p(y, p)
         budget = 3.0 * (mx.error + my.error) + 1e-13 * max(abs(mx.value), abs(my.value))
         gap = mx.value - my.value
         kind = "convex" if gap > budget else "concave" if gap < -budget else "within-budget"
         if kind in examples and len(examples[kind]) < 3:
-            examples[kind].append({"x": [float(v) for v in x], "y": [float(v) for v in y],
-                                   "mp_x": mx.value, "mp_y": my.value})
-        rows.append({"x": list(map(float, x)), "y": list(map(float, y)), "i": i, "j": j, "lam": lam,
-                     "mx": mx, "my": my, "contribution": kind})
+            examples[kind].append({"x": x, "y": y, "mp_x": mx.value, "mp_y": my.value})
+        rows.append({"x": x, "y": y, "i": i, "j": j, "lam": lam, "mx": mx, "my": my, "contribution": kind})
     return rows, examples
+
+
+# criterion 8's 24 cells, n = 5, and two other seeds; the draws depend on
+# (seed, n, trials) only, and each is checked at every p that uses it
+_CRITERION_8 = [(p, n, 8) for p in (-0.75, -0.25, 0.5, 2.0, 3.9, 4.5, 5.0, 6.0) for n in (2, 3, 4)]
+_DRAW_CELLS = _CRITERION_8 + [(2.0, 5, 8), (5.0, 5, 8), (2.0, 3, 0), (4.5, 5, 0), (0.5, 2, 2**31 - 1),
+                              (6.0, 4, 2**31 - 1)]
+
+
+def test_schur_scan_draws_the_reference_stream(monkeypatch):
+    # the draws alone, bit for bit: every pair is in budget at zero moments
+    from expmoments import engines
+
+    monkeypatch.setattr(engines, "moments", lambda W, p, cfg=None: (np.zeros(len(W)), np.zeros(len(W))))
+    references = {}
+    for p, n, seed in _DRAW_CELLS:
+        ref = references.setdefault((n, seed), _reference_draws(n, 500, seed))
+        res = schur_scan(p, n, 500, seed=seed)
+        assert [(r["x"], r["y"], r["i"], r["j"], r["lam"]) for r in res.rows] == ref
+
+
+def test_schur_scan_without_trials_and_with_one():
+    res = schur_scan(2.0, 5, trials=0, seed=3)
+    assert res.verdict == "inconclusive" and res.rows == []
+    assert res.convex_evidence == res.concave_evidence == res.within_budget == 0
+    assert res.convex_examples == res.concave_examples == []
+    res = schur_scan(2.0, 5, trials=1, seed=3)
+    ((x, y, i, j, lam),) = _reference_draws(5, 1, 3)
+    (row,) = res.rows
+    assert (row["trial"], row["x"], row["y"], row["i"], row["j"], row["lam"]) == (0, x, y, i, j, lam)
+    assert row["mp_x"] == m_p(x, 2.0).value and row["mp_y"] == m_p(y, 2.0).value
+    assert res.within_budget + res.convex_evidence + res.concave_evidence == 1
 
 
 @pytest.mark.parametrize("p,n", [(-0.75, 2), (0.5, 4), (2.0, 3), (3.9, 2), (4.5, 3), (6.0, 4)])
