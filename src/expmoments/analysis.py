@@ -562,11 +562,7 @@ def _sphere_objective(x: np.ndarray, p: float, cfg) -> float:
 
 
 def _sphere_gradient(x: np.ndarray, p: float, cfg) -> np.ndarray:
-    xs = x.tolist()
-    query = MomentQuery(p=p - 1.0, signed=True)
-    return np.array(
-        [p * engines.moment(GammaSumModel.of(xs + [v]), query, engine="density", cfg=cfg).value for v in xs]
-    )
+    return np.array([gradient(x, p, j, engine="density", cfg=cfg) for j in range(len(x))])
 
 
 def minimize_sphere(

@@ -19,13 +19,11 @@ otherwise): the partial fractions of the model, and where those reject it
 (weights closer than model._MERGE_GAP), leave the float range or give a
 poor bound, the partial fractions of its gamma mixture, in which each
 group of close weights of one sign is one pole (`gamma_mixture`), signed
-or not, shifted or not.  Off shift 0, where neither closed form gives a
-good bound, the density quadrature of each takes over.  The Fourier
-engine serves 0 < p < 2 unsigned; the Monte Carlo engine serves
-everything that is left.  A density quadrature or Fourier integral that
-fails to converge (`QuadratureError`), or a density outside the float
-range, falls through to the next engine, as a poor bound does; a forced
-engine raises it instead.
+or not, shifted or not.  The Fourier engine serves 0 < p < 2 unsigned;
+the Monte Carlo engine serves everything that is left.  A density outside
+the float range, or a Fourier integral that fails to converge
+(`QuadratureError`), falls through to the next engine, as a poor bound
+does; a forced engine raises it instead.
 """
 
 from __future__ import annotations
@@ -42,6 +40,7 @@ from .model import (
     PartialFractionDensity,
     PfdTerm,
     _UNIT_ROUNDOFF,
+    _chs_scaled,
     _draw,
     _erlang_rows,
     _h_table,
@@ -51,7 +50,7 @@ from .model import (
     partial_fraction_density,
     term_roundoff,
 )
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureError, integrate, integrate_abs_power
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureError, integrate
 from .specialfn import exp_units, fourier_constant, loggamma
 
 __all__ = [
@@ -115,7 +114,7 @@ def moment(
     if engine == "exact":
         return _exact_moment(model, query)
     if engine == "density":
-        return _density_estimate(model, query, cfg)
+        return _density_estimate(model, query)
     if engine == "fourier":
         if query.signed:
             raise ValueError("fourier engine cannot compute signed moments")
@@ -131,13 +130,13 @@ def _auto_moment(
     if _exact_applies(model, query):
         return _exact_moment(model, query)
     # a density estimate is kept only while its honest bound is good; one
-    # outside the engine's domain, or a quadrature that fails to converge,
-    # falls through to the next engine as a poor bound does
+    # outside the engine's domain falls through to the next engine as a
+    # poor bound does
     try:
-        est = _density_estimate(model, query, cfg)
+        est = _density_estimate(model, query)
         if not _poor(est):
             return est
-    except (ValueError, QuadratureError):
+    except ValueError:
         pass
     if (not query.signed) and 0.0 < query.p < 2.0:
         try:
@@ -286,8 +285,9 @@ def _polynomial_sign(model: GammaSumModel, q: MomentQuery) -> int | None:
 def _exact_moment(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
     if (not q.signed) and q.shift == 0.0 and _even_integer(q.p) and model.integer_shapes:
         # Hunter's identity E S^ell = ell! h_ell(w), at any ell
-        value = _exact_rows(np.array([model.expanded_weights()], dtype=float), int(q.p))[0]
-        return MomentEstimate(float(value), 0.0, "exact", q.p, model.fingerprint())
+        ell = int(q.p)
+        h, d = _chs_scaled(model.expanded_weights(), ell)
+        return MomentEstimate(_exact_float(math.factorial(ell) * h, d**ell), 0.0, "exact", q.p, model.fingerprint())
     sign = _polynomial_sign(model, q)
     if sign is None:
         raise ValueError(
@@ -338,63 +338,47 @@ def _exact_float(num: int, den: int) -> float:
         raise ValueError("exact moment lies beyond the float range") from None
 
 
-def _density_moment(
-    model: GammaSumModel, pfd: PartialFractionDensity, q: MomentQuery, cfg: QuadratureConfig, quadrature: bool = False
-) -> MomentEstimate:
-    """The query on one partial-fraction density: its closed form
-    (`PartialFractionDensity.power_moment_with_error`) at every shift, or,
-    with quadrature, its density quadrature (`_density_quadrature`)."""
-    if quadrature:
-        value, err = _density_quadrature(pfd, q.p, q.shift, q.signed, cfg)
-    else:
-        value, err = pfd.power_moment_with_error(q.p, signed=q.signed, shift=q.shift)
-        err = max(err, _REL_FLOOR * abs(value))
-    return MomentEstimate(value, err, "density", q.p, model.fingerprint())
+def _density_moment(model: GammaSumModel, pfd: PartialFractionDensity, q: MomentQuery) -> MomentEstimate:
+    """The query on one partial-fraction density, by its closed form
+    (`PartialFractionDensity.power_moment_with_error`) at every shift."""
+    value, err = pfd.power_moment_with_error(q.p, signed=q.signed, shift=q.shift)
+    return MomentEstimate(value, max(err, _REL_FLOOR * abs(value)), "density", q.p, model.fingerprint())
 
 
-def _density_estimate(model: GammaSumModel, q: MomentQuery, cfg: QuadratureConfig) -> MomentEstimate:
+def _density_estimate(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
     """The density engine: the closed form of the model's partial
     fractions, then, where they reject the model (nearly coincident
     weights), leave the float range or give a poor bound, that of its gamma
-    mixture; off shift 0, where neither closed form gives a good bound, the
-    density quadrature of each in the same order.  The quadrature integrates
-    the same terms, so it can only help where a closed form overflows or a
-    piece of it cancels (a high order far beyond the shift).  The smallest
-    bound is kept.  Raises ValueError outside the engine's domain (a
-    fractional shape, a term table beyond the float range) and
-    QuadratureError where no attempt converges."""
+    mixture.  The smaller bound is kept.  Raises ValueError outside the
+    engine's domain (a fractional shape, a term table beyond the float
+    range)."""
     if not model.integer_shapes:
         raise ValueError("density engine needs integer shapes")
     best = failure = None
-    for quadrature in (False, True) if q.shift else (False,):
-        for attempt in (_partial_fraction_moment, _mixture_moment):
-            try:
-                est = attempt(model, q, cfg, quadrature)
-            except (ValueError, QuadratureError) as exc:
-                failure = failure or exc
-                continue
-            if best is None or est.error < best.error:
-                best = est
-            if not _poor(best):
-                return best
+    for attempt in (_partial_fraction_moment, _mixture_moment):
+        try:
+            est = attempt(model, q)
+        except ValueError as exc:
+            failure = failure or exc
+            continue
+        if best is None or est.error < best.error:
+            best = est
+        if not _poor(best):
+            return best
     if best is None:
         raise failure
     return best
 
 
-def _partial_fraction_moment(
-    model: GammaSumModel, q: MomentQuery, cfg: QuadratureConfig, quadrature: bool = False
-) -> MomentEstimate:
-    return _density_moment(model, partial_fraction_density(model), q, cfg, quadrature)
+def _partial_fraction_moment(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
+    return _density_moment(model, partial_fraction_density(model), q)
 
 
-def _mixture_moment(
-    model: GammaSumModel, q: MomentQuery, cfg: QuadratureConfig, quadrature: bool = False
-) -> MomentEstimate:
+def _mixture_moment(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
     """The query on `gamma_mixture`'s merged model: its partial fractions,
     taken once over the groups' weighted orders, are the mixture of the
-    merged models' partial fractions, which the closed form (or the
-    quadrature) takes as it takes any other density.
+    merged models' partial fractions, which the closed form takes as it
+    takes any other density.
 
     Each coefficient is charged as clustered poles need, on the sum of the
     magnitudes of its parts: the coefficient recurrences run as many steps
@@ -416,39 +400,8 @@ def _mixture_moment(
             # coefficient that cancels to 0 carries its charge instead
             coeff = term.coeff or charge * _UNIT_ROUNDOFF
             terms.append(PfdTerm(coeff, term.scale, term.order, charge / abs(coeff) - 2.0))
-    est = _density_moment(model, PartialFractionDensity(tuple(terms)), q, cfg, quadrature)
+    est = _density_moment(model, PartialFractionDensity(tuple(terms)), q)
     return MomentEstimate(est.value, est.error + tail, "density", q.p, est.fingerprint)
-
-
-def _density_quadrature(
-    pfd: PartialFractionDensity, p: float, m: float, signed: bool, cfg: QuadratureConfig
-) -> tuple[float, float]:
-    """E|S - m|^p (times sgn(S - m) when signed) by quadrature of the
-    density, one half-line at a time, in the coordinate tau = |t| of that
-    half-line: the density engine's fallback off shift 0, where the closed
-    form leaves the float range or cancels.  Where the shift lies inside a
-    half-line it splits it into [0, |m|] and [|m|, inf); each piece is
-    integrated once and the pieces combine by the sign of t - m on them:
-    sgn(t) beyond the shift, the opposite below it.  The error is the sum
-    of the pieces' errors; the rounding of cancelling partial-fraction
-    terms is not charged."""
-    value = 0.0
-    err = 0.0
-    for side in (1.0, -1.0):
-        if not any(term.scale * side > 0.0 for term in pfd.terms):
-            continue
-        f = pfd._one_sided if side > 0.0 else (lambda tau: pfd._one_sided(-tau))
-        mm = side * m
-        if mm > 0.0:
-            below, eb = integrate_abs_power(f, p, mm, 0.0, mm, cfg)
-            above, ea = integrate_abs_power(f, p, mm, mm, math.inf, cfg)
-            value += side * (above - below) if signed else below + above
-            err += eb + ea
-        else:
-            whole, e = integrate_abs_power(f, p, mm, 0.0, math.inf, cfg)
-            value += side * whole if signed else whole
-            err += e
-    return value, err
 
 
 def _fourier_estimate(model: GammaSumModel, q: MomentQuery, cfg: QuadratureConfig) -> MomentEstimate:

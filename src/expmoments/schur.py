@@ -20,6 +20,7 @@ import numpy as np
 from . import engines
 from .model import GammaSumModel, MomentQuery, _h_table, sample
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
+from .specialfn import loggamma
 
 __all__ = [
     "MajorizationPair",
@@ -121,41 +122,17 @@ def q_k_array(k: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def c_p_constant(p: float, cfg: QuadratureConfig | None = None) -> float:
+def c_p_constant(p: float) -> float:
     """C_p = int_0^inf Q_k(t) t^{-p-1} dt with k = floor(p), non-integer p > 0.
 
-    Near zero the integrand behaves like t^(k-p) (integrable power
-    singularity); there the substitution u = t^(k-p+1) is applied to the
-    bounded factor Q_k(t)/t^(k+1).  Beyond t = 1 the polynomial part of
-    Q_k integrates exactly and only the e^{-t} piece needs quadrature.
+    The integral is (-1)^(k+1) Gamma(-p), continued past its poles, that is
+    Gamma(k+1-p) / prod_{j=0..k} (p - j), formed through `loggamma`.
     """
     p = float(p)
-    if p <= 0.0 or float(p).is_integer():
+    if p <= 0.0 or p.is_integer():
         raise ValueError("c_p_constant requires non-integer p > 0")
     k = math.floor(p)
-    cfg = cfg or DEFAULT_CONFIG
-
-    # (0, 1]: u = t^(k-p+1); integrand becomes (Q_k(t)/t^(k+1)) du / (k-p+1)
-    expo = k - p + 1.0
-    inv_expo = 1.0 / expo
-
-    def head(u: float) -> float:
-        t = u**inv_expo
-        if t <= 0.0:
-            return 1.0 / math.factorial(k + 1) * inv_expo
-        return q_k(k, t) / t ** (k + 1) * inv_expo
-
-    head_val, _ = integrate(head, 0.0, 1.0, cfg)
-
-    # [1, inf): Q_k(t) t^{-p-1} = (-1)^(k+1) (e^{-t} - poly_k(t)) t^{-p-1}
-    sign = (-1.0) ** (k + 1)
-
-    def exp_piece(t: float) -> float:
-        return math.exp(-t) * t ** (-p - 1.0)
-
-    exp_val, _ = integrate(exp_piece, 1.0, math.inf, cfg)
-    poly_val = sum((-1.0) ** j / math.factorial(j) / (p - j) for j in range(0, k + 1))
-    return head_val + sign * (exp_val - poly_val)
+    return math.exp(loggamma(k + 1.0 - p) - sum(math.log(p - j) for j in range(k + 1)))
 
 
 def f_k(x, k: int) -> float:
@@ -270,7 +247,7 @@ def mp_representation_check(x, p: float, cfg: QuadratureConfig | None = None) ->
     poly_val = sum((-1.0) ** j * h[j] / (p - j) for j in range(0, k + 1))
     integral = head_val + sign * (lap_val - poly_val)
 
-    cp = c_p_constant(p, cfg)
+    cp = c_p_constant(p)
     mp_val = m_p(xs, p, cfg).value
     return abs(mp_val - integral / cp) / abs(mp_val)
 

@@ -7,12 +7,14 @@ Gaussian moments take an exact integer double-factorial path, which the
 exact-arithmetic certification suites rely on.  `erlang_abs_moment`
 integrates one Erlang term against |x - shift|^p in closed form (Gamma
 values, a Kummer series and a scaled incomplete gamma), with a charged
-rounding bound.
+rounding bound; an off-support row whose closed form cancels is integrated.
 """
 
 from __future__ import annotations
 
 import math
+
+from .quadrature import DEFAULT_CONFIG, QuadratureError, integrate
 
 __all__ = [
     "loggamma",
@@ -137,6 +139,12 @@ def erlang_abs_moment(p: float, k: int, zeta: float, log_scale: float = 0.0) -> 
       for small z and otherwise from Legendre's continued fraction, whose
       convergents bracket it (Gautschi, ACM TOMS 5, 1979).  The
       alternating sum is charged on the sum of its parts' magnitudes.
+      Where that charge exceeds DEFAULT_CONFIG.rel_tol of its value, or
+      the value is not positive (a high order far beyond the shift), the
+      row is integrated instead: exp(log_scale) int_0^inf x^k e^(-x)
+      (x + z)^p dx has a positive integrand, with nothing to cancel
+      (`_beyond_integral`).  Where that integral fails to converge, the
+      alternating sum stands.
 
     Each exp is charged as `exp_units` says.  Raises ValueError where a
     piece leaves the float range.
@@ -148,6 +156,11 @@ def erlang_abs_moment(p: float, k: int, zeta: float, log_scale: float = 0.0) -> 
             lower, lower_err = _lower_piece(p, k, zeta, log_scale)
         else:
             upper, upper_err = _beyond_piece(p, k, -zeta, log_scale)
+            if upper <= 0.0 or upper_err > DEFAULT_CONFIG.rel_tol * upper:
+                try:
+                    upper, upper_err = _beyond_integral(p, k, -zeta, log_scale)
+                except QuadratureError:
+                    pass
     except OverflowError:
         upper = upper_err = math.inf
     if not math.isfinite(upper + lower + upper_err + lower_err):
@@ -277,6 +290,20 @@ def _beyond_piece(p, k, z, log_scale):
     scale, units = _charged_exp(log_scale)
     err += (k + 1.0) * u * mags + units * u * abs(total)
     return scale * total, scale * err
+
+
+def _beyond_integral(p, k, z, log_scale):
+    """exp(log_scale) int_0^inf x^k e^(-x) (x + z)^p dx by `integrate`, the
+    integrand in logarithms.  The error adds to the quadrature's estimate
+    the rounding of exp's argument, taken at x = k + 1 + max(p, 0), a bound
+    on the mean of the integrand's law."""
+    def row(x):
+        return math.exp(log_scale + k * math.log(x) - x + p * math.log(x + z))
+
+    value, err = integrate(row, 0.0, math.inf, DEFAULT_CONFIG)
+    x = k + 1.0 + max(p, 0.0)
+    units = exp_units((log_scale, k * math.log(x), x, p * math.log(x + z)))
+    return value, err + units * _UNIT_ROUNDOFF * value
 
 
 def _legendre_fraction(s, z):

@@ -17,7 +17,7 @@ from expmoments.model import (
     even_moment_exact,
     partial_fraction_density,
 )
-from expmoments.quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureError, integrate_abs_power
+from expmoments.quadrature import QuadratureConfig, QuadratureError, integrate_abs_power
 from expmoments.schur import t_transform
 from expmoments.specialfn import loggamma
 
@@ -135,6 +135,19 @@ def test_exact_engine_domain():
     with pytest.raises(ValueError, match="capped"):
         moment(half, MomentQuery(p, -1.0), engine="exact")
     assert moment(positive, MomentQuery(p)).engine == "exact"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(0.05, 3.0) | st.floats(-3.0, -0.05), min_size=1, max_size=5),
+    st.lists(st.integers(1, 3), min_size=5, max_size=5),
+    st.sampled_from(range(0, 13, 2)),
+)
+def test_exact_hunter_branch_matches_exact_rows_on_signed_weights(weights, shapes, ell):
+    # both round the same rational ell! h_ell(w) correctly
+    model = GammaSumModel.of(weights, shapes[: len(weights)])
+    est = moment(model, MomentQuery(float(ell)), engine="exact")
+    assert est.value == engines._exact_rows(np.array([model.expanded_weights()]), ell)[0]
 
 
 def test_density_engine_unshifted():
@@ -298,75 +311,67 @@ def test_shifted_re_phi_matches_complex_charfn():
                 assert abs(re_phi(t) - ref) <= 1e-13
 
 
-def test_signed_shifted_density_integrates_each_piece_once(monkeypatch):
-    calls = []
+def _density_quadrature(pfd, p, m):
+    """E|S - m|^p sgn(S - m) by quadrature of the density on each half-line
+    in the coordinate tau = |t|, split at the shift where it lies on it."""
+    value = err = 0.0
+    for side in (1.0, -1.0):
+        mm = side * m
+        pieces = ((0.0, mm, -side), (mm, math.inf, side)) if mm > 0.0 else ((0.0, math.inf, side),)
+        for lo, hi, sign in pieces:
+            v, e = integrate_abs_power(lambda tau: pfd._one_sided(side * tau), p, mm, lo, hi)
+            value += sign * v
+            err += e
+    return value, err
 
-    def counted(f, p, m, a, b, cfg=None):
-        calls.append((a, b))
-        return integrate_abs_power(f, p, m, a, b, cfg)
 
-    monkeypatch.setattr(engines, "integrate_abs_power", counted)
-    model = GammaSumModel.of([0.5, 1.3], [2.0, 1.0])
-    pfd = partial_fraction_density(model)
-    for p, m in ((2.5, 1.2), (-0.4, 0.7)):
-        calls.clear()
-        value, err = engines._density_quadrature(pfd, p, m, True, DEFAULT_CONFIG)
-        assert calls == [(0.0, m), (m, math.inf)]
-        below, eb = integrate_abs_power(pfd._one_sided, p, m, 0.0, m)
-        above, ea = integrate_abs_power(pfd._one_sided, p, m, m, math.inf)
-        assert value == above - below
-        assert err == eb + ea
-        # the closed form answers the query without quadrature, within both bars
-        calls.clear()
+def test_signed_shifted_density_closed_form_agrees_with_quadrature():
+    # the shift on one half-line, then on the other of a two-sided density
+    for weights, shapes, p, m in (
+        ([0.5, 1.3], [2.0, 1.0], 2.5, 1.2),
+        ([0.5, 1.3], [2.0, 1.0], -0.4, 0.7),
+        ([0.8, -1.1], [1.0, 1.0], 1.5, -0.6),
+    ):
+        model = GammaSumModel.of(weights, shapes)
+        value, err = _density_quadrature(partial_fraction_density(model), p, m)
         est = moment(model, MomentQuery(p, m, signed=True))
-        assert est.engine == "density" and not calls
+        assert est.engine == "density"
         assert abs(est.value - value) <= est.error + err
-    # two half-lines, the shift on the negative one: three pieces
-    calls.clear()
-    engines._density_quadrature(partial_fraction_density(GammaSumModel.of([0.8, -1.1])), 1.5, -0.6, True, DEFAULT_CONFIG)
-    assert calls == [(0.0, math.inf), (0.0, 0.6), (0.6, math.inf)]
 
 
 # weights 0.29^2, 0.51, 1.73^2, 1.84^2: close poles of order 2 whose
-# partial fractions cancel, so the piece of the density quadrature next to
-# the origin cannot reach its relative tolerance within a small panel budget
+# partial fractions cancel
 CANCELLING = GammaSumModel.of([0.29, 0.51, 1.73, 1.84], [2.0, 1.0, 2.0, 2.0])
 SMALL_BUDGET = QuadratureConfig(max_panels=200)
 
 
 def test_gamma_mixture_keeps_cancelling_close_poles_on_the_density_engine():
-    # the quadrature of the partial fractions exhausts the small budget; the
-    # closed form of the partial fractions answers, and that of the gamma
-    # mixture agrees with it
+    # the closed form of the partial fractions answers, and that of the
+    # gamma mixture agrees with it
     for query in (MomentQuery(3.54, 1.74), MomentQuery(3.54, 1.74, signed=True), MomentQuery(1.5, 1.74)):
-        pfd = partial_fraction_density(CANCELLING)
-        with pytest.raises(QuadratureError):
-            engines._density_quadrature(pfd, query.p, query.shift, query.signed, SMALL_BUDGET)
-        est = moment(CANCELLING, query, cfg=SMALL_BUDGET)
-        assert est == engines._partial_fraction_moment(CANCELLING, query, SMALL_BUDGET)
-        mixture = engines._mixture_moment(CANCELLING, query, SMALL_BUDGET)
+        est = moment(CANCELLING, query)
+        assert est == engines._partial_fraction_moment(CANCELLING, query)
+        mixture = engines._mixture_moment(CANCELLING, query)
         assert abs(est.value - mixture.value) <= est.error + mixture.error
 
 
-def test_auto_falls_through_when_density_quadrature_fails(monkeypatch):
+def test_auto_falls_through_when_the_closed_forms_fail(monkeypatch):
     cases = [
         (CANCELLING, MomentQuery(3.54, 1.74, signed=False)),
         (CANCELLING, MomentQuery(3.54, 1.74, signed=True)),
         (GammaSumModel.of([0.375, 1.276, 0.505, 1.76], [2.0] * 4), MomentQuery(5.30, 1.87, signed=True)),
     ]
-    refs = [moment(model, query, engine="density", cfg=SMALL_BUDGET) for model, query in cases]
+    refs = [moment(model, query, engine="density") for model, query in cases]
     fourier_query = MomentQuery(1.5, 1.74)
-    fourier_ref = moment(CANCELLING, fourier_query, engine="density", cfg=SMALL_BUDGET)
+    fourier_ref = moment(CANCELLING, fourier_query, engine="density")
 
-    # every density route fails: the closed form of partial fractions and of
-    # the mixture, and the quadrature of both
+    # both closed forms, of the partial fractions and of the mixture, fail
     def fail(*args, **kwargs):
-        raise QuadratureError("panel budget exhausted", 0.0, math.inf)
+        raise ValueError("a density moment term leaves the float range")
 
-    monkeypatch.setattr(engines, "integrate_abs_power", fail)
     monkeypatch.setattr(PartialFractionDensity, "power_moment_with_error", fail)
     for (model, query), ref in zip(cases, refs):
-        with pytest.raises(QuadratureError):
+        with pytest.raises(ValueError, match="float range"):
             moment(model, query, engine="density")
         est = moment(model, query, count=40_000)
         assert est.engine == "montecarlo"

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from expmoments.engines import _mixture_moment, moment, moments
 from expmoments.model import GammaSumModel, MomentQuery, gamma_mixture
-from expmoments.quadrature import DEFAULT_CONFIG
 
 DIGITS = 50
 
@@ -22,7 +21,7 @@ def mixture_moment(weights, p, signed=False):
     mixture leaves to partial fractions, is skipped."""
     model = GammaSumModel.of(weights)
     try:
-        est = _mixture_moment(model, MomentQuery(p=p, signed=signed), DEFAULT_CONFIG)
+        est = _mixture_moment(model, MomentQuery(p=p, signed=signed))
     except ValueError:
         assume(False)
     return est.value, est.error

@@ -9,6 +9,7 @@ Kummer's 1F1 below it and Tricomi's U for a shift off its support.
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -17,10 +18,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from expmoments import engines
+from expmoments import specialfn
 from expmoments.engines import moment, moments
-from expmoments.model import GammaSumModel, MomentQuery, _power_moment_scaled, partial_fraction_density
-from expmoments.quadrature import QuadratureConfig, integrate_abs_power
+from expmoments.model import GammaSumModel, MomentQuery, _power_moment_scaled
+from expmoments.quadrature import QuadratureConfig, integrate
 from expmoments.specialfn import erlang_abs_moment
 
 
@@ -66,14 +67,15 @@ def reference(model, q):
 
 
 @pytest.fixture
-def quadrature_calls(monkeypatch):
+def row_integrals(monkeypatch):
+    """The Erlang rows integrated in place of their cancelling closed form."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[2:5])
-        return integrate_abs_power(*args, **kwargs)
+        calls.append(args[1:3])
+        return integrate(*args, **kwargs)
 
-    monkeypatch.setattr(engines, "integrate_abs_power", counted)
+    monkeypatch.setattr(specialfn, "integrate", counted)
     return calls
 
 
@@ -95,6 +97,22 @@ def test_erlang_abs_moment_matches_mpmath():
         for signed, ref in zip((False, True), want):
             value = upper - lower if signed else upper + lower
             assert abs(value - ref) <= err, (p, k, zeta, signed)
+
+
+def test_erlang_abs_moment_off_support_matches_mpmath(row_integrals):
+    # high orders far off the support: the alternating sum cancels on many
+    # of these rows, which then take the row integral
+    rng = random.Random(5)
+    for _ in range(400):
+        p = rng.uniform(-0.95, 8.0)
+        k = rng.randint(0, 100)
+        z = math.exp(rng.uniform(math.log(0.05), math.log(400.0)))
+        upper, lower, err = erlang_abs_moment(p, k, -z)
+        assert lower == 0.0
+        with mpmath.workdps(40):
+            ref = mpmath.factorial(k) * _term_moment(mpmath.mpf(1), k + 1, mpmath.mpf(p), -mpmath.mpf(z), False)
+        assert abs(upper - ref) <= err <= 1e-9 * upper, (p, k, z)
+    assert 50 <= len(row_integrals) <= 350
 
 
 def test_erlang_abs_moment_raises_beyond_the_float_range():
@@ -120,14 +138,14 @@ def _sweep_case(rng):
     return model, MomentQuery(rng.uniform(-0.95, 8.0), shift, rng.random() < 0.5)
 
 
-def test_shifted_and_signed_density_bars_hold_against_mpmath(quadrature_calls):
+def test_shifted_and_signed_density_bars_hold_against_mpmath(row_integrals):
     rng = random.Random(9)
     for _ in range(300):
         model, q = _sweep_case(rng)
         est = moment(model, q, engine="density")
         assert abs(est.value - reference(model, q)) <= est.error, (model, q, est)
     # every query stays on a closed form
-    assert not quadrature_calls
+    assert not row_integrals
 
 
 @pytest.mark.parametrize(
@@ -138,25 +156,49 @@ def test_shifted_and_signed_density_bars_hold_against_mpmath(quadrature_calls):
         (GammaSumModel.of([0.375, 1.276, 0.505, 1.76], [2.0] * 4), MomentQuery(5.30, 1.87, signed=True)),
     ],
 )
-def test_cancelling_poles_stay_on_the_closed_form(model, query, quadrature_calls):
-    # their density quadrature exhausts this panel budget
+def test_cancelling_poles_stay_on_the_closed_form(model, query, row_integrals):
+    # a quadrature of their density exhausts this panel budget
     est = moment(model, query, cfg=QuadratureConfig(max_panels=200))
-    assert est.engine == "density" and not quadrature_calls
+    assert est.engine == "density" and not row_integrals
     assert abs(est.value - reference(model, query)) <= est.error
 
 
-def test_quadrature_takes_a_closed_form_that_cancels(quadrature_calls):
-    # an order-12 pole far beyond the shift: the alternating sum of
+def test_row_integral_takes_a_closed_form_that_cancels(row_integrals):
+    # an order-12 pole far beyond the shift: the row's alternating sum of
     # incomplete gammas cancels every digit (its bar is about 1000 times the
-    # value), and one weight has no gamma mixture, so the density quadrature
-    # answers
-    model = GammaSumModel.of([0.1], [12.0])
-    query = MomentQuery(2.5, -10.0)
-    value, err = partial_fraction_density(model).power_moment_with_error(2.5, shift=-10.0)
+    # value), and one weight has no gamma mixture, so the row is integrated
+    k, a, p, shift = 11, 0.1, 2.5, -10.0
+    value, err = specialfn._beyond_piece(p, k, -shift / a, (p + k + 1) * math.log(a))
     assert err > 1e-3 * abs(value)
+    model = GammaSumModel.of([a], [k + 1.0])
+    query = MomentQuery(p, shift)
     est = moment(model, query)
-    assert est.engine == "density" and quadrature_calls
+    assert est.engine == "density" and row_integrals
     assert abs(est.value - reference(model, query)) <= est.error <= 1e-9 * est.value
+
+
+@pytest.mark.parametrize(
+    "model, query, engine",
+    [
+        (
+            GammaSumModel.of([-0.30434, -0.30448, -0.20980, -0.41542, -0.21025], [4, 2, 4, 3, 3]),
+            MomentQuery(8.745, -4.543, signed=True),
+            "montecarlo",
+        ),
+        (
+            GammaSumModel.of([0.71989, -1.62887, -0.98408, -1.50334, -1.61813, -1.78866], [3, 4, 4, 2, 4, 1]),
+            MomentQuery(0.0506, -1.292),
+            "fourier",
+        ),
+    ],
+)
+def test_clustered_high_orders_fall_through_at_once(model, query, engine):
+    # both closed forms give poor bounds; nothing else is tried on the
+    # density engine before the next engine answers
+    start = time.perf_counter()
+    est = moment(model, query, count=100_000)
+    assert est.engine == engine
+    assert time.perf_counter() - start < 1.0
 
 
 def _exact(model, p):
