@@ -19,11 +19,13 @@ otherwise): the partial fractions of the model, and where those reject it
 (weights closer than model._MERGE_GAP), leave the float range or give a
 poor bound, the partial fractions of its gamma mixture, in which each
 group of close weights of one sign is one pole (`gamma_mixture`), signed
-or not, shifted or not.  The Fourier engine serves 0 < p < 2 unsigned;
-the Monte Carlo engine serves everything that is left.  A density outside
-the float range, or a Fourier integral that fails to converge
-(`QuadratureError`), falls through to the next engine, as a poor bound
-does; a forced engine raises it instead.
+or not, shifted or not.  The Fourier engine serves 0 < p < 2 unsigned,
+its doubling blocks integrated together on numpy arrays
+(`quadrature.integrate_doubling`); the Monte Carlo engine serves
+everything that is left.  A density outside the float range, or a
+Fourier integral that fails to converge (`QuadratureError`), falls
+through to the next engine, as a poor bound does; a forced engine raises
+it instead.
 """
 
 from __future__ import annotations
@@ -46,11 +48,12 @@ from .model import (
     _h_table,
     _partial_fractions,
     _power_moment_scaled,
+    _power_moments_scaled,
     gamma_mixture,
     partial_fraction_density,
     term_roundoff,
 )
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureError, integrate
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureError, integrate_doubling
 from .specialfn import exp_units, fourier_constant, loggamma
 
 __all__ = [
@@ -417,24 +420,22 @@ def _fourier_moment(model: GammaSumModel, q: float, m: float, cfg: QuadratureCon
         return math.exp(-0.5 * acc)
 
     re_phi = _shifted_re_phi(model, m)
-    mu246 = [_exact_float(*_power_moment_scaled(model.weights, model.shapes, m, k)) for k in (2, 4, 6)]
+    moments, scale = _power_moments_scaled(model.weights, model.shapes, m, 6)
+    mu246 = [_exact_float(moments[k], scale**k) for k in (2, 4, 6)]
     return fourier_abs_moment_from_cf(re_phi, q, mu246, abs_phi_bound, cfg)
 
 
 def _shifted_re_phi(model: GammaSumModel, m: float):
-    """t -> Re E exp(it(S - m)) in real arithmetic: the principal branch of
-    (1 - i w t)^(-s) is (1 + w^2 t^2)^(-s/2) exp(i s atan(w t)), so
-    Re phi(t) e^(-itm) = exp(-1/2 sum s log1p(w^2 t^2)) cos(sum s atan(w t) - t m)."""
-    factors = [(float(w), s) for w, s in zip(model.weights, model.shapes)]
+    """t -> Re E exp(it(S - m)) in real arithmetic, on an array of t: the
+    principal branch of (1 - i w t)^(-s) is (1 + w^2 t^2)^(-s/2) exp(i s atan(w t)),
+    so Re phi(t) e^(-itm) = exp(-1/2 sum s log1p(w^2 t^2)) cos(sum s atan(w t) - t m)."""
+    w = np.array([float(w) for w in model.weights])
+    s = np.array(model.shapes, dtype=float)
 
-    def re_phi(t: float) -> float:
-        log_mod = 0.0
-        arg = 0.0
-        for w, s in factors:
-            wt = w * t
-            log_mod += s * math.log1p(wt * wt)
-            arg += s * math.atan(wt)
-        return math.exp(-0.5 * log_mod) * math.cos(arg - t * m)
+    def re_phi(t):
+        t = np.asarray(t, dtype=float)
+        wt = t[..., None] * w
+        return np.exp(-0.5 * (np.log1p(wt * wt) @ s)) * np.cos(np.arctan(wt) @ s - t * m)
 
     return re_phi
 
@@ -445,9 +446,13 @@ def fourier_abs_moment_from_cf(re_phi, q, mu246, abs_phi_bound, cfg=None):
     Below a crossover t0 the integrand is replaced by the two-term series
     mu2 t^2/2 - mu4 t^4/24 of 1 - Re phi (the direct difference cancels
     catastrophically there); the truncation is bounded by the mu6 term.
-    The body is integrated over doubling blocks, and beyond the last block
-    edge T the exact power tail 1/(q T^q) is added with the residual
-    bounded through the decreasing envelope abs_phi_bound.
+    The body is integrated over the doubling blocks [t0, 2 t0], [2 t0, 4 t0],
+    ... of `quadrature.integrate_doubling`, all blocks of a batch evaluated
+    together, so re_phi maps an array of t to an array (abs_phi_bound is
+    called on floats).  The blocks stop at the first edge T >=
+    cfg.tail_threshold whose tail residual falls below max(abs_tol,
+    1e-13 |body|); beyond T the exact power tail 1/(q T^q) is added with
+    the residual bounded through the decreasing envelope abs_phi_bound.
     """
     if not 0.0 < q < 2.0:
         raise ValueError("fourier representation requires 0 < q < 2")
@@ -461,29 +466,19 @@ def fourier_abs_moment_from_cf(re_phi, q, mu246, abs_phi_bound, cfg=None):
     series_val = mu2 * t0 ** (2.0 - q) / (2.0 * (2.0 - q)) - mu4 * t0 ** (4.0 - q) / (24.0 * (4.0 - q))
     series_err = mu6 * t0 ** (6.0 - q) / (720.0 * (6.0 - q))
 
-    def integrand(t: float) -> float:
+    def integrand(t):
         return (1.0 - re_phi(t)) / t ** (q + 1.0)
 
-    body_val = 0.0
-    body_err = 0.0
-    lo = t0
-    blocks = 0
-    while True:
-        hi = 2.0 * lo
-        v, e = integrate(integrand, lo, hi, cfg)
-        body_val += v
-        body_err += e
-        lo = hi
-        blocks += 1
-        resid = abs_phi_bound(lo) / (q * lo**q)
-        if lo >= cfg.tail_threshold and resid < max(cfg.abs_tol, 1e-13 * abs(body_val)):
-            break
-        if blocks > 4000:
-            raise QuadratureError("fourier tail failed to decay", body_val, resid)
+    def resid(lo: float) -> float:
+        return abs_phi_bound(lo) / (q * lo**q)
+
+    def done(hi: float, body: float) -> bool:
+        return hi >= cfg.tail_threshold and resid(hi) < max(cfg.abs_tol, 1e-13 * abs(body))
+
+    body_val, body_err, lo = integrate_doubling(integrand, t0, done, cfg)
     tail_val = 1.0 / (q * lo**q)
-    tail_resid = abs_phi_bound(lo) / (q * lo**q)
     value = cq * (series_val + body_val + tail_val)
-    err = cq * (series_err + body_err + tail_resid)
+    err = cq * (series_err + body_err + resid(lo))
     return value, err
 
 

@@ -171,15 +171,24 @@ def _h_table(x: Sequence, max_ell: int) -> list:
 
 def _power_moment_scaled(weights: Sequence, shapes: Sequence, shift: float, p: int) -> tuple[int, int]:
     """(num, den) with E (S - shift)^p = num / den exactly, for integer
-    p >= 0, any positive shapes and any shift: the moments of S - shift
-    from its cumulants kappa_r = (r-1)! sum_j s_j w_j^r, kappa_1 less the
-    shift, by mu_k = sum_i C(k-1, i-1) kappa_i mu_{k-i}, on Python integers.
+    p >= 0, any positive shapes and any shift (`_power_moments_scaled`)."""
+    moments, scale = _power_moments_scaled(weights, shapes, shift, p)
+    return moments[p], scale**p
+
+
+def _power_moments_scaled(weights: Sequence, shapes: Sequence, shift: float, p: int) -> tuple[list, int]:
+    """(M, scale) with E (S - shift)^k = M[k] / scale^k exactly for k = 0 .. p
+    (integer p >= 0, any positive shapes and any shift): the moments of
+    S - shift from its cumulants kappa_r = (r-1)! sum_j s_j w_j^r, kappa_1
+    less the shift, by mu_k = sum_i C(k-1, i-1) kappa_i mu_{k-i}, on Python
+    integers.  M[k] depends on the cumulants up to order k only, so one
+    recurrence to p gives every lower moment as a recurrence to k would.
 
     With the weights and the shift over their least common denominator D
     (w_j = a_j / D, shift = b / D) and the shapes over theirs, E
     (s_j = c_j / E), the integers P_i = sum_j c_j a_j^i (less E b at i = 1)
     give kappa_i = (i-1)! P_i / (E D^i), and M_k = mu_k (E D)^k obeys
-    M_k = sum_i (k-1)! / (k-i)! E^(i-1) P_i M_{k-i}; den = (E D)^p."""
+    M_k = sum_i (k-1)! / (k-i)! E^(i-1) P_i M_{k-i}; the scale is E D."""
     ratios = [float(w).as_integer_ratio() for w in weights] + [float(shift).as_integer_ratio()]
     d = math.lcm(*(den for _, den in ratios))
     a = [num * (d // den) for num, den in ratios]
@@ -203,7 +212,7 @@ def _power_moment_scaled(weights: Sequence, shapes: Sequence, shift: float, p: i
             acc += falling * scaled[i] * moments[k - i]
             falling *= k - i
         moments[k] = acc
-    return moments[p], (e * d) ** p
+    return moments, e * d
 
 
 def even_moment_exact(x: Sequence, ell: int) -> Fraction:

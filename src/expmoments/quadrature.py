@@ -8,6 +8,12 @@ Endpoint power singularities |t-m|^p with -1 < p < 0 go through
 :func:`integrate_abs_power`, which substitutes u = |t-m|^(p+1) on each
 side of m so the transformed integrand is bounded.
 
+:func:`integrate_blocks` refines many finite blocks by the same rule, one
+call of an array integrand per round for all of them, and
+:func:`integrate_doubling` runs the doubling blocks [a, 2a], [2a, 4a], ...
+of the Fourier engine and of :func:`integral_iqs` through it in batches,
+read in order against a stopping rule.
+
 All routines are reentrant: one invocation runs on a single worker and
 keeps no shared state, so callers may integrate concurrently.
 """
@@ -18,11 +24,15 @@ import heapq
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "QuadratureConfig",
     "QuadratureError",
     "DEFAULT_CONFIG",
     "integrate",
+    "integrate_blocks",
+    "integrate_doubling",
     "integrate_abs_power",
     "integral_iqs",
 ]
@@ -109,6 +119,111 @@ def _map_semi_infinite(f, c):
     return g
 
 
+# the 15 nodes in increasing order, and the K15 and G7 weights at them
+_NODES = np.array([-x for x in _XGK[:7]] + [0.0] + list(_XGK[6::-1]))
+_KG = np.array(
+    [(_WGK[i], _WG[(i - 1) // 2] if i % 2 else 0.0) for i in range(7)]
+    + [(_WGK[7], _WG[3])]
+    + [(_WGK[i], _WG[(i - 1) // 2] if i % 2 else 0.0) for i in range(6, -1, -1)]
+)
+
+
+def _gk15_rows(f, lo, hi):
+    """GK15 on the panels [lo[i], hi[i]] in one call of f on a (panels, 15)
+    array of nodes, placed as `_gk15` places them: (values, errors)."""
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    k, g = (f(c[:, None] + h[:, None] * _NODES) @ _KG).T
+    return k * h, np.abs(k - g) * np.abs(h)
+
+
+# panels near the top of a block's heap whose halves `integrate_blocks`
+# evaluates ahead of need in each round
+_LOOKAHEAD = 7
+# doubling blocks `integrate_doubling` reads without a stop before it raises
+_MAX_BLOCKS = 4000
+
+
+class _Refinement:
+    """The worst-panel-first refinement of one integral, one split at a
+    time.  `next_split` names the panel to halve, or returns None once
+    `outcome` holds the integral's (value, err) or its QuadratureError;
+    `split` takes the GK15 results of the halves.  The caller evaluates, so
+    the scalar `integrate` and the array `integrate_blocks` share this rule:
+    stop once err <= max(abs_tol, rel_tol |total|), halve the panel of
+    largest error, and skip a panel at max_depth or too narrow to halve."""
+
+    __slots__ = ("cfg", "heap", "counter", "total", "err", "panels", "outcome", "_popped")
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.heap = []
+        self.counter = 0
+        self.total = 0.0
+        self.err = 0.0
+        self.panels = 0
+        self.outcome = None
+
+    def add(self, segment, lo, hi, value, err):
+        """Start one more segment from its evaluated panel; False (and a
+        failed outcome) where the value is not finite."""
+        if not math.isfinite(value):
+            self.outcome = QuadratureError("non-finite integrand", value, math.inf)
+            return False
+        self._push(err, segment, lo, hi, 0, value)
+        self.total += value
+        self.err += err
+        self.panels += 1
+        return True
+
+    def _push(self, err, segment, lo, hi, depth, value):
+        heapq.heappush(self.heap, (-err, self.counter, segment, lo, hi, depth, value))
+        self.counter += 1
+
+    def next_split(self):
+        """(key, segment, lo, mid, hi) of the panel to halve next, key naming
+        it among this integral's panels, or None once there is an outcome."""
+        cfg = self.cfg
+        while self.outcome is None:
+            if self.err <= max(cfg.abs_tol, cfg.rel_tol * abs(self.total)):
+                self.outcome = (self.total, self.err)
+            elif not self.heap:
+                self.outcome = QuadratureError("max subdivision depth reached", self.total, self.err)
+            elif self.panels >= cfg.max_panels:
+                self.outcome = QuadratureError("panel budget exhausted", self.total, self.err)
+            else:
+                popped = heapq.heappop(self.heap)
+                _, key, segment, lo, hi, depth, _ = popped
+                mid = self.halving(lo, hi, depth)
+                # a panel that cannot be halved is dropped, its error still counted
+                if mid is not None:
+                    self._popped = popped, mid
+                    return key, segment, lo, mid, hi
+        return None
+
+    def halving(self, lo, hi, depth):
+        """The midpoint at which a panel is halved, or None for a panel at
+        max_depth or too narrow to halve."""
+        width = hi - lo
+        mid = lo + 0.5 * width
+        if depth >= self.cfg.max_depth or width <= 1e-300 or not (lo < mid < hi):
+            return None
+        return mid
+
+    def split(self, v1, e1, v2, e2):
+        """Replace the panel `next_split` named by its evaluated halves."""
+        if not (math.isfinite(v1) and math.isfinite(v2)):
+            self.outcome = QuadratureError("non-finite integrand", self.total, self.err)
+            return
+        # the heap key neg_e is the panel's error negated
+        (neg_e, _, segment, lo, hi, depth, v), mid = self._popped
+        self.total += v1 + v2 - v
+        self.err += e1 + e2 + neg_e
+        self._push(e1, segment, lo, mid, depth + 1, v1)
+        self._push(e2, segment, mid, hi, depth + 1, v2)
+        self.panels += 1
+
+
 def integrate(f, a, b, cfg=None, singular_points=()):
     """Integrate f on [a, b] (b may be +inf); returns (value, err_estimate).
 
@@ -133,47 +248,132 @@ def integrate(f, a, b, cfg=None, singular_points=()):
         else:
             segments.append((f, lo, hi))
 
-    heap = []
-    counter = 0
-    total = 0.0
-    err_total = 0.0
-    panels = 0
-    for g, lo, hi in segments:
-        v, e = _gk15(g, lo, hi)
-        if not math.isfinite(v):
-            raise QuadratureError("non-finite integrand", v, math.inf)
-        heapq.heappush(heap, (-e, counter, g, lo, hi, 0, v))
-        counter += 1
-        total += v
-        err_total += e
-        panels += 1
+    ref = _Refinement(cfg)
+    for k, (g, lo, hi) in enumerate(segments):
+        if not ref.add(k, lo, hi, *_gk15(g, lo, hi)):
+            raise ref.outcome
+    while (panel := ref.next_split()) is not None:
+        _, k, lo, mid, hi = panel
+        g = segments[k][0]
+        ref.split(*_gk15(g, lo, mid), *_gk15(g, mid, hi))
+    if isinstance(ref.outcome, QuadratureError):
+        raise ref.outcome
+    return ref.outcome
 
+
+def integrate_blocks(f, edges, cfg=None):
+    """Integrate f over each block [edges[k], edges[k+1]] of finite edges,
+    every block refined as `integrate` refines one interval, and all of
+    them evaluated together: f maps an array of t to an array of the same
+    shape.  Each round of refinement calls f once, on the halves of every
+    unfinished block's worst panel and, ahead of need, of up to
+    _LOOKAHEAD panels near the top of its heap; halves evaluated ahead are
+    used when their panel comes to be split, so a block splits exactly the
+    panels `integrate` would, in the same order.
+
+    Returns one entry per block, in order: its (value, err), or its
+    QuadratureError, which is returned rather than raised.  Once a block
+    fails, the blocks after it are abandoned and their entries are None,
+    for a caller that reads the blocks in order stops at the failure.
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    edges = np.asarray(edges, dtype=float)
+    refs = []
+    # halves evaluated ahead of need, by (block, panel key)
+    ahead = {}
+    # a non-finite value of f fails its block through `_Refinement`
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        values, errors = _gk15_rows(f, edges[:-1], edges[1:])
+        for lo, hi, v, e in zip(edges[:-1].tolist(), edges[1:].tolist(), values.tolist(), errors.tolist()):
+            refs.append(_Refinement(cfg))
+            if not refs[-1].add(0, lo, hi, v, e):
+                break
+        # blocks from limit on are abandoned
+        limit = len(refs)
+        active = range(limit)
+        while True:
+            splitting = []
+            wanted = []
+            lows = []
+            mids = []
+            highs = []
+            for k in active:
+                if k >= limit:
+                    break
+                ref = refs[k]
+                while (panel := ref.next_split()) is not None and (k, panel[0]) in ahead:
+                    ref.split(*ahead.pop((k, panel[0])))
+                if panel is None:
+                    if isinstance(ref.outcome, QuadratureError):
+                        limit = k + 1
+                    continue
+                splitting.append(k)
+                wanted.append((k, None))
+                lows.append(panel[2])
+                mids.append(panel[3])
+                highs.append(panel[4])
+                for _, key, _, lo, hi, depth, _ in ref.heap[:_LOOKAHEAD]:
+                    if (k, key) in ahead or (mid := ref.halving(lo, hi, depth)) is None:
+                        continue
+                    wanted.append((k, key))
+                    lows.append(lo)
+                    mids.append(mid)
+                    highs.append(hi)
+            if not splitting:
+                break
+            values, errors = _gk15_rows(f, np.array(lows + mids), np.array(mids + highs))
+            values = values.tolist()
+            errors = errors.tolist()
+            n = len(wanted)
+            for i, (k, key) in enumerate(wanted):
+                halves = (values[i], errors[i], values[n + i], errors[n + i])
+                if key is None:
+                    refs[k].split(*halves)
+                else:
+                    ahead[k, key] = halves
+            active = splitting
+    return [ref.outcome for ref in refs[:limit]] + [None] * (len(edges) - 1 - limit)
+
+
+def integrate_doubling(f, lo, done, cfg=None, cap=math.inf):
+    """Integrate f over the doubling blocks [lo, 2 lo], [2 lo, 4 lo], ...
+    (each upper edge capped at `cap`) until done(hi, body) holds after a
+    block, hi being its upper edge and body the sum of the block values so
+    far; returns (body, err, hi).  f takes arrays, as in `integrate_blocks`.
+
+    Blocks go to `integrate_blocks` in batches and are then read in order,
+    so a block past the one that stops changes nothing, and a block's
+    QuadratureError is raised only where it is read.  A batch ends at the
+    first edge where done holds at the body read so far, taken as inf
+    before any block is read (done is expected to hold more readily at a
+    larger |body|); after the first batch, a batch holds at most as many
+    blocks as have been read.  More than _MAX_BLOCKS blocks without a stop
+    raise QuadratureError.
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    edges = [float(lo)]
+    outcomes = []
+    body = err = 0.0
+    k = 0
     while True:
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        if err_total <= tol:
-            return total, err_total
-        if not heap:
-            raise QuadratureError("max subdivision depth reached", total, err_total)
-        if panels >= cfg.max_panels:
-            raise QuadratureError("panel budget exhausted", total, err_total)
-        neg_e, _, g, lo, hi, depth, v = heapq.heappop(heap)
-        e = -neg_e
-        width = hi - lo
-        if depth >= cfg.max_depth or width <= 1e-300 or not (lo < lo + 0.5 * width < hi):
-            # cannot be refined further; its error stays counted
-            continue
-        mid = lo + 0.5 * width
-        v1, e1 = _gk15(g, lo, mid)
-        v2, e2 = _gk15(g, mid, hi)
-        if not (math.isfinite(v1) and math.isfinite(v2)):
-            raise QuadratureError("non-finite integrand", total, err_total)
-        total += v1 + v2 - v
-        err_total += e1 + e2 - e
-        heapq.heappush(heap, (-e1, counter, g, lo, mid, depth + 1, v1))
-        counter += 1
-        heapq.heappush(heap, (-e2, counter, g, mid, hi, depth + 1, v2))
-        counter += 1
-        panels += 1
+        if k == len(outcomes):
+            estimate = body if k else math.inf
+            size = k or _MAX_BLOCKS + 1
+            while True:
+                edges.append(min(2.0 * edges[-1], cap))
+                if done(edges[-1], estimate) or len(edges) - 1 - k >= size or len(edges) > _MAX_BLOCKS + 1:
+                    break
+            outcomes += integrate_blocks(f, edges[k:], cfg)
+        outcome = outcomes[k]
+        if isinstance(outcome, QuadratureError):
+            raise outcome
+        body += outcome[0]
+        err += outcome[1]
+        k += 1
+        if done(edges[k], body):
+            return body, err, edges[k]
+        if k > _MAX_BLOCKS:
+            raise QuadratureError(f"no stop within {_MAX_BLOCKS} doubling blocks", body, err)
 
 
 def integrate_abs_power(g, p, m, a, b, cfg=None, singular_points=()):
@@ -242,7 +442,7 @@ def integral_iqs(q, s, cfg=None):
     """Quadrature of int_0^inf (1 - (1 + t^2/s)^(-(1+s)/2)) / t^(q+1) dt.
 
     Independent of the closed form: the head (0, 1] runs through the
-    power-singularity path, the body [1, T] through doubling blocks, and
+    power-singularity path, the body [1, T] through `integrate_doubling`, and
     the tail beyond T is the exact power integral 1/(q T^q) plus a bounded
     residual that is folded into the returned error estimate.
     """
@@ -252,9 +452,10 @@ def integral_iqs(q, s, cfg=None):
     alpha = 0.5 * (1.0 + s)
 
     def gfun(t):
-        # (1 - (1 + t^2/s)^(-alpha)) / t^2, stable near t = 0
+        # (1 - (1 + t^2/s)^(-alpha)) / t^2, stable near t = 0; the series
+        # needs alpha u small, not u alone, as alpha grows with s
         u = t * t / s
-        if u < 1e-8:
+        if alpha * u < 1e-8:
             return (alpha / s) * (1.0 - 0.5 * (alpha + 1.0) * u)
         return -math.expm1(-alpha * math.log1p(u)) / (t * t)
 
@@ -266,17 +467,11 @@ def integral_iqs(q, s, cfg=None):
     T = max(math.exp(log_T), 2.0, cfg.tail_threshold if s <= 1.0 else 2.0)
 
     def body(t):
-        return gfun(t) * t ** (1.0 - q)
+        # gfun(t) t^(1-q) on an array of t >= 1, where alpha u >= 1/2 keeps
+        # gfun off its series
+        return -np.expm1(-alpha * np.log1p(t * t / s)) / (t * t) * t ** (1.0 - q)
 
-    body_val = 0.0
-    body_err = 0.0
-    lo = 1.0
-    while lo < T:
-        hi = min(2.0 * lo, T)
-        v, e = integrate(body, lo, hi, cfg)
-        body_val += v
-        body_err += e
-        lo = hi
+    body_val, body_err, _ = integrate_doubling(body, 1.0, lambda hi, _: hi >= T, cfg, cap=T)
     tail_val = 1.0 / (q * T**q)
     tail_resid = math.exp(alpha * math.log(s) - decay * math.log(T)) / decay
     return head_val + body_val + tail_val, head_err + body_err + tail_resid

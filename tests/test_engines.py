@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,8 @@ from expmoments.model import (
     GammaSumModel,
     MomentQuery,
     PartialFractionDensity,
+    _power_moment_scaled,
+    _power_moments_scaled,
     charfn,
     even_moment_exact,
     partial_fraction_density,
@@ -303,12 +306,47 @@ def test_shifted_re_phi_matches_complex_charfn():
         GammaSumModel.of([-0.2347, -1.652, -0.6886, -0.2928], [1.372, 0.404, 0.615, 1.229]),
         GammaSumModel.of([1.0, -1.0]),
     ]
+    grid = (0.0, 1e-8, 0.3, 2.0, 17.0, 1e3, 4.5e4, 1e6)
+    eps = 2.0**-52
     for model in models:
         for m in (0.0, -0.888, 1.74):
             re_phi = engines._shifted_re_phi(model, m)
-            for t in (0.0, 1e-8, 0.3, 2.0, 17.0, 1e3, 4.5e4, 1e6):
+            on_grid = re_phi(np.array(grid))
+            assert on_grid.shape == (len(grid),)
+            for t, value in zip(grid, on_grid.tolist()):
                 ref = (charfn(model, t) * cmath.exp(-1j * t * m)).real
                 assert abs(re_phi(t) - ref) <= 1e-13
+                assert abs(value - ref) <= 1e-13
+                # the same formula in scalar math: a few ulps of the modulus,
+                # scaled by the cosine's argument, whose ulps cos inherits
+                modulus, angle = _scalar_polar(model, m, t)
+                assert abs(value - modulus * math.cos(angle)) <= 8.0 * eps * modulus * (1.0 + abs(angle))
+
+
+def _scalar_polar(model, m, t):
+    """(|phi(t)|, arg phi(t) - t m), summed factor by factor in math."""
+    log_mod = 0.0
+    arg = 0.0
+    for w, s in zip(model.weights, model.shapes):
+        wt = float(w) * t
+        log_mod += s * math.log1p(wt * wt)
+        arg += s * math.atan(wt)
+    return math.exp(-0.5 * log_mod), arg - t * m
+
+
+def test_fourier_moments_come_from_one_recurrence():
+    # mu2, mu4 and mu6 of one recurrence to order 6 are those of three
+    # separate recurrences, as integers and so as floats
+    for weights, shapes, m in (
+        ([-0.2347, -1.652, -0.6886, -0.2928], [1.372, 0.404, 0.615, 1.229], -0.888),
+        ([0.9, -1.7, 0.35], [0.8, 1.3, 2.6], 1.74),
+        ([1.0, -1.0], [1.0, 1.0], 0.0),
+    ):
+        moments, scale = _power_moments_scaled(weights, shapes, m, 6)
+        for k in (2, 4, 6):
+            num, den = _power_moment_scaled(weights, shapes, m, k)
+            assert (moments[k], scale**k) == (num, den)
+            assert moments[k] / scale**k == num / den
 
 
 def _density_quadrature(pfd, p, m):
@@ -394,6 +432,83 @@ def test_auto_falls_through_when_fourier_quadrature_fails():
     assert 0.0 < est.error < 0.05 * est.value
 
 
+def _fourier_sweep_case(rng):
+    """An integer-shape shifted unsigned query with 0 < p < 2: n = 2-4
+    weights of mixed signs in [0.2, 2] at relative gaps of at least 25%, as
+    in the benchmark's quad stream, and a total shape of at least 3, so the
+    doubling blocks stop by t ~ 1e5."""
+    n = rng.randint(2, 4)
+    while True:
+        shapes = [rng.randint(1, 2) for _ in range(n)]
+        if sum(shapes) >= 3:
+            break
+    weights = []
+    while len(weights) < n:
+        w = rng.choice((-1.0, 1.0)) * math.exp(rng.uniform(math.log(0.2), math.log(2.0)))
+        if all(abs(w - v) > 0.25 * max(abs(w), abs(v)) for v in weights):
+            weights.append(w)
+    query = MomentQuery(rng.uniform(0.05, 1.95), rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 2.0))
+    return GammaSumModel.of(weights, [float(s) for s in shapes]), query
+
+
+# Sweep queries whose Fourier bar misses the density closed form, with the
+# miss as a multiple of the two bars: the engine trusts |K15 - G7| on its
+# oscillatory doubling blocks (see the quad seed 11 test below).  The
+# sequential block loop this engine replaced gave the same misses.
+KNOWN_FOURIER_MISSES = {10: 1.52, 16: 11.01, 47: 1.16}
+
+
+def test_fourier_agrees_with_the_density_closed_form():
+    rng = random.Random(0)
+    misses = {}
+    for i in range(100):
+        model, query = _fourier_sweep_case(rng)
+        fourier = moment(model, query, engine="fourier")
+        density = moment(model, query, engine="density")
+        ratio = abs(fourier.value - density.value) / (fourier.error + density.error)
+        if ratio > 1.0:
+            misses[i] = ratio
+    # every other query holds; a known miss that holds flags the fix
+    assert misses == pytest.approx(KNOWN_FOURIER_MISSES, rel=0.01)
+
+
+# Quad seed 11, operations 329 and 639 of the benchmark stream.  Each
+# reference is mpmath at 30 digits: c_q times the sum of mpmath.quad of
+# (1 - Re phi(t)) / t^(q+1) over [0, 40], split at quarter periods of
+# exp(-itm), with 1 - Re phi written as -expm1(log|phi|) + 2 |phi|
+# sin^2(arg / 2), and of 40^(-q) / q less mpmath.quadosc of Re phi(t) /
+# t^(q+1) over [40, inf) at omega = |m|.  Both agree with the benchmark
+# oracle's values to 16 digits.
+SEED_11_MISSES = [
+    pytest.param(
+        GammaSumModel.of(
+            [-0.23466322734518927, -1.6519663543154948, -0.6885533314284163, -0.29277388320647163],
+            [1.3718789630974322, 0.4041906819575064, 0.614923204137731, 1.2285593246316868],
+        ),
+        MomentQuery(0.19271334483548286, -0.888196187282706),
+        0.9123557491536872773,
+        id="op329-miss-1.87x",
+    ),
+    pytest.param(
+        GammaSumModel.of(
+            [1.5461456998253853, -0.23548241220471602, 1.0689256004918286],
+            [1.425603979612953, 0.7293072336653893, 0.39539629678860844],
+        ),
+        MomentQuery(0.2368412379086967, 1.4650500076570805),
+        1.0062800546753247217,
+        id="op639-miss-346x",
+    ),
+]
+
+
+@pytest.mark.xfail(strict=True, reason="the Fourier bar trusts |K15 - G7| on oscillatory blocks and misses")
+@pytest.mark.parametrize("model, query, reference", SEED_11_MISSES)
+def test_fourier_bar_holds_at_quad_seed_11(model, query, reference):
+    est = moment(model, query)
+    assert est.engine == "fourier"
+    assert abs(est.value - reference) <= est.error
+
+
 def _engines_agree(model, p, tags, seed):
     """Every pair of the tagged engines at shift 0 agrees within its two
     error bounds and a 1e-12 relative allowance."""
@@ -449,7 +564,7 @@ def test_density_vs_montecarlo_sweep():
 
 def test_gaussian_cf_through_fourier_helper():
     val, _ = fourier_abs_moment_from_cf(
-        lambda t: math.exp(-0.5 * t * t), 1.0, (1.0, 3.0, 15.0), lambda t: math.exp(-0.5 * t * t)
+        lambda t: np.exp(-0.5 * t * t), 1.0, (1.0, 3.0, 15.0), lambda t: np.exp(-0.5 * t * t)
     )
     assert val == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-8)
 

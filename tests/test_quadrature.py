@@ -1,14 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 
-from expmoments.engines import fourier_abs_moment_from_cf
+from expmoments.engines import _shifted_re_phi, fourier_abs_moment_from_cf
+from expmoments.model import GammaSumModel
 from expmoments.quadrature import (
     QuadratureConfig,
     QuadratureError,
     integral_iqs,
     integrate,
     integrate_abs_power,
+    integrate_blocks,
+    integrate_doubling,
 )
 from expmoments.specialfn import closed_integral_iqs, fourier_constant, gaussian_abs_moment
 
@@ -101,10 +105,10 @@ def test_gaussian_fourier_identity():
     # limit of the power-tail family
     for q in (0.3, 0.9, 1.5):
         val, err = fourier_abs_moment_from_cf(
-            lambda t: math.exp(-0.5 * t * t),
+            lambda t: np.exp(-0.5 * t * t),
             q,
             (1.0, 3.0, 15.0),
-            lambda t: math.exp(-0.5 * t * t),
+            lambda t: np.exp(-0.5 * t * t),
         )
         truth = gaussian_abs_moment(q)
         assert val == pytest.approx(truth, rel=1e-7)
@@ -117,3 +121,117 @@ def test_fourier_constant_consistency_with_arctangent_cell():
     assert fourier_constant(1.0) * val == pytest.approx(
         fourier_constant(1.0) * math.pi / 2.0, rel=1e-9
     )
+
+
+def test_blocks_agree_with_integrate_block_by_block():
+    edges = [0.25 * 2.0**k for k in range(12)]
+    model = GammaSumModel.of([0.9, -1.7, 0.35], [0.8, 1.3, 2.6])
+    re_phi = _shifted_re_phi(model, 1.74)
+
+    def scalar_re_phi(t):
+        return float(re_phi(t))
+
+    cases = [
+        # smooth, with a kink of the derivative at 0 outside the blocks
+        (lambda t: np.exp(-t) * t**0.3, lambda t: math.exp(-t) * t**0.3),
+        # oscillatory: about 150 periods in the last block
+        (lambda t: np.cos(3.7 * t) / (1.0 + t * t), lambda t: math.cos(3.7 * t) / (1.0 + t * t)),
+        # the Fourier engine's integrand on a shifted model
+        (lambda t: (1.0 - re_phi(t)) / t**1.5, lambda t: (1.0 - scalar_re_phi(t)) / t**1.5),
+    ]
+    for f_array, f_scalar in cases:
+        for (value, err), lo, hi in zip(integrate_blocks(f_array, edges), edges[:-1], edges[1:]):
+            ref, ref_err = integrate(f_scalar, lo, hi)
+            assert err <= max(1e-14, 1e-10 * abs(value))
+            assert abs(value - ref) <= err + ref_err
+
+
+def test_block_failure_abandons_the_later_blocks():
+    def f(t):
+        return np.where(t < 5.0, 1.0 / (t * t), np.nan)
+
+    outcomes = integrate_blocks(f, [1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
+    for (value, err), truth in zip(outcomes[:2], (0.5, 0.25)):
+        assert abs(value - truth) <= err <= 1e-10 * truth
+    assert isinstance(outcomes[2], QuadratureError)
+    assert outcomes[3:] == [None, None]
+    # the same failure from the scalar integrator
+    with pytest.raises(QuadratureError, match="non-finite"):
+        integrate(lambda t: 1.0 / (t * t) if t < 5.0 else math.nan, 4.0, 8.0)
+    # a block that exhausts its panels while refining: from t = 4 on, about
+    # 75 and then 300 periods per block against a budget of 30 panels
+    def chirp(t):
+        return np.where(t < 4.0, 1.0 / (t * t), np.sin(10.0 * t * t))
+
+    outcomes = integrate_blocks(chirp, [1.0, 2.0, 4.0, 8.0, 16.0], QuadratureConfig(max_panels=30))
+    assert [type(outcome) for outcome in outcomes[:2]] == [tuple, tuple]
+    assert isinstance(outcomes[2], QuadratureError) and "panel budget" in str(outcomes[2])
+    assert outcomes[3] is None
+
+
+def test_doubling_blocks_past_the_stop_change_nothing():
+    # the third batch holds [4, 8] and [8, 16]; the body stops at 8, so the
+    # NaN block [8, 16] is integrated ahead but never read
+    evaluated = []
+
+    def f(t, clean=False):
+        evaluated.append(float(np.max(t)))
+        return np.where((t <= 8.0) | clean, 1.0 / (t * t), np.nan)
+
+    def done(hi, body):
+        return body >= 0.8
+
+    value, err, hi = integrate_doubling(f, 1.0, done)
+    assert max(evaluated) > 8.0
+    assert hi == 8.0
+    assert (value, err) == integrate_doubling(lambda t: f(t, clean=True), 1.0, done)[:2]
+    sequential = [integrate(lambda t: 1.0 / (t * t), lo, 2.0 * lo) for lo in (1.0, 2.0, 4.0)]
+    assert abs(value - sum(v for v, _ in sequential)) <= err + sum(e for _, e in sequential)
+    assert value == pytest.approx(0.875, rel=1e-13)
+
+
+def test_doubling_blocks_raise_where_they_are_read():
+    def f(t):
+        return np.where(t <= 8.0, 1.0 / (t * t), np.nan)
+
+    # the NaN block is read before the body reaches 0.9
+    with pytest.raises(QuadratureError, match="non-finite"):
+        integrate_doubling(f, 1.0, lambda hi, body: body >= 0.9)
+    # a stop that never comes: blocks [2, 2] after the first, up to the cap
+    with pytest.raises(QuadratureError, match="within 4000 doubling blocks"):
+        integrate_doubling(lambda t: 1.0 / (t * t), 1.0, lambda hi, body: False, cap=2.0)
+
+
+def test_fourier_blocks_past_the_stop_change_nothing():
+    # a synthetic re_phi that adds a body of about 1e15 from t = 2000 on:
+    # the first batch ends at the first edge E >= 1000, the block [E, 2E]
+    # takes the bump and the blocks stop at 2E < 4000, while the second
+    # batch, predicted from the body before the bump, reaches on to t ~ 3e6;
+    # beyond t = 8000 re_phi is NaN
+    evaluated = []
+
+    def re_phi(t, clean=False):
+        evaluated.append(float(np.max(t)))
+        out = np.where(t >= 2000.0, 1.0 - 1e12 * t * t, np.exp(-0.5 * t * t))
+        return np.where((t <= 8000.0) | clean, out, np.nan)
+
+    def envelope(t):
+        return 1.0 / t
+
+    moments = (1.0, 3.0, 15.0)
+    value, err = fourier_abs_moment_from_cf(re_phi, 1.0, moments, envelope)
+    assert max(evaluated) > 8000.0
+    assert math.isfinite(value) and value > 1e14
+    clean = fourier_abs_moment_from_cf(lambda t: re_phi(t, clean=True), 1.0, moments, envelope)
+    assert (value, err) == clean
+
+
+def test_iqs_quadrature_tends_to_the_gaussian_limit():
+    # (1 + t^2/s)^(-(1+s)/2) -> exp(-t^2/2) as s grows, so c_q I(q, s) ->
+    # E|G|^q, with a correction of order 1/s; near t = 0 the series branch
+    # must hold alpha t^2/s small, not t^2/s alone
+    for q in (0.25, 0.75, 1.0, 1.75):
+        limit = gaussian_abs_moment(q) / fourier_constant(q)
+        for s in (1e6, 1e9, 1e12):
+            val, err = integral_iqs(q, s)
+            assert abs(val - limit) <= err + limit / s
