@@ -12,13 +12,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from . import engines
-from .model import GammaSumModel, MomentQuery
+from .model import GammaSumModel, MomentQuery, _h_table
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
-from .specialfn import gaussian_abs_moment, loggamma
+from .specialfn import gaussian_abs_moment, gaussian_even_moment_exact, loggamma
 
 __all__ = [
     "VerificationReport",
@@ -263,17 +264,23 @@ def verify_theorem1(
         suite="theorem1", params={"p": p, "n_max": n_max, "seed": seed}, trials=trials
     )
     gauss = gaussian_abs_moment(p)
-    for trial in range(trials):
+    # every trial is drawn first, by the same Generator calls in the same
+    # order; the batch gives each row what engines.moment gives its model
+    draws = []
+    for _ in range(trials):
         n = int(rng.integers(1, n_max + 1))
-        w = _distinct_weights(rng, n)
-        model = GammaSumModel.of(w)
-        est = engines.moment(model, MomentQuery(p=p), cfg=cfg)
+        draws.append(_distinct_weights(rng, n))
+    W = np.zeros((trials, n_max))
+    for row, w in zip(W, draws):
+        row[: len(w)] = w
+    values, errors = engines.moments(W, p, cfg)
+    for trial, (w, value, error) in enumerate(zip(draws, values.tolist(), errors.tolist())):
         var = sum(v * v for v in w)
         rhs = gauss * var ** (0.5 * p)
-        budget = 3.0 * est.error + 1e-12 * rhs
-        if est.value < rhs - budget:
+        budget = 3.0 * error + 1e-12 * rhs
+        if value < rhs - budget:
             report.record_violation(
-                {"trial": trial, "weights": w, "p": p, "lhs": est.value, "rhs": rhs, "budget": budget}
+                {"trial": trial, "weights": w, "p": p, "lhs": value, "rhs": rhs, "budget": budget}
             )
     ratios = {}
     for n in (2, 4, 8, 16):
@@ -290,13 +297,12 @@ def verify_hunter_exact(trials: int = 1000, ell_set=(2, 4, 6, 8), seed: int = 0)
     """(ell! h_ell(x))^2 >= ((ell-1)!!)^2 (sum x^2)^ell in exact rationals.
 
     Squaring keeps both sides rational; zero tolerance, an actual
-    certificate rather than a float comparison.
+    certificate rather than a float comparison.  Each vector runs on the
+    integers X = D x, D the lcm of its denominators: h_ell is homogeneous
+    of degree ell, so the inequality times D^(2 ell) compares the integers
+    (ell! h_ell(X))^2 and ((ell-1)!!)^2 (sum X^2)^ell, one `_h_table` giving
+    every degree.
     """
-    from fractions import Fraction
-
-    from .model import chs
-    from .specialfn import gaussian_even_moment_exact
-
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     report = VerificationReport(
         suite="hunter", params={"ell_set": list(ell_set), "seed": seed}, trials=trials
@@ -304,6 +310,7 @@ def verify_hunter_exact(trials: int = 1000, ell_set=(2, 4, 6, 8), seed: int = 0)
     for ell in ell_set:
         if ell % 2 != 0:
             raise ValueError("hunter suite needs even degrees")
+    bounds = {ell: (math.factorial(ell), gaussian_even_moment_exact(ell) ** 2) for ell in ell_set}
     for trial in range(trials):
         n = int(rng.integers(1, 7))
         x = []
@@ -312,14 +319,18 @@ def verify_hunter_exact(trials: int = 1000, ell_set=(2, 4, 6, 8), seed: int = 0)
             while num == 0:
                 num = int(rng.integers(-9, 10))
             den = int(rng.integers(1, 10))
-            x.append(Fraction(num, den))
-        sq = sum(v * v for v in x)
+            x.append((num, den))
+        d = math.lcm(*(den for _, den in x))
+        scaled = [num * (d // den) for num, den in x]
+        sq = sum(v * v for v in scaled)
+        h = _h_table(scaled, max(ell_set, default=0))
         for ell in ell_set:
-            lhs = math.factorial(ell) * chs(x, ell)
-            rhs_root = gaussian_even_moment_exact(ell)
-            if lhs * lhs < rhs_root * rhs_root * sq**ell:
+            factorial, rhs_square = bounds[ell]
+            lhs = factorial * h[ell]
+            if lhs * lhs < rhs_square * sq**ell:
                 report.record_violation(
-                    {"trial": trial, "x": [str(v) for v in x], "ell": ell, "lhs": str(lhs)}
+                    {"trial": trial, "x": [str(Fraction(num, den)) for num, den in x], "ell": ell,
+                     "lhs": str(Fraction(lhs, d**ell))}
                 )
     return report
 
@@ -557,10 +568,6 @@ class MinimizeResult:
         }
 
 
-def _sphere_objective(x: np.ndarray, p: float, cfg) -> float:
-    return engines.moment(GammaSumModel.of(x.tolist()), MomentQuery(p=p), cfg=cfg).value
-
-
 def _sphere_gradient(x: np.ndarray, p: float, cfg) -> np.ndarray:
     return np.array([gradient(x, p, j, engine="density", cfg=cfg) for j in range(len(x))])
 
@@ -592,7 +599,7 @@ def minimize_sphere(
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(start,))))
         x = rng.standard_normal(n)
         x /= np.linalg.norm(x)
-        val = _sphere_objective(x, p, cfg)
+        val = float(engines.moments(x[None, :], p, cfg)[0][0])
         converged = False
         it = 0
         for it in range(1, max_iter + 1):
@@ -606,15 +613,16 @@ def minimize_sphere(
             # step ladder and keep the best point; plain Armijo accepts
             # valley-crossing steps here and ping-pongs
             step = 1.0 / max(1.0, gnorm)
+            ladder = np.empty((40, n))
+            for y in ladder:
+                y[:] = x - step * gt
+                y /= np.linalg.norm(y)
+                step *= 0.5
             best_y = None
             best_val = val
-            for _ in range(40):
-                y = x - step * gt
-                y /= np.linalg.norm(y)
-                yval = _sphere_objective(y, p, cfg)
+            for y, yval in zip(ladder, engines.moments(ladder, p, cfg)[0].tolist()):
                 if yval < best_val:
                     best_val, best_y = yval, y
-                step *= 0.5
             if best_y is None:
                 converged = gnorm < 1e-4 * max(1.0, p * abs(val))
                 break

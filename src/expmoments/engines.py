@@ -23,15 +23,16 @@ or not, shifted or not.  The Fourier engine serves 0 < p < 2 unsigned,
 its doubling blocks integrated together on numpy arrays
 (`quadrature.integrate_doubling`); the Monte Carlo engine serves
 everything that is left.  A density outside the float range, or a
-Fourier integral that fails to converge (`QuadratureError`), falls
-through to the next engine, as a poor bound does; a forced engine raises
-it instead.
+Fourier integral that fails to converge (`QuadratureError`) or whose
+blocks reach the float range, falls through to the next engine, as a
+poor bound does; a forced engine raises it instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -78,6 +79,9 @@ _FALLBACK_REL = 1e-3
 # with p: at n = 4 with fractional shapes, on a 2-vCPU Xeon VM under
 # Python 3.11, about 4 ms at p = 50, 50 ms at p = 100 and 0.6 s at p = 200
 _EXACT_MAX_P = 100
+# the largest |w t| at which the Fourier engine evaluates its envelope and
+# characteristic function, whose (w t)^2 stays below the float range
+_FOURIER_MAX_WT = 1e150
 
 
 @dataclass(frozen=True)
@@ -155,21 +159,21 @@ def _poor(est: MomentEstimate) -> bool:
 
 def moments(W, p: float, cfg: QuadratureConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
     """E|S_b|^p with S_b = sum_k W[b, k] E_k, for every row b of a (B, n)
-    array of nonnegative exponential weights; zero entries are absent terms.
+    array of exponential weights of either sign; zero entries are absent
+    terms.
 
-    Returns (values, errors), each of shape (B,).  Row b gets what
-    auto-dispatched `moment` gives for the model of W[b], which drops its
-    zeros and merges its equal weights (an all-zero row, which has no
-    model, gets 0, or 1 at p = 0, as the zero sum):
+    Returns (values, errors), each of shape (B,).  Row b gets, bit for bit in
+    value and error, what auto-dispatched `moment` gives for the model of
+    W[b], which drops its zeros and merges its equal weights (an all-zero
+    row, which has no model, gets 0, or 1 at p = 0, as the zero sum):
 
     - even integer p: the exact engine, error 0, one pass per count of
       nonzero entries (`_exact_rows`);
-    - distinct weights at relative gaps of at least model._MERGE_GAP: the density
-      closed form Gamma(p+1) sum_k c_k w_k^p with
-      c_k = prod_{j != k} 1 / (1 - w_j / w_k), evaluated in one numpy pass
-      per count of nonzero entries, with the scalar path's charges
-      (`model.term_roundoff` with the coefficient product and the exp
-      argument, and the sum), less the log Gamma(1) it need not compute;
+    - distinct weights at relative gaps of at least model._MERGE_GAP: the
+      density closed form Gamma(p+1) sum_k c_k |w_k|^p with
+      c_k = prod_{j != k} 1 / (1 - w_j / w_k), with the scalar path's
+      charges, evaluated in one numpy pass per count of nonzero entries by
+      the scalar path's own float operations (`_simple_pole_moments`);
     - every other row (equal or nearly coincident weights, a bound above
       the fallback threshold, a non-finite result): `moment` itself, whose
       gamma mixture keeps clustered rows on the density engine.
@@ -177,11 +181,11 @@ def moments(W, p: float, cfg: QuadratureConfig | None = None) -> tuple[np.ndarra
     W = np.asarray(W, dtype=float)
     if W.ndim != 2:
         raise ValueError("weights must form a (B, n) array")
-    if not (np.isfinite(W).all() and (W >= 0.0).all()):
-        raise ValueError("weights must be finite and nonnegative")
+    if not np.isfinite(W).all():
+        raise ValueError("weights must be finite")
     query = MomentQuery(p=float(p))
     p = query.p
-    active = W > 0.0
+    active = W != 0.0
     values = np.zeros(W.shape[0])
     errors = np.zeros(W.shape[0])
     counts = active.sum(axis=1)
@@ -196,13 +200,12 @@ def moments(W, p: float, cfg: QuadratureConfig | None = None) -> tuple[np.ndarra
                 values[rows] = _exact_rows(packed[rows, :m], int(p))
         return values, errors
 
-    log_gamma = loggamma(p + 1.0)
     scalar_rows = []
     for m in range(1, W.shape[1] + 1):
         rows = np.flatnonzero(counts == m)
         if not rows.size:
             continue
-        value, err, ok = _simple_pole_moments(packed[rows, :m], p, log_gamma)
+        value, err, ok = _simple_pole_moments(packed[rows, :m], p)
         values[rows[ok]] = value[ok]
         errors[rows[ok]] = err[ok]
         scalar_rows.extend(rows[~ok].tolist())
@@ -213,41 +216,65 @@ def moments(W, p: float, cfg: QuadratureConfig | None = None) -> tuple[np.ndarra
     return values, errors
 
 
-def _simple_pole_moments(w: np.ndarray, p: float, log_gamma: float):
-    """Density closed form over the rows of a (B, m) array of positive
-    weights: (values, errors, ok), where ok marks the rows that auto
-    dispatch keeps on the density engine as simple poles."""
+def _simple_pole_moments(w: np.ndarray, p: float):
+    """Density closed form over the rows of a (B, m) array of nonzero
+    weights of either sign: (values, errors, ok), where ok marks the rows
+    that auto dispatch keeps on the density engine as simple poles.
+
+    A kept row is bit for bit what `moment` gives, because each number is
+    formed by the float operations of `_partial_fractions` and
+    `PartialFractionDensity.power_moment_with_error`, in their order: each
+    factor 1 / (1 - w_j / w_k) as the scalar path's c ** -1 (libm's pow,
+    which differs from 1.0 / c in the last bit about once in 1300), log and
+    exp by `math`, the exp charge with its log Gamma(1), and the sums of
+    terms and charges one pole (column) at a time, as numpy's pairwise
+    row sum would not add them from 8 columns up."""
+    m = w.shape[1]
+    magnitude = np.abs(w)
     coeff = np.ones_like(w)
     sensitivity = np.ones_like(w)
     separated = np.ones(len(w), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # pole j's factor in the coefficient and sensitivity of every other
-        # pole k, accumulated in the order partial_fraction_density uses
-        for j in range(w.shape[1]):
-            wj = w[:, j : j + 1]
-            top = np.maximum(w, wj)
-            gap = np.abs(w - wj)
+        # pole k, accumulated in the order _partial_fractions uses
+        for j in range(m):
+            top = np.maximum(magnitude, magnitude[:, j : j + 1])
+            gap = np.abs(w - w[:, j : j + 1])
             gap[:, j] = np.inf
-            factor = 1.0 / (1.0 - wj / w)
-            factor[:, j] = 1.0
-            coeff *= factor
+            others = np.arange(m) != j
+            c = 1.0 - w[:, j : j + 1] / w[:, others]
+            # pow raises at 0, which only equal weights give
+            c[c == 0.0] = np.nan
+            coeff[:, others] *= _elementwise(pow, c, repeat(-1.0))
             sensitivity += top / gap
             # equal weights merge into a higher-order pole and nearly
             # coincident ones have no partial fractions: both stay scalar
             separated &= ~(gap < _MERGE_GAP * top).any(axis=1)
-        # math.log as on the scalar path, and its charges: the coefficient's
-        # product of m factors, exp's argument log Gamma(p+1) + p log w and
-        # the sum of the m terms
-        log_w = np.fromiter(map(math.log, w.ravel().tolist()), float, w.size).reshape(w.shape)
-        log_power = p * log_w
-        mag = coeff * np.exp(log_gamma + log_power)
-        value = mag.sum(axis=1)
-        m = w.shape[1]
-        units = exp_units((log_gamma, log_power), (p + 1.0,))
-        err = term_roundoff(mag, sensitivity, m, units).sum(axis=1) + m * _UNIT_ROUNDOFF * np.abs(mag).sum(axis=1)
-        err = np.maximum(err, _REL_FLOOR * np.abs(value))
+        log_gamma = loggamma(p + 1.0)
+        log_base = loggamma(1.0)
+        log_power = p * _elementwise(math.log, magnitude)
+        argument = log_gamma - log_base + log_power
+        # math.exp raises past the float range, where the scalar path leaves
+        # the partial fractions; such rows go to it as NaN
+        argument[argument > 709.0] = np.nan
+        mag = coeff * _elementwise(math.exp, argument)
+        charge = term_roundoff(mag, sensitivity, m, exp_units((log_gamma, log_base, log_power), (p + 1.0, 1.0)))
+        value = np.zeros(len(w))
+        err = np.zeros(len(w))
+        mags = np.zeros(len(w))
+        for k in range(m):
+            value += mag[:, k]
+            err += charge[:, k]
+            mags += np.abs(mag[:, k])
+        err = np.maximum(err + m * _UNIT_ROUNDOFF * mags, _REL_FLOOR * np.abs(value))
         ok = separated & np.isfinite(value) & (err <= _FALLBACK_REL * np.maximum(1.0, np.abs(value)))
     return value, err, ok
+
+
+def _elementwise(f, a: np.ndarray, *args) -> np.ndarray:
+    """f, a function of Python floats, on every entry of a (with the
+    entries of args), as the scalar path calls it."""
+    return np.fromiter(map(f, a.ravel().tolist(), *args), float, a.size).reshape(a.shape)
 
 
 def density_at(model: GammaSumModel, t: float, shift: float = 0.0) -> float:
@@ -413,7 +440,17 @@ def _fourier_estimate(model: GammaSumModel, q: MomentQuery, cfg: QuadratureConfi
 
 
 def _fourier_moment(model: GammaSumModel, q: float, m: float, cfg: QuadratureConfig) -> tuple[float, float]:
+    """The Fourier engine's (value, error).  Raises ValueError where the
+    doubling blocks reach a t with some |w t| above _FOURIER_MAX_WT before
+    the tail residual is small enough (a tiny total shape, whose |phi|
+    decays like a tiny power of t): beyond it (w t)^2, in the envelope and
+    in `_shifted_re_phi`, would leave the float range, and the envelope
+    would read 0."""
+    widest = max(abs(float(w)) for w in model.weights)
+
     def abs_phi_bound(t: float) -> float:
+        if widest * t > _FOURIER_MAX_WT:
+            raise ValueError(f"the Fourier blocks reach t = {t:.3g}, where (w t)^2 leaves the float range")
         acc = 0.0
         for w, s in zip(model.weights, model.shapes):
             acc += s * math.log1p((float(w) * t) ** 2)

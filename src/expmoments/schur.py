@@ -450,13 +450,13 @@ def schur_scan(
          "err_y": err_y, "gap": g, "contribution": kind}
         for trial, (x, y, (i, j), lam_t, vx, err_x, vy, err_y, g, kind) in enumerate(columns)
     ]
-    # a reported example carries exactly what the single-query m_p gives for
-    # it; the batch agrees with that within the error bars
+    # a reported example carries its rows' values, exactly what the
+    # single-query m_p gives for it
     examples = {}
     for kind in ("convex", "concave"):
         picks = [rows[t] for t in np.flatnonzero(kinds == kind)[:3].tolist()]
-        examples[kind] = [{"x": list(r["x"]), "y": list(r["y"]), "mp_x": m_p(r["x"], p, cfg).value,
-                           "mp_y": m_p(r["y"], p, cfg).value} for r in picks]
+        examples[kind] = [{"x": list(r["x"]), "y": list(r["y"]), "mp_x": r["mp_x"], "mp_y": r["mp_y"]}
+                          for r in picks]
     if convex and concave:
         verdict = "neither"
     elif convex:

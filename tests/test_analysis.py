@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from expmoments import analysis
 from expmoments.analysis import (
     L1_SCALE,
     brent_root,
@@ -106,6 +107,44 @@ def test_verify_theorem1_passes_and_rejects_low_p():
         verify_theorem1(1.5, trials=10)
 
 
+def test_verify_theorem1_pinned():
+    # recorded when each trial made its own engines.moment call; the batch
+    # gives the same numbers, so the report is unchanged
+    assert verify_theorem1(p=3.0, trials=200, n_max=8, seed=7).to_dict() == {
+        "suite": "theorem1",
+        "params": {"p": 3.0, "n_max": 8, "seed": 7},
+        "trials": 200,
+        "violations": [],
+        "pass": True,
+        "notes": [],
+        "extra": {
+            "balanced_ratios": {
+                2: 1.099542616505769,
+                4: 1.0552217599412048,
+                8: 1.0292917924150051,
+                16: 1.0151163627951925,
+            }
+        },
+    }
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+def test_verify_theorem1_trials_are_the_scalar_moments(monkeypatch, p):
+    # with E|G|^p inflated every trial is a violation, whose record carries
+    # the batch's value and budget: each must be what moment gives its draw
+    monkeypatch.setattr(analysis, "gaussian_abs_moment", lambda p: 1e6)
+    report = verify_theorem1(p=p, trials=60, n_max=9, seed=3)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(3)))
+    records = [v for v in report.violations if "trial" in v]
+    assert len(records) == 60
+    for trial, record in enumerate(records):
+        w = analysis._distinct_weights(rng, int(rng.integers(1, 10)))
+        est = moment(GammaSumModel.of(w), MomentQuery(p=p))
+        assert record["trial"] == trial and record["weights"] == w
+        assert record["lhs"] == est.value
+        assert record["budget"] == 3.0 * est.error + 1e-12 * record["rhs"]
+
+
 def test_verify_theorem1_single_weight_edge():
     # ||E||_2 = sqrt(2) >= 1
     est = moment(GammaSumModel.of([1.0]), MomentQuery(p=2.0))
@@ -116,6 +155,30 @@ def test_verify_hunter_exact():
     report = verify_hunter_exact(trials=300, seed=6)
     assert report.passed
     assert not report.violations
+
+
+def test_verify_hunter_exact_records_the_rational_moments(monkeypatch):
+    # with (ell-1)!! inflated every degree of every vector is a violation,
+    # whose record must carry the rationals that Fraction arithmetic gives
+    from fractions import Fraction
+
+    from expmoments.model import chs
+
+    monkeypatch.setattr(analysis, "gaussian_even_moment_exact", lambda ell: 10**9)
+    report = verify_hunter_exact(trials=40, ell_set=(2, 6, 4), seed=2)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(2)))
+    expected = []
+    for trial in range(40):
+        x = []
+        for _ in range(int(rng.integers(1, 7))):
+            num = 0
+            while num == 0:
+                num = int(rng.integers(-9, 10))
+            x.append(Fraction(num, int(rng.integers(1, 10))))
+        for ell in (2, 6, 4):
+            lhs = math.factorial(ell) * chs(x, ell)
+            expected.append({"trial": trial, "x": [str(v) for v in x], "ell": ell, "lhs": str(lhs)})
+    assert report.violations == expected
 
 
 def test_hunter_equality_adjacent_case():
@@ -221,6 +284,19 @@ def test_minimize_sphere_balanced_pair():
     assert res.value == pytest.approx(math.gamma(4.0) / 2.0**1.5, rel=1e-6)
     assert res.crux_residual is not None and res.crux_residual < 1e-3
     assert res.value >= gaussian_abs_moment(3.0)
+
+
+def test_minimize_sphere_pinned():
+    # recorded when every point of the step ladder made its own
+    # engines.moment call; the batch gives the same numbers, so the
+    # minimizer takes the same path
+    assert minimize_sphere(n=2, p=3.0, multistart=8, seed=13).to_dict() == {
+        "x_min": [0.7071067876480701, -0.7071067747250248],
+        "value": 2.1213203435596437,
+        "crux_residual": 8.373826446313463e-16,
+        "converged": True,
+        "iterations": 12,
+    }
 
 
 def test_minimize_sphere_p2_mean_zero():

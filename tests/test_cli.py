@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import expmoments
 from expmoments.cli import main, parse_model_literal
 
 
@@ -193,3 +198,15 @@ def test_env_seed_default(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["seed"] == 77
+
+
+def test_python_dash_m_runs_the_cli():
+    # `python -m expmoments` from a checkout, the package found on PYTHONPATH
+    src = str(Path(expmoments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "expmoments", "reproduce", "--only", "1", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["failing"] == 0

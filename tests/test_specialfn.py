@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -154,3 +155,17 @@ def test_closed_integral_iqs_decreasing_in_s():
     for q in (0.25, 0.9, 1.5, 1.9):
         vals = [closed_integral_iqs(q, float(s)) for s in np.geomspace(0.1, 1e3, 40)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("q", [0.25, 0.75, 1.5])
+@pytest.mark.parametrize("s", [1e2, 1e6, 1e9])
+def test_closed_integral_iqs_at_large_s_against_mpmath(q, s):
+    # the Gamma ratio of two huge loggamma values would lose up to 1e-6
+    # relative at s = 1e9; the reference takes it at 40 digits
+    with mpmath.workdps(40):
+        ref = (
+            mpmath.gamma(1 - mpmath.mpf(q) / 2)
+            * mpmath.exp(mpmath.loggamma((1 + mpmath.mpf(q) + s) / 2) - mpmath.loggamma((1 + mpmath.mpf(s)) / 2))
+            / (q * mpmath.mpf(s) ** (mpmath.mpf(q) / 2))
+        )
+        assert abs(closed_integral_iqs(q, s) - ref) <= 1e-13 * ref
