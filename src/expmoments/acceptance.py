@@ -11,6 +11,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 
@@ -127,8 +128,8 @@ def criterion_06_hunter() -> CriterionResult:
 def criterion_07_theorem1() -> CriterionResult:
     details = []
     ok = True
-    for p in (2.0, 2.5, 3.0, 4.0, 5.0, 6.0):
-        report = analysis.verify_theorem1(p=p, trials=200, n_max=8, seed=7)
+    ps = (2.0, 2.5, 3.0, 4.0, 5.0, 6.0)
+    for p, report in zip(ps, analysis.verify_theorem1_sweep(ps, trials=200, n_max=8, seed=7)):
         ok = ok and report.passed
         details.append(f"p={p}: {len(report.violations)} violations, n16 ratio {report.extra['balanced_ratios'][16]:.4f}")
     return CriterionResult(7, "Gaussian lower bound sweep", ok, "; ".join(details))
@@ -145,12 +146,18 @@ def criterion_08_phase_map() -> CriterionResult:
         5.0: "neither",
         6.0: "neither",
     }
-    bad = []
-    for p, expected in expectations.items():
-        for n in (2, 3, 4):
-            res = schur.schur_scan(p, n, trials=500, seed=8)
-            if res.verdict != expected:
-                bad.append(f"p={p}, n={n}: got {res.verdict}, expected {expected}")
+    verdicts = {}
+    for n in (2, 3, 4):
+        # each n's scans share their trials; map reads each ScanResult's
+        # verdict and drops it before the next one is built
+        scans = schur.schur_sweep(list(expectations), n, trials=500, seed=8)
+        verdicts.update(zip([(p, n) for p in expectations], map(attrgetter("verdict"), scans)))
+    bad = [
+        f"p={p}, n={n}: got {verdicts[p, n]}, expected {expected}"
+        for p, expected in expectations.items()
+        for n in (2, 3, 4)
+        if verdicts[p, n] != expected
+    ]
     return CriterionResult(
         8, "Schur-monotonicity phase map", not bad, "; ".join(bad) if bad else "all verdicts match"
     )

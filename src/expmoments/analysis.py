@@ -31,6 +31,7 @@ __all__ = [
     "solve_pstar",
     "solve_p0",
     "verify_theorem1",
+    "verify_theorem1_sweep",
     "verify_hunter_exact",
     "verify_mrtt",
     "verify_all_equal",
@@ -228,16 +229,11 @@ def _distinct_weights(rng: np.random.Generator, n: int, lo: float = -1.0, hi: fl
     """Random weights bounded away from zero and from each other, so the
     closed-form density stays well conditioned."""
     while True:
-        w = rng.uniform(lo, hi, n)
-        if np.any(np.abs(w) < 1e-3):
+        w = rng.uniform(lo, hi, n).tolist()
+        if any(abs(v) < 1e-3 for v in w):
             continue
-        ok = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(w[i] - w[j]) < 1e-3 * max(abs(w[i]), abs(w[j])):
-                    ok = False
-        if ok:
-            return [float(v) for v in w]
+        if not any(abs(a - b) < 1e-3 * max(abs(a), abs(b)) for i, a in enumerate(w) for b in w[i + 1 :]):
+            return w
 
 
 def verify_theorem1(
@@ -254,18 +250,27 @@ def verify_theorem1(
     n in {2, 4, 8, 16} are appended as the near-extremal family and their
     norm-level ratios recorded.
     """
-    p = float(p)
-    if p < 2.0 - 1e-6:
+    return verify_theorem1_sweep([p], trials, n_max, seed, cfg)[0]
+
+
+def verify_theorem1_sweep(
+    ps,
+    trials: int = 200,
+    n_max: int = 8,
+    seed: int = 0,
+    cfg: QuadratureConfig | None = None,
+) -> list[VerificationReport]:
+    """`verify_theorem1(p, trials, n_max, seed, cfg)` for each p of ps, in
+    order.  The reports share their trials: one draw, and one multi-p
+    `engines.moments` batch whose rows are what engines.moment gives each
+    trial's model."""
+    ps = [float(p) for p in ps]
+    if any(p < 2.0 - 1e-6 for p in ps):
         raise ValueError("verify_theorem1 requires p >= 2")
-    if p < 2.0:
-        p = 2.0
+    ps = [max(p, 2.0) for p in ps]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    report = VerificationReport(
-        suite="theorem1", params={"p": p, "n_max": n_max, "seed": seed}, trials=trials
-    )
-    gauss = gaussian_abs_moment(p)
     # every trial is drawn first, by the same Generator calls in the same
-    # order; the batch gives each row what engines.moment gives its model
+    # order
     draws = []
     for _ in range(trials):
         n = int(rng.integers(1, n_max + 1))
@@ -273,14 +278,24 @@ def verify_theorem1(
     W = np.zeros((trials, n_max))
     for row, w in zip(W, draws):
         row[: len(w)] = w
-    values, errors = engines.moments(W, p, cfg)
-    for trial, (w, value, error) in enumerate(zip(draws, values.tolist(), errors.tolist())):
-        var = sum(v * v for v in w)
+    variances = [sum(v * v for v in w) for w in draws]
+    values, errors = engines.moments(W, ps, cfg)
+    return [_theorem1_report(p, n_max, seed, cfg, draws, variances, value.tolist(), error.tolist())
+            for p, value, error in zip(ps, values, errors)]
+
+
+def _theorem1_report(p, n_max, seed, cfg, draws, variances, values, errors) -> VerificationReport:
+    """One p's report from the trials' weights, variances and moments."""
+    report = VerificationReport(
+        suite="theorem1", params={"p": p, "n_max": n_max, "seed": seed}, trials=len(draws)
+    )
+    gauss = gaussian_abs_moment(p)
+    for trial, (w, var, value, error) in enumerate(zip(draws, variances, values, errors)):
         rhs = gauss * var ** (0.5 * p)
         budget = 3.0 * error + 1e-12 * rhs
         if value < rhs - budget:
             report.record_violation(
-                {"trial": trial, "weights": w, "p": p, "lhs": value, "rhs": rhs, "budget": budget}
+                {"trial": trial, "weights": list(w), "p": p, "lhs": value, "rhs": rhs, "budget": budget}
             )
     ratios = {}
     for n in (2, 4, 8, 16):

@@ -157,15 +157,17 @@ def _poor(est: MomentEstimate) -> bool:
     return est.error > _FALLBACK_REL * max(1.0, abs(est.value))
 
 
-def moments(W, p: float, cfg: QuadratureConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
+def moments(W, p, cfg: QuadratureConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
     """E|S_b|^p with S_b = sum_k W[b, k] E_k, for every row b of a (B, n)
-    array of exponential weights of either sign; zero entries are absent
-    terms.
+    array of exponential weights of either sign, at one p or at each p of
+    a sequence; zero entries are absent terms.
 
-    Returns (values, errors), each of shape (B,).  Row b gets, bit for bit in
-    value and error, what auto-dispatched `moment` gives for the model of
-    W[b], which drops its zeros and merges its equal weights (an all-zero
-    row, which has no model, gets 0, or 1 at p = 0, as the zero sum):
+    Returns (values, errors), each of shape (B,) for one p and (P, B) for a
+    sequence of P values, whose row i is bit for bit `moments(W, p[i])`.
+    Row b gets, bit for bit in value and error, what auto-dispatched
+    `moment` gives for the model of W[b], which drops its zeros and merges
+    its equal weights (an all-zero row, which has no model, gets 0, or 1 at
+    p = 0, as the zero sum):
 
     - even integer p: the exact engine, error 0, one pass per count of
       nonzero entries (`_exact_rows`);
@@ -177,49 +179,59 @@ def moments(W, p: float, cfg: QuadratureConfig | None = None) -> tuple[np.ndarra
     - every other row (equal or nearly coincident weights, a bound above
       the fallback threshold, a non-finite result): `moment` itself, whose
       gamma mixture keeps clustered rows on the density engine.
+
+    What does not depend on p is done once for every p: the packing and
+    counting of the rows, the integer scaling of the exact rows with one
+    h table up to the highest even p, and the pole factors, sensitivities,
+    merge-gap test and log |w| of the closed form.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2:
         raise ValueError("weights must form a (B, n) array")
     if not np.isfinite(W).all():
         raise ValueError("weights must be finite")
-    query = MomentQuery(p=float(p))
-    p = query.p
+    queries = [MomentQuery(p=float(v)) for v in np.ravel(p)]
+    ps = [q.p for q in queries]
     active = W != 0.0
-    values = np.zeros(W.shape[0])
-    errors = np.zeros(W.shape[0])
+    values = np.zeros((len(ps), W.shape[0]))
+    errors = np.zeros((len(ps), W.shape[0]))
     counts = active.sum(axis=1)
-    if p < 0.0 and not counts.all():
+    if min(ps, default=0.0) < 0.0 and not counts.all():
         raise ValueError("negative moment of the zero sum diverges")
     # each row's nonzero entries first, in their order
     packed = np.take_along_axis(W, np.argsort(~active, axis=1, kind="stable"), axis=1)
-    if _even_integer(p):
-        for m in range(W.shape[1] + 1):
-            rows = np.flatnonzero(counts == m)
-            if rows.size:
-                values[rows] = _exact_rows(packed[rows, :m], int(p))
-        return values, errors
-
-    scalar_rows = []
-    for m in range(1, W.shape[1] + 1):
+    even = [i for i, v in enumerate(ps) if _even_integer(v)]
+    other = [i for i, v in enumerate(ps) if not _even_integer(v)]
+    # for each row the batch leaves to moment, the indices of its p
+    scalar_rows = {}
+    for m in range(W.shape[1] + 1):
         rows = np.flatnonzero(counts == m)
         if not rows.size:
             continue
-        value, err, ok = _simple_pole_moments(packed[rows, :m], p)
-        values[rows[ok]] = value[ok]
-        errors[rows[ok]] = err[ok]
-        scalar_rows.extend(rows[~ok].tolist())
-    for b in scalar_rows:
-        est = moment(GammaSumModel.of(W[b].tolist()), query, cfg=cfg)
-        values[b] = est.value
-        errors[b] = est.error
+        if even:
+            values[np.ix_(even, rows)] = _exact_rows(packed[rows, :m], [int(ps[i]) for i in even])
+        if other and m:
+            for i, value, err, ok in zip(other, *_simple_pole_moments(packed[rows, :m], [ps[i] for i in other])):
+                values[i, rows[ok]] = value[ok]
+                errors[i, rows[ok]] = err[ok]
+                for b in rows[~ok].tolist():
+                    scalar_rows.setdefault(b, []).append(i)
+    for b, picks in scalar_rows.items():
+        model = GammaSumModel.of(W[b].tolist())
+        for i in picks:
+            est = moment(model, queries[i], cfg=cfg)
+            values[i, b] = est.value
+            errors[i, b] = est.error
+    if np.ndim(p) == 0:
+        return values[0], errors[0]
     return values, errors
 
 
-def _simple_pole_moments(w: np.ndarray, p: float):
+def _simple_pole_moments(w: np.ndarray, ps):
     """Density closed form over the rows of a (B, m) array of nonzero
-    weights of either sign: (values, errors, ok), where ok marks the rows
-    that auto dispatch keeps on the density engine as simple poles.
+    weights of either sign, at each p of ps: (values, errors, ok), each a
+    list of one (B,) array per p, where ok marks the rows that auto
+    dispatch keeps on the density engine as simple poles.
 
     A kept row is bit for bit what `moment` gives, because each number is
     formed by the float operations of `_partial_fractions` and
@@ -228,12 +240,14 @@ def _simple_pole_moments(w: np.ndarray, p: float):
     which differs from 1.0 / c in the last bit about once in 1300), log and
     exp by `math`, the exp charge with its log Gamma(1), and the sums of
     terms and charges one pole (column) at a time, as numpy's pairwise
-    row sum would not add them from 8 columns up."""
+    row sum would not add them from 8 columns up.  The coefficients,
+    sensitivities, merge-gap test and log |w| serve every p."""
     m = w.shape[1]
     magnitude = np.abs(w)
     coeff = np.ones_like(w)
     sensitivity = np.ones_like(w)
     separated = np.ones(len(w), dtype=bool)
+    values, errors, oks = [], [], []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # pole j's factor in the coefficient and sensitivity of every other
         # pole k, accumulated in the order _partial_fractions uses
@@ -250,25 +264,29 @@ def _simple_pole_moments(w: np.ndarray, p: float):
             # equal weights merge into a higher-order pole and nearly
             # coincident ones have no partial fractions: both stay scalar
             separated &= ~(gap < _MERGE_GAP * top).any(axis=1)
-        log_gamma = loggamma(p + 1.0)
         log_base = loggamma(1.0)
-        log_power = p * _elementwise(math.log, magnitude)
-        argument = log_gamma - log_base + log_power
-        # math.exp raises past the float range, where the scalar path leaves
-        # the partial fractions; such rows go to it as NaN
-        argument[argument > 709.0] = np.nan
-        mag = coeff * _elementwise(math.exp, argument)
-        charge = term_roundoff(mag, sensitivity, m, exp_units((log_gamma, log_base, log_power), (p + 1.0, 1.0)))
-        value = np.zeros(len(w))
-        err = np.zeros(len(w))
-        mags = np.zeros(len(w))
-        for k in range(m):
-            value += mag[:, k]
-            err += charge[:, k]
-            mags += np.abs(mag[:, k])
-        err = np.maximum(err + m * _UNIT_ROUNDOFF * mags, _REL_FLOOR * np.abs(value))
-        ok = separated & np.isfinite(value) & (err <= _FALLBACK_REL * np.maximum(1.0, np.abs(value)))
-    return value, err, ok
+        log_magnitude = _elementwise(math.log, magnitude)
+        for p in ps:
+            log_gamma = loggamma(p + 1.0)
+            log_power = p * log_magnitude
+            argument = log_gamma - log_base + log_power
+            # math.exp raises past the float range, where the scalar path
+            # leaves the partial fractions; such rows go to it as NaN
+            argument[argument > 709.0] = np.nan
+            mag = coeff * _elementwise(math.exp, argument)
+            charge = term_roundoff(mag, sensitivity, m, exp_units((log_gamma, log_base, log_power), (p + 1.0, 1.0)))
+            value = np.zeros(len(w))
+            err = np.zeros(len(w))
+            mags = np.zeros(len(w))
+            for k in range(m):
+                value += mag[:, k]
+                err += charge[:, k]
+                mags += np.abs(mag[:, k])
+            err = np.maximum(err + m * _UNIT_ROUNDOFF * mags, _REL_FLOOR * np.abs(value))
+            values.append(value)
+            errors.append(err)
+            oks.append(separated & np.isfinite(value) & (err <= _FALLBACK_REL * np.maximum(1.0, np.abs(value))))
+    return values, errors, oks
 
 
 def _elementwise(f, a: np.ndarray, *args) -> np.ndarray:
@@ -330,17 +348,18 @@ def _exact_moment(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
     return MomentEstimate(_exact_float(sign * num, den), 0.0, "exact", q.p, model.fingerprint())
 
 
-def _exact_rows(w: np.ndarray, ell: int) -> np.ndarray:
+def _exact_rows(w: np.ndarray, ells) -> np.ndarray:
     """float(ell! h_ell(w_b)) for every row b of a (B, m) array of nonzero
-    weights, correctly rounded: Hunter's identity E S_b^ell at even ell.
+    weights and every even ell of ells, as a (len(ells), B) array, correctly
+    rounded: Hunter's identity E S_b^ell at even ell.
 
     One np.frexp writes each entry as M 2^e with M an odd integer of at
     most 53 bits, as float.as_integer_ratio does.  With e_0 the row's
     smallest e, capped at 0, the row over D = 2^(-e_0) is the integers
     M 2^(e - e_0), so ell! h_ell(D w) and D^ell are Python integers whose
-    ratio is h_ell(w) exactly; `_h_table` runs on each row's integers, and
-    one int true division rounds.  ValueError where a value lies beyond the
-    float range."""
+    ratio is h_ell(w) exactly; one `_h_table` up to the largest ell runs on
+    each row's integers, and one int true division per ell rounds.
+    ValueError where a value lies beyond the float range."""
     mantissa, exponent = np.frexp(w)
     digits = np.ldexp(mantissa, 53).astype(np.int64)
     # the trailing zero bits of each M, from its lowest set bit
@@ -349,12 +368,15 @@ def _exact_rows(w: np.ndarray, ell: int) -> np.ndarray:
     exponent += zeros - 53
     base = exponent.min(axis=1, initial=0)
     scaled = (digits.astype(object) << (exponent - base[:, None]).astype(object)).tolist()
-    factorial = math.factorial(ell)
+    top = max(ells)
+    tables = [_h_table(row, top) for row in scaled]
+    bases = base.tolist()
     try:
         return np.array(
-            [factorial * _h_table(row, ell)[ell] / (1 << -ell * e0) for row, e0 in zip(scaled, base.tolist())],
+            [[factorial * h[ell] / (1 << -ell * e0) for h, e0 in zip(tables, bases)]
+             for ell, factorial in zip(ells, map(math.factorial, ells))],
             dtype=float,
-        )
+        ).reshape(len(ells), len(w))
     except OverflowError:
         raise ValueError("exact moment lies beyond the float range") from None
 

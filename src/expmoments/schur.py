@@ -34,6 +34,7 @@ __all__ = [
     "t_transform",
     "majorizes",
     "schur_scan",
+    "schur_sweep",
     "ScanResult",
     "failure_profile",
     "FailureProfile",
@@ -393,7 +394,7 @@ def schur_scan(
     M_p(x) > M_p(y) gaps appear (x majorizes y), concave when only the
     reverse, neither when both, inconclusive when every gap is in budget.
     All trials are drawn first; their 2 * trials moments then go through
-    one `engines.moments` batch.
+    one `engines.moments` batch (`schur_sweep` with the one p).
 
     The draws are the scan's stream contract: a (seed, n, trials) gives the
     same vectors, pairs and lambdas, hence the same rows, verdicts and
@@ -416,13 +417,29 @@ def schur_scan(
     and `shuffle` of a list makes the bounded draws `permutation` makes, so
     either form of each may stand for the other.
     """
-    p = float(p)
-    if p <= -1.0:
+    return next(schur_sweep([p], n, trials, seed, cfg))
+
+
+def schur_sweep(ps, n: int, trials: int = 500, seed: int = 0, cfg: QuadratureConfig | None = None):
+    """`schur_scan(p, n, trials, seed, cfg)` for each p of ps, in order, as
+    an iterator of ScanResults.
+
+    The scans share their trials: the draw, the T-transforms, the square
+    roots and one multi-p `engines.moments` batch are done once for every
+    p.  Each ScanResult is built, with rows of its own, when the iterator
+    reaches it, so a caller that keeps none holds one at a time.
+    """
+    ps = [float(p) for p in ps]
+    if any(p <= -1.0 for p in ps):
         raise ValueError("schur_scan requires p > -1")
     if n < 2:
         raise ValueError("schur_scan requires n >= 2")
     if trials < 0:
         raise ValueError("schur_scan requires trials >= 0")
+    return _sweep(ps, n, trials, seed, cfg)
+
+
+def _sweep(ps: list, n: int, trials: int, seed: int, cfg: QuadratureConfig | None):
     xs, ij, lam = _draw_trials(seed, n, trials)
 
     # T-transform of every trial, entrywise as in t_transform
@@ -434,7 +451,14 @@ def schur_scan(
     ys[t, ij[:, 1]] = (1.0 - lam) * xi + lam * xj
 
     # M_p(x) = E|sum sqrt(x_j) E_j|^p for the x rows, then the y rows
-    values, errors = engines.moments(np.sqrt(np.concatenate([xs, ys])), p, cfg)
+    values, errors = engines.moments(np.sqrt(np.concatenate([xs, ys])), ps, cfg)
+    for p, value, error in zip(ps, values, errors):
+        yield _scan_result(p, n, trials, xs, ys, ij, lam, value, error)
+
+
+def _scan_result(p, n, trials, xs, ys, ij, lam, values, errors) -> ScanResult:
+    """One p's classification of the trials from the moments of their x
+    rows, then their y rows."""
     mx, my = values[:trials], values[trials:]
     ex, ey = errors[:trials], errors[trials:]
     budget = 3.0 * (ex + ey) + 1e-13 * np.maximum(np.abs(mx), np.abs(my))

@@ -82,13 +82,25 @@ def psi(beta: float, x: float) -> float:
     """Psi_beta(x) = Gamma(x + beta + 1/2) / (x^beta Gamma(x + 1/2)).
 
     Strictly decreasing in x with limit 1 at infinity; always > 1.
-    Evaluated through log-gamma differences, so large x is safe.
+    Evaluated through log-gamma differences.  Where x >= _STIRLING_FROM
+    the loggamma values grow with x while their difference stays near
+    beta log x, so the difference is taken from Stirling's series, as in
+    `closed_integral_iqs`: with u = x + 1/2 and phi as in
+    `_stirling_remainder`, log Psi is
+    x log1p(beta/u) - beta + beta log1p((beta + 1/2)/x) + phi(u+beta) - phi(u).
     """
     beta = float(beta)
     x = float(x)
     if beta <= 0.0 or x <= 0.0:
         raise ValueError(f"psi requires beta > 0 and x > 0, got ({beta!r}, {x!r})")
-    return math.exp(loggamma(x + beta + 0.5) - beta * math.log(x) - loggamma(x + 0.5))
+    if x < _STIRLING_FROM:
+        return math.exp(loggamma(x + beta + 0.5) - beta * math.log(x) - loggamma(x + 0.5))
+    u = x + 0.5
+    return math.exp(
+        x * math.log1p(beta / u) - beta
+        + beta * math.log1p((beta + 0.5) / x)
+        + (_stirling_remainder(u + beta) - _stirling_remainder(u))
+    )
 
 
 def ratio_r(beta: float, x: float) -> float:

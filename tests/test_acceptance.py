@@ -2,6 +2,8 @@
 tolerance, printing a pass/fail line (visible under pytest -s, and in the
 captured output on failure)."""
 
+import tracemalloc
+
 from expmoments import acceptance
 
 
@@ -73,3 +75,15 @@ def test_criterion_15_logconvexity_symmetric():
 
 def test_criterion_16_monte_carlo_honesty():
     _check(acceptance.criterion_16_mc_honesty)
+
+
+def test_criterion_08_holds_one_scan_at_a_time():
+    # eight ScanResults of 500 rows held at once would pass 2 MB; the shared
+    # trials and the batch for all p stay well below it
+    tracemalloc.start()
+    try:
+        acceptance.criterion_08_phase_map()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from expmoments.analysis import (
     verify_mrtt,
     verify_stepII_bound,
     verify_theorem1,
+    verify_theorem1_sweep,
 )
 from expmoments.engines import moment
 from expmoments.model import GammaSumModel, MomentQuery
@@ -143,6 +145,57 @@ def test_verify_theorem1_trials_are_the_scalar_moments(monkeypatch, p):
         assert record["trial"] == trial and record["weights"] == w
         assert record["lhs"] == est.value
         assert record["budget"] == 3.0 * est.error + 1e-12 * record["rhs"]
+
+
+def test_verify_theorem1_sweep_is_criterion_7_report_by_report(monkeypatch):
+    ps = [2.0, 2.5, 3.0, 4.0, 5.0, 6.0]
+    reports = verify_theorem1_sweep(ps, trials=200, n_max=8, seed=7)
+    assert [r.to_dict() for r in reports] == [
+        verify_theorem1(p, trials=200, n_max=8, seed=7).to_dict() for p in ps
+    ]
+    # inflated E|G|^p: every trial is a violation, whose record is the
+    # single-p report's, and no two reports share a weight list
+    monkeypatch.setattr(analysis, "gaussian_abs_moment", lambda p: 1e6)
+    reports = verify_theorem1_sweep([2.5, 3.5], trials=30, n_max=5, seed=2)
+    assert [r.to_dict() for r in reports] == [
+        verify_theorem1(p, trials=30, n_max=5, seed=2).to_dict() for p in (2.5, 3.5)
+    ]
+    assert reports[0].violations[0]["weights"] is not reports[1].violations[0]["weights"]
+    with pytest.raises(ValueError):
+        verify_theorem1_sweep([3.0, 1.5], trials=10)
+
+
+def _digest(draws) -> str:
+    return hashlib.sha256(repr(draws).encode()).hexdigest()
+
+
+def test_distinct_weights_pinned():
+    # recorded when the rejection tests ran on numpy scalars; the draws, and
+    # the Generator calls that make them, are unchanged
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(7)))
+    draws = [analysis._distinct_weights(rng, int(rng.integers(1, 9))) for _ in range(200)]  # criterion 7
+    assert draws[1] == [-0.06413009431255845, -0.39393514636137295, -0.44314877579845335, -0.4902608246917508,
+                        -0.10984738823470686, 0.009096517915906599]
+    assert _digest(draws) == "7858c0d92bde96e0b5ef4d42c316881f26b9e97e3143e7ab350e0caada1737b4"
+    assert rng.random() == 0.125880708815428
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(14)))
+    draws = []
+    for _ in range(50):  # criterion 14
+        n = int(rng.integers(1, 5))
+        draws.append((analysis._distinct_weights(rng, n), float(rng.uniform(2.0, 5.0)), int(rng.integers(0, n))))
+    assert draws[0] == ([-0.27810666633148684], 4.108217916746165, 0)
+    assert _digest(draws) == "c9e6a957ebf39df66e0509c731121ac41addb26381ef56a924a869e246aee748"
+    assert rng.random() == 0.5680332978918254
+    # redraws for entries near zero, then for a close pair
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(3)))
+    assert analysis._distinct_weights(rng, 4, -0.004, 0.004) == [
+        -0.0017263906900096683, 0.0011883776566386003, 0.001569727973361243, -0.001658234007900103]
+    assert rng.random() == 0.0014900835088361708
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(4)))
+    w = analysis._distinct_weights(rng, 40)
+    assert w[:3] == [-0.27244314982187334, 0.10111892707267, 0.697089676255972]
+    assert _digest(w) == "d89c65fcf2ad03f634e29143445acaad0543393cfe721b24b021891bd88cbca4"
+    assert rng.random() == 0.7842760222170254
 
 
 def test_verify_theorem1_single_weight_edge():

@@ -180,6 +180,20 @@ def test_reproduce_subset(capsys):
     assert out.count("[PASS]") == 3
 
 
+def test_reproduce_sweeps_are_pinned(capsys):
+    # criteria 7 and 8, byte for byte as recorded when each p drew its own
+    # trials and made its own engines.moments call
+    code, out, _ = run(capsys, "reproduce", "--only", "7,8", "--format", "json")
+    assert code == 0
+    assert out == (
+        '{"failing": 0, "rows": [{"detail": "p=2.0: 0 violations, n16 ratio 1.0000; p=2.5: 0 violations, '
+        'n16 ratio 1.0076; p=3.0: 0 violations, n16 ratio 1.0151; p=4.0: 0 violations, n16 ratio 1.0299; '
+        'p=5.0: 0 violations, n16 ratio 1.0443; p=6.0: 0 violations, n16 ratio 1.0585", "index": 7, '
+        '"name": "Gaussian lower bound sweep", "pass": true}, {"detail": "all verdicts match", "index": 8, '
+        '"name": "Schur-monotonicity phase map", "pass": true}], "schema_version": 1, "total": 2}\n'
+    )
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "est.json"
     code, out, _ = run(

@@ -150,7 +150,7 @@ def test_exact_hunter_branch_matches_exact_rows_on_signed_weights(weights, shape
     # both round the same rational ell! h_ell(w) correctly
     model = GammaSumModel.of(weights, shapes[: len(weights)])
     est = moment(model, MomentQuery(float(ell)), engine="exact")
-    assert est.value == engines._exact_rows(np.array([model.expanded_weights()]), ell)[0]
+    assert est.value == engines._exact_rows(np.array([model.expanded_weights()]), [ell])[0, 0]
 
 
 def test_density_engine_unshifted():
@@ -725,3 +725,64 @@ def test_moments_exact_rows_match_the_rational_at_any_scale(rows, ell):
         else:
             est = moment(model, MomentQuery(p=float(ell)), engine="exact")
             assert est.value == value and est.error == 0.0
+
+
+def _assert_rows_are_single_p(W, ps):
+    # each row of the multi-p batch is, bit for bit, the one-p batch, and so
+    # auto-dispatched moment
+    values, errors = moments(W, ps)
+    assert values.shape == errors.shape == (len(ps), len(W))
+    for p, value, error in zip(ps, values, errors):
+        one_value, one_error = moments(W, p)
+        assert value.tobytes() == one_value.tobytes() and error.tobytes() == one_error.tobytes()
+        for row, v, e in zip(W.tolist(), value.tolist(), error.tolist()):
+            if any(row):
+                est = moment(GammaSumModel.of(row), MomentQuery(p=p))
+                assert v == est.value and e == est.error
+
+
+def test_moments_at_many_p_are_the_single_p_rows():
+    rng = np.random.default_rng(31)
+    rows = [list(rng.uniform(0.05, 2.0, 4)) for _ in range(6)]
+    rows += [list(rng.uniform(-2.0, 2.0, 4)) for _ in range(6)]  # signed
+    rows += [
+        [0.0, 0.7, 0.0, 1.3],  # zero entries are absent terms
+        [-1.1, 0.0, 0.0, 0.0],
+        [0.4, -0.9, 0.0, -1.6],
+        [0.45, 0.9, 0.45, 0.0],  # an exactly equal pair: a merged pole
+        [1.0, 1.0 + 1e-12, 0.3, 2.0],  # inside the merge gap: the gamma mixture
+        [-1.0, -1.0 - 5e-5, 0.3, 2.0],
+        [1.0, 1.0 + 1e-6, 1.0 + 2e-6, 1.0 + 3e-6],  # a cluster
+        [1e-300, 0.0, 0.0, 0.0],  # a moment near the top of the float range at p = -0.99
+        [5e-324, 1.0, 0.0, 0.0],  # its exp argument leaves the float range at p = -0.99
+    ]
+    # negative, fractional, odd-integer and even-integer p, unsorted
+    ps = [3.0, -0.99, 0.3, 2.0, -0.5, 1.0, 4.0, 2.5, 0.0, 5.3, 6.0]
+    _assert_rows_are_single_p(np.array(rows), ps)
+
+
+def test_moments_at_many_p_with_zero_rows_and_overflow():
+    W = np.array([[0.0, 0.0, 0.0], [0.3, -1.2, 0.0], [1.0, 1.0, 2.0], [0.0, 0.0, 0.0]])
+    _assert_rows_are_single_p(W, [0.0, 0.5, 1.0, 2.0, 3.0, 7.5])
+    assert moments(W, [0.0, 2.0, 1.5])[0][:, 0].tolist() == [1.0, 0.0, 0.0]
+    with pytest.raises(ValueError):
+        moments(W, [1.0, -0.5])  # the zero sum has no negative moment
+    # moments near the top of the float range: exact at p = 150, the
+    # closed form at p = 140.5
+    big = np.array([[1.0, -2.0], [1.0, 2.0]])
+    _assert_rows_are_single_p(big, [150.0, 140.5, 2.0])
+    # one p beyond the float range fails the call, as it fails alone
+    for p in (400.0, 160.5):
+        with pytest.raises(ValueError):
+            moments(big, p)
+        with pytest.raises(ValueError):
+            moments(big, [2.0, p])
+
+
+def test_moments_shapes_of_p():
+    W = np.array([[1.0, 2.0], [0.5, 0.0]])
+    assert moments(W, 1.5)[0].shape == (2,)
+    assert moments(W, np.float64(1.5))[0].shape == (2,)
+    assert moments(W, [1.5])[0].shape == (1, 2)
+    assert moments(W, [])[0].shape == (0, 2)
+    assert moments(np.zeros((0, 3)), [2.0, 2.5])[1].shape == (2, 0)

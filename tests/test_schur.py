@@ -17,6 +17,7 @@ from expmoments.schur import (
     q_k,
     q_k_array,
     schur_scan,
+    schur_sweep,
     t_transform,
 )
 
@@ -250,12 +251,35 @@ def test_schur_scan_draws_the_reference_stream(monkeypatch):
     # the draws alone, bit for bit: every pair is in budget at zero moments
     from expmoments import engines
 
-    monkeypatch.setattr(engines, "moments", lambda W, p, cfg=None: (np.zeros(len(W)), np.zeros(len(W))))
+    def zero_moments(W, ps, cfg=None):
+        return np.zeros((len(ps), len(W))), np.zeros((len(ps), len(W)))
+
+    monkeypatch.setattr(engines, "moments", zero_moments)
     references = {}
     for p, n, seed in _DRAW_CELLS:
         ref = references.setdefault((n, seed), _reference_draws(n, 500, seed))
         res = schur_scan(p, n, 500, seed=seed)
         assert [(r["x"], r["y"], r["i"], r["j"], r["lam"]) for r in res.rows] == ref
+    # the sweep draws them once for every p
+    for (n, seed), ref in references.items():
+        for res in schur_sweep([p for p, m, s in _DRAW_CELLS if (m, s) == (n, seed)], n, 500, seed=seed):
+            assert [(r["x"], r["y"], r["i"], r["j"], r["lam"]) for r in res.rows] == ref
+
+
+def test_schur_sweep_is_criterion_8_scan_by_scan():
+    ps = [p for p, n, _ in _CRITERION_8 if n == 2]
+    for n in (2, 3, 4):
+        results = list(schur_sweep(ps, n, 500, seed=8))
+        assert [res.p for res in results] == ps
+        for p, res in zip(ps, results):
+            ref = schur_scan(p, n, 500, seed=8)
+            assert res.to_dict() == ref.to_dict() and res.rows == ref.rows
+        # every scan owns its rows and their vectors
+        results[0].rows[0]["x"].append(-1.0)
+        results[0].rows.append(None)
+        assert results[1].rows == schur_scan(ps[1], n, 500, seed=8).rows
+    with pytest.raises(ValueError):
+        schur_sweep([2.0, -1.5], 2, 10)
 
 
 def test_schur_scan_without_trials_and_with_one():

@@ -169,3 +169,14 @@ def test_closed_integral_iqs_at_large_s_against_mpmath(q, s):
             / (q * mpmath.mpf(s) ** (mpmath.mpf(q) / 2))
         )
         assert abs(closed_integral_iqs(q, s) - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.5, 1.0, 2.5])
+@pytest.mark.parametrize("x", [1e2, 1e4, 1e6, 1e9])
+def test_psi_at_large_x_against_mpmath(beta, x):
+    # the difference of two huge loggamma values would lose up to 4e-6
+    # relative at x = 1e9; the reference takes it at 60 digits
+    with mpmath.workdps(60):
+        b, t = mpmath.mpf(beta), mpmath.mpf(x)
+        ref = mpmath.exp(mpmath.loggamma(t + b + 0.5) - b * mpmath.log(t) - mpmath.loggamma(t + 0.5))
+        assert abs(psi(beta, x) - ref) <= 1e-14 * ref
