@@ -607,6 +607,8 @@ def minimize_sphere(
     p = float(p)
     if p < 2.0 or n < 2:
         raise ValueError("minimize_sphere requires p >= 2 and n >= 2")
+    if multistart < 1:
+        raise ValueError("minimize_sphere requires multistart >= 1")
     cfg = cfg or DEFAULT_CONFIG
     best = None
     starts = []

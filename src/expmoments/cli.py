@@ -239,6 +239,17 @@ def _default_seed() -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer >= 1, else a parse error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="expmoments",
@@ -252,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="write output to FILE instead of stdout")
         sp.add_argument("--tol", type=float, default=None, help="relative tolerance override")
         if trials_default is not None:
-            sp.add_argument("--trials", type=int, default=trials_default)
+            sp.add_argument("--trials", type=_positive_int, default=trials_default)
 
     sp = sub.add_parser("moment", help="compute E|S - shift|^p")
     sp.add_argument("-m", "--model", required=True, help="weights literal, e.g. '1,2^3,-0.5'")
@@ -260,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--shift", type=float, default=0.0)
     sp.add_argument("--signed", action="store_true")
     sp.add_argument("--engine", choices=engines.ENGINES, default=None)
-    sp.add_argument("--count", type=int, default=1_000_000, help="Monte Carlo sample count")
+    sp.add_argument("--count", type=_positive_int, default=1_000_000, help="Monte Carlo sample count")
     common(sp)
     sp.set_defaults(func=cmd_moment)
 
@@ -292,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("minimize", help="minimize E|S_x|^p on the unit sphere")
     sp.add_argument("-n", type=int, required=True)
     sp.add_argument("-p", type=float, required=True)
-    sp.add_argument("--multistart", type=int, default=8)
+    sp.add_argument("--multistart", type=_positive_int, default=8)
     common(sp)
     sp.set_defaults(func=cmd_minimize)
 

@@ -46,7 +46,6 @@ from .model import (
     _chs_scaled,
     _draw,
     _erlang_rows,
-    _h_table,
     _partial_fractions,
     _power_moment_scaled,
     _power_moments_scaled,
@@ -357,9 +356,10 @@ def _exact_rows(w: np.ndarray, ells) -> np.ndarray:
     most 53 bits, as float.as_integer_ratio does.  With e_0 the row's
     smallest e, capped at 0, the row over D = 2^(-e_0) is the integers
     M 2^(e - e_0), so ell! h_ell(D w) and D^ell are Python integers whose
-    ratio is h_ell(w) exactly; one `_h_table` up to the largest ell runs on
-    each row's integers, and one int true division per ell rounds.
-    ValueError where a value lies beyond the float range."""
+    ratio is h_ell(w) exactly.  `_h_table`'s recurrence runs on every row
+    at once, one object-array operation per column and degree, and one
+    object-array int true division per ell rounds.  ValueError where a
+    value lies beyond the float range."""
     mantissa, exponent = np.frexp(w)
     digits = np.ldexp(mantissa, 53).astype(np.int64)
     # the trailing zero bits of each M, from its lowest set bit
@@ -367,13 +367,15 @@ def _exact_rows(w: np.ndarray, ells) -> np.ndarray:
     digits >>= zeros
     exponent += zeros - 53
     base = exponent.min(axis=1, initial=0)
-    scaled = (digits.astype(object) << (exponent - base[:, None]).astype(object)).tolist()
-    top = max(ells)
-    tables = [_h_table(row, top) for row in scaled]
-    bases = base.tolist()
+    scaled = digits.astype(object) << (exponent - base[:, None]).astype(object)
+    ones = np.full(len(w), 1, dtype=object)
+    h = [ones] + [np.full(len(w), 0, dtype=object) for _ in range(max(ells))]
+    for x in scaled.T:
+        for degree in range(1, len(h)):
+            h[degree] = h[degree] + x * h[degree - 1]
     try:
         return np.array(
-            [[factorial * h[ell] / (1 << -ell * e0) for h, e0 in zip(tables, bases)]
+            [(factorial * h[ell] / (ones << (-ell * base).astype(object))).astype(float)
              for ell, factorial in zip(ells, map(math.factorial, ells))],
             dtype=float,
         ).reshape(len(ells), len(w))
@@ -546,31 +548,40 @@ def _montecarlo_moment(model: GammaSumModel, q: MomentQuery, seed: int, count: i
 
     Trials split across _MC_PARTITIONS partitions, each drawing from a seed
     derived from (seed, partition), so results depend on (seed, count) and
-    not on the sampler's block size.  With every shape an integer, each
-    partition runs count // _MC_PARTITIONS // 2 antithetic pairs through
-    the Erlang kernel `model._erlang_rows`; otherwise it takes
-    count // _MC_PARTITIONS plain draws of S (`model._draw`).  Raises
-    ValueError where the sum of the payoffs or of their squares leaves the
-    float range (or a payoff is not a number): the interval would be
-    meaningless there.
+    not on the sampler's block size.  Each partition draws
+    max(2, count // _MC_PARTITIONS) samples, so at least 2 _MC_PARTITIONS
+    in all; count < 1 raises ValueError.  With every shape an integer, the
+    partitions run half as many antithetic pairs each through one call of
+    the Erlang kernel `model._erlang_rows`, in which small partitions share
+    blocks; otherwise each takes plain draws of S (`model._draw`).  A
+    partition's sums of payoffs and of their squares are its rows of one
+    axis-1 sum per block, bit for bit its own sums, added in partition
+    order.  Raises ValueError where the sum of the payoffs or of their
+    squares leaves the float range (or a payoff is not a number): the
+    interval would be meaningless there.
     """
+    if count < 1:
+        raise ValueError("count must be >= 1")
     n = 0
     acc = 0.0
     acc2 = 0.0
-    antithetic = model.integer_shapes
     per = max(2, count // _MC_PARTITIONS)
+    rngs = (
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(part,))))
+        for part in range(_MC_PARTITIONS)
+    )
     # an overflowing payoff or sum is caught by the finiteness check below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for part in range(_MC_PARTITIONS):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(part,))))
-            if antithetic:
-                orders = [int(s) for s in model.shapes]
-                h = _erlang_rows(rng, model.weights, orders, per // 2, lambda s: _payoff(s, q))
-            else:
-                h = _payoff(_draw(model, rng, per), q)
+        if model.integer_shapes:
+            orders = [int(s) for s in model.shapes]
+            blocks = _erlang_rows(rngs, model.weights, orders, per // 2, lambda s: _payoff(s, q))
+        else:
+            blocks = (_payoff(_draw(model, rng, per), q)[None] for rng in rngs)
+        for h in blocks:
             n += h.size
-            acc += float(h.sum())
-            acc2 += float((h * h).sum())
+            for total, squares in zip(h.sum(axis=1).tolist(), (h * h).sum(axis=1).tolist()):
+                acc += total
+                acc2 += squares
     if not (math.isfinite(acc) and math.isfinite(acc2)):
         raise ValueError("Monte Carlo payoffs or their squares sum beyond the float range")
     mean = acc / n
@@ -580,8 +591,14 @@ def _montecarlo_moment(model: GammaSumModel, q: MomentQuery, seed: int, count: i
 
 
 def _payoff(s: np.ndarray, q: MomentQuery) -> np.ndarray:
-    d = s - q.shift
-    out = np.abs(d) ** q.p
-    if q.signed:
-        out = out * np.sign(d)
-    return out
+    """|s - shift|^p, times sgn(s - shift) when signed, written over s by
+    the float operations of that expression (`**=` takes the shortcuts of
+    `**` for scalar powers)."""
+    if q.shift or math.copysign(1.0, q.shift) < 0.0:
+        np.subtract(s, q.shift, out=s)  # s - (+0.0) is s itself
+    sign = np.sign(s) if q.signed else None
+    np.abs(s, out=s)
+    s **= q.p
+    if sign is not None:
+        s *= sign
+    return s

@@ -337,6 +337,8 @@ def test_minimize_sphere_balanced_pair():
     assert res.value == pytest.approx(math.gamma(4.0) / 2.0**1.5, rel=1e-6)
     assert res.crux_residual is not None and res.crux_residual < 1e-3
     assert res.value >= gaussian_abs_moment(3.0)
+    with pytest.raises(ValueError, match="multistart"):
+        minimize_sphere(2, 3.0, multistart=0, seed=13)
 
 
 def test_minimize_sphere_pinned():

@@ -76,6 +76,22 @@ def test_moment_exit_codes(capsys):
         assert code == 3 and "nonzero weight" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moment", "-m", "1,2", "-p", "2", "--engine", "montecarlo", "--count", "-5"),
+        ("moment", "-m", "1,2", "-p", "2", "--engine", "montecarlo", "--count", "0"),
+        ("verify", "hunter", "--trials", "-3"),
+        ("schur", "-p", "2", "-n", "3", "--trials", "0"),
+        ("minimize", "-n", "2", "-p", "3", "--multistart", "0"),
+    ],
+)
+def test_counts_and_trials_below_one_are_parse_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2 and "positive integer" in capsys.readouterr().err
+
+
 def test_large_powers_and_pole_orders_end_in_a_value_or_a_domain_error(capsys):
     # |t + 1|^80.5 alone overflows where the density quadrature's integrand is finite
     code, out, _ = run(capsys, "moment", "-m", "1", "-p", "80.5", "--shift", "-1", "--format", "json")

@@ -14,6 +14,7 @@ from expmoments.model import (
     GammaSumModel,
     MomentQuery,
     PartialFractionDensity,
+    _chs_scaled,
     _power_moment_scaled,
     _power_moments_scaled,
     charfn,
@@ -676,6 +677,21 @@ def test_moments_exact_rows_are_bit_identical_to_even_moment_exact():
         assert not errors.any()
         for row, value in zip(W, values):
             assert value == float(even_moment_exact(row[row > 0.0].tolist(), ell))
+
+
+def test_exact_rows_match_the_per_row_h_table_on_signed_scaled_rows():
+    # every row against `_h_table` on its own integers (`_chs_scaled`),
+    # rounded by one int true division
+    rng = np.random.default_rng(31)
+    for m in range(1, 6):
+        W = rng.uniform(0.05, 2.0, (60, m)) * rng.choice([-1.0, 1.0], (60, m))
+        W *= 2.0 ** rng.integers(-40, 40, (60, 1)) * 2.0 ** rng.integers(-8, 8, (60, m))
+        ells = [2, 4, 6, 8, 10]
+        got = engines._exact_rows(W, ells)
+        for b, row in enumerate(W.tolist()):
+            for i, ell in enumerate(ells):
+                h, d = _chs_scaled(row, ell)
+                assert got[i, b] == math.factorial(ell) * h / d**ell
 
 
 def _exact_or_none(row, ell):
