@@ -615,14 +615,14 @@ def minimize_sphere(
     for start in range(multistart):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(start,))))
         x = rng.standard_normal(n)
-        x /= np.linalg.norm(x)
+        x /= math.sqrt(x.dot(x))
         val = float(engines.moments(x[None, :], p, cfg)[0][0])
         converged = False
         it = 0
         for it in range(1, max_iter + 1):
             g = _sphere_gradient(x, p, cfg)
             gt = g - float(g @ x) * x
-            gnorm = float(np.linalg.norm(gt))
+            gnorm = math.sqrt(gt.dot(gt))
             if gnorm < grad_tol * max(1.0, p * abs(val)):
                 converged = True
                 break
@@ -633,7 +633,7 @@ def minimize_sphere(
             ladder = np.empty((40, n))
             for y in ladder:
                 y[:] = x - step * gt
-                y /= np.linalg.norm(y)
+                y /= math.sqrt(y.dot(y))
                 step *= 0.5
             best_y = None
             best_val = val

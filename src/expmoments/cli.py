@@ -9,8 +9,9 @@ Output formats: ``table`` (human), ``csv`` (header row, comma separator,
 dot decimal), and ``json`` (sorted keys, carries a schema_version field;
 byte-identical across runs for a fixed seed).  Exit codes: 0 success /
 suite pass, 1 violations or acceptance failures, 2 parse errors,
-3 domain errors.  The ``EXPMOMENTS_SEED`` environment variable supplies
-the default seed.
+3 domain errors.  ``failure``, ``solve`` and ``reproduce`` take no
+``--seed`` or ``--tol``; for the other commands the ``EXPMOMENTS_SEED``
+environment variable supplies the default seed.
 """
 
 from __future__ import annotations
@@ -257,10 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, trials_default=None):
-        sp.add_argument("--seed", type=int, default=_default_seed())
+    def output(sp):
         sp.add_argument("--format", choices=("table", "csv", "json"), default="table")
         sp.add_argument("--out", default=None, help="write output to FILE instead of stdout")
+
+    def common(sp, trials_default=None):
+        sp.add_argument("--seed", type=int, default=_default_seed())
+        output(sp)
         sp.add_argument("--tol", type=float, default=None, help="relative tolerance override")
         if trials_default is not None:
             sp.add_argument("--trials", type=_positive_int, default=trials_default)
@@ -292,12 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("failure", help="two-coordinate profile for p > 4")
     sp.add_argument("-p", type=float, required=True)
-    common(sp)
+    output(sp)
     sp.set_defaults(func=cmd_failure)
 
     sp = sub.add_parser("solve", help="solve for a named constant")
     sp.add_argument("constant", choices=("pstar", "p0"))
-    common(sp)
+    output(sp)
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("minimize", help="minimize E|S_x|^p on the unit sphere")
@@ -309,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("reproduce", help="run the acceptance battery")
     sp.add_argument("--only", default=None, help="comma-separated criterion numbers")
-    common(sp)
+    output(sp)
     sp.set_defaults(func=cmd_reproduce)
 
     return parser

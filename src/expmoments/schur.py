@@ -346,42 +346,177 @@ class ScanResult:
         }
 
 
+# most words one random_raw call fetches: 64 KiB, like model._ERLANG_BLOCK
+_WORD_BLOCK = 8192
+# a word's double (w >> 11) * 2**-53 exceeds 1e-9 exactly when w is at least this
+_ABOVE_TINY = (math.floor(1e-9 * 2.0**53) + 1) << 11
+
+
+class _Words:
+    """A `Generator`'s draws read straight off the 64-bit words of its
+    PCG64, by the four rules in `schur_scan`'s docstring.
+
+    `raw(size)` gives the next words as a uint64 array, as `random_raw`
+    does.  They are fetched in blocks of at most `_WORD_BLOCK`, about
+    `expect` words in all, and refilled as they run out.  `random(k)` is
+    named by the index of its first word; `doubles()` gives every word's
+    double by that index once the walk is done.
+    """
+
+    def __init__(self, raw, expect: int):
+        self._raw = raw
+        self._expect = expect
+        self._blocks = []
+        self._ints = []  # the unread words, after some read ones, as Python ints
+        self._base = 0  # the index of _ints[0] among all words fetched
+        self._pos = 0
+        self._half = -1  # the kept high half of a word, or -1
+
+    def _fill(self, k: int):
+        """Make k unread words available from _ints[_pos]."""
+        while self._pos + k > len(self._ints):
+            # 64 words at least once the estimate is spent
+            block = self._raw(min(_WORD_BLOCK, max(self._expect, k, 64)))
+            self._expect -= block.size
+            self._blocks.append(block)
+            self._base += self._pos
+            self._ints = self._ints[self._pos:] + block.tolist()
+            self._pos = 0
+
+    def random(self) -> float:
+        """`random()`."""
+        if self._pos == len(self._ints):
+            self._fill(1)
+        pos = self._pos
+        self._pos = pos + 1
+        return (self._ints[pos] >> 11) * 2.0**-53
+
+    def take(self, k: int):
+        """`random(k)`: the index of its first word, and its k words."""
+        if self._pos + k > len(self._ints):
+            self._fill(k)
+        pos = self._pos
+        self._pos = pos + k
+        return self._base + pos, self._ints[pos:pos + k]
+
+    def uint32(self) -> int:
+        """A 32-bit draw: a kept half, else the low half of a fresh word,
+        whose high half is kept."""
+        half = self._half
+        if half >= 0:
+            self._half = -1
+            return half
+        if self._pos == len(self._ints):
+            self._fill(1)
+        w = self._ints[self._pos]
+        self._pos += 1
+        self._half = w >> 32
+        return w & 0xFFFFFFFF
+
+    def integers3(self) -> int:
+        """`integers(3)`."""
+        u = self.uint32()
+        while not u:
+            u = self.uint32()
+        return (3 * u) >> 32
+
+    def shuffle(self, seq: list):
+        """`shuffle(seq)`; its 32-bit draws are `uint32` inlined, since the
+        shuffles make most of a scan's."""
+        half = self._half
+        for i in range(len(seq) - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            while True:
+                if half >= 0:
+                    j = half & mask
+                    half = -1
+                else:
+                    if self._pos == len(self._ints):
+                        self._fill(1)
+                    w = self._ints[self._pos]
+                    self._pos += 1
+                    j = w & mask
+                    half = w >> 32
+                if j <= i:
+                    break
+            seq[i], seq[j] = seq[j], seq[i]
+        self._half = half
+
+    def doubles(self) -> np.ndarray:
+        """The double of every word fetched, by its index."""
+        if not self._blocks:
+            return np.empty(0)
+        return (np.concatenate(self._blocks) >> 11) * 2.0**-53
+
+
 def _draw_trials(seed: int, n: int, trials: int):
     """(xs, ij, lam): each trial's vector, the pair (i, j) its T-transform
-    averages and lambda, drawn on Python floats by the Generator calls of
-    `schur_scan`'s stream contract."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    averages and lambda, as `schur_scan`'s stream contract draws them."""
+    return _walk_trials(np.random.PCG64(np.random.SeedSequence(seed)).random_raw, n, trials)
+
+
+def _walk_trials(raw, n: int, trials: int):
+    """`_draw_trials` on the words of raw (see `_Words`).
+
+    One pass over the words decides each trial's kind, where its n
+    uniforms start and its pair; the vectors are then made from the
+    uniforms by array indexing, by the float operations the Generator
+    calls' values would take one by one.
+    """
+    # a trial reads about 1.3 n + 2.3 words on average
+    words = _Words(raw, trials * (3 * n // 2 + 3))
     log_lo, log_hi = math.log(2e-3), math.log(0.5)
-    x_rows, ij_rows, lams = [], [], []
-    for _ in range(trials):
-        # a stratified random nonnegative vector: uniform, near-equal, or
-        # two-active with a log-uniform split, so balanced and lopsided
-        # configurations (the two monotonicity regions for p > 4) both get
-        # sampled
-        style = int(rng.integers(3))
-        if style == 0:
-            x = rng.random(n).tolist()
-        elif style == 1:
-            level = 0.2 + (2.0 - 0.2) * rng.random()
-            x = [level * (1.0 + 0.1 * (-1.0 + 2.0 * u)) for u in rng.random(n).tolist()]
+    every = list(range(n))
+    # a stratified random nonnegative vector: uniform, near-equal, or
+    # two-active with a log-uniform split, so balanced and lopsided
+    # configurations (the two monotonicity regions for p > 4) both get
+    # sampled; kind 0 is style 0 kept, 1 style 1, 2 style 2, 3 style 0 redrawn
+    kinds, firsts, levels, twos, ij, lams = [], [], [], [], [], []
+    for t in range(trials):
+        kind = words.integers3()
+        first = -1
+        if kind == 0:
+            first, ws = words.take(n)
+            active = [k for k, w in enumerate(ws) if w >= _ABOVE_TINY]
+        elif kind == 1:
+            # level and jitter keep every entry above 0.18
+            levels.append(0.2 + (2.0 - 0.2) * words.random())
+            first, _ = words.take(n)
+            active = every
         else:
-            a = math.exp(log_lo + (log_hi - log_lo) * rng.random())
-            order = list(range(n))
-            rng.shuffle(order)
-            x = [0.0] * n
-            x[order[0]] = a
-            x[order[1]] = 1.0 - a
-        active = [k for k, v in enumerate(x) if v > 1e-9]
+            # a lies in [2e-3, 0.5], so the two entries are the active ones
+            a = math.exp(log_lo + (log_hi - log_lo) * words.random())
+            order = every[:]
+            words.shuffle(order)
+            twos.append((t, order[0], order[1], a))
+            active = sorted(order[:2])
         if len(active) < 2:
-            x = [0.1 + (1.0 - 0.1) * u for u in rng.random(n).tolist()]
-            active = [k for k, v in enumerate(x) if v > 1e-9]
-        order = list(range(len(active)))
-        rng.shuffle(order)
-        x_rows.append(x)
-        ij_rows.append((active[order[0]], active[order[1]]))
-        lams.append(rng.random())
-    return (np.array(x_rows, dtype=float).reshape(trials, n), np.array(ij_rows, dtype=int).reshape(trials, 2),
-            np.array(lams, dtype=float))
+            kind = 3
+            first, _ = words.take(n)
+            active = every
+        order = every[:len(active)]
+        words.shuffle(order)
+        kinds.append(kind)
+        firsts.append(first)
+        ij.append((active[order[0]], active[order[1]]))
+        lams.append(words.random())
+
+    u = words.doubles()
+    kinds = np.array(kinds, dtype=int)
+    firsts = np.array(firsts, dtype=int)
+    cols = np.arange(n)
+    xs = np.zeros((trials, n))
+    rows = kinds == 0
+    xs[rows] = u[firsts[rows, None] + cols]
+    rows = kinds == 1
+    xs[rows] = np.array(levels)[:, None] * (1.0 + 0.1 * (-1.0 + 2.0 * u[firsts[rows, None] + cols]))
+    rows = kinds == 3
+    xs[rows] = 0.1 + (1.0 - 0.1) * u[firsts[rows, None] + cols]
+    if twos:
+        t, i, j, a = (np.array(c) for c in zip(*twos))
+        xs[t, i] = a
+        xs[t, j] = 1.0 - a
+    return xs, np.array(ij, dtype=int).reshape(trials, 2), np.array(lams, dtype=float)
 
 
 def schur_scan(
@@ -416,6 +551,24 @@ def schur_scan(
     `uniform(a, b[, n])` is a + (b - a) * `random([n])` on the same doubles,
     and `shuffle` of a list makes the bounded draws `permutation` makes, so
     either form of each may stand for the other.
+
+    The calls are not made: one pass reads them off the raw 64-bit words
+    of the same `PCG64(SeedSequence(seed))`, by the rules numpy implements
+    (Lemire's bounded integers, O'Neill's PCG64):
+
+    - `random()` is (w >> 11) * 2**-53 of one fresh word w;
+    - a 32-bit draw is the low half of a fresh word, and keeps the high
+      half for the next 32-bit draw; a kept half survives any `random()`
+      calls in between;
+    - `integers(3)` is Lemire's method on one 32-bit draw u: 3u >> 32,
+      drawn again only at u = 0;
+    - `shuffle` of a list is Fisher-Yates from the end: the swap partner
+      of entry i is a 32-bit draw masked to the bits of i, drawn again
+      while it exceeds i.
+
+    The tests hold the walk to literal `uniform`/`permutation` calls, bit
+    for bit, on seeds and on hand-built words, and each rule to a real
+    Generator call by call.
     """
     return next(schur_sweep([p], n, trials, seed, cfg))
 

@@ -210,6 +210,18 @@ def test_reproduce_sweeps_are_pinned(capsys):
     )
 
 
+@pytest.mark.parametrize("argv", [("failure", "-p", "5"), ("solve", "pstar"), ("reproduce", "--only", "1")],
+                         ids=["failure", "solve", "reproduce"])
+def test_commands_without_randomness_or_quadrature_take_no_seed_or_tol(capsys, argv):
+    # neither flag would be read: passing one is a parse error
+    for flag in (("--seed", "3"), ("--tol", "1e-8")):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + " ".join(flag) in capsys.readouterr().err
+    assert main([*argv, "--format", "json"]) == 0
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "est.json"
     code, out, _ = run(

@@ -1,10 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from expmoments.schur import (
+    _ABOVE_TINY,
     MajorizationPair,
+    _Words,
+    _draw_trials,
+    _walk_trials,
     c_p_constant,
     claim_inequality_check,
     f_k,
@@ -213,7 +218,11 @@ def _reference_scan_vector(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def _reference_draws(n, trials, seed):
     """(x, y, i, j, lam) of each trial of the reference stream."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    return _reference_stream(np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))), n, trials)
+
+
+def _reference_stream(rng, n, trials):
+    """`_reference_draws` on the Generator rng."""
     draws = []
     for _ in range(trials):
         x = _reference_scan_vector(rng, n)
@@ -222,6 +231,138 @@ def _reference_draws(n, trials, seed):
         lam = float(rng.uniform(0.0, 1.0))
         draws.append((x.tolist(), t_transform(x.tolist(), i, j, lam), i, j, lam))
     return draws
+
+
+def _assert_draws_are(draws, ref, n):
+    """The (xs, ij, lam) arrays of a walk hold the reference trials bit for bit."""
+    xs, ij, lam = draws
+    assert xs.dtype == lam.dtype == np.float64 and ij.dtype == np.dtype(int)
+    assert xs.shape == (len(ref), n) and ij.shape == (len(ref), 2) and lam.shape == (len(ref),)
+    assert xs.tobytes() == np.array([x for x, *_ in ref], dtype=float).reshape(len(ref), n).tobytes()
+    assert ij.tolist() == [[i, j] for _, _, i, j, _ in ref]
+    assert lam.tobytes() == np.array([t[4] for t in ref], dtype=float).tobytes()
+
+
+def test_draw_trials_are_the_reference_draws():
+    # the draws alone, bit for bit, without a moment computed
+    for seed in range(100):
+        for n in range(2, 9):
+            _assert_draws_are(_draw_trials(seed, n, 64), _reference_draws(n, 64, seed), n)
+    for trials in (0, 1):
+        for n in (2, 5):
+            _assert_draws_are(_draw_trials(11, n, trials), _reference_draws(n, trials, 11), n)
+
+
+def test_draws_do_not_depend_on_how_the_words_are_fetched():
+    # one to three words a call: every draw of every kind meets a refill
+    for seed, n in ((3, 2), (4, 5), (5, 8)):
+        bg = np.random.PCG64(np.random.SeedSequence(seed))
+        sizes = itertools.cycle((1, 2, 3))
+        raw = lambda size: bg.random_raw(min(size, next(sizes)))
+        _assert_draws_are(_walk_trials(raw, n, 200), _reference_draws(n, 200, seed), n)
+
+
+# PCG64 steps its 128-bit state s to s * mult + inc, then outputs the XSL-RR
+# of the new state: (high ^ low) rotated right by its top six bits
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M64 = 2**64 - 1
+_M128 = 2**128 - 1
+
+
+def _pcg64_emitting(*words):
+    """A PCG64 state dict whose next one or two outputs are words; the LCG
+    makes the rest."""
+
+    def state_for(word, high):
+        rot = high >> 58
+        low = (((word << rot) | (word >> (64 - rot))) & _M64) ^ high
+        return (high << 64) | low
+
+    s1 = state_for(words[0], 0x9E3779B97F4A7C15)
+    if len(words) == 1:
+        inc = 0xDA3E39CB94B95BDB5851F42D4C957F2D
+    else:
+        # the second state fixes inc, which must be odd: the high word's
+        # last bit, which moves no rotation, sets the parity
+        s2 = state_for(words[1], 0xBF58476D1CE4E5B8)
+        if (s2 - s1) % 2 == 0:
+            s2 = state_for(words[1], 0xBF58476D1CE4E5B9)
+        inc = (s2 - s1 * _PCG_MULT) & _M128
+    s0 = ((s1 - inc) * pow(_PCG_MULT, -1, 2**128)) & _M128
+    state = {"bit_generator": "PCG64", "state": {"state": s0, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+    bg = np.random.PCG64()
+    bg.state = state
+    assert bg.random_raw(len(words)).tolist() == list(words)
+    return state
+
+
+_STYLE_0 = 1 | 0x12345678 << 32  # low half 1: integers(3) gives 0
+_TINY_WORD = _ABOVE_TINY - 1  # the largest word whose double is <= 1e-9
+
+
+_HAND_BUILT = [
+    # a zero low half at the style draw: Lemire rejects it, and the retry
+    # takes the high half, 0xAAAAAAAA, which gives style 1
+    ("lemire-rejection", 3, (0xAAAAAAAA << 32,)),
+    # style 0 with a first uniform <= 1e-9: the shuffle runs over 3 of 4 entries
+    ("tiny-uniform", 4, (_STYLE_0, _TINY_WORD)),
+    ("uniform-above-1e-9", 4, (_STYLE_0, _ABOVE_TINY)),
+    # style 0 at n = 2 with a tiny entry: the n uniforms are redrawn on [0.1, 1)
+    ("redraw", 2, (_STYLE_0, 5 << 11)),
+    # style 2 at n = 3: the first swap draw is the style word's high half,
+    # kept across the split's random(); its last bits 11 exceed 2, so it is
+    # rejected and drawn again from a fresh word's low half
+    ("kept-half-rejected", 3, (0xFFFFFFFF | 0x7 << 32,)),
+]
+
+
+@pytest.mark.parametrize("case,n,words", _HAND_BUILT, ids=[case for case, _, _ in _HAND_BUILT])
+def test_walk_follows_hand_built_words(case, n, words):
+    state = _pcg64_emitting(*words)
+    walked, referee = np.random.PCG64(), np.random.PCG64()
+    walked.state = referee.state = state
+    draws = _walk_trials(walked.random_raw, n, 4)
+    _assert_draws_are(draws, _reference_stream(np.random.Generator(referee), n, 4), n)
+    # the first trial took the branch the words were built for
+    x = draws[0][0]
+    if case == "lemire-rejection":
+        assert x.max() / x.min() <= 1.1 / 0.9
+    elif case == "tiny-uniform":
+        assert 0.0 < x[0] <= 1e-9 < x[1:].min() and 0 not in draws[1][0]
+    elif case == "uniform-above-1e-9":
+        assert x[0] == (_ABOVE_TINY >> 11) * 2.0**-53 > 1e-9
+    elif case == "redraw":
+        assert x.min() >= 0.1
+    else:
+        assert np.count_nonzero(x) == 2
+
+
+def test_words_follow_the_generator_call_by_call():
+    # from one PCG64 state, the walker's rules against a real Generator: a
+    # numpy that changes one of them fails here, at the first call it moves
+    state = np.random.PCG64(np.random.SeedSequence(2026)).state
+    walked, referee = np.random.PCG64(), np.random.PCG64()
+    walked.state = referee.state = state
+    words = _Words(walked.random_raw, 10**5)
+    rng = np.random.Generator(referee)
+    plan = np.random.default_rng(5)
+    for call, (kind, size) in enumerate(zip(plan.integers(4, size=10**4).tolist(),
+                                             plan.integers(2, 9, size=10**4).tolist())):
+        if kind == 0:
+            assert words.random() == rng.random(), f"call {call}: random() is (w >> 11) * 2**-53"
+        elif kind == 1:
+            at, _ = words.take(size)
+            assert words.doubles()[at:at + size].tolist() == rng.random(size).tolist(), (
+                f"call {call}: random({size}) is {size} fresh words, each (w >> 11) * 2**-53")
+        elif kind == 2:
+            assert words.integers3() == rng.integers(3), (
+                f"call {call}: integers(3) is 3u >> 32 on a 32-bit half u, drawn again at u = 0")
+        else:
+            got, ref = list(range(size)), list(range(size))
+            words.shuffle(got)
+            rng.shuffle(ref)
+            assert got == ref, (f"call {call}: shuffle of a list of {size} is Fisher-Yates from the end "
+                                "by masked 32-bit halves, a kept half first")
 
 
 def _reference_scan(p, n, trials, seed):
