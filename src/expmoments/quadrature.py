@@ -1,18 +1,22 @@
 """Adaptive numerical integration on finite and semi-infinite intervals.
 
 A 15-point Kronrod rule with embedded 7-point Gauss estimate drives a
-global worst-panel-first refinement.  Semi-infinite upper limits are
-mapped onto (0, 1) by t = a + u/(1-u).  Callers list interior points
-carrying integrable singularities and the integrator splits there.
-Endpoint power singularities |t-m|^p with -1 < p < 0 go through
-:func:`integrate_abs_power`, which substitutes u = |t-m|^(p+1) on each
-side of m so the transformed integrand is bounded.
+global worst-panel-first refinement.  Every integrand takes an array of
+nodes and returns an array of the same shape, and one driver refines
+every integral: each round calls the integrand once, on the halves of the
+worst panels of all unfinished integrals together.
 
-:func:`integrate_blocks` refines many finite blocks by the same rule, one
-call of an array integrand per round for all of them, and
-:func:`integrate_doubling` runs the doubling blocks [a, 2a], [2a, 4a], ...
-of the Fourier engine and of :func:`integral_iqs` through it in batches,
-read in order against a stopping rule.
+:func:`integrate` refines one interval, split at the interior points that
+callers list as carrying integrable singularities, with one error budget
+for all its segments.  A semi-infinite interval is mapped onto [0, 1) by
+t = a + u/(1-u).  Endpoint power singularities |t-m|^p with -1 < p < 0 go
+through :func:`integrate_abs_power`, which substitutes u = |t-m|^(p+1) on
+each side of m so the transformed integrand is bounded.
+
+:func:`integrate_blocks` refines many finite blocks at once, each with its
+own budget, and :func:`integrate_doubling` runs the doubling blocks
+[a, 2a], [2a, 4a], ... of the Fourier engine and of :func:`integral_iqs`
+through it in batches, read in order against a stopping rule.
 
 All routines are reentrant: one invocation runs on a single worker and
 keeps no shared state, so callers may integrate concurrently.
@@ -93,32 +97,6 @@ class QuadratureError(RuntimeError):
         self.err_estimate = err_estimate
 
 
-def _gk15(f, lo, hi):
-    c = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo)
-    fc = f(c)
-    resk = _WGK[7] * fc
-    resg = _WG[3] * fc
-    for i in range(7):
-        dx = h * _XGK[i]
-        s = f(c - dx) + f(c + dx)
-        resk += _WGK[i] * s
-        if i % 2 == 1:
-            resg += _WG[(i - 1) // 2] * s
-    return resk * h, abs(resk - resg) * abs(h)
-
-
-def _map_semi_infinite(f, c):
-    def g(u):
-        w = 1.0 - u
-        if w <= 1e-300:
-            # deep subdivision can round a node onto u = 1 exactly
-            return 0.0
-        return f(c + u / w) / (w * w)
-
-    return g
-
-
 # the 15 nodes in increasing order, and the K15 and G7 weights at them
 _NODES = np.array([-x for x in _XGK[:7]] + [0.0] + list(_XGK[6::-1]))
 _KG = np.array(
@@ -130,14 +108,15 @@ _KG = np.array(
 
 def _gk15_rows(f, lo, hi):
     """GK15 on the panels [lo[i], hi[i]] in one call of f on a (panels, 15)
-    array of nodes, placed as `_gk15` places them: (values, errors)."""
+    array of nodes, in increasing order on each row: (values, errors).
+    Every panel has lo <= hi, so its half-width h is its |h|."""
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     k, g = (f(c[:, None] + h[:, None] * _NODES) @ _KG).T
-    return k * h, np.abs(k - g) * np.abs(h)
+    return k * h, np.abs(k - g) * h
 
 
-# panels near the top of a block's heap whose halves `integrate_blocks`
+# panels near the top of an integral's heap whose halves `_refine`
 # evaluates ahead of need in each round
 _LOOKAHEAD = 7
 # doubling blocks `integrate_doubling` reads without a stop before it raises
@@ -148,10 +127,9 @@ class _Refinement:
     """The worst-panel-first refinement of one integral, one split at a
     time.  `next_split` names the panel to halve, or returns None once
     `outcome` holds the integral's (value, err) or its QuadratureError;
-    `split` takes the GK15 results of the halves.  The caller evaluates, so
-    the scalar `integrate` and the array `integrate_blocks` share this rule:
-    stop once err <= max(abs_tol, rel_tol |total|), halve the panel of
-    largest error, and skip a panel at max_depth or too narrow to halve."""
+    `split` takes the GK15 results of the halves.  The rule: stop once
+    err <= max(abs_tol, rel_tol |total|), halve the panel of largest error,
+    and skip a panel at max_depth or too narrow to halve."""
 
     __slots__ = ("cfg", "heap", "counter", "total", "err", "panels", "outcome", "_popped")
 
@@ -164,25 +142,25 @@ class _Refinement:
         self.panels = 0
         self.outcome = None
 
-    def add(self, segment, lo, hi, value, err):
+    def add(self, lo, hi, value, err):
         """Start one more segment from its evaluated panel; False (and a
         failed outcome) where the value is not finite."""
         if not math.isfinite(value):
             self.outcome = QuadratureError("non-finite integrand", value, math.inf)
             return False
-        self._push(err, segment, lo, hi, 0, value)
+        self._push(err, lo, hi, 0, value)
         self.total += value
         self.err += err
         self.panels += 1
         return True
 
-    def _push(self, err, segment, lo, hi, depth, value):
-        heapq.heappush(self.heap, (-err, self.counter, segment, lo, hi, depth, value))
+    def _push(self, err, lo, hi, depth, value):
+        heapq.heappush(self.heap, (-err, self.counter, lo, hi, depth, value))
         self.counter += 1
 
     def next_split(self):
-        """(key, segment, lo, mid, hi) of the panel to halve next, key naming
-        it among this integral's panels, or None once there is an outcome."""
+        """(key, lo, mid, hi) of the panel to halve next, key naming it
+        among this integral's panels, or None once there is an outcome."""
         cfg = self.cfg
         while self.outcome is None:
             if self.err <= max(cfg.abs_tol, cfg.rel_tol * abs(self.total)):
@@ -193,12 +171,12 @@ class _Refinement:
                 self.outcome = QuadratureError("panel budget exhausted", self.total, self.err)
             else:
                 popped = heapq.heappop(self.heap)
-                _, key, segment, lo, hi, depth, _ = popped
+                _, key, lo, hi, depth, _ = popped
                 mid = self.halving(lo, hi, depth)
                 # a panel that cannot be halved is dropped, its error still counted
                 if mid is not None:
                     self._popped = popped, mid
-                    return key, segment, lo, mid, hi
+                    return key, lo, mid, hi
         return None
 
     def halving(self, lo, hi, depth):
@@ -216,79 +194,41 @@ class _Refinement:
             self.outcome = QuadratureError("non-finite integrand", self.total, self.err)
             return
         # the heap key neg_e is the panel's error negated
-        (neg_e, _, segment, lo, hi, depth, v), mid = self._popped
+        (neg_e, _, lo, hi, depth, v), mid = self._popped
         self.total += v1 + v2 - v
         self.err += e1 + e2 + neg_e
-        self._push(e1, segment, lo, mid, depth + 1, v1)
-        self._push(e2, segment, mid, hi, depth + 1, v2)
+        self._push(e1, lo, mid, depth + 1, v1)
+        self._push(e2, mid, hi, depth + 1, v2)
         self.panels += 1
 
 
-def integrate(f, a, b, cfg=None, singular_points=()):
-    """Integrate f on [a, b] (b may be +inf); returns (value, err_estimate).
-
-    The estimate satisfies err <= max(abs_tol, rel_tol |value|) on success.
-    Exhausting max_depth / max_panels raises :class:`QuadratureError`
-    carrying the best value and the achieved error bound.
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    a = float(a)
-    b = float(b)
-    if a == b:
-        return 0.0, 0.0
-    if b < a:
-        raise ValueError("integrate requires a <= b")
-
-    interior = sorted({float(p) for p in singular_points if a < p < b and math.isfinite(p)})
-    edges = [a] + interior + [b]
-    segments = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if math.isinf(hi):
-            segments.append((_map_semi_infinite(f, lo), 0.0, 1.0))
-        else:
-            segments.append((f, lo, hi))
-
-    ref = _Refinement(cfg)
-    for k, (g, lo, hi) in enumerate(segments):
-        if not ref.add(k, lo, hi, *_gk15(g, lo, hi)):
-            raise ref.outcome
-    while (panel := ref.next_split()) is not None:
-        _, k, lo, mid, hi = panel
-        g = segments[k][0]
-        ref.split(*_gk15(g, lo, mid), *_gk15(g, mid, hi))
-    if isinstance(ref.outcome, QuadratureError):
-        raise ref.outcome
-    return ref.outcome
-
-
-def integrate_blocks(f, edges, cfg=None):
-    """Integrate f over each block [edges[k], edges[k+1]] of finite edges,
-    every block refined as `integrate` refines one interval, and all of
-    them evaluated together: f maps an array of t to an array of the same
-    shape.  Each round of refinement calls f once, on the halves of every
-    unfinished block's worst panel and, ahead of need, of up to
+def _refine(f, edges, groups, cfg):
+    """Integrate the array integrand f over the segments [edges[i],
+    edges[i+1]] of a finite, increasing array of edges, segment i belonging
+    to integral groups[i]; the integrals are numbered 0, 1, ... in order,
+    and each is one `_Refinement`, whose segments share its error budget.
+    Each round of refinement calls f once, on the halves of every
+    unfinished integral's worst panel and, ahead of need, of up to
     _LOOKAHEAD panels near the top of its heap; halves evaluated ahead are
-    used when their panel comes to be split, so a block splits exactly the
-    panels `integrate` would, in the same order.
+    used when their panel comes to be split, so an integral splits exactly
+    the panels it would split one at a time, in the same order.
 
-    Returns one entry per block, in order: its (value, err), or its
-    QuadratureError, which is returned rather than raised.  Once a block
-    fails, the blocks after it are abandoned and their entries are None,
-    for a caller that reads the blocks in order stops at the failure.
+    Returns one entry per integral, in order: its (value, err), or its
+    QuadratureError.  Once an integral fails, the integrals after it are
+    abandoned and left out.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    edges = np.asarray(edges, dtype=float)
     refs = []
-    # halves evaluated ahead of need, by (block, panel key)
+    # halves evaluated ahead of need, by (integral, panel key)
     ahead = {}
-    # a non-finite value of f fails its block through `_Refinement`
+    # a non-finite value of f fails its integral through `_Refinement`
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         values, errors = _gk15_rows(f, edges[:-1], edges[1:])
-        for lo, hi, v, e in zip(edges[:-1].tolist(), edges[1:].tolist(), values.tolist(), errors.tolist()):
-            refs.append(_Refinement(cfg))
-            if not refs[-1].add(0, lo, hi, v, e):
+        for k, lo, hi, v, e in zip(groups, edges[:-1].tolist(), edges[1:].tolist(), values.tolist(), errors.tolist()):
+            if k == len(refs):
+                refs.append(_Refinement(cfg))
+            if not refs[k].add(lo, hi, v, e):
                 break
-        # blocks from limit on are abandoned
+        # integrals from limit on are abandoned
         limit = len(refs)
         active = range(limit)
         while True:
@@ -309,10 +249,10 @@ def integrate_blocks(f, edges, cfg=None):
                     continue
                 splitting.append(k)
                 wanted.append((k, None))
-                lows.append(panel[2])
-                mids.append(panel[3])
-                highs.append(panel[4])
-                for _, key, _, lo, hi, depth, _ in ref.heap[:_LOOKAHEAD]:
+                lows.append(panel[1])
+                mids.append(panel[2])
+                highs.append(panel[3])
+                for _, key, lo, hi, depth, _ in ref.heap[:_LOOKAHEAD]:
                     if (k, key) in ahead or (mid := ref.halving(lo, hi, depth)) is None:
                         continue
                     wanted.append((k, key))
@@ -332,7 +272,61 @@ def integrate_blocks(f, edges, cfg=None):
                 else:
                     ahead[k, key] = halves
             active = splitting
-    return [ref.outcome for ref in refs[:limit]] + [None] * (len(edges) - 1 - limit)
+    return [ref.outcome for ref in refs[:limit]]
+
+
+def integrate(f, a, b, cfg=None, singular_points=()):
+    """Integrate f on [a, b] (b may be +inf); returns (value, err_estimate).
+
+    f maps an array of t to an array of the same shape.  The interval is
+    split at the interior singular points, and its segments are refined
+    together against one error budget by the driver of `integrate_blocks`,
+    which calls f once per round on a (panels, 15) array of nodes.  An
+    infinite b maps the whole interval onto u in [0, 1) by t = a + u/(1-u).
+    The estimate satisfies err <= max(abs_tol, rel_tol |value|) on success.
+    A non-finite value of f, or exhausting max_depth / max_panels, raises
+    :class:`QuadratureError` carrying the best value and the achieved error
+    bound.
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    a = float(a)
+    b = float(b)
+    if a == b:
+        return 0.0, 0.0
+    if b < a:
+        raise ValueError("integrate requires a <= b")
+
+    edges = [a] + sorted({float(p) for p in singular_points if a < p < b and math.isfinite(p)}) + [b]
+    g = f
+    if math.isinf(b):
+        edges = [(t - a) / (1.0 + (t - a)) for t in edges[:-1]] + [1.0]
+
+        def g(u):
+            w = 1.0 - u
+            # deep subdivision can round a node onto u = 1 exactly
+            return np.where(w > 0.0, f(a + u / w) / (w * w), 0.0)
+
+    (outcome,) = _refine(g, np.array(edges), [0] * (len(edges) - 1), cfg)
+    if isinstance(outcome, QuadratureError):
+        raise outcome
+    return outcome
+
+
+def integrate_blocks(f, edges, cfg=None):
+    """Integrate f over each block [edges[k], edges[k+1]] of finite edges,
+    every block refined as `integrate` refines one interval, and all of
+    them evaluated together: f maps an array of t to an array of the same
+    shape, and each round of refinement calls it once for every
+    unfinished block.
+
+    Returns one entry per block, in order: its (value, err), or its
+    QuadratureError, which is returned rather than raised.  Once a block
+    fails, the blocks after it are abandoned and their entries are None,
+    for a caller that reads the blocks in order stops at the failure.
+    """
+    edges = np.asarray(edges, dtype=float)
+    outcomes = _refine(f, edges, range(len(edges) - 1), cfg or DEFAULT_CONFIG)
+    return outcomes + [None] * (len(edges) - 1 - len(outcomes))
 
 
 def integrate_doubling(f, lo, done, cfg=None, cap=math.inf):
@@ -397,24 +391,12 @@ def integrate_abs_power(g, p, m, a, b, cfg=None, singular_points=()):
             v, e = _abs_power_endpoint(g, p, m, lo, hi, cfg, singular_points)
         else:
             def h(t, _g=g):
-                try:
-                    return abs(t - m) ** p * _g(t)
-                except OverflowError:
-                    return _power_times(abs(t - m), p, _g(t))
+                return np.abs(t - m) ** p * _g(t)
 
             v, e = integrate(h, lo, hi, cfg, singular_points)
         val += v
         err += e
     return val, err
-
-
-def _power_times(d, p, value):
-    """d**p * value where d**p alone overflows: in logarithms, so that a
-    finite product stays finite; an infinite one is inf."""
-    if not value:
-        return 0.0
-    log_mag = p * math.log(d) + math.log(abs(value))
-    return math.copysign(math.exp(log_mag) if log_mag < 709.0 else math.inf, value)
 
 
 def _abs_power_endpoint(g, p, m, lo, hi, cfg, singular_points):
@@ -454,10 +436,13 @@ def integral_iqs(q, s, cfg=None):
     def gfun(t):
         # (1 - (1 + t^2/s)^(-alpha)) / t^2, stable near t = 0; the series
         # needs alpha u small, not u alone, as alpha grows with s
-        u = t * t / s
-        if alpha * u < 1e-8:
-            return (alpha / s) * (1.0 - 0.5 * (alpha + 1.0) * u)
-        return -math.expm1(-alpha * math.log1p(u)) / (t * t)
+        tt = t * t
+        u = tt / s
+        return np.where(
+            alpha * u < 1e-8,
+            (alpha / s) * (1.0 - 0.5 * (alpha + 1.0) * u),
+            -np.expm1(-alpha * np.log1p(u)) / tt,
+        )
 
     head_val, head_err = integrate_abs_power(gfun, 1.0 - q, 0.0, 0.0, 1.0, cfg)
 
@@ -467,9 +452,8 @@ def integral_iqs(q, s, cfg=None):
     T = max(math.exp(log_T), 2.0, cfg.tail_threshold if s <= 1.0 else 2.0)
 
     def body(t):
-        # gfun(t) t^(1-q) on an array of t >= 1, where alpha u >= 1/2 keeps
-        # gfun off its series
-        return -np.expm1(-alpha * np.log1p(t * t / s)) / (t * t) * t ** (1.0 - q)
+        # on t >= 1, where alpha u >= 1/2 keeps gfun off its series
+        return gfun(t) * t ** (1.0 - q)
 
     body_val, body_err, _ = integrate_doubling(body, 1.0, lambda hi, _: hi >= T, cfg, cap=T)
     tail_val = 1.0 / (q * T**q)

@@ -69,36 +69,22 @@ def m_p(x, p, cfg: QuadratureConfig | None = None) -> engines.MomentEstimate:
 
 
 def q_k(k: int, t: float) -> float:
-    """Q_k(t) = (-1)^(k+1) (e^{-t} - sum_{j<=k} (-t)^j / j!) > 0 for t > 0.
-
-    Below t = k + 1 the direct formula loses every digit to cancellation,
-    so the Taylor tail sum_{j>k} (-1)^(j-k-1) t^j / j! is used instead,
-    truncated when a term drops under 1e-17 of the partial sum.
-    """
+    """Q_k(t) = (-1)^(k+1) (e^{-t} - sum_{j<=k} (-t)^j / j!) > 0 for t > 0:
+    `q_k_array` at one point."""
     if t <= 0.0:
         raise ValueError("q_k requires t > 0")
     if k < 0:
         raise ValueError("q_k requires k >= 0")
-    if t < k + 1.0:
-        term = t ** (k + 1) / math.factorial(k + 1)
-        total = term
-        j = k + 2
-        while True:
-            term *= -t / j
-            total += term
-            if abs(term) < 1e-17 * abs(total):
-                return total
-            j += 1
-    partial = 0.0
-    term = 1.0
-    for j in range(0, k + 1):
-        partial += term
-        term *= -t / (j + 1)
-    return (-1.0) ** (k + 1) * (math.exp(-t) - partial)
+    return float(q_k_array(k, t))
 
 
 def q_k_array(k: int, t: np.ndarray) -> np.ndarray:
-    """Vectorized q_k for Monte Carlo batches (t > 0 elementwise)."""
+    """Q_k elementwise on t > 0, for Monte Carlo batches and `q_k`.
+
+    Below t = k + 1 the direct formula loses every digit to cancellation,
+    so the Taylor tail sum_{j>k} (-1)^(j-k-1) t^j / j! is used instead,
+    summed until every term drops under 1e-17 of its partial sum.
+    """
     t = np.asarray(t, dtype=float)
     out = np.empty_like(t)
     small = t < k + 1.0
@@ -182,25 +168,6 @@ def f_k_mc(x, k: int, seed: int = 0, count: int = 1_000_000) -> engines.MomentEs
     return engines.MomentEstimate(mean, ci, "montecarlo", float(k), fp)
 
 
-def _f_k_series(h, k: int, t: float) -> float:
-    """G(t) = F_k(t^2 x) / t^(k+1) by the alternating moment series
-    sum_{j>k} (-1)^(j-k-1) h_j(b) t^(j-k-1), for t h_1(b) < 1.
-
-    The closed form cancels catastrophically at small t (it is a
-    difference of O(1) pieces with an O(t^(k+1)) result); this series is
-    the stable evaluation there.
-    """
-    total = 0.0
-    power = 1.0
-    for j in range(k + 1, len(h)):
-        term = (-1.0) ** (j - k - 1) * h[j] * power
-        total += term
-        power *= t
-        if abs(term) < 1e-18 * max(abs(total), 1e-300) and j > k + 4:
-            break
-    return total
-
-
 def mp_representation_check(x, p: float, cfg: QuadratureConfig | None = None) -> float:
     """Relative residual of M_p(x) = C_p^{-1} int_0^inf F_k(t^2 x) t^{-p-1} dt.
 
@@ -221,28 +188,45 @@ def mp_representation_check(x, p: float, cfg: QuadratureConfig | None = None) ->
     b = [math.sqrt(v) for v in xs if v > 0.0]
     if not b:
         raise ValueError("all-zero input has no representation residual")
-    h = _h_table(b, 80)
+    # the head's series below takes h_(k+1) .. h_(k+62)
+    h = _h_table(b, k + 62)
 
-    # head: u = t^(k-p+1) applied to G(t) = F_k(t^2 x)/t^(k+1)
+    # F_k(t^2 x) = (-1)^(k+1) (P(t) - sum_{j<=k} (-1)^j h_j t^j), with
+    # P(t) = E e^{-t sum b E} = prod (1 + b_j t)^{-1}
+    sign = (-1.0) ** (k + 1)
+
+    def laplace_product(t):
+        prod = 1.0
+        for bi in b:
+            prod = prod / (1.0 + bi * t)
+        return prod
+
+    # head: u = t^(k-p+1) applied to G(t) = F_k(t^2 x)/t^(k+1).  For
+    # t h_1 < 1/2 the closed form cancels to O(t^(k+1)), and G is the series
+    # sum_{j>k} (-1)^(j-k-1) h_j t^(j-k-1) instead, alternating with terms
+    # that fall by a factor t h_1 < 1/2 or more (h_(j+1) <= h_1 h_j), so
+    # the sum exceeds half its first term and 62 terms leave out less than
+    # 1e-18 of it
     expo = k - p + 1.0
     inv_expo = 1.0 / expo
+    series = np.array([(-1.0) ** (j - k - 1) * h[j] for j in range(k + 1, len(h))])
 
-    def head(u: float) -> float:
+    def head(u):
         t = u**inv_expo
-        if t * h[1] < 0.5:
-            return _f_k_series(h, k, t) * inv_expo
-        return f_k([(bi * t) ** 2 for bi in b], k) / t ** (k + 1) * inv_expo
+        powers = np.cumprod(np.repeat(t[..., None], len(series) - 1, axis=-1), axis=-1)
+        near = series[0] + powers @ series[1:]
+        far = laplace_product(t)
+        power = 1.0
+        for j in range(k + 1):
+            far = far - (-1.0) ** j * h[j] * power
+            power = power * t
+        return np.where(t * h[1] < 0.5, near, sign * far / t ** (k + 1)) * inv_expo
 
     head_val, _ = integrate(head, 0.0, 1.0, cfg)
 
-    # tail from 1: F_k(t^2 x) = (-1)^(k+1) (prod (1+b_j t)^{-1} - sum_{j<=k} (-1)^j h_j t^j)
-    sign = (-1.0) ** (k + 1)
-
-    def laplace_piece(t: float) -> float:
-        prod = 1.0
-        for bi in b:
-            prod /= 1.0 + bi * t
-        return prod * t ** (-p - 1.0)
+    # tail from 1, where the polynomial part integrates exactly
+    def laplace_piece(t):
+        return laplace_product(t) * t ** (-p - 1.0)
 
     lap_val, _ = integrate(laplace_piece, 1.0, math.inf, cfg)
     poly_val = sum((-1.0) ** j * h[j] / (p - j) for j in range(0, k + 1))

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .quadrature import DEFAULT_CONFIG, QuadratureError, integrate
 
 __all__ = [
@@ -337,7 +339,7 @@ def _beyond_integral(p, k, z, log_scale):
     the rounding of exp's argument, taken at x = k + 1 + max(p, 0), a bound
     on the mean of the integrand's law."""
     def row(x):
-        return math.exp(log_scale + k * math.log(x) - x + p * math.log(x + z))
+        return np.exp(log_scale + k * np.log(x) - x + p * np.log(x + z))
 
     value, err = integrate(row, 0.0, math.inf, DEFAULT_CONFIG)
     x = k + 1.0 + max(p, 0.0)

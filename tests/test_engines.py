@@ -366,12 +366,13 @@ def test_fourier_moments_come_from_one_recurrence():
 def _density_quadrature(pfd, p, m):
     """E|S - m|^p sgn(S - m) by quadrature of the density on each half-line
     in the coordinate tau = |t|, split at the shift where it lies on it."""
+    one_sided = np.vectorize(pfd._one_sided, otypes=[float])
     value = err = 0.0
     for side in (1.0, -1.0):
         mm = side * m
         pieces = ((0.0, mm, -side), (mm, math.inf, side)) if mm > 0.0 else ((0.0, math.inf, side),)
         for lo, hi, sign in pieces:
-            v, e = integrate_abs_power(lambda tau: pfd._one_sided(side * tau), p, mm, lo, hi)
+            v, e = integrate_abs_power(lambda tau: one_sided(side * tau), p, mm, lo, hi)
             value += sign * v
             err += e
     return value, err

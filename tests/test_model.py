@@ -251,8 +251,9 @@ def test_coefficients_sum_to_one():
 
 def test_density_integrates_to_one_and_is_nonnegative():
     pfd = partial_fraction_density(GammaSumModel.of([0.7, -0.4, 1.5]))
-    pos, _ = integrate(pfd._one_sided, 0.0, math.inf)
-    neg, _ = integrate(lambda t: pfd._one_sided(-t), 0.0, math.inf)
+    one_sided = np.vectorize(pfd._one_sided, otypes=[float])
+    pos, _ = integrate(one_sided, 0.0, math.inf)
+    neg, _ = integrate(lambda t: one_sided(-t), 0.0, math.inf)
     assert pos + neg == pytest.approx(1.0, abs=1e-9)
     for t in np.linspace(-8, 8, 161):
         assert pfd.density(float(t)) >= -1e-12
@@ -261,9 +262,10 @@ def test_density_integrates_to_one_and_is_nonnegative():
 def test_density_matches_monte_carlo_histogram():
     model = GammaSumModel.of([2.0, 1.0])
     pfd = partial_fraction_density(model)
+    one_sided = np.vectorize(pfd._one_sided, otypes=[float])
     draws = sample(model, seed=202, count=200_000)
     for lo, hi in ((0.0, 1.0), (1.0, 2.0), (2.0, 4.0), (4.0, 8.0)):
-        mass, _ = integrate(pfd._one_sided, lo, hi)
+        mass, _ = integrate(one_sided, lo, hi)
         frac = float(np.mean((draws >= lo) & (draws < hi)))
         sigma = math.sqrt(mass * (1.0 - mass) / draws.size)
         assert abs(frac - mass) < 6.0 * sigma + 1e-4
@@ -313,12 +315,12 @@ def test_density_even_moments_match_exact_polynomials():
 
 def test_charfn_density_duality():
     model = GammaSumModel.of([2.0, 1.0, -0.5])
-    pfd = partial_fraction_density(model)
+    one_sided = np.vectorize(partial_fraction_density(model)._one_sided, otypes=[float])
     for t in (0.5, 1.0, 2.0):
-        re_pos, _ = integrate(lambda u, _t=t: math.cos(_t * u) * pfd._one_sided(u), 0.0, math.inf)
-        re_neg, _ = integrate(lambda u, _t=t: math.cos(_t * u) * pfd._one_sided(-u), 0.0, math.inf)
-        im_pos, _ = integrate(lambda u, _t=t: math.sin(_t * u) * pfd._one_sided(u), 0.0, math.inf)
-        im_neg, _ = integrate(lambda u, _t=t: -math.sin(_t * u) * pfd._one_sided(-u), 0.0, math.inf)
+        re_pos, _ = integrate(lambda u, _t=t: np.cos(_t * u) * one_sided(u), 0.0, math.inf)
+        re_neg, _ = integrate(lambda u, _t=t: np.cos(_t * u) * one_sided(-u), 0.0, math.inf)
+        im_pos, _ = integrate(lambda u, _t=t: np.sin(_t * u) * one_sided(u), 0.0, math.inf)
+        im_neg, _ = integrate(lambda u, _t=t: -np.sin(_t * u) * one_sided(-u), 0.0, math.inf)
         rebuilt = complex(re_pos + re_neg, im_pos + im_neg)
         assert abs(rebuilt - charfn(model, t)) < 1e-6
 

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,14 +22,14 @@ SQRT_HALF_PI = 1.2533141373155003  # sqrt(pi/2), by parts down to the Gaussian i
 
 
 def test_exponential_integral():
-    val, err = integrate(lambda t: math.exp(-t), 0.0, math.inf)
+    val, err = integrate(lambda t: np.exp(-t), 0.0, math.inf)
     assert val == pytest.approx(1.0, abs=1e-12)
     assert err >= abs(val - 1.0)
 
 
 def test_gaussian_tail_integral():
     def f(t):
-        return -math.expm1(-0.5 * t * t) / (t * t) if t > 1e-8 else 0.5
+        return np.where(t > 1e-8, -np.expm1(-0.5 * t * t) / (t * t), 0.5)
 
     val, err = integrate(f, 0.0, math.inf)
     assert val == pytest.approx(SQRT_HALF_PI, rel=1e-9)
@@ -55,6 +57,38 @@ def test_split_at_interior_kink():
     assert val == pytest.approx(truth, rel=1e-12)
 
 
+def test_integrate_calls_f_once_per_round_on_a_node_array():
+    shapes = []
+
+    def f(t):
+        shapes.append(t.shape)
+        return np.exp(-t) * np.sqrt(np.abs(t - 1.0) * np.abs(t - 2.0))
+
+    integrate(f, 0.0, math.inf, singular_points=[2.0, 1.0])
+    assert all(len(shape) == 2 and shape[1] == 15 for shape in shapes)
+    # one row per segment, then the halves of the panels split in a round
+    assert shapes[0][0] == 3
+    assert all(rows % 2 == 0 for rows, _ in shapes[1:])
+    assert len(shapes) - 1 < sum(rows for rows, _ in shapes[1:]) // 2
+
+
+def test_segments_share_one_error_budget():
+    # kinks at 1 and 2 and an infinite tail; the three segments together
+    # meet the tolerance on the whole integral
+    def f(t):
+        return np.exp(-t) * (np.sqrt(np.abs(t - 1.0)) + np.sqrt(np.abs(t - 2.0)))
+
+    with mpmath.workdps(30):
+        truth = float(mpmath.quad(
+            lambda t: mpmath.exp(-t) * (mpmath.sqrt(abs(t - 1)) + mpmath.sqrt(abs(t - 2))),
+            [0, 1, 2, mpmath.inf],
+        ))
+    cfg = QuadratureConfig()
+    val, err = integrate(f, 0.0, math.inf, cfg, singular_points=[1.0, 2.0])
+    assert err <= max(cfg.abs_tol, cfg.rel_tol * abs(val))
+    assert abs(val - truth) <= err
+
+
 def test_nonconvergence_carries_best_estimate():
     cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-16, max_depth=10, max_panels=40)
     with pytest.raises(QuadratureError) as info:
@@ -75,15 +109,24 @@ def test_abs_power_negative_exponent_endpoint():
     # the same centered-exponential moment (independent code path)
     from expmoments.analysis import centered_exp_abs_moment
 
-    val, err = integrate_abs_power(lambda t: math.exp(-t), -0.5, 1.0, 0.0, math.inf)
+    val, err = integrate_abs_power(lambda t: np.exp(-t), -0.5, 1.0, 0.0, math.inf)
     truth = centered_exp_abs_moment(-0.5)
     assert val == pytest.approx(truth, rel=1e-10)
     assert err >= abs(val - truth)
 
 
 def test_abs_power_positive_exponent():
-    val, _ = integrate_abs_power(lambda t: math.exp(-t), 1.0, 1.0, 0.0, math.inf)
+    val, _ = integrate_abs_power(lambda t: np.exp(-t), 1.0, 1.0, 0.0, math.inf)
     assert val == pytest.approx(2.0 / math.e, rel=1e-10)
+
+
+def test_abs_power_beyond_the_float_range_is_a_quadrature_error():
+    # |t|^400.5 overflows on [1e3, 2e3] while e^(-t) underflows; the true
+    # integral is about 1e767, so no finite value with a bar is honest
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="non-finite integrand"):
+            integrate_abs_power(lambda t: np.exp(-t), 400.5, 0.0, 1e3, 2e3)
 
 
 def test_abs_power_rejects_bad_power():
@@ -127,23 +170,21 @@ def test_blocks_agree_with_integrate_block_by_block():
     edges = [0.25 * 2.0**k for k in range(12)]
     model = GammaSumModel.of([0.9, -1.7, 0.35], [0.8, 1.3, 2.6])
     re_phi = _shifted_re_phi(model, 1.74)
-
-    def scalar_re_phi(t):
-        return float(re_phi(t))
-
     cases = [
         # smooth, with a kink of the derivative at 0 outside the blocks
-        (lambda t: np.exp(-t) * t**0.3, lambda t: math.exp(-t) * t**0.3),
+        lambda t: np.exp(-t) * t**0.3,
         # oscillatory: about 150 periods in the last block
-        (lambda t: np.cos(3.7 * t) / (1.0 + t * t), lambda t: math.cos(3.7 * t) / (1.0 + t * t)),
+        lambda t: np.cos(3.7 * t) / (1.0 + t * t),
         # the Fourier engine's integrand on a shifted model
-        (lambda t: (1.0 - re_phi(t)) / t**1.5, lambda t: (1.0 - scalar_re_phi(t)) / t**1.5),
+        lambda t: (1.0 - re_phi(t)) / t**1.5,
     ]
-    for f_array, f_scalar in cases:
-        for (value, err), lo, hi in zip(integrate_blocks(f_array, edges), edges[:-1], edges[1:]):
-            ref, ref_err = integrate(f_scalar, lo, hi)
+    for f in cases:
+        for (value, err), lo, hi in zip(integrate_blocks(f, edges), edges[:-1], edges[1:]):
+            ref, ref_err = integrate(f, lo, hi)
             assert err <= max(1e-14, 1e-10 * abs(value))
             assert abs(value - ref) <= err + ref_err
+            # one interval is one block of the same driver, bit for bit
+            assert (ref, ref_err) == integrate_blocks(f, [lo, hi])[0]
 
 
 def test_block_failure_abandons_the_later_blocks():
@@ -155,9 +196,9 @@ def test_block_failure_abandons_the_later_blocks():
         assert abs(value - truth) <= err <= 1e-10 * truth
     assert isinstance(outcomes[2], QuadratureError)
     assert outcomes[3:] == [None, None]
-    # the same failure from the scalar integrator
+    # the same failure from `integrate`
     with pytest.raises(QuadratureError, match="non-finite"):
-        integrate(lambda t: 1.0 / (t * t) if t < 5.0 else math.nan, 4.0, 8.0)
+        integrate(f, 4.0, 8.0)
     # a block that exhausts its panels while refining: from t = 4 on, about
     # 75 and then 300 periods per block against a budget of 30 panels
     def chirp(t):

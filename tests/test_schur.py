@@ -102,13 +102,14 @@ def test_c_p_power_representation_identity():
 
     p = 0.5
     cp = c_p_constant(p)
+    q_0 = np.vectorize(lambda t: q_k(0, t), otypes=[float])
     for x in (0.5, 2.0):
         def g(t, _x=x):
-            return q_k(0, t * _x) / t
+            return q_0(t * _x) / t
 
         head, _ = integrate_abs_power(g, -p, 0.0, 0.0, 1.0)
         power_tail = 1.0 / p  # int_1^inf t^(-p-1) dt
-        exp_tail, _ = integrate(lambda t, _x=x: math.exp(-t * _x) * t ** (-p - 1.0), 1.0, math.inf)
+        exp_tail, _ = integrate(lambda t, _x=x: np.exp(-t * _x) * t ** (-p - 1.0), 1.0, math.inf)
         assert (head + power_tail - exp_tail) / cp == pytest.approx(x**p, rel=1e-6)
 
 

@@ -58,7 +58,7 @@ def test_gaussian_abs_moment_values():
 def test_gaussian_abs_moment_against_quadrature_of_density():
     for p in (0.5, 1.0, 1.7, 3.0, 4.2):
         def integrand(t, _p=p):
-            return 2.0 * t**_p * math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+            return 2.0 * t**_p * np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
 
         val, _ = integrate(integrand, 0.0, math.inf)
         assert gaussian_abs_moment(p) == pytest.approx(val, rel=1e-9)
