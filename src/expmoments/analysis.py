@@ -740,7 +740,7 @@ class TangReport:
         }
 
 
-def tang_density_check(x, cfg: QuadratureConfig | None = None) -> TangReport:
+def tang_density_check(x) -> TangReport:
     """Density of sum x_j (E_j - 1) at zero versus the single-exponential
     floor 1/e, for unit-norm nonnegative weights.
 

@@ -8,14 +8,14 @@ p >= 0 where E|S - m|^p (times sgn(S - m) when signed) is sigma E(S - m)^p,
 that is unsigned even p and signed odd p, and every p when S - m has one
 sign almost surely (weights all positive and m <= 0, or all negative and
 m >= 0).  Signed even p and unsigned odd p on mixed support are not
-polynomial.  Auto dispatch leaves two parts of that domain to the engines
-below: shift 0 with integer shapes (other than unsigned even p), where the
-density closed form is cheaper, and p above _EXACT_MAX_P, where the
-integer recurrence grows too costly.  The density engine serves integer
-shapes through the closed-form Erlang mixture, each term integrated
-against |t - shift|^p in closed form at every shift (Gamma values at
-shift 0; Gamma sums, a Kummer series and a scaled incomplete gamma
-otherwise): the partial fractions of the model, and where those reject it
+polynomial.  At every shift, 0 included, it is capped at p = _EXACT_MAX_P,
+beyond which its integers grow too costly, and a forced exact query above
+the cap raises.  Auto dispatch also leaves shift 0 with integer shapes
+(other than unsigned even p) to the density closed form, which is cheaper
+there.  The density engine serves integer shapes through the closed-form
+Erlang mixture, each term integrated against |t - shift|^p in closed form
+at every shift (Gamma values at shift 0; Gamma sums, a Kummer series and
+a scaled incomplete gamma otherwise): the partial fractions of the model, and where those reject it
 (weights closer than model._MERGE_GAP), leave the float range or give a
 poor bound, the partial fractions of its gamma mixture, in which each
 group of close weights of one sign is one pole (`gamma_mixture`), signed
@@ -74,9 +74,10 @@ _REL_FLOOR = 1e-15
 # auto dispatch leaves the density closed form when its bound exceeds this
 # fraction of max(1, |value|)
 _FALLBACK_REL = 1e-3
-# highest p of the exact engine's cumulant recurrence, whose integers grow
-# with p: at n = 4 with fractional shapes, on a 2-vCPU Xeon VM under
-# Python 3.11, about 4 ms at p = 50, 50 ms at p = 100 and 0.6 s at p = 200
+# highest p of the exact engine (Hunter's identity and the cumulant
+# recurrence), whose integers grow with p: the recurrence takes, at n = 4
+# with fractional shapes, on a 2-vCPU Xeon VM under Python 3.11, about
+# 4 ms at p = 50, 50 ms at p = 100 and 0.6 s at p = 200
 _EXACT_MAX_P = 100
 # the largest |w t| at which the Fourier engine evaluates its envelope and
 # characteristic function, whose (w t)^2 stays below the float range
@@ -95,8 +96,8 @@ class MomentEstimate:
     fingerprint: str
 
     def __post_init__(self):
-        if self.error < 0.0:
-            raise ValueError("error bound must be nonnegative")
+        if not self.error >= 0.0:
+            raise ValueError(f"error bound must be a nonnegative number, got {self.error!r}")
 
 
 def moment(
@@ -168,8 +169,8 @@ def moments(W, p, cfg: QuadratureConfig | None = None) -> tuple[np.ndarray, np.n
     its equal weights (an all-zero row, which has no model, gets 0, or 1 at
     p = 0, as the zero sum):
 
-    - even integer p: the exact engine, error 0, one pass per count of
-      nonzero entries (`_exact_rows`);
+    - even integer p up to _EXACT_MAX_P: the exact engine, error 0, one
+      pass per count of nonzero entries (`_exact_rows`);
     - distinct weights at relative gaps of at least model._MERGE_GAP: the
       density closed form Gamma(p+1) sum_k c_k |w_k|^p with
       c_k = prod_{j != k} 1 / (1 - w_j / w_k), with the scalar path's
@@ -199,8 +200,8 @@ def moments(W, p, cfg: QuadratureConfig | None = None) -> tuple[np.ndarray, np.n
         raise ValueError("negative moment of the zero sum diverges")
     # each row's nonzero entries first, in their order
     packed = np.take_along_axis(W, np.argsort(~active, axis=1, kind="stable"), axis=1)
-    even = [i for i, v in enumerate(ps) if _even_integer(v)]
-    other = [i for i, v in enumerate(ps) if not _even_integer(v)]
+    even = [i for i, v in enumerate(ps) if _even_integer(v) and v <= _EXACT_MAX_P]
+    other = [i for i in range(len(ps)) if i not in even]
     # for each row the batch leaves to moment, the indices of its p
     scalar_rows = {}
     for m in range(W.shape[1] + 1):
@@ -305,12 +306,15 @@ def _even_integer(p: float) -> bool:
 
 
 def _exact_applies(model: GammaSumModel, q: MomentQuery) -> bool:
-    """Auto dispatch's part of the exact engine's domain: at shift 0 with
-    integer shapes only unsigned even p (the density closed form is cheaper
-    for the rest), elsewhere every polynomial query up to _EXACT_MAX_P."""
+    """Auto dispatch's part of the exact engine's domain, p up to
+    _EXACT_MAX_P: at shift 0 with integer shapes only unsigned even p (the
+    density closed form is cheaper for the rest), elsewhere every
+    polynomial query."""
+    if q.p > _EXACT_MAX_P:
+        return False
     if q.shift == 0.0 and model.integer_shapes:
         return (not q.signed) and _even_integer(q.p)
-    return q.p <= _EXACT_MAX_P and _polynomial_sign(model, q) is not None
+    return _polynomial_sign(model, q) is not None
 
 
 def _polynomial_sign(model: GammaSumModel, q: MomentQuery) -> int | None:
@@ -330,11 +334,6 @@ def _polynomial_sign(model: GammaSumModel, q: MomentQuery) -> int | None:
 
 
 def _exact_moment(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
-    if (not q.signed) and q.shift == 0.0 and _even_integer(q.p) and model.integer_shapes:
-        # Hunter's identity E S^ell = ell! h_ell(w), at any ell
-        ell = int(q.p)
-        h, d = _chs_scaled(model.expanded_weights(), ell)
-        return MomentEstimate(_exact_float(math.factorial(ell) * h, d**ell), 0.0, "exact", q.p, model.fingerprint())
     sign = _polynomial_sign(model, q)
     if sign is None:
         raise ValueError(
@@ -342,7 +341,12 @@ def _exact_moment(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
             "unsigned even p, signed odd p, or any p where S - shift has one sign"
         )
     if q.p > _EXACT_MAX_P:
-        raise ValueError(f"exact engine's cumulant recurrence is capped at p = {_EXACT_MAX_P}")
+        raise ValueError(f"exact engine is capped at p = {_EXACT_MAX_P}")
+    if (not q.signed) and q.shift == 0.0 and _even_integer(q.p) and model.integer_shapes:
+        # Hunter's identity E S^ell = ell! h_ell(w)
+        ell = int(q.p)
+        h, d = _chs_scaled(model.expanded_weights(), ell)
+        return MomentEstimate(_exact_float(math.factorial(ell) * h, d**ell), 0.0, "exact", q.p, model.fingerprint())
     num, den = _power_moment_scaled(model.weights, model.shapes, q.shift, int(q.p))
     return MomentEstimate(_exact_float(sign * num, den), 0.0, "exact", q.p, model.fingerprint())
 

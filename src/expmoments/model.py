@@ -128,15 +128,18 @@ class GammaSumModel:
 
 @dataclass(frozen=True)
 class MomentQuery:
-    """A request for E|S - shift|^p, optionally signed by sgn(S - shift)."""
+    """A request for E|S - shift|^p, optionally signed by sgn(S - shift);
+    p must be finite and exceed -1, and the shift must be finite."""
 
     p: float
     shift: float = 0.0
     signed: bool = False
 
     def __post_init__(self):
-        if math.isnan(self.p) or self.p <= -1.0:
-            raise ValueError(f"moment exponent must exceed -1, got {self.p!r}")
+        if not (math.isfinite(self.p) and self.p > -1.0):
+            raise ValueError(f"moment exponent must be finite and exceed -1, got {self.p!r}")
+        if not math.isfinite(self.shift):
+            raise ValueError(f"shift must be finite, got {self.shift!r}")
 
 
 def chs(x: Sequence, ell: int) -> Fraction:
@@ -580,8 +583,8 @@ def sample(model: GammaSumModel, seed: int, count: int) -> np.ndarray:
     One weight after another: an integer shape k sums k exponentials
     -log(1 - U) from a (count, k) array of uniforms, drawn row-major in
     blocks by `_erlang_rows` (its one-generator case), so memory stays
-    bounded at any k; a non-integer shape uses Marsaglia-Tsang rejection
-    (shape < 1 boosted by U^(1/shape) from shape + 1).
+    bounded at any k; a non-integer shape is numpy's
+    `Generator.standard_gamma`.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -599,11 +602,7 @@ def _draw(model: GammaSumModel, rng: np.random.Generator, count: int) -> np.ndar
 def _gamma_variates(rng: np.random.Generator, shape: float, count: int) -> np.ndarray:
     if float(shape).is_integer():
         return next(_erlang_rows((rng,), (1.0,), (int(shape),), count))[0]
-    if shape < 1.0:
-        base = _marsaglia_tsang(rng, shape + 1.0, count)
-        u = rng.random(count)
-        return base * np.power(u, 1.0 / shape)
-    return _marsaglia_tsang(rng, shape, count)
+    return rng.standard_gamma(shape, count)
 
 
 def _erlang_rows(rngs, weights: Sequence, orders: Sequence, rows: int, payoff=None):
@@ -677,22 +676,4 @@ def _contract(block: np.ndarray, neg: np.ndarray, out: np.ndarray) -> np.ndarray
     out += 0.0
     if neg.size == 2:
         out += block[..., 1] * neg[1]
-    return out
-
-
-def _marsaglia_tsang(rng: np.random.Generator, shape: float, count: int) -> np.ndarray:
-    # squeeze-free rejection: accept when log U < x^2/2 + d - dv + d log v
-    d = shape - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(count)
-    todo = np.arange(count)
-    while todo.size:
-        x = rng.standard_normal(todo.size)
-        v = (1.0 + c * x) ** 3
-        u = rng.random(todo.size)
-        pos = v > 0.0
-        logv = np.where(pos, np.log(np.where(pos, v, 1.0)), 0.0)
-        accept = pos & (np.log(u + 1e-320) < 0.5 * x * x + d - d * v + d * logv)
-        out[todo[accept]] = d * v[accept]
-        todo = todo[~accept]
     return out

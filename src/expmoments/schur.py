@@ -683,8 +683,8 @@ def failure_profile(p: float, grid_size: int = 512) -> FailureProfile:
     carries the grid and endpoint derivatives with no critical point.
     """
     p = float(p)
-    if p <= -1.0:
-        raise ValueError("failure_profile requires p > -1")
+    if not (math.isfinite(p) and p > -1.0):
+        raise ValueError(f"failure_profile requires a finite p > -1, got {p!r}")
     right = _INV_SQRT2
     xs = np.linspace(0.0, right, grid_size)
     fs = np.array([_failure_f(v, p) for v in xs])

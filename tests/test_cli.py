@@ -49,7 +49,7 @@ def test_moment_command_values(capsys):
     for argv, value in (
         (("-m", "1^0.5,2^0.7", "-p", "2"), 6.909999999999999),
         (("-m", "1,2", "-p", "2", "--shift", "1"), 9.0),
-        (("-m", "1", "-p", "170"), float(math.factorial(170))),
+        (("-m", "1", "-p", "100"), float(math.factorial(100))),
     ):
         code, out, _ = run(capsys, "moment", *argv, "--format", "json")
         payload = json.loads(out)
@@ -74,6 +74,25 @@ def test_moment_exit_codes(capsys):
     for literal, p in (("0", "-0.5"), ("0", "2"), ("0,-0.0", "2.5")):
         code, _, err = run(capsys, "moment", "-m", literal, "-p", p)
         assert code == 3 and "nonzero weight" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moment", "-m", "1", "-p", "2", "--shift", "inf"),
+        ("moment", "-m", "1", "-p", "inf"),
+        ("verify", "theorem1", "-p", "inf"),
+        ("failure", "-p", "nan"),
+        ("failure", "-p", "inf"),
+        # an even p far above the exact engine's cap, at shift 0
+        ("moment", "-m", "1,2", "-p", "1e300"),
+        ("moment", "-m", "0.3,0.5", "-p", "102", "--engine", "exact"),
+    ],
+)
+def test_non_finite_or_out_of_reach_p_and_shift_are_domain_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and not out
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -252,3 +271,49 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["failing"] == 0
+
+
+# every public name of the package, submodules included
+PACKAGE_NAMES = [
+    "GammaSumModel", "MajorizationPair", "MomentEstimate", "MomentQuery", "PartialFractionDensity",
+    "QuadratureConfig", "QuadratureError", "analysis", "c_p_constant", "centered_exp_abs_moment", "charfn",
+    "chs", "claim_inequality_check", "closed_integral_iqs", "density_at", "engines", "even_moment_exact",
+    "f_k", "f_k_mc", "failure_profile", "fourier_constant", "gamma_mixture", "gaussian_abs_moment",
+    "gaussian_even_moment_exact", "gradient", "integrate", "integrate_abs_power", "laplace_abs_moment",
+    "logconvexity_probe", "loggamma", "m_p", "majorizes", "minimize_sphere", "model", "moment", "moments",
+    "mp_representation_check", "ostrowski_differential", "partial_fraction_density", "psi", "q_k",
+    "quadrature", "ratio_r", "sample", "schur", "schur_scan", "solve_p0", "solve_pstar", "specialfn",
+    "t_transform", "tang_density_check", "verify_all_equal", "verify_gamma_extension", "verify_hunter_exact",
+    "verify_mrtt", "verify_theorem1",
+]
+
+
+def test_package_names_load_their_modules_on_first_access():
+    # in a fresh interpreter: importing the engines loads neither schur nor
+    # analysis, and every public name of the package still resolves
+    src = str(Path(expmoments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"""
+import sys, types
+import expmoments.engines
+assert "expmoments.schur" not in sys.modules and "expmoments.analysis" not in sys.modules
+import expmoments
+assert expmoments.moment is expmoments.engines.moment
+for name in {PACKAGE_NAMES!r}:
+    value = getattr(expmoments, name)
+    if isinstance(value, types.ModuleType):
+        assert value.__name__ == "expmoments." + name
+    else:
+        assert value.__module__.startswith("expmoments."), name
+from expmoments import *
+assert sample is expmoments.model.sample and schur_scan is expmoments.schur.schur_scan
+assert expmoments.__version__ == "0.1.0"
+try:
+    expmoments.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("expmoments.no_such_name resolved")
+"""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -131,14 +131,16 @@ def test_exact_engine_domain():
         want = fraction_moment([1.0, 2.0], [1, 1], int(query.p), 0)
         assert moment(positive, query, engine="exact").value == float(want)
     assert moment(mixed, MomentQuery(3.0, signed=True)).engine == "density"
-    # above the cap, auto dispatch goes on as before and the forced engine refuses;
-    # Hunter's identity at shift 0 keeps no cap
+    # above the cap, auto dispatch goes on to the next engine and the forced
+    # engine refuses, Hunter's identity at shift 0 included
     p = float(engines._EXACT_MAX_P + 2)
     half = GammaSumModel.of([1.0], [0.5])
     assert moment(half, MomentQuery(p, -1.0), count=2_000).engine == "montecarlo"
     with pytest.raises(ValueError, match="capped"):
         moment(half, MomentQuery(p, -1.0), engine="exact")
-    assert moment(positive, MomentQuery(p)).engine == "exact"
+    assert moment(positive, MomentQuery(p)).engine == "density"
+    with pytest.raises(ValueError, match="capped"):
+        moment(positive, MomentQuery(p), engine="exact")
 
 
 @settings(max_examples=200, deadline=None)
@@ -784,16 +786,35 @@ def test_moments_at_many_p_with_zero_rows_and_overflow():
     assert moments(W, [0.0, 2.0, 1.5])[0][:, 0].tolist() == [1.0, 0.0, 0.0]
     with pytest.raises(ValueError):
         moments(W, [1.0, -0.5])  # the zero sum has no negative moment
-    # moments near the top of the float range: exact at p = 150, the
-    # closed form at p = 140.5
+    # moments high in the float range: exact at p = 100, the closed form
+    # at p = 140.5
     big = np.array([[1.0, -2.0], [1.0, 2.0]])
-    _assert_rows_are_single_p(big, [150.0, 140.5, 2.0])
-    # one p beyond the float range fails the call, as it fails alone
-    for p in (400.0, 160.5):
+    _assert_rows_are_single_p(big, [100.0, 140.5, 2.0])
+    # one p beyond the engines' reach fails the call, as it fails alone: at
+    # p = 150, above the exact engine's cap, the closed form's terms overflow
+    for p in (400.0, 160.5, 150.0):
         with pytest.raises(ValueError):
             moments(big, p)
         with pytest.raises(ValueError):
             moments(big, [2.0, p])
+
+
+def test_estimates_reject_a_negative_or_nan_error():
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="nonnegative number"):
+            engines.MomentEstimate(1.0, bad, "density", 2.0, "w=[1.0];g=[1.0]")
+
+
+def test_even_p_above_the_exact_cap_at_shift_0_takes_the_density_engine():
+    # one cap for every exact route: at p = 102 the batch's rows leave the
+    # exact rows as moment leaves the exact engine
+    W = np.array([[0.3, 0.5, 0.0], [0.3, -0.5, 0.0], [1.0, -0.7, 0.2], [0.0, 0.0, 0.0]])
+    _assert_rows_are_single_p(W, [102.0, 100.0])
+    est = moment(GammaSumModel.of([0.3, 0.5]), MomentQuery(102.0))
+    assert est.engine == "density"
+    assert (est.value, est.error) == (4.740298072525091e+131, 1.0720191272166726e+119)
+    truth = float(even_moment_exact([0.3, 0.5], 102))
+    assert abs(est.value - truth) <= est.error
 
 
 def test_moments_shapes_of_p():

@@ -337,8 +337,8 @@ def test_sample_determinism_and_laws():
 
 
 def test_sample_fractional_shapes():
-    # Marsaglia-Tsang path, both below and above shape 1
-    for shape, seed in ((0.5, 1), (2.7, 2)):
+    # numpy's standard_gamma, below and above shape 1
+    for shape, seed in ((0.3, 3), (0.5, 1), (2.7, 2), (7.5, 4)):
         s = sample(GammaSumModel.of([1.0], [shape]), seed=seed, count=400_000)
         assert abs(s.mean() - shape) < 5.0 * math.sqrt(shape / s.size)
         assert abs(s.var() - shape) < 6.0 * math.sqrt(1.0 / s.size) * shape * 3.0
@@ -347,5 +347,10 @@ def test_sample_fractional_shapes():
 def test_moment_query_validation():
     with pytest.raises(ValueError):
         MomentQuery(p=-1.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            MomentQuery(p=bad)
+        with pytest.raises(ValueError, match="finite"):
+            MomentQuery(p=2.0, shift=bad)
     q = MomentQuery(p=0.5, shift=1.0, signed=True)
     assert q.signed

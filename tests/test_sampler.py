@@ -2,7 +2,8 @@
 invariance, blocks shared between partitions, the contraction of one and
 two columns, agreement with the earlier one-shot sampler, recorded
 estimates, bounded memory, and the domain errors for payoffs beyond the
-float range and for sample counts below 1."""
+float range and for sample counts below 1; and the coverage of the
+intervals drawn on fractional shapes."""
 
 import math
 import tracemalloc
@@ -18,8 +19,9 @@ from expmoments.model import GammaSumModel, MomentQuery, sample
 # Monte Carlo queries, recorded from the one-shot sampler that drew
 # rng.random((pairs, K)) at once and took -log1p(-U): the montecarlo
 # workload's forced n = 4 and n = 1 classes (seed 7, operations 3, 4, 11, 12),
-# criterion 16's seeds 1600-1602, the engine tests' seeds 3, 12 and 4, and a
-# plain draw with an integer component
+# criterion 16's seeds 1600-1602, the engine tests' seeds 3, 12 and 4; and a
+# plain draw with an integer component beside a fractional one, whose
+# fractional shape numpy's standard_gamma draws
 CORPUS = [
     ([-0.6889372111820696, -0.4694858202947545, -0.21951692362958328, -1.8370768496935213], [1.0, 2.0, 1.0, 2.0],
      6.0, -0.7618089442609804, False, 741682169, 400000, 353571.8538312024, 14124.346130439915),
@@ -35,7 +37,7 @@ CORPUS = [
     ([1.0, 2.0], [1.0, 1.0], 2.0, 0.0, False, 3, 200000, 13.884432772936682, 0.11352079324723191),
     ([1.0, -1.0], [1.0, 1.0], 1.0, 0.0, False, 12, 50000, 0.9938948105904115, 0.01300053760362271),
     ([1.0], [1.0], 2.5, 1.0, True, 4, 400000, 0.9900177118073051, 0.025503534519502817),
-    ([1.0, -2.0], [2.0, 0.5], 3.0, 0.5, False, 5, 20000, 18.52445141323969, 1.4922653643592552),
+    ([1.0, -2.0], [2.0, 0.5], 3.0, 0.5, False, 5, 20000, 18.691916916152326, 1.5733739748568283),
 ]
 
 
@@ -173,7 +175,7 @@ CORPUS_PINS = [
     (13.884432772936682, 0.11352079324723191),
     (0.9938948105904115, 0.01300053760362271),
     (0.9900177118073051, 0.025503534519502817),
-    (18.52445141323969, 1.4922653643592552),
+    (18.691916916152326, 1.5733739748568283),
 ]
 COLUMNS = [
     (([-1.416496], [1.0], 3.0, 0.687959, True, 460255570, 400_000), (-27.670179166393996, 0.3594672232720716)),
@@ -239,3 +241,22 @@ def test_payoffs_beyond_the_float_range_are_a_domain_error():
         _forced([1.0], [1.0], 200.5, -1.0)
     with pytest.raises(ValueError, match="float range"):
         _forced([1.0], [0.5], 400.5, -1.0)
+
+
+# (weights, shapes, query) of forced Monte Carlo on fractional shapes whose
+# moments are polynomial, so that the exact engine gives the truth: every
+# shape below 1, then every shape above 1
+FRACTIONAL = [
+    ([1.0, -2.0], [0.5, 0.7], MomentQuery(2.0, 0.3)),
+    ([0.3, 1.2], [1.5, 2.5], MomentQuery(3.0, 0.2, signed=True)),
+]
+
+
+@pytest.mark.parametrize("weights, shapes, query", FRACTIONAL)
+def test_fractional_shape_intervals_cover_the_exact_moment(weights, shapes, query):
+    # criterion 16's check on the fractional-shape sampler: at least 190 of
+    # 200 seeds' 99% intervals cover the truth
+    model = GammaSumModel.of(weights, shapes)
+    truth = moment(model, query, engine="exact").value
+    estimates = [moment(model, query, engine="montecarlo", seed=seed, count=20_000) for seed in range(200)]
+    assert sum(abs(e.value - truth) <= e.error for e in estimates) >= 190
