@@ -24,7 +24,9 @@ import math
 import os
 import sys
 
-from . import acceptance, analysis, engines, schur
+# each command imports analysis, schur or acceptance where it runs, so that a
+# moment query loads neither
+from . import engines
 from .model import GammaSumModel, MomentQuery
 from .quadrature import QuadratureConfig, QuadratureError
 
@@ -135,6 +137,8 @@ def cmd_moment(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import analysis
+
     cfg = _cfg(args)
     suite = args.suite
     if suite == "theorem1":
@@ -162,6 +166,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_schur(args) -> int:
+    from . import schur
+
     res = schur.schur_scan(p=args.p, n=args.n, trials=args.trials, seed=args.seed, cfg=_cfg(args))
     payload = res.to_dict()
     fields = ["trial", "x", "y", "i", "j", "lam", "mp_x", "err_x", "mp_y", "err_y", "gap", "contribution"]
@@ -170,6 +176,8 @@ def cmd_schur(args) -> int:
 
 
 def cmd_failure(args) -> int:
+    from . import schur
+
     prof = schur.failure_profile(args.p)
     xs = prof.xs
     fs = prof.f
@@ -197,12 +205,16 @@ def cmd_failure(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from . import analysis
+
     res = analysis.solve_pstar() if args.constant == "pstar" else analysis.solve_p0()
     _emit(args, res.to_dict())
     return 0
 
 
 def cmd_minimize(args) -> int:
+    from . import analysis
+
     res = analysis.minimize_sphere(
         n=args.n, p=args.p, multistart=args.multistart, seed=args.seed, cfg=_cfg(args)
     )
@@ -211,6 +223,8 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    from . import acceptance
+
     only = None
     if args.only:
         only = [int(tok) for tok in args.only.split(",") if tok.strip()]

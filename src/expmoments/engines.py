@@ -264,6 +264,9 @@ def _simple_pole_moments(w: np.ndarray, ps):
             # equal weights merge into a higher-order pole and nearly
             # coincident ones have no partial fractions: both stay scalar
             separated &= ~(gap < _MERGE_GAP * top).any(axis=1)
+        underflow = np.zeros(len(w))
+        for k in range(m):
+            underflow += np.abs(coeff[:, k]) + 1.0
         log_base = loggamma(1.0)
         log_magnitude = _elementwise(math.log, magnitude)
         for p in ps:
@@ -282,7 +285,7 @@ def _simple_pole_moments(w: np.ndarray, ps):
                 value += mag[:, k]
                 err += charge[:, k]
                 mags += np.abs(mag[:, k])
-            err = np.maximum(err + m * _UNIT_ROUNDOFF * mags, _REL_FLOOR * np.abs(value))
+            err = np.maximum(err + m * _UNIT_ROUNDOFF * mags + underflow * math.ulp(0.0), _REL_FLOOR * np.abs(value))
             values.append(value)
             errors.append(err)
             oks.append(separated & np.isfinite(value) & (err <= _FALLBACK_REL * np.maximum(1.0, np.abs(value))))

@@ -320,13 +320,16 @@ class PartialFractionDensity:
         The bound charges each term its coefficient's sensitivity and the
         product that forms it (`term_roundoff`), the rounding of exp's
         argument (`specialfn.exp_units`) or of the pieces and of zeta, and
-        the sum of the terms, one unit of their magnitudes per term.
+        the sum of the terms, one unit of their magnitudes per term.  At
+        shift 0 each term's exp and product also lose up to |coeff| + 1
+        smallest subnormals where they underflow.
         """
         if p <= -1.0:
             raise ValueError(f"moment exponent must exceed -1, got {p!r}")
         n = len(self.terms)
         total = err = mags = 0.0
         if shift == 0.0:
+            underflow = 0.0
             for term in self.terms:
                 r = term.order
                 log_gamma = loggamma(p + r)
@@ -340,7 +343,8 @@ class PartialFractionDensity:
                 total += mag * (math.copysign(1.0, term.scale) if signed else 1.0)
                 err += term_roundoff(mag, term.sensitivity, n, units)
                 mags += abs(mag)
-            return total, err + n * _UNIT_ROUNDOFF * mags
+                underflow += abs(term.coeff) + 1.0
+            return total, err + n * _UNIT_ROUNDOFF * mags + underflow * math.ulp(0.0)
         for side, rows in zip((1.0, -1.0), self._half_lines):
             mu = side * shift
             for _, k, c, term in rows:
@@ -365,8 +369,13 @@ def term_roundoff(mag, sensitivity, count=0, units=0.0):
     coefficient's amplification of weight roundoff, 4 for each of the count
     factors of the product that forms the coefficient, and units more, those
     of the exp that scales it (`specialfn.exp_units`).  Works elementwise
-    on numpy arrays."""
-    return abs(mag) * (2.0 + sensitivity + 4.0 * count + units) * _UNIT_ROUNDOFF
+    on numpy arrays.  Near the top of the float range, where |mag| times
+    the units overflows, epsilon scales |mag| first."""
+    factor = 2.0 + sensitivity + 4.0 * count + units
+    charge = abs(mag) * factor * _UNIT_ROUNDOFF
+    if isinstance(charge, float):
+        return abs(mag) * _UNIT_ROUNDOFF * factor if math.isinf(charge) else charge
+    return np.where(np.isinf(charge), abs(mag) * _UNIT_ROUNDOFF * factor, charge)
 
 
 def partial_fraction_density(model: GammaSumModel) -> PartialFractionDensity:

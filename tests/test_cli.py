@@ -55,6 +55,13 @@ def test_moment_command_values(capsys):
         payload = json.loads(out)
         assert code == 0 and payload["engine"] == "exact", argv
         assert payload["value"] == value and payload["error"] == 0.0, argv
+    # above the exact engine's cap, 170! near the top of the float range
+    # comes from the density closed form, within its bound
+    code, out, _ = run(capsys, "moment", "-m", "1", "-p", "170", "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["engine"] == "density"
+    assert 0.0 < payload["error"] <= 1e-12 * payload["value"]
+    assert abs(payload["value"] - math.factorial(170)) <= payload["error"]
 
 
 def test_moment_exit_codes(capsys):
@@ -289,14 +296,18 @@ PACKAGE_NAMES = [
 
 
 def test_package_names_load_their_modules_on_first_access():
-    # in a fresh interpreter: importing the engines loads neither schur nor
-    # analysis, and every public name of the package still resolves
+    # in a fresh interpreter: importing the engines, or running a moment
+    # query from the CLI, loads neither schur nor analysis, and every public
+    # name of the package still resolves
     src = str(Path(expmoments.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = f"""
 import sys, types
 import expmoments.engines
 assert "expmoments.schur" not in sys.modules and "expmoments.analysis" not in sys.modules
+from expmoments.cli import main
+assert main(["moment", "-m", "1,2", "-p", "2.5", "--format", "json"]) == 0
+assert not {{"expmoments.schur", "expmoments.analysis", "expmoments.acceptance"}} & set(sys.modules)
 import expmoments
 assert expmoments.moment is expmoments.engines.moment
 for name in {PACKAGE_NAMES!r}:

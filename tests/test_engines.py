@@ -786,13 +786,20 @@ def test_moments_at_many_p_with_zero_rows_and_overflow():
     assert moments(W, [0.0, 2.0, 1.5])[0][:, 0].tolist() == [1.0, 0.0, 0.0]
     with pytest.raises(ValueError):
         moments(W, [1.0, -0.5])  # the zero sum has no negative moment
-    # moments high in the float range: exact at p = 100, the closed form
-    # at p = 140.5
+    # moments near the top of the float range: exact at p = 100, the
+    # closed form at p = 140.5 and, above the exact engine's cap, at p = 150
     big = np.array([[1.0, -2.0], [1.0, 2.0]])
-    _assert_rows_are_single_p(big, [100.0, 140.5, 2.0])
-    # one p beyond the engines' reach fails the call, as it fails alone: at
-    # p = 150, above the exact engine's cap, the closed form's terms overflow
-    for p in (400.0, 160.5, 150.0):
+    _assert_rows_are_single_p(big, [100.0, 150.0, 140.5, 2.0])
+    values, errors = moments(big, 150.0)
+    for row, value, error in zip(big.tolist(), values, errors):
+        assert abs(value - float(even_moment_exact(row, 150))) <= error
+    # a moment below the float range rounds to 0 within a nonzero bar
+    tiny = np.array([[0.0, 2.2250738585072014e-308], [1e-300, 3e-300]])
+    _assert_rows_are_single_p(tiny, [3.0])
+    values, errors = moments(tiny, 3.0)
+    assert values.tolist() == [0.0, 0.0] and (errors > 0.0).all()
+    # one p beyond the float range fails the call, as it fails alone
+    for p in (400.0, 160.5):
         with pytest.raises(ValueError):
             moments(big, p)
         with pytest.raises(ValueError):
