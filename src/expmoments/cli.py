@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -171,7 +172,7 @@ def cmd_schur(args) -> int:
     res = schur.schur_scan(p=args.p, n=args.n, trials=args.trials, seed=args.seed, cfg=_cfg(args))
     payload = res.to_dict()
     fields = ["trial", "x", "y", "i", "j", "lam", "mp_x", "err_x", "mp_y", "err_y", "gap", "contribution"]
-    _emit(args, payload, rows=res.rows, row_fields=fields)
+    _emit(args, payload, rows=list(res.rows), row_fields=fields)
     return 0
 
 
@@ -265,7 +266,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: `main` reads
+    EXPMOMENTS_SEED on every call, for a --seed left unset."""
     parser = argparse.ArgumentParser(
         prog="expmoments",
         description="Moments and sharp-inequality verification for weighted exponential/gamma sums",
@@ -277,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="write output to FILE instead of stdout")
 
     def common(sp, trials_default=None):
-        sp.add_argument("--seed", type=int, default=_default_seed())
+        sp.add_argument("--seed", type=int, default=None)
         output(sp)
         sp.add_argument("--tol", type=float, default=None, help="relative tolerance override")
         if trials_default is not None:
@@ -334,8 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if getattr(args, "seed", 0) is None:
+        args.seed = _default_seed()
     try:
         return args.func(args)
     except ModelLiteralError as exc:

@@ -31,8 +31,8 @@ poor bound does; a forced engine raises it instead.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from .model import (
     term_roundoff,
 )
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureError, integrate_doubling
-from .specialfn import exp_units, fourier_constant, loggamma
+from .specialfn import _NUMPY_EXP_UNITS, exp_units, fourier_constant, loggamma
 
 __all__ = [
     "MomentEstimate",
@@ -79,6 +79,8 @@ _FALLBACK_REL = 1e-3
 # with fractional shapes, on a 2-vCPU Xeon VM under Python 3.11, about
 # 4 ms at p = 50, 50 ms at p = 100 and 0.6 s at p = 200
 _EXACT_MAX_P = 100
+# log of the largest float, above which a moment lies beyond the float range
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # the largest |w t| at which the Fourier engine evaluates its envelope and
 # characteristic function, whose (w t)^2 stays below the float range
 _FOURIER_MAX_WT = 1e150
@@ -236,12 +238,13 @@ def _simple_pole_moments(w: np.ndarray, ps):
     A kept row is bit for bit what `moment` gives, because each number is
     formed by the float operations of `_partial_fractions` and
     `PartialFractionDensity.power_moment_with_error`, in their order: each
-    factor 1 / (1 - w_j / w_k) as the scalar path's c ** -1 (libm's pow,
-    which differs from 1.0 / c in the last bit about once in 1300), log and
-    exp by `math`, the exp charge with its log Gamma(1), and the sums of
-    terms and charges one pole (column) at a time, as numpy's pairwise
-    row sum would not add them from 8 columns up.  The coefficients,
-    sensitivities, merge-gap test and log |w| serve every p."""
+    factor 1 / (1 - w_j / w_k) as 1.0 / c, log and exp by numpy on whole
+    arrays, as the scalar path takes them on one float, the exp charge with
+    its log Gamma(1), and the sums of terms and charges one pole (column) at
+    a time, as numpy's pairwise row sum would not add them from 8 columns
+    up.  The coefficients, sensitivities, merge-gap test and log |w| serve
+    every p; a row whose exp leaves the float range is not finite, and goes
+    to the scalar path, which raises there."""
     m = w.shape[1]
     magnitude = np.abs(w)
     coeff = np.ones_like(w)
@@ -256,10 +259,7 @@ def _simple_pole_moments(w: np.ndarray, ps):
             gap = np.abs(w - w[:, j : j + 1])
             gap[:, j] = np.inf
             others = np.arange(m) != j
-            c = 1.0 - w[:, j : j + 1] / w[:, others]
-            # pow raises at 0, which only equal weights give
-            c[c == 0.0] = np.nan
-            coeff[:, others] *= _elementwise(pow, c, repeat(-1.0))
+            coeff[:, others] *= 1.0 / (1.0 - w[:, j : j + 1] / w[:, others])
             sensitivity += top / gap
             # equal weights merge into a higher-order pole and nearly
             # coincident ones have no partial fractions: both stay scalar
@@ -268,16 +268,13 @@ def _simple_pole_moments(w: np.ndarray, ps):
         for k in range(m):
             underflow += np.abs(coeff[:, k]) + 1.0
         log_base = loggamma(1.0)
-        log_magnitude = _elementwise(math.log, magnitude)
+        log_magnitude = np.log(magnitude)
         for p in ps:
             log_gamma = loggamma(p + 1.0)
             log_power = p * log_magnitude
-            argument = log_gamma - log_base + log_power
-            # math.exp raises past the float range, where the scalar path
-            # leaves the partial fractions; such rows go to it as NaN
-            argument[argument > 709.0] = np.nan
-            mag = coeff * _elementwise(math.exp, argument)
-            charge = term_roundoff(mag, sensitivity, m, exp_units((log_gamma, log_base, log_power), (p + 1.0, 1.0)))
+            mag = coeff * np.exp(log_gamma - log_base + log_power)
+            units = exp_units((log_gamma, log_base, log_power), (p + 1.0, 1.0), _NUMPY_EXP_UNITS)
+            charge = term_roundoff(mag, sensitivity, m, units)
             value = np.zeros(len(w))
             err = np.zeros(len(w))
             mags = np.zeros(len(w))
@@ -290,12 +287,6 @@ def _simple_pole_moments(w: np.ndarray, ps):
             errors.append(err)
             oks.append(separated & np.isfinite(value) & (err <= _FALLBACK_REL * np.maximum(1.0, np.abs(value))))
     return values, errors, oks
-
-
-def _elementwise(f, a: np.ndarray, *args) -> np.ndarray:
-    """f, a function of Python floats, on every entry of a (with the
-    entries of args), as the scalar path calls it."""
-    return np.fromiter(map(f, a.ravel().tolist(), *args), float, a.size).reshape(a.shape)
 
 
 def density_at(model: GammaSumModel, t: float, shift: float = 0.0) -> float:
@@ -328,12 +319,21 @@ def _polynomial_sign(model: GammaSumModel, q: MomentQuery) -> int | None:
     if not (float(q.p).is_integer() and q.p >= 0.0):
         return None
     power = int(q.p) + q.signed
-    if all(w > 0 for w in model.weights) and q.shift <= 0.0:
-        return 1
-    if all(w < 0 for w in model.weights) and q.shift >= 0.0:
-        # S - m < 0: |x|^p = (-x)^p and sgn(x) = -1
-        return -1 if power % 2 else 1
+    side = _one_side(model, q.shift)
+    if side:
+        # sgn(S - m) = side: |x|^p = (side x)^p and sgn(x) = side
+        return side if power % 2 else 1
     return 1 if power % 2 == 0 else None
+
+
+def _one_side(model: GammaSumModel, shift: float) -> int:
+    """1 where S - shift > 0 almost surely (weights all positive, shift <=
+    0), -1 where S - shift < 0 (all negative, shift >= 0), else 0."""
+    if all(w > 0 for w in model.weights) and shift <= 0.0:
+        return 1
+    if all(w < 0 for w in model.weights) and shift >= 0.0:
+        return -1
+    return 0
 
 
 def _exact_moment(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
@@ -420,14 +420,19 @@ def _density_estimate(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
         try:
             est = attempt(model, q)
         except ValueError as exc:
-            failure = failure or exc
+            # kept without its traceback, whose frames, and their callers',
+            # would stay alive in a reference cycle through this one
+            failure = failure or exc.with_traceback(None)
             continue
         if best is None or est.error < best.error:
             best = est
         if not _poor(best):
             return best
     if best is None:
-        raise failure
+        try:
+            raise failure
+        finally:
+            failure = None
     return best
 
 
@@ -569,6 +574,8 @@ def _montecarlo_moment(model: GammaSumModel, q: MomentQuery, seed: int, count: i
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if _beyond_float_range(model, q):
+        raise ValueError("the moment lies beyond the float range")
     n = 0
     acc = 0.0
     acc2 = 0.0
@@ -595,6 +602,34 @@ def _montecarlo_moment(model: GammaSumModel, q: MomentQuery, seed: int, count: i
     var = max(0.0, (acc2 - n * mean * mean) / (n - 1))
     ci = _Z99 * math.sqrt(var / n)
     return MomentEstimate(mean, ci, "montecarlo", q.p, model.fingerprint())
+
+
+def _beyond_float_range(model: GammaSumModel, q: MomentQuery) -> bool:
+    """Whether a rigorous lower bound on E|S - shift|^p exceeds the float
+    range, so that Monte Carlo need not draw samples to find its payoffs
+    overflow.  Where S - shift has one sign, |S - shift| >= |w_k G_k|
+    pointwise, so the moment is at least |w_k|^p Gamma(s_k + p) / Gamma(s_k)
+    for each term; for p >= 2 Lyapunov's inequality bounds it below by
+    (E(S - shift)^2)^(p/2).  A signed moment that takes both signs may
+    cancel, and is never refused.  Each bound is taken in logarithms, less
+    a margin far above their rounding."""
+    p, m = q.p, q.shift
+    terms = [(float(w), s) for w, s in zip(model.weights, model.shapes)]
+    one_sign = _one_side(model, m) != 0
+    if p <= 0.0 or (q.signed and not one_sign):
+        return False
+    logs = []
+    if one_sign:
+        for w, s in terms:
+            parts = (p * math.log(abs(w)), loggamma(s + p), -loggamma(s))
+            logs.append(sum(parts) - 1e-12 * sum(map(abs, parts)))
+    if p >= 2.0:
+        # E(S - m)^2 = Var S + (E S - m)^2, the offset less its rounding
+        offset = abs(sum(s * w for w, s in terms) - m) - 1e-12 * (sum(abs(s * w) for w, s in terms) + abs(m))
+        second = (sum(s * w * w for w, s in terms) + max(offset, 0.0) ** 2) * (1.0 - 1e-12)
+        if second > 1.0:
+            logs.append(0.5 * p * math.log(second) * (1.0 - 1e-12))
+    return max(logs, default=-math.inf) > _LOG_FLOAT_MAX
 
 
 def _payoff(s: np.ndarray, q: MomentQuery) -> np.ndarray:

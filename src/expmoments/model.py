@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .specialfn import _UNIT_ROUNDOFF, erlang_abs_moment, exp_units, loggamma
+from .specialfn import _NUMPY_EXP_UNITS, _UNIT_ROUNDOFF, erlang_abs_moment, exp_units, loggamma
 
 __all__ = [
     "GammaSumModel",
@@ -320,30 +320,33 @@ class PartialFractionDensity:
         The bound charges each term its coefficient's sensitivity and the
         product that forms it (`term_roundoff`), the rounding of exp's
         argument (`specialfn.exp_units`) or of the pieces and of zeta, and
-        the sum of the terms, one unit of their magnitudes per term.  At
-        shift 0 each term's exp and product also lose up to |coeff| + 1
-        smallest subnormals where they underflow.
+        the sum of the terms, one unit of their magnitudes per term.  Each
+        term's exp (at shift 0) or pieces (otherwise) and its product with
+        the coefficient also lose up to |coefficient| + 1 smallest
+        subnormals where they underflow: coeff at shift 0, the row's c
+        otherwise.
         """
         if p <= -1.0:
             raise ValueError(f"moment exponent must exceed -1, got {p!r}")
         n = len(self.terms)
-        total = err = mags = 0.0
+        total = err = mags = underflow = 0.0
         if shift == 0.0:
-            underflow = 0.0
-            for term in self.terms:
-                r = term.order
-                log_gamma = loggamma(p + r)
-                log_base = loggamma(float(r))
-                log_power = p * math.log(abs(term.scale))
-                try:
-                    mag = term.coeff * math.exp(log_gamma - log_base + log_power)
-                except OverflowError:
-                    raise ValueError("a density moment term leaves the float range") from None
-                units = exp_units((log_gamma, log_base, log_power), (p + r, float(r)))
-                total += mag * (math.copysign(1.0, term.scale) if signed else 1.0)
-                err += term_roundoff(mag, term.sensitivity, n, units)
-                mags += abs(mag)
-                underflow += abs(term.coeff) + 1.0
+            # numpy's log and exp, as engines.moments takes them on arrays
+            with np.errstate(over="ignore"):
+                for term in self.terms:
+                    r = term.order
+                    log_gamma = loggamma(p + r)
+                    log_base = loggamma(float(r))
+                    log_power = p * float(np.log(abs(term.scale)))
+                    power = float(np.exp(log_gamma - log_base + log_power))
+                    if power == math.inf:
+                        raise ValueError("a density moment term leaves the float range")
+                    mag = term.coeff * power
+                    units = exp_units((log_gamma, log_base, log_power), (p + r, float(r)), _NUMPY_EXP_UNITS)
+                    total += mag * (math.copysign(1.0, term.scale) if signed else 1.0)
+                    err += term_roundoff(mag, term.sensitivity, n, units)
+                    mags += abs(mag)
+                    underflow += abs(term.coeff) + 1.0
             return total, err + n * _UNIT_ROUNDOFF * mags + underflow * math.ulp(0.0)
         for side, rows in zip((1.0, -1.0), self._half_lines):
             mu = side * shift
@@ -360,7 +363,8 @@ class PartialFractionDensity:
                 err += abs(c) * (piece_err + (abs(p) + k + 3.0 + abs(zeta)) * _UNIT_ROUNDOFF * (upper + lower))
                 err += term_roundoff(mag, term.sensitivity, n + 1)
                 mags += abs(mag)
-        return total, err + n * _UNIT_ROUNDOFF * mags
+                underflow += abs(c) + 1.0
+        return total, err + n * _UNIT_ROUNDOFF * mags + underflow * math.ulp(0.0)
 
 
 def term_roundoff(mag, sensitivity, count=0, units=0.0):
@@ -436,9 +440,12 @@ def _partial_fractions(poles: Sequence, magnitudes: bool = False) -> PartialFrac
                 c, step = abs(c), abs(step)
             factor = None
             for r, d in weighted[j]:
+                # d / c at r = 1, as engines.moments forms its factors
                 try:
-                    coef = d * c ** (-r)
+                    coef = d / c**r
                 except OverflowError:
+                    coef = 0.0
+                except ZeroDivisionError:
                     coef = math.inf
                 part = [coef]
                 for i in range(1, mk):

@@ -13,6 +13,7 @@ empirically through random T-transform pairs.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,7 @@ __all__ = [
     "schur_scan",
     "schur_sweep",
     "ScanResult",
+    "ScanRows",
     "failure_profile",
     "FailureProfile",
     "ostrowski_differential",
@@ -301,6 +303,41 @@ _CERTIFICATE_NOTE = (
 )
 
 
+# a trial's contribution by its code in ScanRows
+_CONTRIBUTIONS = ("within-budget", "convex", "concave")
+
+
+class ScanRows(Sequence):
+    """A scan's rows, read-only.  Trial t's row is a dict of its vectors x
+    and y, its pair i, j and lambda, the moments and errors of both sides,
+    their gap and the trial's contribution; it is built from the scan's
+    trial arrays each time it is read, so a scan whose rows are not read
+    builds none."""
+
+    def __init__(self, xs, ys, ij, lam, mx, ex, my, ey, gap, codes):
+        self._columns = (xs, ys, ij, lam, mx, ex, my, ey, gap, codes)
+
+    def __len__(self) -> int:
+        return len(self._columns[-1])
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return [self[i] for i in range(len(self))[t]]
+        t = range(len(self))[t]
+        xs, ys, ij, lam, mx, ex, my, ey, gap, codes = self._columns
+        i, j = ij[t].tolist()
+        return {"trial": t, "x": xs[t].tolist(), "y": ys[t].tolist(), "i": i, "j": j, "lam": float(lam[t]),
+                "mp_x": float(mx[t]), "err_x": float(ex[t]), "mp_y": float(my[t]), "err_y": float(ey[t]),
+                "gap": float(gap[t]), "contribution": _CONTRIBUTIONS[codes[t]]}
+
+    def __eq__(self, other):
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+
 @dataclass
 class ScanResult:
     p: float
@@ -310,7 +347,7 @@ class ScanResult:
     convex_evidence: int
     concave_evidence: int
     within_budget: int
-    rows: list = field(default_factory=list)
+    rows: Sequence = ()
     convex_examples: list = field(default_factory=list)
     concave_examples: list = field(default_factory=list)
     notes: tuple = (_CERTIFICATE_NOTE,)
@@ -563,8 +600,10 @@ def schur_sweep(ps, n: int, trials: int = 500, seed: int = 0, cfg: QuadratureCon
 
     The scans share their trials: the draw, the T-transforms, the square
     roots and one multi-p `engines.moments` batch are done once for every
-    p.  Each ScanResult is built, with rows of its own, when the iterator
-    reaches it, so a caller that keeps none holds one at a time.
+    p.  Each ScanResult is built when the iterator reaches it, so a caller
+    that keeps none holds one at a time.  It keeps the shared trial arrays
+    and its own moments, from which its `ScanRows` build a row only when it
+    is read: a caller that reads the verdicts builds none.
     """
     ps = [float(p) for p in ps]
     if any(p <= -1.0 for p in ps):
@@ -600,24 +639,16 @@ def _scan_result(p, n, trials, xs, ys, ij, lam, values, errors) -> ScanResult:
     ex, ey = errors[:trials], errors[trials:]
     budget = 3.0 * (ex + ey) + 1e-13 * np.maximum(np.abs(mx), np.abs(my))
     gap = mx - my
-    kinds = np.where(gap > budget, "convex", np.where(gap < -budget, "concave", "within-budget"))
-    convex = int((kinds == "convex").sum())
-    concave = int((kinds == "concave").sum())
-
-    columns = zip(xs.tolist(), ys.tolist(), ij.tolist(), lam.tolist(), mx.tolist(), ex.tolist(), my.tolist(),
-                  ey.tolist(), gap.tolist(), kinds.tolist())
-    rows = [
-        {"trial": trial, "x": x, "y": y, "i": i, "j": j, "lam": lam_t, "mp_x": vx, "err_x": err_x, "mp_y": vy,
-         "err_y": err_y, "gap": g, "contribution": kind}
-        for trial, (x, y, (i, j), lam_t, vx, err_x, vy, err_y, g, kind) in enumerate(columns)
-    ]
+    codes = np.where(gap > budget, 1, np.where(gap < -budget, 2, 0))
+    convex = int(np.count_nonzero(codes == 1))
+    concave = int(np.count_nonzero(codes == 2))
     # a reported example carries its rows' values, exactly what the
     # single-query m_p gives for it
-    examples = {}
-    for kind in ("convex", "concave"):
-        picks = [rows[t] for t in np.flatnonzero(kinds == kind)[:3].tolist()]
-        examples[kind] = [{"x": list(r["x"]), "y": list(r["y"]), "mp_x": r["mp_x"], "mp_y": r["mp_y"]}
-                          for r in picks]
+    examples = [
+        [{"x": xs[t].tolist(), "y": ys[t].tolist(), "mp_x": float(mx[t]), "mp_y": float(my[t])}
+         for t in np.flatnonzero(codes == code)[:3].tolist()]
+        for code in (1, 2)
+    ]
     if convex and concave:
         verdict = "neither"
     elif convex:
@@ -634,9 +665,9 @@ def _scan_result(p, n, trials, xs, ys, ij, lam, values, errors) -> ScanResult:
         convex_evidence=convex,
         concave_evidence=concave,
         within_budget=trials - convex - concave,
-        rows=rows,
-        convex_examples=examples["convex"],
-        concave_examples=examples["concave"],
+        rows=ScanRows(xs, ys, ij, lam, mx, ex, my, ey, gap, codes),
+        convex_examples=examples[0],
+        concave_examples=examples[1],
     )
 
 

@@ -36,6 +36,10 @@ _LOG_2 = math.log(2.0)
 _STIRLING_FROM = 10.0
 # machine epsilon with a little slack, the unit of every closed-form roundoff bound
 _UNIT_ROUNDOFF = 1.1e-16
+# the relative error of numpy's exp in units of _UNIT_ROUNDOFF: up to 1.17
+# against mpmath on 900,000 arguments (numpy 2.4 on an AVX-512 Xeon), where
+# libm's stays below 1
+_NUMPY_EXP_UNITS = 2.0
 # e^z Gamma(s, z) for 0 < s < 1 by the gamma series below this z, by
 # Legendre's continued fraction from it
 _CF_FROM = 1.5
@@ -187,8 +191,10 @@ def erlang_abs_moment(p: float, k: int, zeta: float, log_scale: float = 0.0) -> 
       (`_beyond_integral`).  Where that integral fails to converge, the
       alternating sum stands.
 
-    Each exp is charged as `exp_units` says.  Raises ValueError where a
-    piece leaves the float range.
+    Each exp is charged as `exp_units` says, and the exp that scales a
+    piece also a smallest subnormal per unit of the sum it scales, which it
+    loses where it underflows.  Raises ValueError where a piece leaves the
+    float range.
     """
     lower = lower_err = 0.0
     try:
@@ -209,7 +215,7 @@ def erlang_abs_moment(p: float, k: int, zeta: float, log_scale: float = 0.0) -> 
     return upper, lower, upper_err + lower_err
 
 
-def exp_units(parts, lgamma_at=()):
+def exp_units(parts, lgamma_at=(), exp_err=1.0):
     """The relative rounding of exp(x), in units of _UNIT_ROUNDOFF, for an
     argument x summed from parts, each computed with up to three roundings,
     among them `loggamma` at each argument in lgamma_at.  exp turns the
@@ -218,8 +224,9 @@ def exp_units(parts, lgamma_at=()):
     Gamma 13 more (math.lgamma errs by up to about 13 units near 2 and
     three units of its value elsewhere, checked against mpmath) and half a
     unit of its rounded argument x times |psi(x)| <= |log x| + 1.6 / x, and
-    exp itself one.  Works elementwise on numpy arrays of parts."""
-    units = 1.0 + 4.0 * sum(map(abs, parts))
+    exp itself exp_err: one for libm's, _NUMPY_EXP_UNITS for numpy's.
+    Works elementwise on numpy arrays of parts."""
+    units = exp_err + 4.0 * sum(map(abs, parts))
     for x in lgamma_at:
         units += 13.0 + 0.5 * x * abs(math.log(x))
     return units
@@ -240,9 +247,10 @@ def _upper_piece(p, k, z, log_scale):
         total += math.comb(k, j) * z ** (k - j) * rising
         rising *= p1 + j
     # three units per factor of the rising factorial, four for the rest of
-    # a part and k for the sum
+    # a part and k for the sum; an exp that underflows errs by up to a
+    # smallest subnormal, times total
     value = scale * total
-    return value, (units + 4.0 * k + 4.0) * _UNIT_ROUNDOFF * value
+    return value, (units + 4.0 * k + 4.0) * _UNIT_ROUNDOFF * value + total * math.ulp(0.0)
 
 
 def _lower_piece(p, k, z, log_scale):
@@ -271,7 +279,7 @@ def _lower_piece(p, k, z, log_scale):
                 break
     value = scale * total
     err = value * units * _UNIT_ROUNDOFF + scale * ((8.0 * weighted + n * total) * _UNIT_ROUNDOFF + tail)
-    return value, err
+    return value, err + total * math.ulp(0.0)
 
 
 def _beyond_piece(p, k, z, log_scale):
@@ -330,7 +338,7 @@ def _beyond_piece(p, k, z, log_scale):
             zpow_rel += u
     scale, units = _charged_exp(log_scale)
     err += (k + 1.0) * u * mags + units * u * abs(total)
-    return scale * total, scale * err
+    return scale * total, scale * err + mags * math.ulp(0.0)
 
 
 def _beyond_integral(p, k, z, log_scale):

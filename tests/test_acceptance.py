@@ -4,7 +4,7 @@ captured output on failure)."""
 
 import tracemalloc
 
-from expmoments import acceptance
+from expmoments import acceptance, schur
 
 
 def _check(fn):
@@ -87,3 +87,12 @@ def test_criterion_08_holds_one_scan_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_criterion_08_builds_no_scan_rows(monkeypatch):
+    # the phase map reads verdicts only; a row is built only where it is read
+    def unread(rows, t):
+        raise AssertionError(f"criterion 8 built scan row {t!r}")
+
+    monkeypatch.setattr(schur.ScanRows, "__getitem__", unread)
+    _check(acceptance.criterion_08_phase_map)

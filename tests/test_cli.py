@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import expmoments
+from expmoments import cli
 from expmoments.cli import main, parse_model_literal
 
 
@@ -77,6 +78,9 @@ def test_moment_exit_codes(capsys):
     # Monte Carlo payoffs whose squares sum beyond the float range
     code, out, err = run(capsys, "moment", "-m", "1", "-p", "200.5", "--shift", "-1", "--count", "20000")
     assert code == 3 and "float range" in err and not out
+    code, out, err = run(capsys, "moment", "-m", "1", "-p", "150.5", "--shift", "-1", "--engine", "montecarlo",
+                         "--count", "20000")
+    assert code == 3 and "squares sum beyond the float range" in err and not out
     # a literal of only zero weights has no model
     for literal, p in (("0", "-0.5"), ("0", "2"), ("0,-0.0", "2.5")):
         code, _, err = run(capsys, "moment", "-m", literal, "-p", p)
@@ -256,6 +260,21 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["value"] == 14.0
+
+
+def test_repeated_main_calls_share_one_parser(capsys, monkeypatch):
+    monkeypatch.delenv("EXPMOMENTS_SEED", raising=False)
+    argv = ("moment", "-m", "1,2^0.5", "-p", "2.3", "--count", "20000", "--format", "json")
+    outputs = [run(capsys, *argv) for _ in range(3)]
+    assert outputs[0][0] == 0 and outputs == [outputs[0]] * 3
+    assert cli.build_parser() is cli.build_parser()
+    scan = ("schur", "-p", "4.5", "-n", "3", "--trials", "40", "--format", "csv")
+    assert run(capsys, *scan) == run(capsys, *scan)
+    # the default seed is read at every call
+    monkeypatch.setenv("EXPMOMENTS_SEED", "5")
+    assert json.loads(run(capsys, *argv)[1])["seed"] == 5
+    monkeypatch.delenv("EXPMOMENTS_SEED")
+    assert run(capsys, *argv) == outputs[0]
 
 
 def test_env_seed_default(capsys, monkeypatch):

@@ -1,8 +1,10 @@
 import cmath
+import gc
 import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -819,7 +821,7 @@ def test_even_p_above_the_exact_cap_at_shift_0_takes_the_density_engine():
     _assert_rows_are_single_p(W, [102.0, 100.0])
     est = moment(GammaSumModel.of([0.3, 0.5]), MomentQuery(102.0))
     assert est.engine == "density"
-    assert (est.value, est.error) == (4.740298072525091e+131, 1.0720191272166726e+119)
+    assert (est.value, est.error) == (4.740298072525091e+131, 1.0725405600046503e+119)
     truth = float(even_moment_exact([0.3, 0.5], 102))
     assert abs(est.value - truth) <= est.error
 
@@ -831,3 +833,102 @@ def test_moments_shapes_of_p():
     assert moments(W, [1.5])[0].shape == (1, 2)
     assert moments(W, [])[0].shape == (0, 2)
     assert moments(np.zeros((0, 3)), [2.0, 2.5])[1].shape == (2, 0)
+
+
+# rows of distinct weights some of whose factors 1 - w_j / w_k have
+# c ** -1 != 1.0 / c (libm's pow against the division)
+_POW_ROWS = [
+    [1.760864, -1.054158, 0.914242],
+    [-1.726087, 0.945474, 1.799956],
+    [1.099707, 0.968708, 1.980671],
+    [1.341668, -0.779664, -0.019148],
+]
+_POLE_PS = (-0.5, 0.5, 1.5, 2.5, 3.0, 5.3)
+
+
+def _pole_rows():
+    rng = np.random.default_rng(19)
+    return _POW_ROWS + rng.uniform(-2.0, 2.0, (40, 3)).round(6).tolist()
+
+
+def test_moments_match_moment_where_numpy_and_libm_round_apart():
+    rows = _pole_rows()
+    factors = [1.0 - a / b for row in rows for a in row for b in row if a != b]
+    assert sum(pow(c, -1.0) != 1.0 / c for c in factors) >= len(_POW_ROWS)
+    # some exp arguments of the closed form round apart under numpy's exp and libm's
+    arguments = [loggamma(p + 1.0) + p * math.log(abs(w)) for row in rows for w in row for p in _POLE_PS]
+    assert sum(float(np.exp(x)) != math.exp(x) for x in arguments) >= 10
+    for p in _POLE_PS:
+        values, errors = moments(np.array(rows), p)
+        for row, value, err in zip(rows, values.tolist(), errors.tolist()):
+            est = moment(GammaSumModel.of(row), MomentQuery(p=p))
+            assert value == est.value and err == est.error
+
+
+def test_shift_0_closed_form_bars_cover_a_high_precision_reference():
+    # E|S|^p = Gamma(p+1) sum_k |w_k|^p prod_(j != k) 1 / (1 - w_j / w_k) at 40 digits
+    rows = _pole_rows()
+    with mpmath.workdps(40):
+        for p in _POLE_PS:
+            values, errors = moments(np.array(rows), p)
+            for row, value, err in zip(rows, values.tolist(), errors.tolist()):
+                w = [mpmath.mpf(x) for x in row]
+                truth = mpmath.gamma(p + 1) * mpmath.fsum(
+                    abs(wk) ** p * mpmath.fprod(1 / (1 - wj / wk) for j, wj in enumerate(w) if j != k)
+                    for k, wk in enumerate(w)
+                )
+                assert abs(value - truth) <= err
+
+
+def test_density_fallback_leaves_no_reference_cycle():
+    # a failed attempt's traceback would keep its frames, and the callers'
+    # arrays, in a cycle until the cyclic collector runs
+    gc.collect()
+    gc.disable()
+    try:
+        est = moment(GammaSumModel.of([1.0, 1.0 + 1e-6, 2.0]), MomentQuery(2.5))
+        assert est.engine == "density"
+        assert gc.collect() == 0
+        try:
+            engines._density_estimate(GammaSumModel.of([1.0, 2.0]), MomentQuery(1e300))
+        except ValueError:
+            pass
+        else:
+            raise AssertionError("the closed forms should leave the float range")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "weights,shapes,query",
+    [
+        ([1.0, 2.0], None, MomentQuery(1e300)),
+        ([1.0], None, MomentQuery(172.0)),  # 172! by the one-sign bound
+        ([1.0], [0.5], MomentQuery(400.0, -1.0)),
+        ([1.0, -2.0], None, MomentQuery(2000.0)),  # by Lyapunov's inequality
+        ([-1.0, -2.0], None, MomentQuery(250.0, 1.0, signed=True)),
+    ],
+)
+def test_moments_beyond_the_float_range_are_refused_before_sampling(monkeypatch, weights, shapes, query):
+    def unsampled(*args, **kwargs):
+        raise AssertionError("the sampler ran")
+
+    monkeypatch.setattr(engines, "_draw", unsampled)
+    monkeypatch.setattr(engines, "_erlang_rows", unsampled)
+    model = GammaSumModel.of(weights, shapes)
+    for engine in (None, "montecarlo"):
+        with pytest.raises(ValueError, match="float range"):
+            moment(model, query, engine=engine)
+
+
+def test_moments_within_the_float_range_are_still_sampled():
+    # a signed moment of both signs may cancel; 170! fits
+    for model, query in (
+        (GammaSumModel.of([1.0, -2.0]), MomentQuery(3.0, signed=True)),
+        (GammaSumModel.of([1.0]), MomentQuery(170.0)),
+        (GammaSumModel.of([1.0], [0.5]), MomentQuery(2.5)),
+    ):
+        assert not engines._beyond_float_range(model, query)
+    est = moment(GammaSumModel.of([1.0, -2.0]), MomentQuery(3.0, signed=True), engine="montecarlo", count=20_000)
+    assert est.engine == "montecarlo" and math.isfinite(est.value)

@@ -416,9 +416,14 @@ def test_schur_sweep_is_criterion_8_scan_by_scan():
         for p, res in zip(ps, results):
             ref = schur_scan(p, n, 500, seed=8)
             assert res.to_dict() == ref.to_dict() and res.rows == ref.rows
-        # every scan owns its rows and their vectors
-        results[0].rows[0]["x"].append(-1.0)
-        results[0].rows.append(None)
+        # the rows are read-only, and every read builds its own row and
+        # vectors, so changing one changes no scan
+        row = results[0].rows[0]
+        row["x"].append(-1.0)
+        with pytest.raises(TypeError):
+            results[0].rows[0] = row
+        assert not hasattr(results[0].rows, "append")
+        assert results[0].rows[0] != row and results[0].rows == schur_scan(ps[0], n, 500, seed=8).rows
         assert results[1].rows == schur_scan(ps[1], n, 500, seed=8).rows
     with pytest.raises(ValueError):
         schur_sweep([2.0, -1.5], 2, 10)

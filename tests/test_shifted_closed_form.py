@@ -7,6 +7,7 @@ pole, and each Erlang term's moment from Gamma values above the shift,
 Kummer's 1F1 below it and Tricomi's U for a shift off its support.
 """
 
+import itertools
 import math
 import random
 import time
@@ -228,3 +229,38 @@ def test_batch_rows_bound_holds_against_exact_rationals(rows, p):
         if row.any():
             exact = _exact(GammaSumModel.of(row.tolist()), p)
             assert abs(Fraction(value) - exact) <= Fraction(err)
+
+
+@pytest.mark.parametrize("weights", [[1e-300], [2e-80, 3e-80], [1e-103, -2e-103], [1e-300, 2e-300]])
+@pytest.mark.parametrize("p", [2, 4, 6])
+@pytest.mark.parametrize("shift_in_weights", [-2.0, 0.1, 0.5, 3.0])
+def test_shifted_bar_covers_a_moment_below_the_float_range(weights, p, shift_in_weights):
+    # the pieces and their bars underflow together; the bar charges the
+    # subnormals the rows can lose, so it covers the exact moment
+    model = GammaSumModel.of(weights)
+    shift = shift_in_weights * abs(weights[0])
+    est = moment(model, MomentQuery(float(p), shift), engine="density")
+    num, den = _power_moment_scaled(model.weights, model.shapes, shift, p)
+    assert abs(Fraction(est.value) - Fraction(num, den)) <= Fraction(est.error)
+
+
+def test_shifted_odd_moment_below_the_float_range_has_a_nonzero_bar():
+    # E|S - m|^3 is about 6e-900 here, below the smallest subnormal
+    est = moment(GammaSumModel.of([1e-300]), MomentQuery(3.0, 1e-301), engine="density")
+    num, den = _power_moment_scaled((1e-300,), (1.0,), 1e-301, 3)
+    assert est.value == 0.0 and 0 < Fraction(num, den) <= Fraction(est.error)
+
+
+def test_shifted_bar_covers_high_orders_whose_pieces_underflow():
+    # a piece's exp can underflow into the subnormals while the sum it
+    # scales is large (order k, shift zeta): [1e-45^5] at shift 20 w, p = 2,
+    # read 2.3000001371168973e-88 against 2.3e-88 within a bar of 2e-100
+    for a, k, z, p in itertools.product([1e-45, 3e-46, 1e-60, 1e-100, 1e-200, 1e-290], [1, 3, 5, 8],
+                                        [-30.0, -3.0, 0.5, 3.0, 20.0, 60.0], [2, 4]):
+        model = GammaSumModel.of([a], [k])
+        try:
+            est = moment(model, MomentQuery(float(p), z * a), engine="density")
+        except ValueError:
+            continue  # the term table leaves the float range
+        num, den = _power_moment_scaled(model.weights, model.shapes, z * a, p)
+        assert abs(Fraction(est.value) - Fraction(num, den)) <= Fraction(est.error), (a, k, z, p)
