@@ -47,6 +47,15 @@ __all__ = [
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
+def _entries(x, name: str) -> list:
+    """x as a list of floats, checked for the function `name`: a ValueError
+    that names it unless every entry is finite and nonnegative."""
+    xs = [float(v) for v in x]
+    if not all(0.0 <= v < math.inf for v in xs):
+        raise ValueError(f"{name} requires finite nonnegative entries")
+    return xs
+
+
 def m_p(x, p, cfg: QuadratureConfig | None = None) -> engines.MomentEstimate:
     """M_p(x) = E (sum_j sqrt(x_j) E_j)^p for nonnegative x and p > -1.
 
@@ -54,9 +63,7 @@ def m_p(x, p, cfg: QuadratureConfig | None = None) -> engines.MomentEstimate:
     moment and routes through the moment engines on sqrt(x) weights,
     whose model drops the zero entries.
     """
-    xs = [float(v) for v in x]
-    if any(v < 0.0 for v in xs):
-        raise ValueError("m_p requires nonnegative entries")
+    xs = _entries(x, "m_p")
     p = float(p)
     if p <= -1.0:
         raise ValueError("m_p requires p > -1")
@@ -133,9 +140,7 @@ def f_k(x, k: int) -> float:
     """
     if k not in (0, 1, 2, 3):
         raise ValueError("closed forms cover k in 0..3; use f_k_mc beyond")
-    b = [math.sqrt(float(v)) for v in x]
-    if any(v < 0.0 for v in map(float, x)):
-        raise ValueError("f_k requires nonnegative entries")
+    b = [math.sqrt(v) for v in _entries(x, "f_k")]
     P = 1.0
     for v in b:
         P /= 1.0 + v
@@ -156,9 +161,7 @@ def f_k_mc(x, k: int, seed: int = 0, count: int = 1_000_000) -> engines.MomentEs
     """Monte Carlo estimate of F_k(x) with a 99% CI half-width."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    xs = [float(v) for v in x]
-    if any(v < 0.0 for v in xs):
-        raise ValueError("f_k_mc requires nonnegative entries")
+    xs = _entries(x, "f_k_mc")
     weights = [math.sqrt(v) for v in xs]
     fp = f"Fk(k={k});x={xs!r}"
     if not any(weights):
@@ -184,9 +187,7 @@ def mp_representation_check(x, p: float, cfg: QuadratureConfig | None = None) ->
         raise ValueError("representation check requires non-integer p in (0, 4)")
     cfg = cfg or DEFAULT_CONFIG
     k = math.floor(p)
-    xs = [float(v) for v in x]
-    if any(v < 0.0 for v in xs):
-        raise ValueError("nonnegative entries required")
+    xs = _entries(x, "mp_representation_check")
     b = [math.sqrt(v) for v in xs if v > 0.0]
     if not b:
         raise ValueError("all-zero input has no representation residual")
@@ -259,10 +260,11 @@ def t_transform(x, i: int, j: int, lam: float):
 
 
 def majorizes(x, y, tol: float = 1e-12) -> bool:
-    """True when x majorizes y: equal totals, dominating sorted partial sums."""
+    """True when x majorizes y: equal totals, dominating sorted partial sums.
+    Never true when an entry of either is not finite."""
     xs = sorted((float(v) for v in x), reverse=True)
     ys = sorted((float(v) for v in y), reverse=True)
-    if len(xs) != len(ys):
+    if len(xs) != len(ys) or not all(map(math.isfinite, xs + ys)):
         return False
     scale = max(1.0, max(map(abs, xs), default=1.0))
     if abs(sum(xs) - sum(ys)) > tol * scale * len(xs):
@@ -367,177 +369,28 @@ class ScanResult:
         }
 
 
-# most words one random_raw call fetches: 64 KiB, like model._ERLANG_BLOCK
-_WORD_BLOCK = 8192
-# a word's double (w >> 11) * 2**-53 exceeds 1e-9 exactly when w is at least this
-_ABOVE_TINY = (math.floor(1e-9 * 2.0**53) + 1) << 11
-
-
-class _Words:
-    """A `Generator`'s draws read straight off the 64-bit words of its
-    PCG64, by the four rules in `schur_scan`'s docstring.
-
-    `raw(size)` gives the next words as a uint64 array, as `random_raw`
-    does.  They are fetched in blocks of at most `_WORD_BLOCK`, about
-    `expect` words in all, and refilled as they run out.  `random(k)` is
-    named by the index of its first word; `doubles()` gives every word's
-    double by that index once the walk is done.
-    """
-
-    def __init__(self, raw, expect: int):
-        self._raw = raw
-        self._expect = expect
-        self._blocks = []
-        self._ints = []  # the unread words, after some read ones, as Python ints
-        self._base = 0  # the index of _ints[0] among all words fetched
-        self._pos = 0
-        self._half = -1  # the kept high half of a word, or -1
-
-    def _fill(self, k: int):
-        """Make k unread words available from _ints[_pos]."""
-        while self._pos + k > len(self._ints):
-            # 64 words at least once the estimate is spent
-            block = self._raw(min(_WORD_BLOCK, max(self._expect, k, 64)))
-            self._expect -= block.size
-            self._blocks.append(block)
-            self._base += self._pos
-            self._ints = self._ints[self._pos:] + block.tolist()
-            self._pos = 0
-
-    def random(self) -> float:
-        """`random()`."""
-        if self._pos == len(self._ints):
-            self._fill(1)
-        pos = self._pos
-        self._pos = pos + 1
-        return (self._ints[pos] >> 11) * 2.0**-53
-
-    def take(self, k: int):
-        """`random(k)`: the index of its first word, and its k words."""
-        if self._pos + k > len(self._ints):
-            self._fill(k)
-        pos = self._pos
-        self._pos = pos + k
-        return self._base + pos, self._ints[pos:pos + k]
-
-    def uint32(self) -> int:
-        """A 32-bit draw: a kept half, else the low half of a fresh word,
-        whose high half is kept."""
-        half = self._half
-        if half >= 0:
-            self._half = -1
-            return half
-        if self._pos == len(self._ints):
-            self._fill(1)
-        w = self._ints[self._pos]
-        self._pos += 1
-        self._half = w >> 32
-        return w & 0xFFFFFFFF
-
-    def integers3(self) -> int:
-        """`integers(3)`."""
-        u = self.uint32()
-        while not u:
-            u = self.uint32()
-        return (3 * u) >> 32
-
-    def shuffle(self, seq: list):
-        """`shuffle(seq)`; its 32-bit draws are `uint32` inlined, since the
-        shuffles make most of a scan's."""
-        half = self._half
-        for i in range(len(seq) - 1, 0, -1):
-            mask = (1 << i.bit_length()) - 1
-            while True:
-                if half >= 0:
-                    j = half & mask
-                    half = -1
-                else:
-                    if self._pos == len(self._ints):
-                        self._fill(1)
-                    w = self._ints[self._pos]
-                    self._pos += 1
-                    j = w & mask
-                    half = w >> 32
-                if j <= i:
-                    break
-            seq[i], seq[j] = seq[j], seq[i]
-        self._half = half
-
-    def doubles(self) -> np.ndarray:
-        """The double of every word fetched, by its index."""
-        if not self._blocks:
-            return np.empty(0)
-        return (np.concatenate(self._blocks) >> 11) * 2.0**-53
-
-
-def _draw_trials(seed: int, n: int, trials: int):
+def _draw_trials(rng: np.random.Generator, n: int, trials: int):
     """(xs, ij, lam): each trial's vector, the pair (i, j) its T-transform
-    averages and lambda, as `schur_scan`'s stream contract draws them."""
-    return _walk_trials(np.random.PCG64(np.random.SeedSequence(seed)).random_raw, n, trials)
-
-
-def _walk_trials(raw, n: int, trials: int):
-    """`_draw_trials` on the words of raw (see `_Words`).
-
-    One pass over the words decides each trial's kind, where its n
-    uniforms start and its pair; the vectors are then made from the
-    uniforms by array indexing, by the float operations the Generator
-    calls' values would take one by one.
-    """
-    # a trial reads about 1.3 n + 2.3 words on average
-    words = _Words(raw, trials * (3 * n // 2 + 3))
-    log_lo, log_hi = math.log(2e-3), math.log(0.5)
-    every = list(range(n))
-    # a stratified random nonnegative vector: uniform, near-equal, or
-    # two-active with a log-uniform split, so balanced and lopsided
-    # configurations (the two monotonicity regions for p > 4) both get
-    # sampled; kind 0 is style 0 kept, 1 style 1, 2 style 2, 3 style 0 redrawn
-    kinds, firsts, levels, twos, ij, lams = [], [], [], [], [], []
-    for t in range(trials):
-        kind = words.integers3()
-        first = -1
-        if kind == 0:
-            first, ws = words.take(n)
-            active = [k for k, w in enumerate(ws) if w >= _ABOVE_TINY]
-        elif kind == 1:
-            # level and jitter keep every entry above 0.18
-            levels.append(0.2 + (2.0 - 0.2) * words.random())
-            first, _ = words.take(n)
-            active = every
-        else:
-            # a lies in [2e-3, 0.5], so the two entries are the active ones
-            a = math.exp(log_lo + (log_hi - log_lo) * words.random())
-            order = every[:]
-            words.shuffle(order)
-            twos.append((t, order[0], order[1], a))
-            active = sorted(order[:2])
-        if len(active) < 2:
-            kind = 3
-            first, _ = words.take(n)
-            active = every
-        order = every[:len(active)]
-        words.shuffle(order)
-        kinds.append(kind)
-        firsts.append(first)
-        ij.append((active[order[0]], active[order[1]]))
-        lams.append(words.random())
-
-    u = words.doubles()
-    kinds = np.array(kinds, dtype=int)
-    firsts = np.array(firsts, dtype=int)
-    cols = np.arange(n)
-    xs = np.zeros((trials, n))
-    rows = kinds == 0
-    xs[rows] = u[firsts[rows, None] + cols]
-    rows = kinds == 1
-    xs[rows] = np.array(levels)[:, None] * (1.0 + 0.1 * (-1.0 + 2.0 * u[firsts[rows, None] + cols]))
-    rows = kinds == 3
-    xs[rows] = 0.1 + (1.0 - 0.1) * u[firsts[rows, None] + cols]
-    if twos:
-        t, i, j, a = (np.array(c) for c in zip(*twos))
-        xs[t, i] = a
-        xs[t, j] = 1.0 - a
-    return xs, np.array(ij, dtype=int).reshape(trials, 2), np.array(lams, dtype=float)
+    averages and lambda, drawn from rng by whole-array calls with the
+    distribution `schur_scan`'s docstring states."""
+    style = rng.integers(3, size=(trials, 1))
+    u = rng.random((trials, n))
+    level = rng.uniform(0.2, 2.0, (trials, 1))
+    a = np.exp(rng.uniform(math.log(2e-3), math.log(0.5), trials))
+    # the first two positions in the order of random keys are a uniformly
+    # random ordered pair of distinct positions
+    two = np.argsort(rng.random((trials, n)), axis=1)[:, :2]
+    # level and jitter keep every entry of style 1 above 0.18
+    xs = np.where(style == 0, u, level * (1.0 + 0.1 * (-1.0 + 2.0 * u)))
+    t = np.flatnonzero(style == 2)
+    xs[t] = 0.0
+    xs[t, two[t, 0]] = a[t]
+    xs[t, two[t, 1]] = 1.0 - a[t]
+    redraw = np.count_nonzero(xs > 1e-9, axis=1) < 2
+    xs[redraw] = rng.uniform(0.1, 1.0, (np.count_nonzero(redraw), n))
+    # entries at most 1e-9 take keys from [1, 2), after every active entry
+    ij = np.argsort(rng.random((trials, n)) + (xs <= 1e-9), axis=1)[:, :2]
+    return xs, ij, rng.random(trials)
 
 
 def schur_scan(
@@ -552,44 +405,24 @@ def schur_scan(
     All trials are drawn first; their 2 * trials moments then go through
     one `engines.moments` batch (`schur_sweep` with the one p).
 
-    The draws are the scan's stream contract: a (seed, n, trials) gives the
-    same vectors, pairs and lambdas, hence the same rows, verdicts and
-    evidence counts, as it always has.  Each trial makes these Generator
-    calls, in this order; none may be reordered, moved to another trial or
-    drawn in whole arrays across trials:
+    The trials are independent, and each is drawn as follows:
 
-    1. `integers(3)`, the style;
-    2. style 0, uniform on [0, 1): `random(n)`; style 1, near-equal: one
-       `random()` for the level, then `random(n)` for the jitter; style 2,
-       two active entries: one `random()` for the log-uniform split, then a
-       `shuffle` of range(n), whose first two entries take it;
-    3. only where fewer than two entries exceed 1e-9: `random(n)` again,
-       uniform on [0.1, 1);
-    4. a `shuffle` of the positions of the entries above 1e-9, whose first
-       two give i and j;
-    5. `random()`, lambda.
+    - its style is uniform on {0, 1, 2}: style 0 is x ~ U[0, 1)^n; style 1
+      is near-equal, level ~ U[0.2, 2) and x = level (1 + 0.1 U[-1, 1)^n);
+      style 2 has two active entries, a log-uniform on [2e-3, 0.5] and
+      1 - a at two distinct uniformly random positions, zeros elsewhere.
+      Balanced and lopsided vectors, the two monotonicity regions for
+      p > 4, are thus both sampled;
+    - a vector with fewer than two entries above 1e-9 is redrawn as
+      U[0.1, 1)^n;
+    - (i, j) is a uniformly random ordered pair of distinct entries above
+      1e-9;
+    - lambda ~ U[0, 1).
 
-    `uniform(a, b[, n])` is a + (b - a) * `random([n])` on the same doubles,
-    and `shuffle` of a list makes the bounded draws `permutation` makes, so
-    either form of each may stand for the other.
-
-    The calls are not made: one pass reads them off the raw 64-bit words
-    of the same `PCG64(SeedSequence(seed))`, by the rules numpy implements
-    (Lemire's bounded integers, O'Neill's PCG64):
-
-    - `random()` is (w >> 11) * 2**-53 of one fresh word w;
-    - a 32-bit draw is the low half of a fresh word, and keeps the high
-      half for the next 32-bit draw; a kept half survives any `random()`
-      calls in between;
-    - `integers(3)` is Lemire's method on one 32-bit draw u: 3u >> 32,
-      drawn again only at u = 0;
-    - `shuffle` of a list is Fisher-Yates from the end: the swap partner
-      of entry i is a 32-bit draw masked to the bits of i, drawn again
-      while it exceeds i.
-
-    The tests hold the walk to literal `uniform`/`permutation` calls, bit
-    for bit, on seeds and on hand-built words, and each rule to a real
-    Generator call by call.
+    A `Generator(PCG64(SeedSequence(seed)))` draws them by a fixed handful
+    of whole-array calls, so (seed, n, trials) gives the same trials, rows,
+    verdicts and evidence counts every time; a run with fewer trials is
+    not a prefix of a longer one.
     """
     return next(schur_sweep([p], n, trials, seed, cfg))
 
@@ -616,7 +449,7 @@ def schur_sweep(ps, n: int, trials: int = 500, seed: int = 0, cfg: QuadratureCon
 
 
 def _sweep(ps: list, n: int, trials: int, seed: int, cfg: QuadratureConfig | None):
-    xs, ij, lam = _draw_trials(seed, n, trials)
+    xs, ij, lam = _draw_trials(np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))), n, trials)
 
     # T-transform of every trial, entrywise as in t_transform
     t = np.arange(trials)
@@ -716,6 +549,8 @@ def failure_profile(p: float, grid_size: int = 512) -> FailureProfile:
     p = float(p)
     if not (math.isfinite(p) and p > -1.0):
         raise ValueError(f"failure_profile requires a finite p > -1, got {p!r}")
+    if grid_size < 2:
+        raise ValueError(f"failure_profile requires grid_size >= 2, got {grid_size!r}")
     right = _INV_SQRT2
     xs = np.linspace(0.0, right, grid_size)
     fs = np.array([_failure_f(v, p) for v in xs])
@@ -802,7 +637,7 @@ def ostrowski_differential(x, k: int, i: int, j: int) -> float:
     """
     if k not in (0, 1, 2, 3):
         raise ValueError("closed-form differentials cover k in 0..3")
-    xs = [float(v) for v in x]
+    xs = _entries(x, "ostrowski_differential")
     n = len(xs)
     if not (0 <= i < n and 0 <= j < n) or i == j:
         raise ValueError("indices must be distinct and in range")

@@ -1,15 +1,11 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
 
 from expmoments.schur import (
-    _ABOVE_TINY,
     MajorizationPair,
-    _Words,
     _draw_trials,
-    _walk_trials,
     c_p_constant,
     claim_inequality_check,
     f_k,
@@ -46,6 +42,23 @@ def test_m_p_rejections():
         m_p([1.0], -1.5)
     with pytest.raises(ValueError):
         m_p([0.0], -0.5)
+
+
+_VECTOR_ENTRY_POINTS = [
+    ("m_p", lambda x: m_p(x, 2.0)),
+    ("f_k", lambda x: f_k(x, 1)),
+    ("f_k", lambda x: f_k(x, 2)),
+    ("f_k_mc", lambda x: f_k_mc(x, 1, count=10)),
+    ("mp_representation_check", lambda x: mp_representation_check(x, 1.5)),
+    ("ostrowski_differential", lambda x: ostrowski_differential(x, 1, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("name,call", _VECTOR_ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_vector_entry_points_reject_negative_and_non_finite_entries(name, call, bad):
+    with pytest.raises(ValueError, match=f"^{name} requires finite nonnegative entries"):
+        call([bad, 1.0])
 
 
 def test_q_k_values():
@@ -172,6 +185,11 @@ def test_majorization_pair_type():
         MajorizationPair((0.5, 0.5), (1.0, 0.0))
     with pytest.raises(ValueError):
         MajorizationPair((1.0, -0.5), (0.25, 0.25))
+    for x, y in (((math.nan,), (1.0,)), ((1.0, 0.0), (math.nan, 0.5)), ((math.inf, 1.0), (math.inf, 1.0)),
+                 ((1.0, 0.0), (0.5, 0.5, math.nan))):
+        assert not majorizes(x, y)
+        with pytest.raises(ValueError):
+            MajorizationPair(x, y)
 
 
 def test_schur_scan_known_phases():
@@ -197,219 +215,123 @@ def test_schur_scan_rejections():
         schur_scan(2.0, 2, trials=-1)
 
 
-def _reference_scan_vector(rng: np.random.Generator, n: int) -> np.ndarray:
-    """A scan trial's vector as the scan first drew it, on numpy arrays,
-    frozen here as the reference for the stream `schur_scan` draws on Python
-    floats."""
-    style = int(rng.integers(3))
-    if style == 0:
-        x = rng.uniform(0.0, 1.0, n)
-    elif style == 1:
-        x = rng.uniform(0.2, 2.0) * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, n))
-    else:
-        x = np.zeros(n)
-        a = math.exp(rng.uniform(math.log(2e-3), math.log(0.5)))
-        idx = rng.permutation(n)[:2]
-        x[idx[0]] = a
-        x[idx[1]] = 1.0 - a
-    if np.count_nonzero(x > 1e-9) < 2:
-        x = rng.uniform(0.1, 1.0, n)
-    return x
+def _generator(seed):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def _reference_draws(n, trials, seed):
-    """(x, y, i, j, lam) of each trial of the reference stream."""
-    return _reference_stream(np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))), n, trials)
+def _trials(n, trials, seed):
+    """(x, y, i, j, lam) of each trial the scan at (seed, n, trials) draws,
+    y by the scalar t_transform."""
+    xs, ij, lam = _draw_trials(_generator(seed), n, trials)
+    return [(x, t_transform(x, i, j, t), i, j, t) for x, (i, j), t in zip(xs.tolist(), ij.tolist(), lam.tolist())]
 
 
-def _reference_stream(rng, n, trials):
-    """`_reference_draws` on the Generator rng."""
-    draws = []
-    for _ in range(trials):
-        x = _reference_scan_vector(rng, n)
-        active = np.flatnonzero(x > 1e-9)
-        i, j = active[rng.permutation(active.size)[:2]].tolist()
-        lam = float(rng.uniform(0.0, 1.0))
-        draws.append((x.tolist(), t_transform(x.tolist(), i, j, lam), i, j, lam))
-    return draws
+def _five_sigma(count, total, share):
+    """count of total is within five binomial sigma of share."""
+    return abs(count - total * share) <= 5.0 * math.sqrt(total * share * (1.0 - share))
 
 
-def _assert_draws_are(draws, ref, n):
-    """The (xs, ij, lam) arrays of a walk hold the reference trials bit for bit."""
-    xs, ij, lam = draws
+@pytest.mark.parametrize("n", range(2, 9))
+def test_draw_trials_distribution(n):
+    trials = 30_000
+    xs, ij, lam = _draw_trials(_generator(n), n, trials)
     assert xs.dtype == lam.dtype == np.float64 and ij.dtype == np.dtype(int)
-    assert xs.shape == (len(ref), n) and ij.shape == (len(ref), 2) and lam.shape == (len(ref),)
-    assert xs.tobytes() == np.array([x for x, *_ in ref], dtype=float).reshape(len(ref), n).tobytes()
-    assert ij.tolist() == [[i, j] for _, _, i, j, _ in ref]
-    assert lam.tobytes() == np.array([t[4] for t in ref], dtype=float).tobytes()
+    assert xs.shape == (trials, n) and ij.shape == (trials, 2) and lam.shape == (trials,)
+    for part, again in zip((xs, ij, lam), _draw_trials(_generator(n), n, trials)):
+        assert part.tobytes() == again.tobytes()
+    rows = np.arange(trials)
+
+    # style 2: a and 1 - a, zeros elsewhere; the sum of two floats is 1
+    # within an ulp, which no other style reaches
+    two = (np.count_nonzero(xs, axis=1) == 2) & (np.abs(xs.sum(axis=1) - 1.0) <= 2.0**-52)
+    assert _five_sigma(np.count_nonzero(two), trials, 1.0 / 3.0)
+    x2 = xs[two]
+    # 1 - a >= 1/2 >= a
+    at_rest, at_a = np.argsort(-x2, axis=1)[:, :2].T
+    a = x2[np.arange(x2.shape[0]), at_a]
+    assert np.all((2e-3 <= a) & (a <= 0.5))
+    # log-uniform: the quarters of [log 2e-3, log 0.5] take a quarter each
+    quarter = np.floor(4.0 * np.log(a / 2e-3) / math.log(0.5 / 2e-3)).astype(int)
+    for q in range(4):
+        assert _five_sigma(np.count_nonzero(quarter == q), a.size, 0.25)
+    cells = np.bincount(at_a * n + at_rest, minlength=n * n).reshape(n, n)
+    assert np.all(np.diag(cells) == 0)
+    for c in cells[~np.eye(n, dtype=bool)]:
+        assert _five_sigma(c, a.size, 1.0 / (n * (n - 1)))
+    # the pair is the two active entries, in either order
+    i2, j2 = ij[two].T
+    assert np.all(((i2 == at_a) & (j2 == at_rest)) | ((i2 == at_rest) & (j2 == at_a)))
+    assert _five_sigma(np.count_nonzero(i2 == at_a), a.size, 0.5)
+
+    # styles 0 and 1: U[0, 1)^n, or within 10% of a level in [0.2, 2)
+    x01 = xs[~two]
+    lo, hi = x01.min(axis=1), x01.max(axis=1)
+    assert np.all((0.0 <= lo) & ((hi < 1.0) | ((lo >= 0.18) & (hi < 2.2) & (hi * 0.9 <= lo * 1.1))))
+    # half of each: the mean entry is (0.5 + 1.1) / 2, jitter and level
+    # independent
+    means = x01.mean(axis=1)
+    assert abs(means.mean() - 0.8) <= 5.0 * means.std() / math.sqrt(means.size)
+    # every entry is active, and the pair is uniform over ordered pairs
+    i01, j01 = ij[~two].T
+    cells = np.bincount(i01 * n + j01, minlength=n * n).reshape(n, n)
+    assert np.all(np.diag(cells) == 0)
+    for c in cells[~np.eye(n, dtype=bool)]:
+        assert _five_sigma(c, means.size, 1.0 / (n * (n - 1)))
+
+    assert np.all(ij[:, 0] != ij[:, 1])
+    assert np.all(xs[rows, ij[:, 0]] > 1e-9) and np.all(xs[rows, ij[:, 1]] > 1e-9)
+    assert np.all((0.0 <= lam) & (lam < 1.0))
+    assert abs(lam.mean() - 0.5) <= 5.0 * math.sqrt(1.0 / 12.0 / trials)
 
 
-def test_draw_trials_are_the_reference_draws():
-    # the draws alone, bit for bit, without a moment computed
-    for seed in range(100):
-        for n in range(2, 9):
-            _assert_draws_are(_draw_trials(seed, n, 64), _reference_draws(n, 64, seed), n)
-    for trials in (0, 1):
-        for n in (2, 5):
-            _assert_draws_are(_draw_trials(11, n, trials), _reference_draws(n, trials, 11), n)
+class _TinyUniforms:
+    """A Generator whose styles are all 0 and whose first random((trials, n))
+    leaves row t with t % 3 entries above 1e-9."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.first = None
+
+    def integers(self, high, size):
+        return np.zeros(size, dtype=int)
+
+    def random(self, size):
+        out = self._rng.random(size)
+        if self.first is None:
+            for t, row in enumerate(out):
+                row[t % 3:] *= 1e-9
+            self.first = out.copy()
+        return out
+
+    def uniform(self, low, high, size):
+        return self._rng.uniform(low, high, size)
 
 
-def test_draws_do_not_depend_on_how_the_words_are_fetched():
-    # one to three words a call: every draw of every kind meets a refill
-    for seed, n in ((3, 2), (4, 5), (5, 8)):
-        bg = np.random.PCG64(np.random.SeedSequence(seed))
-        sizes = itertools.cycle((1, 2, 3))
-        raw = lambda size: bg.random_raw(min(size, next(sizes)))
-        _assert_draws_are(_walk_trials(raw, n, 200), _reference_draws(n, 200, seed), n)
+def test_draw_trials_redraws_vectors_with_fewer_than_two_active_entries():
+    stub = _TinyUniforms(_generator(0))
+    xs, ij, _ = _draw_trials(stub, 4, 9)
+    redrawn = np.arange(9) % 3 < 2
+    assert np.all((0.1 <= xs[redrawn]) & (xs[redrawn] < 1.0))
+    assert xs[~redrawn].tobytes() == stub.first[~redrawn].tobytes()
+    # the kept rows' pair is their two entries above 1e-9
+    assert sorted(map(sorted, ij[~redrawn].tolist())) == [[0, 1]] * 3
+    assert np.all(ij[:, 0] != ij[:, 1])
 
 
-# PCG64 steps its 128-bit state s to s * mult + inc, then outputs the XSL-RR
-# of the new state: (high ^ low) rotated right by its top six bits
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M64 = 2**64 - 1
-_M128 = 2**128 - 1
+# criterion 8's expected verdict at each p, for n = 2, 3 and 4
+_PHASES = {-0.75: "convex", -0.25: "convex", 0.5: "concave", 2.0: "concave", 3.9: "concave",
+           4.5: "neither", 5.0: "neither", 6.0: "neither"}
 
 
-def _pcg64_emitting(*words):
-    """A PCG64 state dict whose next one or two outputs are words; the LCG
-    makes the rest."""
-
-    def state_for(word, high):
-        rot = high >> 58
-        low = (((word << rot) | (word >> (64 - rot))) & _M64) ^ high
-        return (high << 64) | low
-
-    s1 = state_for(words[0], 0x9E3779B97F4A7C15)
-    if len(words) == 1:
-        inc = 0xDA3E39CB94B95BDB5851F42D4C957F2D
-    else:
-        # the second state fixes inc, which must be odd: the high word's
-        # last bit, which moves no rotation, sets the parity
-        s2 = state_for(words[1], 0xBF58476D1CE4E5B8)
-        if (s2 - s1) % 2 == 0:
-            s2 = state_for(words[1], 0xBF58476D1CE4E5B9)
-        inc = (s2 - s1 * _PCG_MULT) & _M128
-    s0 = ((s1 - inc) * pow(_PCG_MULT, -1, 2**128)) & _M128
-    state = {"bit_generator": "PCG64", "state": {"state": s0, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-    bg = np.random.PCG64()
-    bg.state = state
-    assert bg.random_raw(len(words)).tolist() == list(words)
-    return state
-
-
-_STYLE_0 = 1 | 0x12345678 << 32  # low half 1: integers(3) gives 0
-_TINY_WORD = _ABOVE_TINY - 1  # the largest word whose double is <= 1e-9
-
-
-_HAND_BUILT = [
-    # a zero low half at the style draw: Lemire rejects it, and the retry
-    # takes the high half, 0xAAAAAAAA, which gives style 1
-    ("lemire-rejection", 3, (0xAAAAAAAA << 32,)),
-    # style 0 with a first uniform <= 1e-9: the shuffle runs over 3 of 4 entries
-    ("tiny-uniform", 4, (_STYLE_0, _TINY_WORD)),
-    ("uniform-above-1e-9", 4, (_STYLE_0, _ABOVE_TINY)),
-    # style 0 at n = 2 with a tiny entry: the n uniforms are redrawn on [0.1, 1)
-    ("redraw", 2, (_STYLE_0, 5 << 11)),
-    # style 2 at n = 3: the first swap draw is the style word's high half,
-    # kept across the split's random(); its last bits 11 exceed 2, so it is
-    # rejected and drawn again from a fresh word's low half
-    ("kept-half-rejected", 3, (0xFFFFFFFF | 0x7 << 32,)),
-]
-
-
-@pytest.mark.parametrize("case,n,words", _HAND_BUILT, ids=[case for case, _, _ in _HAND_BUILT])
-def test_walk_follows_hand_built_words(case, n, words):
-    state = _pcg64_emitting(*words)
-    walked, referee = np.random.PCG64(), np.random.PCG64()
-    walked.state = referee.state = state
-    draws = _walk_trials(walked.random_raw, n, 4)
-    _assert_draws_are(draws, _reference_stream(np.random.Generator(referee), n, 4), n)
-    # the first trial took the branch the words were built for
-    x = draws[0][0]
-    if case == "lemire-rejection":
-        assert x.max() / x.min() <= 1.1 / 0.9
-    elif case == "tiny-uniform":
-        assert 0.0 < x[0] <= 1e-9 < x[1:].min() and 0 not in draws[1][0]
-    elif case == "uniform-above-1e-9":
-        assert x[0] == (_ABOVE_TINY >> 11) * 2.0**-53 > 1e-9
-    elif case == "redraw":
-        assert x.min() >= 0.1
-    else:
-        assert np.count_nonzero(x) == 2
-
-
-def test_words_follow_the_generator_call_by_call():
-    # from one PCG64 state, the walker's rules against a real Generator: a
-    # numpy that changes one of them fails here, at the first call it moves
-    state = np.random.PCG64(np.random.SeedSequence(2026)).state
-    walked, referee = np.random.PCG64(), np.random.PCG64()
-    walked.state = referee.state = state
-    words = _Words(walked.random_raw, 10**5)
-    rng = np.random.Generator(referee)
-    plan = np.random.default_rng(5)
-    for call, (kind, size) in enumerate(zip(plan.integers(4, size=10**4).tolist(),
-                                             plan.integers(2, 9, size=10**4).tolist())):
-        if kind == 0:
-            assert words.random() == rng.random(), f"call {call}: random() is (w >> 11) * 2**-53"
-        elif kind == 1:
-            at, _ = words.take(size)
-            assert words.doubles()[at:at + size].tolist() == rng.random(size).tolist(), (
-                f"call {call}: random({size}) is {size} fresh words, each (w >> 11) * 2**-53")
-        elif kind == 2:
-            assert words.integers3() == rng.integers(3), (
-                f"call {call}: integers(3) is 3u >> 32 on a 32-bit half u, drawn again at u = 0")
-        else:
-            got, ref = list(range(size)), list(range(size))
-            words.shuffle(got)
-            rng.shuffle(ref)
-            assert got == ref, (f"call {call}: shuffle of a list of {size} is Fisher-Yates from the end "
-                                "by masked 32-bit halves, a kept half first")
-
-
-def _reference_scan(p, n, trials, seed):
-    """The scan one trial at a time: scalar m_p on each side of every pair."""
-    rows = []
-    examples = {"convex": [], "concave": []}
-    for x, y, i, j, lam in _reference_draws(n, trials, seed):
-        mx = m_p(x, p)
-        my = m_p(y, p)
-        budget = 3.0 * (mx.error + my.error) + 1e-13 * max(abs(mx.value), abs(my.value))
-        gap = mx.value - my.value
-        kind = "convex" if gap > budget else "concave" if gap < -budget else "within-budget"
-        if kind in examples and len(examples[kind]) < 3:
-            examples[kind].append({"x": x, "y": y, "mp_x": mx.value, "mp_y": my.value})
-        rows.append({"x": x, "y": y, "i": i, "j": j, "lam": lam, "mx": mx, "my": my, "contribution": kind})
-    return rows, examples
-
-
-# criterion 8's 24 cells, n = 5, and two other seeds; the draws depend on
-# (seed, n, trials) only, and each is checked at every p that uses it
-_CRITERION_8 = [(p, n, 8) for p in (-0.75, -0.25, 0.5, 2.0, 3.9, 4.5, 5.0, 6.0) for n in (2, 3, 4)]
-_DRAW_CELLS = _CRITERION_8 + [(2.0, 5, 8), (5.0, 5, 8), (2.0, 3, 0), (4.5, 5, 0), (0.5, 2, 2**31 - 1),
-                              (6.0, 4, 2**31 - 1)]
-
-
-def test_schur_scan_draws_the_reference_stream(monkeypatch):
-    # the draws alone, bit for bit: every pair is in budget at zero moments
-    from expmoments import engines
-
-    def zero_moments(W, ps, cfg=None):
-        return np.zeros((len(ps), len(W))), np.zeros((len(ps), len(W)))
-
-    monkeypatch.setattr(engines, "moments", zero_moments)
-    references = {}
-    for p, n, seed in _DRAW_CELLS:
-        ref = references.setdefault((n, seed), _reference_draws(n, 500, seed))
-        res = schur_scan(p, n, 500, seed=seed)
-        assert [(r["x"], r["y"], r["i"], r["j"], r["lam"]) for r in res.rows] == ref
-    # the sweep draws them once for every p
-    for (n, seed), ref in references.items():
-        for res in schur_sweep([p for p, m, s in _DRAW_CELLS if (m, s) == (n, seed)], n, 500, seed=seed):
-            assert [(r["x"], r["y"], r["i"], r["j"], r["lam"]) for r in res.rows] == ref
+def test_criterion_8_verdicts_hold_on_other_seeds():
+    for seed in range(10):
+        for n in (2, 3, 4):
+            for res in schur_sweep(list(_PHASES), n, 500, seed=seed):
+                assert res.verdict == _PHASES[res.p], (res.p, n, seed)
 
 
 def test_schur_sweep_is_criterion_8_scan_by_scan():
-    ps = [p for p, n, _ in _CRITERION_8 if n == 2]
+    ps = list(_PHASES)
     for n in (2, 3, 4):
         results = list(schur_sweep(ps, n, 500, seed=8))
         assert [res.p for res in results] == ps
@@ -435,11 +357,27 @@ def test_schur_scan_without_trials_and_with_one():
     assert res.convex_evidence == res.concave_evidence == res.within_budget == 0
     assert res.convex_examples == res.concave_examples == []
     res = schur_scan(2.0, 5, trials=1, seed=3)
-    ((x, y, i, j, lam),) = _reference_draws(5, 1, 3)
+    ((x, y, i, j, lam),) = _trials(5, 1, 3)
     (row,) = res.rows
     assert (row["trial"], row["x"], row["y"], row["i"], row["j"], row["lam"]) == (0, x, y, i, j, lam)
     assert row["mp_x"] == m_p(x, 2.0).value and row["mp_y"] == m_p(y, 2.0).value
     assert res.within_budget + res.convex_evidence + res.concave_evidence == 1
+
+
+def _reference_scan(p, n, trials, seed):
+    """The scan one trial at a time: scalar m_p on each side of every pair."""
+    rows = []
+    examples = {"convex": [], "concave": []}
+    for x, y, i, j, lam in _trials(n, trials, seed):
+        mx = m_p(x, p)
+        my = m_p(y, p)
+        budget = 3.0 * (mx.error + my.error) + 1e-13 * max(abs(mx.value), abs(my.value))
+        gap = mx.value - my.value
+        kind = "convex" if gap > budget else "concave" if gap < -budget else "within-budget"
+        if kind in examples and len(examples[kind]) < 3:
+            examples[kind].append({"x": x, "y": y, "mp_x": mx.value, "mp_y": my.value})
+        rows.append({"x": x, "y": y, "i": i, "j": j, "lam": lam, "mx": mx, "my": my, "contribution": kind})
+    return rows, examples
 
 
 @pytest.mark.parametrize("p,n", [(-0.75, 2), (0.5, 4), (2.0, 3), (3.9, 2), (4.5, 3), (6.0, 4)])
@@ -480,6 +418,15 @@ def test_failure_profile_monotone_regime():
     assert prof.monotone_regime
     assert prof.critical_point is None
     assert prof.monotone_increasing
+
+
+@pytest.mark.parametrize("p", [3.0, 5.0])
+def test_failure_profile_needs_two_grid_points(p):
+    for grid_size in (0, 1):
+        with pytest.raises(ValueError, match="grid_size"):
+            failure_profile(p, grid_size)
+    prof = failure_profile(p, 2)
+    assert prof.f_at_right == pytest.approx((p + 1.0) * 2.0 ** (-p / 2.0), rel=1e-12)
 
 
 def test_failure_profile_just_above_threshold():
