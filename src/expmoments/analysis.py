@@ -236,12 +236,16 @@ def _distinct_weights(rng: np.random.Generator, n: int, lo: float = -1.0, hi: fl
             return w
 
 
+def _check_trials(name: str, trials: int) -> None:
+    if trials < 0:
+        raise ValueError(f"{name} requires trials >= 0, got {trials}")
+
+
 def verify_theorem1(
     p: float,
     trials: int = 200,
     n_max: int = 8,
     seed: int = 0,
-    cfg: QuadratureConfig | None = None,
 ) -> VerificationReport:
     """E|X|^p >= E|G|^p Var(X)^(p/2) for X a weighted exponential sum, p >= 2.
 
@@ -250,7 +254,7 @@ def verify_theorem1(
     n in {2, 4, 8, 16} are appended as the near-extremal family and their
     norm-level ratios recorded.
     """
-    return verify_theorem1_sweep([p], trials, n_max, seed, cfg)[0]
+    return verify_theorem1_sweep([p], trials, n_max, seed)[0]
 
 
 def verify_theorem1_sweep(
@@ -258,15 +262,15 @@ def verify_theorem1_sweep(
     trials: int = 200,
     n_max: int = 8,
     seed: int = 0,
-    cfg: QuadratureConfig | None = None,
 ) -> list[VerificationReport]:
-    """`verify_theorem1(p, trials, n_max, seed, cfg)` for each p of ps, in
+    """`verify_theorem1(p, trials, n_max, seed)` for each p of ps, in
     order.  The reports share their trials: one draw, and one multi-p
     `engines.moments` batch whose rows are what engines.moment gives each
     trial's model."""
     ps = [float(p) for p in ps]
     if any(p < 2.0 - 1e-6 for p in ps):
         raise ValueError("verify_theorem1 requires p >= 2")
+    _check_trials("verify_theorem1", trials)
     ps = [max(p, 2.0) for p in ps]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     # every trial is drawn first, by the same Generator calls in the same
@@ -279,12 +283,12 @@ def verify_theorem1_sweep(
     for row, w in zip(W, draws):
         row[: len(w)] = w
     variances = [sum(v * v for v in w) for w in draws]
-    values, errors = engines.moments(W, ps, cfg)
-    return [_theorem1_report(p, n_max, seed, cfg, draws, variances, value.tolist(), error.tolist())
+    values, errors = engines.moments(W, ps)
+    return [_theorem1_report(p, n_max, seed, draws, variances, value.tolist(), error.tolist())
             for p, value, error in zip(ps, values, errors)]
 
 
-def _theorem1_report(p, n_max, seed, cfg, draws, variances, values, errors) -> VerificationReport:
+def _theorem1_report(p, n_max, seed, draws, variances, values, errors) -> VerificationReport:
     """One p's report from the trials' weights, variances and moments."""
     report = VerificationReport(
         suite="theorem1", params={"p": p, "n_max": n_max, "seed": seed}, trials=len(draws)
@@ -300,7 +304,7 @@ def _theorem1_report(p, n_max, seed, cfg, draws, variances, values, errors) -> V
     ratios = {}
     for n in (2, 4, 8, 16):
         w = [((-1.0) ** j) / math.sqrt(n) for j in range(n)]
-        est = engines.moment(GammaSumModel.of(w), MomentQuery(p=p), cfg=cfg)
+        est = engines.moment(GammaSumModel.of(w), MomentQuery(p=p))
         ratios[n] = (est.value / gauss) ** (1.0 / p)
     report.extra["balanced_ratios"] = ratios
     if not (1.0 - 1e-9 <= ratios[16] <= 1.1):
@@ -318,6 +322,7 @@ def verify_hunter_exact(trials: int = 1000, ell_set=(2, 4, 6, 8), seed: int = 0)
     (ell! h_ell(X))^2 and ((ell-1)!!)^2 (sum X^2)^ell, one `_h_table` giving
     every degree.
     """
+    _check_trials("verify_hunter_exact", trials)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     report = VerificationReport(
         suite="hunter", params={"ell_set": list(ell_set), "seed": seed}, trials=trials
@@ -365,6 +370,7 @@ def verify_mrtt(
     p = float(p)
     if p <= -1.0 or p == 0.0:
         raise ValueError("verify_mrtt requires p > -1, p != 0")
+    _check_trials("verify_mrtt", trials)
     cfg = cfg or DEFAULT_CONFIG
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     pstar = _pstar()
@@ -425,7 +431,6 @@ def verify_gamma_extension(
     p_set=(2.0, 3.0, 4.0),
     trials: int = 40,
     seed: int = 0,
-    cfg: QuadratureConfig | None = None,
     mc_count: int = 400_000,
 ) -> VerificationReport:
     """Gamma-shape generalization: ||X||_p >= ||G||_p sqrt(sum x_j^2 g_j),
@@ -437,8 +442,11 @@ def verify_gamma_extension(
     engines: the left side is a Gamma closed form and the right side keeps
     Monte Carlo at fractional shapes, where auto dispatch would take the
     exact engine."""
+    if not p_set:
+        raise ValueError("verify_gamma_extension requires a nonempty p_set")
     if any(p < 2.0 for p in p_set):
         raise ValueError("the lower-bound comparison needs p >= 2")
+    _check_trials("verify_gamma_extension", trials)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     report = VerificationReport(
         suite="gamma", params={"p_set": list(p_set), "seed": seed}, trials=trials
@@ -453,7 +461,7 @@ def verify_gamma_extension(
             shapes = [s if not float(s).is_integer() else s + 0.5 for s in shapes]
         model = GammaSumModel.of(w, shapes)
         p = float(p_set[trial % len(p_set)])
-        est = engines.moment(model, MomentQuery(p=p), cfg=cfg, seed=seed + trial, count=mc_count)
+        est = engines.moment(model, MomentQuery(p=p), seed=seed + trial, count=mc_count)
         var = sum(v * v * s for v, s in zip(w, shapes))
         rhs = gaussian_abs_moment(p) * var ** (0.5 * p)
         budget = 3.0 * est.error + 1e-12 * rhs
@@ -476,9 +484,7 @@ def verify_gamma_extension(
             lhs = math.exp(loggamma(g + p + 1.0) - loggamma(g))
             aug = GammaSumModel.of([1.0, 1.0], [g, 1.0])
             engine = None if aug.integer_shapes else "montecarlo"
-            est = engines.moment(
-                aug, MomentQuery(p=float(p)), engine=engine, cfg=cfg, seed=seed, count=mc_count
-            )
+            est = engines.moment(aug, MomentQuery(p=float(p)), engine=engine, seed=seed, count=mc_count)
             rhs = g * est.value
             budget = 3.0 * g * est.error + 1e-10 * lhs
             ok = abs(lhs - rhs) <= budget
@@ -496,6 +502,9 @@ def verify_claim(trials: int = 10_000, n_max: int = 6, seed: int = 0) -> Verific
     concavity case."""
     from .schur import claim_inequality_check
 
+    if n_max < 2:
+        raise ValueError(f"verify_claim requires n_max >= 2, got {n_max}")
+    _check_trials("verify_claim", trials)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     report = VerificationReport(suite="claim", params={"n_max": n_max, "seed": seed}, trials=trials)
     for trial in range(trials):
@@ -512,6 +521,7 @@ def verify_stepII_bound(trials: int = 50, seed: int = 0) -> VerificationReport:
     Re phi_Y(t) <= |phi_Y(t)| <= (1 + x1^2 t^2)^(-(1+s)/2), s = x1^(-2)."""
     from .model import charfn
 
+    _check_trials("verify_stepII_bound", trials)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     report = VerificationReport(suite="stepII-bound", params={"seed": seed}, trials=trials)
     tgrid = np.geomspace(1e-3, 1e3, 61)
@@ -540,7 +550,6 @@ def gradient(
     p: float,
     j: int,
     engine: str = "density",
-    cfg: QuadratureConfig | None = None,
     seed: int = 0,
     count: int = 400_000,
 ) -> float:
@@ -558,9 +567,7 @@ def gradient(
     if not any(xs):
         return 0.0
     model = GammaSumModel.of(xs + [xs[j]])
-    est = engines.moment(
-        model, MomentQuery(p=p - 1.0, signed=True), engine=engine, cfg=cfg, seed=seed, count=count
-    )
+    est = engines.moment(model, MomentQuery(p=p - 1.0, signed=True), engine=engine, seed=seed, count=count)
     return p * est.value
 
 
@@ -583,8 +590,8 @@ class MinimizeResult:
         }
 
 
-def _sphere_gradient(x: np.ndarray, p: float, cfg) -> np.ndarray:
-    return np.array([gradient(x, p, j, engine="density", cfg=cfg) for j in range(len(x))])
+def _sphere_gradient(x: np.ndarray, p: float) -> np.ndarray:
+    return np.array([gradient(x, p, j, engine="density") for j in range(len(x))])
 
 
 def minimize_sphere(
@@ -620,7 +627,7 @@ def minimize_sphere(
         converged = False
         it = 0
         for it in range(1, max_iter + 1):
-            g = _sphere_gradient(x, p, cfg)
+            g = _sphere_gradient(x, p)
             gt = g - float(g @ x) * x
             gnorm = math.sqrt(gt.dot(gt))
             if gnorm < grad_tol * max(1.0, p * abs(val)):
@@ -704,6 +711,8 @@ def logconvexity_probe(x, p_grid=None, cfg: QuadratureConfig | None = None) -> L
     if p_grid is None:
         p_grid = [2.0 + 0.5 * i for i in range(9)]
     p_grid = [float(p) for p in p_grid]
+    if len(p_grid) < 3:
+        raise ValueError("logconvexity_probe requires at least 3 points in p_grid")
     model = GammaSumModel.of(xs)
     g = []
     for p in p_grid:

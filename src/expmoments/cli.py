@@ -10,8 +10,9 @@ dot decimal), and ``json`` (sorted keys, carries a schema_version field;
 byte-identical across runs for a fixed seed).  Exit codes: 0 success /
 suite pass, 1 violations or acceptance failures, 2 parse errors,
 3 domain errors.  ``failure``, ``solve`` and ``reproduce`` take no
-``--seed`` or ``--tol``; for the other commands the ``EXPMOMENTS_SEED``
-environment variable supplies the default seed.
+``--seed`` or ``--tol``, and each ``verify`` suite only the flags it
+reads; elsewhere the ``EXPMOMENTS_SEED`` environment variable supplies
+the default seed.
 """
 
 from __future__ import annotations
@@ -140,22 +141,17 @@ def cmd_moment(args) -> int:
 def cmd_verify(args) -> int:
     from . import analysis
 
-    cfg = _cfg(args)
     suite = args.suite
     if suite == "theorem1":
-        report = analysis.verify_theorem1(
-            p=args.p if args.p is not None else 3.0, trials=args.trials, seed=args.seed, cfg=cfg
-        )
+        report = analysis.verify_theorem1(p=args.p, trials=args.trials, seed=args.seed)
     elif suite == "hunter":
         report = analysis.verify_hunter_exact(trials=args.trials, seed=args.seed)
     elif suite == "mrtt":
-        report = analysis.verify_mrtt(
-            p=args.p if args.p is not None else 0.5, trials=args.trials, seed=args.seed, cfg=cfg
-        )
+        report = analysis.verify_mrtt(p=args.p, trials=args.trials, seed=args.seed, cfg=_cfg(args))
     elif suite == "all-equal":
         report = analysis.verify_all_equal()
     elif suite == "gamma":
-        report = analysis.verify_gamma_extension(trials=args.trials, seed=args.seed, cfg=cfg)
+        report = analysis.verify_gamma_extension(trials=args.trials, seed=args.seed)
     elif suite == "claim":
         report = analysis.verify_claim(trials=args.trials, seed=args.seed)
     elif suite == "stepII-bound":
@@ -280,10 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("table", "csv", "json"), default="table")
         sp.add_argument("--out", default=None, help="write output to FILE instead of stdout")
 
-    def common(sp, trials_default=None):
+    def common(sp, trials_default=None, tol=True):
         sp.add_argument("--seed", type=int, default=None)
         output(sp)
-        sp.add_argument("--tol", type=float, default=None, help="relative tolerance override")
+        if tol:
+            sp.add_argument("--tol", type=float, default=None, help="relative tolerance override")
         if trials_default is not None:
             sp.add_argument("--trials", type=_positive_int, default=trials_default)
 
@@ -298,13 +295,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_moment)
 
     sp = sub.add_parser("verify", help="run an inequality verification suite")
-    sp.add_argument(
-        "suite",
-        choices=("theorem1", "hunter", "mrtt", "all-equal", "gamma", "claim", "stepII-bound"),
-    )
-    sp.add_argument("-p", type=float, default=None)
-    common(sp, trials_default=200)
-    sp.set_defaults(func=cmd_verify)
+    suites = sp.add_subparsers(dest="suite", required=True)
+    # each suite takes only the flags it reads
+    p_defaults = {"theorem1": 3.0, "mrtt": 0.5}
+    for suite in ("theorem1", "hunter", "mrtt", "all-equal", "gamma", "claim", "stepII-bound"):
+        ss = suites.add_parser(suite)
+        if suite in p_defaults:
+            ss.add_argument("-p", type=float, default=p_defaults[suite])
+        if suite == "all-equal":
+            output(ss)
+        else:
+            common(ss, trials_default=200, tol=suite == "mrtt")
+        ss.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("schur", help="scan Schur-monotonicity of M_p")
     sp.add_argument("-p", type=float, required=True)

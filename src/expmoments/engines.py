@@ -556,20 +556,18 @@ def fourier_abs_moment_from_cf(re_phi, q, mu246, abs_phi_bound, cfg=None):
 
 
 def _montecarlo_moment(model: GammaSumModel, q: MomentQuery, seed: int, count: int) -> MomentEstimate:
-    """Partitioned Monte Carlo with a 99% normal-quantile interval.
+    """Monte Carlo with a 99% normal-quantile interval.
 
-    Trials split across _MC_PARTITIONS partitions, each drawing from a seed
-    derived from (seed, partition), so results depend on (seed, count) and
-    not on the sampler's block size.  Each partition draws
-    max(2, count // _MC_PARTITIONS) samples, so at least 2 _MC_PARTITIONS
-    in all; count < 1 raises ValueError.  With every shape an integer, the
-    partitions run half as many antithetic pairs each through one call of
-    the Erlang kernel `model._erlang_rows`, in which small partitions share
-    blocks; otherwise each takes plain draws of S (`model._draw`).  A
-    partition's sums of payoffs and of their squares are its rows of one
-    axis-1 sum per block, bit for bit its own sums, added in partition
-    order.  Raises ValueError where the sum of the payoffs or of their
-    squares leaves the float range (or a payoff is not a number): the
+    One `Generator(PCG64(SeedSequence(seed)))` per query, the generator of
+    `model.sample`, draws _MC_PARTITIONS consecutive chunks of
+    max(2, count // _MC_PARTITIONS) samples each, so results depend on
+    (seed, count) and not on the sampler's block size, and memory is
+    bounded by one chunk; count < 1 raises ValueError.  With every shape an
+    integer, a chunk is half as many antithetic pairs from one call of the
+    Erlang kernel `model._erlang_rows`; otherwise it is plain draws of S
+    (`model._draw`).  The chunks' sums of payoffs and of their squares are
+    added in order.  Raises ValueError where the sum of the payoffs or of
+    their squares leaves the float range (or a payoff is not a number): the
     interval would be meaningless there.
     """
     if count < 1:
@@ -580,22 +578,18 @@ def _montecarlo_moment(model: GammaSumModel, q: MomentQuery, seed: int, count: i
     acc = 0.0
     acc2 = 0.0
     per = max(2, count // _MC_PARTITIONS)
-    rngs = (
-        np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(part,))))
-        for part in range(_MC_PARTITIONS)
-    )
+    orders = [int(s) for s in model.shapes] if model.integer_shapes else None
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     # an overflowing payoff or sum is caught by the finiteness check below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if model.integer_shapes:
-            orders = [int(s) for s in model.shapes]
-            blocks = _erlang_rows(rngs, model.weights, orders, per // 2, lambda s: _payoff(s, q))
-        else:
-            blocks = (_payoff(_draw(model, rng, per), q)[None] for rng in rngs)
-        for h in blocks:
+        for _ in range(_MC_PARTITIONS):
+            if orders is None:
+                h = _payoff(_draw(model, rng, per), q)
+            else:
+                h = _erlang_rows(rng, model.weights, orders, per // 2, lambda s: _payoff(s, q))
             n += h.size
-            for total, squares in zip(h.sum(axis=1).tolist(), (h * h).sum(axis=1).tolist()):
-                acc += total
-                acc2 += squares
+            acc += float(h.sum())
+            acc2 += float((h * h).sum())
     if not (math.isfinite(acc) and math.isfinite(acc2)):
         raise ValueError("Monte Carlo payoffs or their squares sum beyond the float range")
     mean = acc / n

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -53,11 +52,7 @@ _MIXTURE_MAX_ORDER = 100
 # uniforms per side of a block of the Erlang kernel `_erlang_rows`: 64 KiB,
 # so that a block's row sums and payoffs stay below glibc's 128 KiB mmap
 # threshold and come from the heap, not from fresh mappings; blocks 8 times
-# larger ran the benchmark's montecarlo workload about 1.2 times slower.
-# Small partitions share a block of up to twice this size, whose buffers
-# are twice as large: criterion 16, two partitions to a block, ran 1.12 times
-# faster so without a page fault, while four to a block faulted about 190
-# pages per query and ran 0.78 times as fast
+# larger ran the benchmark's montecarlo workload about 1.2 times slower
 _ERLANG_BLOCK = 8192
 
 
@@ -598,9 +593,8 @@ def sample(model: GammaSumModel, seed: int, count: int) -> np.ndarray:
 
     One weight after another: an integer shape k sums k exponentials
     -log(1 - U) from a (count, k) array of uniforms, drawn row-major in
-    blocks by `_erlang_rows` (its one-generator case), so memory stays
-    bounded at any k; a non-integer shape is numpy's
-    `Generator.standard_gamma`.
+    blocks by `_erlang_rows`, so memory stays bounded at any k; a
+    non-integer shape is numpy's `Generator.standard_gamma`.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -617,65 +611,48 @@ def _draw(model: GammaSumModel, rng: np.random.Generator, count: int) -> np.ndar
 
 def _gamma_variates(rng: np.random.Generator, shape: float, count: int) -> np.ndarray:
     if float(shape).is_integer():
-        return next(_erlang_rows((rng,), (1.0,), (int(shape),), count))[0]
+        return _erlang_rows(rng, (1.0,), (int(shape),), count)
     return rng.standard_gamma(shape, count)
 
 
-def _erlang_rows(rngs, weights: Sequence, orders: Sequence, rows: int, payoff=None):
-    """The Erlang kernel of both samplers.  For each generator of rngs in
-    turn, and for each row of a (rows, K) array of uniforms U from it,
-    K = sum(orders), the sum S = sum_i w_i (-log(1 - U_i)) over the
-    columns, each weight repeated over its order.  With payoff, the row's
-    value is instead the mean (payoff(S) + payoff(S')) / 2 over the
-    antithetic pair, where S' takes -log U in place of -log(1 - U); payoff
-    may overwrite its argument.  Yields one row vector per generator, in
-    the generators' order, as the rows of one (k, rows) array for the k
-    generators of a block.
+def _erlang_rows(rng: np.random.Generator, weights: Sequence, orders: Sequence, rows: int, payoff=None) -> np.ndarray:
+    """The Erlang kernel of both samplers.  For each row of a (rows, K)
+    array of uniforms U from rng, K = sum(orders), the sum
+    S = sum_i w_i (-log(1 - U_i)) over the columns, each weight repeated
+    over its order.  With payoff, the row's value is instead the mean
+    (payoff(S) + payoff(S')) / 2 over the antithetic pair, where S' takes
+    -log U in place of -log(1 - U); payoff may overwrite its argument.
+    Returns the (rows,) vector of the rows' values.
 
-    A generator's rows run through blocks of step = _ERLANG_BLOCK // K rows
-    (k = 1).  Where they fit in one block, k = 2 step // rows >= 2 whole
-    generators share a block instead, of up to twice that size (criterion
-    16's partitions of 3125 pairs x 2 columns run two to a block).  Either
-    way each generator fills its own rows, in order, so it draws exactly
-    the uniforms of one rng.random((rows, K)) call, in the same places.
-    rngs is read as its block is reached, so a generator made on demand
-    is made only then.  numpy's doubles lie on the 2^-53 grid, so 1 - U is
-    exact and log(1 - U) is as accurate as log1p(-U), at a fraction of its
-    cost.  Both sides contract with the repeated weights by `_contract`,
-    row by row, so neither the rows nor any sum over them depend on the
-    block size or on which generators share a block."""
+    The rows run through blocks of _ERLANG_BLOCK // K rows, so memory
+    stays bounded at any K, and rng draws exactly the uniforms of one
+    rng.random((rows, K)) call, in the same places.  numpy's doubles lie
+    on the 2^-53 grid, so 1 - U is exact and log(1 - U) is as accurate as
+    log1p(-U), at a fraction of its cost.  Both sides contract with the
+    repeated weights by `_contract`, row by row, so the rows do not depend
+    on the block size."""
     neg = -np.repeat(np.asarray(weights, dtype=float), orders)
     cols = neg.size
-    step = max(1, _ERLANG_BLOCK // cols)
-    share = max(1, 2 * step // rows)
-    sides = 1 if payoff is None else 2
-    logs = sums = None
-    rngs = iter(rngs)
-    while group := list(islice(rngs, share)):
-        out = np.empty(len(group) * rows)
-        size = out.size if share > 1 else min(step, rows)
-        if logs is None:
-            # the first block is the largest; side 0 takes log(1 - U), side
-            # 1 (antithetic) log U
-            logs = np.empty((sides, size, cols))
-            sums = np.empty((sides, size))
-        for lo in range(0, out.size, size):
-            hi = min(lo + size, out.size)
-            block = logs[:, : hi - lo]
-            u = block[-1]
-            for i, rng in enumerate(group):
-                rng.random(out=u[i * rows : (i + 1) * rows])
-            np.subtract(1.0, u, out=block[0])
-            np.log(block, out=block)
-            s = _contract(block, neg, sums[:, : hi - lo])
-            if payoff is None:
-                out[lo:hi] = s[0]
-            else:
-                h = payoff(s)
-                np.add(h[0], h[1], out=out[lo:hi])
-        if payoff is not None:
-            out *= 0.5
-        yield out.reshape(len(group), rows)
+    size = min(max(1, _ERLANG_BLOCK // cols), rows)
+    # side 0 takes log(1 - U), side 1 (antithetic) log U
+    logs = np.empty((1 if payoff is None else 2, size, cols))
+    sums = np.empty(logs.shape[:2])
+    out = np.empty(rows)
+    for lo in range(0, rows, size):
+        hi = min(lo + size, rows)
+        block = logs[:, : hi - lo]
+        rng.random(out=block[-1])
+        np.subtract(1.0, block[-1], out=block[0])
+        np.log(block, out=block)
+        s = _contract(block, neg, sums[:, : hi - lo])
+        if payoff is None:
+            out[lo:hi] = s[0]
+        else:
+            h = payoff(s)
+            np.add(h[0], h[1], out=out[lo:hi])
+    if payoff is not None:
+        out *= 0.5
+    return out
 
 
 def _contract(block: np.ndarray, neg: np.ndarray, out: np.ndarray) -> np.ndarray:

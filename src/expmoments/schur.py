@@ -571,52 +571,38 @@ def failure_profile(p: float, grid_size: int = 512) -> FailureProfile:
     ) / (h * h)
 
     increasing = bool(np.all(np.diff(fs) > -1e-12))
-    if p <= 4.0:
-        return FailureProfile(
-            p=p,
-            xs=xs,
-            f=fs,
-            monotone_regime=True,
-            critical_point=None,
-            critical_value=None,
-            f_at_zero=float(fs[0]),
-            f_at_right=float(fs[-1]),
-            d1_at_zero=d1_zero,
-            d1_at_right=d1_right,
-            d2_at_right=d2_right,
-            monotone_increasing=increasing,
-        )
+    crit = crit_val = None
+    if p > 4.0:
+        # bracket the sign change of f' on the grid, then bisect the
+        # central-difference derivative
+        fd_h = right / (8.0 * grid_size)
 
-    # bracket the sign change of f' on the grid, then bisect the
-    # central-difference derivative
-    fd_h = right / (8.0 * grid_size)
+        def dfd(v: float) -> float:
+            lo = max(v - fd_h, 0.0)
+            hi = min(v + fd_h, right)
+            return (_failure_f(hi, p) - _failure_f(lo, p)) / (hi - lo)
 
-    def dfd(v: float) -> float:
-        lo = max(v - fd_h, 0.0)
-        hi = min(v + fd_h, right)
-        return (_failure_f(hi, p) - _failure_f(lo, p)) / (hi - lo)
-
-    crit = None
-    for a, b in zip(xs[1:-2], xs[2:-1]):
-        da, db = dfd(a), dfd(b)
-        if da > 0.0 and db <= 0.0:
-            lo, hi = a, b
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if dfd(mid) > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo < 1e-12:
-                    break
-            crit = 0.5 * (lo + hi)
-            break
-    crit_val = _failure_f(crit, p) if crit is not None else None
+        for a, b in zip(xs[1:-2], xs[2:-1]):
+            da, db = dfd(a), dfd(b)
+            if da > 0.0 and db <= 0.0:
+                lo, hi = a, b
+                for _ in range(200):
+                    mid = 0.5 * (lo + hi)
+                    if dfd(mid) > 0.0:
+                        lo = mid
+                    else:
+                        hi = mid
+                    if hi - lo < 1e-12:
+                        break
+                crit = 0.5 * (lo + hi)
+                break
+        if crit is not None:
+            crit_val = _failure_f(crit, p)
     return FailureProfile(
         p=p,
         xs=xs,
         f=fs,
-        monotone_regime=False,
+        monotone_regime=p <= 4.0,
         critical_point=crit,
         critical_value=crit_val,
         f_at_zero=float(fs[0]),

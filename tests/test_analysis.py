@@ -291,6 +291,25 @@ def test_verify_gamma_extension():
     assert {r["engine"] for r in rows if not float(r["shape"]).is_integer()} == {"montecarlo"}
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: verify_gamma_extension(p_set=()), "verify_gamma_extension requires a nonempty p_set"),
+        (lambda: logconvexity_probe([1, -1], p_grid=[2, 3]), "logconvexity_probe requires at least 3 points"),
+        (lambda: verify_claim(n_max=1), "verify_claim requires n_max >= 2"),
+        (lambda: verify_theorem1(3.0, trials=-1), "verify_theorem1 requires trials >= 0"),
+        (lambda: verify_hunter_exact(trials=-1), "verify_hunter_exact requires trials >= 0"),
+        (lambda: verify_mrtt(0.5, trials=-1), "verify_mrtt requires trials >= 0"),
+        (lambda: verify_gamma_extension(trials=-1), "verify_gamma_extension requires trials >= 0"),
+        (lambda: verify_claim(trials=-1), "verify_claim requires trials >= 0"),
+        (lambda: verify_stepII_bound(trials=-1), "verify_stepII_bound requires trials >= 0"),
+    ],
+)
+def test_degenerate_arguments_are_value_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_verify_claim_and_stepII():
     assert verify_claim(trials=2000, seed=0).passed
     assert verify_stepII_bound(trials=30, seed=0).passed

@@ -173,6 +173,34 @@ def test_verify_remaining_suites(capsys):
         assert code == 0, argv
 
 
+@pytest.mark.parametrize(
+    "suite, flag",
+    [
+        ("theorem1", ("--tol", "1e-8")),
+        ("hunter", ("-p", "3")),
+        ("all-equal", ("--trials", "3")),
+        ("all-equal", ("--seed", "9")),
+        ("all-equal", ("--tol", "1e-3")),
+        ("gamma", ("--tol", "1e-8")),
+        ("claim", ("-p", "2")),
+        ("stepII-bound", ("--tol", "1e-8")),
+    ],
+)
+def test_verify_suites_refuse_flags_they_do_not_read(capsys, suite, flag):
+    # -p: theorem1 and mrtt; --tol: mrtt; --seed and --trials: all but
+    # all-equal
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", suite, *flag])
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: " + " ".join(flag) in capsys.readouterr().err
+
+
+def test_verify_mrtt_reads_every_flag(capsys):
+    argv = ("verify", "mrtt", "-p", "0.5", "--tol", "1e-9", "--seed", "2", "--trials", "3", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["params"]["seed"] == 2
+
+
 def test_schur_report_carries_certificate_note(capsys):
     code, out, _ = run(capsys, "schur", "-p", "3", "-n", "2", "--trials", "10", "--format", "json")
     assert code == 0
