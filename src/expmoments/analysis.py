@@ -316,11 +316,16 @@ def verify_hunter_exact(trials: int = 1000, ell_set=(2, 4, 6, 8), seed: int = 0)
     """(ell! h_ell(x))^2 >= ((ell-1)!!)^2 (sum x^2)^ell in exact rationals.
 
     Squaring keeps both sides rational; zero tolerance, an actual
-    certificate rather than a float comparison.  Each vector runs on the
-    integers X = D x, D the lcm of its denominators: h_ell is homogeneous
-    of degree ell, so the inequality times D^(2 ell) compares the integers
-    (ell! h_ell(X))^2 and ((ell-1)!!)^2 (sum X^2)^ell, one `_h_table` giving
-    every degree.
+    certificate rather than a float comparison.  Three whole-array
+    Generator calls draw every trial: the vector lengths n, uniform on
+    1..6, then the sum(n) numerators, uniform on the 18 nonzero integers in
+    [-9, 9], and the sum(n) denominators, uniform on 1..9, each trial's
+    entries consecutive.  Each vector runs on the integers X = D x, D the
+    lcm of its denominators: h_ell is homogeneous of degree ell, so the
+    inequality times D^(2 ell) compares the integers (ell! h_ell(X))^2 and
+    ((ell-1)!!)^2 (sum X^2)^ell.  One `_h_table` per vector length runs on
+    the object-array columns of every such vector, giving every degree;
+    violations are recorded trial by trial, in ell_set order.
     """
     _check_trials("verify_hunter_exact", trials)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -330,28 +335,28 @@ def verify_hunter_exact(trials: int = 1000, ell_set=(2, 4, 6, 8), seed: int = 0)
     for ell in ell_set:
         if ell % 2 != 0:
             raise ValueError("hunter suite needs even degrees")
-    bounds = {ell: (math.factorial(ell), gaussian_even_moment_exact(ell) ** 2) for ell in ell_set}
-    for trial in range(trials):
-        n = int(rng.integers(1, 7))
-        x = []
-        for _ in range(n):
-            num = 0
-            while num == 0:
-                num = int(rng.integers(-9, 10))
-            den = int(rng.integers(1, 10))
-            x.append((num, den))
-        d = math.lcm(*(den for _, den in x))
-        scaled = [num * (d // den) for num, den in x]
-        sq = sum(v * v for v in scaled)
-        h = _h_table(scaled, max(ell_set, default=0))
-        for ell in ell_set:
-            factorial, rhs_square = bounds[ell]
+    bounds = [(ell, math.factorial(ell), gaussian_even_moment_exact(ell) ** 2) for ell in ell_set]
+    lengths = rng.integers(1, 7, trials)
+    nums = rng.integers(-9, 9, lengths.sum())
+    nums[nums >= 0] += 1
+    dens = rng.integers(1, 10, nums.size)
+    starts = np.cumsum(lengths) - lengths
+    found = []  # (trial, position in ell_set, record)
+    for n in range(1, 7):
+        trial = np.flatnonzero(lengths == n)
+        at = starts[trial, None] + np.arange(n)
+        d = np.lcm.reduce(dens[at], axis=1)
+        scaled = (nums[at] * (d[:, None] // dens[at])).astype(object)
+        sq = (scaled * scaled).sum(axis=1)
+        h = _h_table(scaled.T, max(ell_set, default=0))
+        for k, (ell, factorial, rhs_square) in enumerate(bounds):
             lhs = factorial * h[ell]
-            if lhs * lhs < rhs_square * sq**ell:
-                report.record_violation(
-                    {"trial": trial, "x": [str(Fraction(num, den)) for num, den in x], "ell": ell,
-                     "lhs": str(Fraction(lhs, d**ell))}
-                )
+            for i in np.flatnonzero((lhs * lhs < rhs_square * sq**ell).astype(bool)):
+                x = [str(Fraction(int(a), int(b))) for a, b in zip(nums[at[i]], dens[at[i]])]
+                lhs_exact = str(Fraction(lhs[i], int(d[i]) ** ell))
+                found.append((int(trial[i]), k, {"trial": int(trial[i]), "x": x, "ell": ell, "lhs": lhs_exact}))
+    for _, _, record in sorted(found, key=lambda f: f[:2]):
+        report.record_violation(record)
     return report
 
 

@@ -46,6 +46,7 @@ from .model import (
     _chs_scaled,
     _draw,
     _erlang_rows,
+    _h_table,
     _partial_fractions,
     _power_moment_scaled,
     _power_moments_scaled,
@@ -95,7 +96,6 @@ class MomentEstimate:
     error: float
     engine: str
     p: float
-    fingerprint: str
 
     def __post_init__(self):
         if not self.error >= 0.0:
@@ -349,9 +349,9 @@ def _exact_moment(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
         # Hunter's identity E S^ell = ell! h_ell(w)
         ell = int(q.p)
         h, d = _chs_scaled(model.expanded_weights(), ell)
-        return MomentEstimate(_exact_float(math.factorial(ell) * h, d**ell), 0.0, "exact", q.p, model.fingerprint())
+        return MomentEstimate(_exact_float(math.factorial(ell) * h, d**ell), 0.0, "exact", q.p)
     num, den = _power_moment_scaled(model.weights, model.shapes, q.shift, int(q.p))
-    return MomentEstimate(_exact_float(sign * num, den), 0.0, "exact", q.p, model.fingerprint())
+    return MomentEstimate(_exact_float(sign * num, den), 0.0, "exact", q.p)
 
 
 def _exact_rows(w: np.ndarray, ells) -> np.ndarray:
@@ -376,10 +376,7 @@ def _exact_rows(w: np.ndarray, ells) -> np.ndarray:
     base = exponent.min(axis=1, initial=0)
     scaled = digits.astype(object) << (exponent - base[:, None]).astype(object)
     ones = np.full(len(w), 1, dtype=object)
-    h = [ones] + [np.full(len(w), 0, dtype=object) for _ in range(max(ells))]
-    for x in scaled.T:
-        for degree in range(1, len(h)):
-            h[degree] = h[degree] + x * h[degree - 1]
+    h = _h_table(scaled.T, max(ells))
     try:
         return np.array(
             [(factorial * h[ell] / (ones << (-ell * base).astype(object))).astype(float)
@@ -403,7 +400,7 @@ def _density_moment(model: GammaSumModel, pfd: PartialFractionDensity, q: Moment
     """The query on one partial-fraction density, by its closed form
     (`PartialFractionDensity.power_moment_with_error`) at every shift."""
     value, err = pfd.power_moment_with_error(q.p, signed=q.signed, shift=q.shift)
-    return MomentEstimate(value, max(err, _REL_FLOOR * abs(value)), "density", q.p, model.fingerprint())
+    return MomentEstimate(value, max(err, _REL_FLOOR * abs(value)), "density", q.p)
 
 
 def _density_estimate(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
@@ -467,12 +464,12 @@ def _mixture_moment(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
             coeff = term.coeff or charge * _UNIT_ROUNDOFF
             terms.append(PfdTerm(coeff, term.scale, term.order, charge / abs(coeff) - 2.0))
     est = _density_moment(model, PartialFractionDensity(tuple(terms)), q)
-    return MomentEstimate(est.value, est.error + tail, "density", q.p, est.fingerprint)
+    return MomentEstimate(est.value, est.error + tail, "density", q.p)
 
 
 def _fourier_estimate(model: GammaSumModel, q: MomentQuery, cfg: QuadratureConfig) -> MomentEstimate:
     value, err = _fourier_moment(model, q.p, q.shift, cfg)
-    return MomentEstimate(value, err, "fourier", q.p, model.fingerprint())
+    return MomentEstimate(value, err, "fourier", q.p)
 
 
 def _fourier_moment(model: GammaSumModel, q: float, m: float, cfg: QuadratureConfig) -> tuple[float, float]:
@@ -561,14 +558,16 @@ def _montecarlo_moment(model: GammaSumModel, q: MomentQuery, seed: int, count: i
     One `Generator(PCG64(SeedSequence(seed)))` per query, the generator of
     `model.sample`, draws _MC_PARTITIONS consecutive chunks of
     max(2, count // _MC_PARTITIONS) samples each, so results depend on
-    (seed, count) and not on the sampler's block size, and memory is
-    bounded by one chunk; count < 1 raises ValueError.  With every shape an
-    integer, a chunk is half as many antithetic pairs from one call of the
-    Erlang kernel `model._erlang_rows`; otherwise it is plain draws of S
-    (`model._draw`).  The chunks' sums of payoffs and of their squares are
-    added in order.  Raises ValueError where the sum of the payoffs or of
-    their squares leaves the float range (or a payoff is not a number): the
-    interval would be meaningless there.
+    (seed, count) and not on the sampler's block size; count < 1 raises
+    ValueError.  With every shape an integer, a chunk is half as many
+    antithetic pairs, and one call of the Erlang kernel `model._erlang_rows`
+    draws all of them, small chunks sharing a pass; memory is bounded by
+    one chunk or one pass of _ERLANG_BLOCK uniforms per side, whichever is
+    larger.  Otherwise a chunk is plain draws of S (`model._draw`), and
+    memory is bounded by one chunk.  The chunks' sums of payoffs and of
+    their squares are added in order.  Raises ValueError where the sum of
+    the payoffs or of their squares leaves the float range (or a payoff is
+    not a number): the interval would be meaningless there.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -580,13 +579,13 @@ def _montecarlo_moment(model: GammaSumModel, q: MomentQuery, seed: int, count: i
     per = max(2, count // _MC_PARTITIONS)
     orders = [int(s) for s in model.shapes] if model.integer_shapes else None
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    if orders is None:
+        chunks = (_payoff(_draw(model, rng, per), q) for _ in range(_MC_PARTITIONS))
+    else:
+        chunks = _erlang_rows(rng, model.weights, orders, per // 2, lambda s: _payoff(s, q), _MC_PARTITIONS)
     # an overflowing payoff or sum is caught by the finiteness check below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for _ in range(_MC_PARTITIONS):
-            if orders is None:
-                h = _payoff(_draw(model, rng, per), q)
-            else:
-                h = _erlang_rows(rng, model.weights, orders, per // 2, lambda s: _payoff(s, q))
+        for h in chunks:
             n += h.size
             acc += float(h.sum())
             acc2 += float((h * h).sum())
@@ -595,7 +594,7 @@ def _montecarlo_moment(model: GammaSumModel, q: MomentQuery, seed: int, count: i
     mean = acc / n
     var = max(0.0, (acc2 - n * mean * mean) / (n - 1))
     ci = _Z99 * math.sqrt(var / n)
-    return MomentEstimate(mean, ci, "montecarlo", q.p, model.fingerprint())
+    return MomentEstimate(mean, ci, "montecarlo", q.p)
 
 
 def _beyond_float_range(model: GammaSumModel, q: MomentQuery) -> bool:

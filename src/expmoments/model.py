@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -49,11 +49,16 @@ _CLUSTER_SPREAD = 0.4
 _CLUSTER_RATIO = 0.25
 # highest order of a group's gamma mixture; its tail is charged wherever it stops
 _MIXTURE_MAX_ORDER = 100
-# uniforms per side of a block of the Erlang kernel `_erlang_rows`: 64 KiB,
-# so that a block's row sums and payoffs stay below glibc's 128 KiB mmap
-# threshold and come from the heap, not from fresh mappings; blocks 8 times
-# larger ran the benchmark's montecarlo workload about 1.2 times slower
-_ERLANG_BLOCK = 8192
+# uniforms per side of one pass of the Erlang kernel `_erlang_rows`
+# (128 KiB): whole chunks that fit share a pass, and a larger chunk runs in
+# blocks of this size.  Two of criterion 16's chunks of 3,125 pairs of two
+# columns fit, where half this budget held one; on a 2-core Xeon VM the
+# criterion ran about 12% faster than at half, and no faster at 2 or 4
+# times.  The first pass's buffers reach glibc's initial 128 KiB mmap
+# threshold, which freeing them raises, so later queries take them from the
+# heap; blocks 4 times larger ran the benchmark's montecarlo workload about
+# 1.2 times slower
+_ERLANG_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -164,7 +169,9 @@ def _chs_scaled(x: Sequence, ell: int) -> tuple[int, int]:
 def _h_table(x: Sequence, max_ell: int) -> list:
     """h_0(x) .. h_max_ell(x) by the recurrence h_ell(x_1..x_n) =
     h_ell(x_1..x_{n-1}) + x_n h_{ell-1}(x_1..x_n), h_0 = 1; exact on
-    integers, in floating point on floats."""
+    integers, in floating point on floats.  Entries of x that are object
+    arrays of integers, one per coordinate, give every degree of every
+    row at once, one array operation per coordinate and degree."""
     h = [1] + [0] * max_ell
     for w in x:
         for degree in range(1, max_ell + 1):
@@ -585,7 +592,13 @@ def gamma_mixture(model: GammaSumModel, query: MomentQuery) -> tuple[list, float
             tail += share
         c = math.prod(1.0 - x for x in q)
         poles.append((v, (0.0,) * (n_g - 1) + tuple(c * h for h in _h_table(q, order))))
-    return poles, tail * (math.exp(log_b0) if log_b0 < 709.0 else math.inf)
+    if log_b0 < 709.0:
+        return poles, tail * math.exp(log_b0)
+    # B_0 alone leaves the float range, where tail * B_0 need not
+    try:
+        return poles, math.exp(math.log(tail) + log_b0) if tail else 0.0
+    except OverflowError:
+        return poles, math.inf
 
 
 def sample(model: GammaSumModel, seed: int, count: int) -> np.ndarray:
@@ -611,48 +624,61 @@ def _draw(model: GammaSumModel, rng: np.random.Generator, count: int) -> np.ndar
 
 def _gamma_variates(rng: np.random.Generator, shape: float, count: int) -> np.ndarray:
     if float(shape).is_integer():
-        return _erlang_rows(rng, (1.0,), (int(shape),), count)
+        [values] = _erlang_rows(rng, (1.0,), (int(shape),), count)
+        return values
     return rng.standard_gamma(shape, count)
 
 
-def _erlang_rows(rng: np.random.Generator, weights: Sequence, orders: Sequence, rows: int, payoff=None) -> np.ndarray:
-    """The Erlang kernel of both samplers.  For each row of a (rows, K)
-    array of uniforms U from rng, K = sum(orders), the sum
-    S = sum_i w_i (-log(1 - U_i)) over the columns, each weight repeated
-    over its order.  With payoff, the row's value is instead the mean
-    (payoff(S) + payoff(S')) / 2 over the antithetic pair, where S' takes
-    -log U in place of -log(1 - U); payoff may overwrite its argument.
-    Returns the (rows,) vector of the rows' values.
+def _erlang_rows(
+    rng: np.random.Generator, weights: Sequence, orders: Sequence, rows: int, payoff=None, chunks: int = 1
+) -> Iterator[np.ndarray]:
+    """The Erlang kernel of both samplers.  For each row of a
+    (chunks * rows, K) array of uniforms U from rng, K = sum(orders), the
+    sum S = sum_i w_i (-log(1 - U_i)) over the columns, each weight
+    repeated over its order.  With payoff, the row's value is instead the
+    mean (payoff(S) + payoff(S')) / 2 over the antithetic pair, where S'
+    takes -log U in place of -log(1 - U); payoff may overwrite its
+    argument.  Yields the (rows,) vector of each of the chunks in turn, a
+    view that the next pass overwrites.
 
-    The rows run through blocks of _ERLANG_BLOCK // K rows, so memory
-    stays bounded at any K, and rng draws exactly the uniforms of one
-    rng.random((rows, K)) call, in the same places.  numpy's doubles lie
-    on the 2^-53 grid, so 1 - U is exact and log(1 - U) is as accurate as
-    log1p(-U), at a fraction of its cost.  Both sides contract with the
-    repeated weights by `_contract`, row by row, so the rows do not depend
-    on the block size."""
+    The buffers are allocated once.  Whole chunks that fit in
+    _ERLANG_BLOCK // K rows share a pass, one rng.random call and one
+    each of the logs, the contraction, the payoff and the mean; a larger
+    chunk runs through blocks of that many rows, so memory stays bounded
+    at any K.  rng draws exactly the uniforms of one
+    rng.random((chunks * rows, K)) call, in the same places.  numpy's
+    doubles lie on the 2^-53 grid, so 1 - U is exact and log(1 - U) is as
+    accurate as log1p(-U), at a fraction of its cost.  Both sides contract
+    with the repeated weights by `_contract`, row by row, so the rows do
+    not depend on the block size or on how chunks share passes."""
     neg = -np.repeat(np.asarray(weights, dtype=float), orders)
     cols = neg.size
-    size = min(max(1, _ERLANG_BLOCK // cols), rows)
+    budget = max(1, _ERLANG_BLOCK // cols)  # rows
+    span = max(1, min(chunks, budget // rows)) * rows  # rows of one pass
+    size = min(budget, span)  # rows of one block
     # side 0 takes log(1 - U), side 1 (antithetic) log U
     logs = np.empty((1 if payoff is None else 2, size, cols))
     sums = np.empty(logs.shape[:2])
-    out = np.empty(rows)
-    for lo in range(0, rows, size):
-        hi = min(lo + size, rows)
-        block = logs[:, : hi - lo]
-        rng.random(out=block[-1])
-        np.subtract(1.0, block[-1], out=block[0])
-        np.log(block, out=block)
-        s = _contract(block, neg, sums[:, : hi - lo])
-        if payoff is None:
-            out[lo:hi] = s[0]
-        else:
-            h = payoff(s)
-            np.add(h[0], h[1], out=out[lo:hi])
-    if payoff is not None:
-        out *= 0.5
-    return out
+    out = np.empty(span)
+    total = chunks * rows
+    for first in range(0, total, span):
+        todo = min(span, total - first)
+        for lo in range(0, todo, size):
+            hi = min(lo + size, todo)
+            block = logs[:, : hi - lo]
+            rng.random(out=block[-1])
+            np.subtract(1.0, block[-1], out=block[0])
+            np.log(block, out=block)
+            s = _contract(block, neg, sums[:, : hi - lo])
+            if payoff is None:
+                out[lo:hi] = s[0]
+            else:
+                h = payoff(s)
+                np.add(h[0], h[1], out=out[lo:hi])
+        if payoff is not None:
+            out[:todo] *= 0.5
+        for lo in range(0, todo, rows):
+            yield out[lo : lo + rows]
 
 
 def _contract(block: np.ndarray, neg: np.ndarray, out: np.ndarray) -> np.ndarray:

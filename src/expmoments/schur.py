@@ -70,9 +70,9 @@ def m_p(x, p, cfg: QuadratureConfig | None = None) -> engines.MomentEstimate:
     weights = [math.sqrt(v) for v in xs]
     if not any(weights):
         if p > 0.0:
-            return engines.MomentEstimate(0.0, 0.0, "exact", p, "w=[];g=[]")
+            return engines.MomentEstimate(0.0, 0.0, "exact", p)
         if p == 0.0:
-            return engines.MomentEstimate(1.0, 0.0, "exact", p, "w=[];g=[]")
+            return engines.MomentEstimate(1.0, 0.0, "exact", p)
         raise ValueError("negative moment of the zero sum diverges")
     return engines.moment(GammaSumModel.of(weights), MomentQuery(p=p), cfg=cfg)
 
@@ -163,14 +163,13 @@ def f_k_mc(x, k: int, seed: int = 0, count: int = 1_000_000) -> engines.MomentEs
         raise ValueError("k must be nonnegative")
     xs = _entries(x, "f_k_mc")
     weights = [math.sqrt(v) for v in xs]
-    fp = f"Fk(k={k});x={xs!r}"
     if not any(weights):
-        return engines.MomentEstimate(0.0, 0.0, "exact", float(k), fp)
+        return engines.MomentEstimate(0.0, 0.0, "exact", float(k))
     s = sample(GammaSumModel.of(weights), seed, count)
     vals = q_k_array(k, s)
     mean = float(vals.mean())
     ci = engines._Z99 * float(vals.std(ddof=1)) / math.sqrt(count) if count > 1 else math.inf
-    return engines.MomentEstimate(mean, ci, "montecarlo", float(k), fp)
+    return engines.MomentEstimate(mean, ci, "montecarlo", float(k))
 
 
 def mp_representation_check(x, p: float, cfg: QuadratureConfig | None = None) -> float:

@@ -219,15 +219,16 @@ def test_verify_hunter_exact_records_the_rational_moments(monkeypatch):
 
     monkeypatch.setattr(analysis, "gaussian_even_moment_exact", lambda ell: 10**9)
     report = verify_hunter_exact(trials=40, ell_set=(2, 6, 4), seed=2)
+    # the draws: 40 lengths in 1..6, then every numerator on the nonzero
+    # integers in [-9, 9], then every denominator in 1..9
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(2)))
+    lengths = rng.integers(1, 7, 40).tolist()
+    nums = [v + (v >= 0) for v in rng.integers(-9, 9, sum(lengths)).tolist()]
+    dens = rng.integers(1, 10, sum(lengths)).tolist()
     expected = []
-    for trial in range(40):
-        x = []
-        for _ in range(int(rng.integers(1, 7))):
-            num = 0
-            while num == 0:
-                num = int(rng.integers(-9, 10))
-            x.append(Fraction(num, int(rng.integers(1, 10))))
+    for trial, n in enumerate(lengths):
+        x = [Fraction(num, den) for num, den in zip(nums[:n], dens[:n])]
+        del nums[:n], dens[:n]
         for ell in (2, 6, 4):
             lhs = math.factorial(ell) * chs(x, ell)
             expected.append({"trial": trial, "x": [str(v) for v in x], "ell": ell, "lhs": str(lhs)})

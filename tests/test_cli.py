@@ -146,6 +146,21 @@ def test_large_powers_and_pole_orders_end_in_a_value_or_a_domain_error(capsys):
         assert code == 0 and payload["engine"] == "montecarlo" and math.isfinite(payload["value"])
 
 
+def test_a_high_power_of_a_close_pair_ends_in_a_value_or_a_domain_error(capsys):
+    # the gamma mixture's tail bound at p = 150.5 exceeds the float range
+    # before its share is applied; the close pair takes the density engine,
+    # and a third weight ends in an honest answer or exit 3
+    code, out, _ = run(capsys, "moment", "-m", "1,1.00000001", "-p", "150.5", "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["engine"] == "density" and math.isfinite(payload["value"])
+    code, out, err = run(capsys, "moment", "-m", "1,1.00000001,1.3", "-p", "150.5", "--format", "json")
+    if code == 0:
+        payload = json.loads(out)
+        assert math.isfinite(payload["value"]) and math.isfinite(payload["error"])
+    else:
+        assert code == 3 and "float range" in err
+
+
 def test_json_output_is_deterministic(capsys):
     args = ("schur", "-p", "2", "-n", "3", "--trials", "15", "--seed", "4", "--format", "json")
     _, out1, _ = run(capsys, *args)

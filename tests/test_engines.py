@@ -811,7 +811,7 @@ def test_moments_at_many_p_with_zero_rows_and_overflow():
 def test_estimates_reject_a_negative_or_nan_error():
     for bad in (-1.0, math.nan):
         with pytest.raises(ValueError, match="nonnegative number"):
-            engines.MomentEstimate(1.0, bad, "density", 2.0, "w=[1.0];g=[1.0]")
+            engines.MomentEstimate(1.0, bad, "density", 2.0)
 
 
 def test_even_p_above_the_exact_cap_at_shift_0_takes_the_density_engine():

@@ -109,6 +109,20 @@ def test_gamma_mixture_rejections():
     assert mixture_moment([2.0, 2.0 * (1.0 + 1e-9), 2.0], 0.0)[0] == pytest.approx(1.0, rel=1e-15)
 
 
+def test_a_tail_bound_beyond_the_float_range_is_taken_from_logs():
+    # at p = 150.5 the tail's B_0 alone leaves the float range while the tail
+    # share times B_0 does not: the density engine answers, against the
+    # divided difference Gamma(p + 1) (b^(p+1) - a^(p+1)) / (b - a) at 80 digits
+    est = moment(GammaSumModel.of([1.0, 1.00000001]), MomentQuery(150.5))
+    assert est.engine == "density"
+    with mpmath.workdps(80):
+        a, b, p = mpmath.mpf(1.0), mpmath.mpf(1.00000001), mpmath.mpf(150.5)
+        ref = mpmath.gamma(p + 1) * (b ** (p + 1) - a ** (p + 1)) / (b - a)
+        assert abs(est.value - ref) <= est.error <= 1e-12 * ref
+    # with a third weight the product itself leaves the float range
+    assert gamma_mixture(GammaSumModel.of([1.0, 1.00000001, 1.3]), MomentQuery(150.5))[1] == math.inf
+
+
 def test_gamma_mixture_weights_are_a_probability_mixture():
     weights = [0.5, 0.5 * (1 + 1e-3), 0.5 * (1 + 4e-2), -1.0, -2.0, -2.0 * (1 + 1e-7)]
     model = GammaSumModel.of(weights, [1, 2, 1, 1, 1, 3])

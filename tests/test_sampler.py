@@ -1,10 +1,11 @@
 """The Erlang kernel behind both Monte Carlo samplers: one random stream
 per query drawn in 8 consecutive chunks, checked against a live one-shot
-reference; block-size invariance, the contraction of one and two
-columns, recorded estimates, bounded memory, the domain errors for
-payoffs beyond the float range and for sample counts below 1; and the
-coverage of the intervals drawn on fractional shapes and on a signed,
-shifted antithetic class."""
+reference; chunks that share kernel passes, bit for bit against a live
+chunk-by-chunk reference; block-size invariance, the contraction of one
+and two columns, recorded estimates, bounded memory, the domain errors
+for payoffs beyond the float range and for sample counts below 1; and
+the coverage of the intervals drawn on fractional shapes and on a
+signed, shifted antithetic class."""
 
 import math
 import tracemalloc
@@ -12,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from expmoments import engines
 from expmoments import model as model_mod
 from expmoments.engines import moment
 from expmoments.model import GammaSumModel, MomentQuery, sample
@@ -83,6 +85,42 @@ def test_kernel_agrees_with_the_one_shot_sampler(weights, shapes, p, shift, sign
     assert got_error == pytest.approx(error, rel=1e-13, abs=0.0)
 
 
+def _chunk_by_chunk(weights, shapes, p, shift, signed, seed, count):
+    """The engine's antithetic estimate recomputed one chunk at a time: one
+    generator, 8 chunks in order, each a single rng.random call, the
+    kernel's logs and contraction, the engine's payoff, and the chunks'
+    sums added in order."""
+    model = GammaSumModel.of(weights, shapes)
+    query = MomentQuery(p, shift, signed)
+    neg = -np.repeat(model.weights, [int(s) for s in model.shapes])
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rows = max(2, count // 8) // 2
+    n, acc, acc2 = 0, 0.0, 0.0
+    for _ in range(8):
+        u = rng.random((rows, neg.size))
+        s = model_mod._contract(np.log(np.stack([1.0 - u, u])), neg, np.empty((2, rows)))
+        h = engines._payoff(s, query)
+        h = (h[0] + h[1]) * 0.5
+        n += h.size
+        acc += float(h.sum())
+        acc2 += float((h * h).sum())
+    mean = acc / n
+    return mean, engines._Z99 * math.sqrt(max(0.0, (acc2 - n * mean * mean) / (n - 1)) / n)
+
+
+@pytest.mark.parametrize("per_pass", [0, 1, 2, 3])
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("weights, shapes", [([0.7], [1.0]), ([1.5], [2.0]), ([-0.5, 1.3], [1.0, 2.0])])
+def test_chunks_sharing_passes_are_bit_identical_to_chunk_by_chunk(monkeypatch, weights, shapes, signed, per_pass):
+    # 8 chunks of 250 pairs of K = 1, 2 or 3 columns, with a budget that
+    # splits each chunk into blocks (0), or whose passes hold one chunk, two,
+    # or three with a last pass of two
+    cols = int(sum(shapes))
+    monkeypatch.setattr(model_mod, "_ERLANG_BLOCK", cols * (250 * per_pass or 100))
+    query = (weights, shapes, 3.0 if signed else 2.5, -0.2 if signed else 0.3, signed, 17, 4_000)
+    assert _forced(*query) == _chunk_by_chunk(*query)
+
+
 QUERIES = [
     # antithetic: integer shapes, orders 1 to 9 in all
     ([1.0, 2.0], [1.0, 1.0], 2.0, 0.0, False),
@@ -108,7 +146,10 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch):
     default = [_forced(*q, seed=21, count=10_000) for q in QUERIES]
     shared = [_forced(*q) for q in SHARED]
     draws = sample(GammaSumModel.of([0.3, -1.2], [3.0, 2.0]), seed=8, count=5_000)
-    for block in (7, model_mod._ERLANG_BLOCK, 2**20):
+    # 7 splits every chunk into blocks; at 5,000 the 1,250-pair chunks of
+    # two columns of the first shared query share passes two at a time, and
+    # at 2**20 every query's chunks share one pass
+    for block in (7, 5_000, model_mod._ERLANG_BLOCK, 2**20):
         monkeypatch.setattr(model_mod, "_ERLANG_BLOCK", block)
         assert [_forced(*q, seed=21, count=10_000) for q in QUERIES] == default
         assert [_forced(*q) for q in SHARED] == shared
@@ -127,7 +168,7 @@ def test_kernel_draws_the_one_shot_uniforms(seed, rows):
     for pay, want in ((None, -np.log1p(-u[:rows]) @ w),
                       (payoff, 0.5 * (payoff(-np.log1p(-u[:rows]) @ w) + payoff(-np.log(u[:rows]) @ w)))):
         rng = np.random.default_rng(seed)
-        got = model_mod._erlang_rows(rng, weights, orders, rows, pay)
+        [got] = model_mod._erlang_rows(rng, weights, orders, rows, pay)
         assert got.shape == (rows,)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
         assert np.array_equal(rng.random(5), u[rows])
