@@ -80,6 +80,9 @@ _FALLBACK_REL = 1e-3
 # with fractional shapes, on a 2-vCPU Xeon VM under Python 3.11, about
 # 4 ms at p = 50, 50 ms at p = 100 and 0.6 s at p = 200
 _EXACT_MAX_P = 100
+# the unit roundoff of np.longdouble, 2^-64 where it is the x87 80-bit
+# format; the unit of the bound `_filtered_exact_rows` rounds exact rows by
+_LONGDOUBLE_UNIT = np.finfo(np.longdouble).eps / 2
 # log of the largest float, above which a moment lies beyond the float range
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # the largest |w t| at which the Fourier engine evaluates its envelope and
@@ -171,8 +174,11 @@ def moments(W, p, cfg: QuadratureConfig | None = None) -> tuple[np.ndarray, np.n
     its equal weights (an all-zero row, which has no model, gets 0, or 1 at
     p = 0, as the zero sum):
 
-    - even integer p up to _EXACT_MAX_P: the exact engine, error 0, one
-      pass per count of nonzero entries (`_exact_rows`);
+    - even integer p up to _EXACT_MAX_P: the exact engine, error 0, rounded
+      from a long-double h table of every row at once with a rigorous
+      bound (`_filtered_exact_rows`), and on Python integers, one pass per
+      count of nonzero entries, where the bound cannot decide the rounding
+      (`_exact_rows`);
     - distinct weights at relative gaps of at least model._MERGE_GAP: the
       density closed form Gamma(p+1) sum_k c_k |w_k|^p with
       c_k = prod_{j != k} 1 / (1 - w_j / w_k), with the scalar path's
@@ -183,9 +189,10 @@ def moments(W, p, cfg: QuadratureConfig | None = None) -> tuple[np.ndarray, np.n
       gamma mixture keeps clustered rows on the density engine.
 
     What does not depend on p is done once for every p: the packing and
-    counting of the rows, the integer scaling of the exact rows with one
-    h table up to the highest even p, and the pole factors, sensitivities,
-    merge-gap test and log |w| of the closed form.
+    counting of the rows, the long-double h tables and the integer scaling
+    of the exact rows, each with one h table up to the highest even p, and
+    the pole factors, sensitivities, merge-gap test and log |w| of the
+    closed form.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2:
@@ -204,14 +211,20 @@ def moments(W, p, cfg: QuadratureConfig | None = None) -> tuple[np.ndarray, np.n
     packed = np.take_along_axis(W, np.argsort(~active, axis=1, kind="stable"), axis=1)
     even = [i for i, v in enumerate(ps) if _even_integer(v) and v <= _EXACT_MAX_P]
     other = [i for i in range(len(ps)) if i not in even]
+    ells = [int(ps[i]) for i in even]
+    # the exact rows that the long-double filter cannot round
+    pending = np.zeros(W.shape[0], dtype=bool)
+    if even:
+        values[even], pending = _filtered_exact_rows(W, ells)
     # for each row the batch leaves to moment, the indices of its p
     scalar_rows = {}
     for m in range(W.shape[1] + 1):
         rows = np.flatnonzero(counts == m)
         if not rows.size:
             continue
-        if even:
-            values[np.ix_(even, rows)] = _exact_rows(packed[rows, :m], [int(ps[i]) for i in even])
+        exact = rows[pending[rows]]
+        if exact.size:
+            values[np.ix_(even, exact)] = _exact_rows(packed[exact, :m], ells)
         if other and m:
             for i, value, err, ok in zip(other, *_simple_pole_moments(packed[rows, :m], [ps[i] for i in other])):
                 values[i, rows[ok]] = value[ok]
@@ -357,7 +370,8 @@ def _exact_moment(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
 def _exact_rows(w: np.ndarray, ells) -> np.ndarray:
     """float(ell! h_ell(w_b)) for every row b of a (B, m) array of nonzero
     weights and every even ell of ells, as a (len(ells), B) array, correctly
-    rounded: Hunter's identity E S_b^ell at even ell.
+    rounded: Hunter's identity E S_b^ell at even ell.  `moments` sends it
+    only the rows that `_filtered_exact_rows` leaves pending.
 
     One np.frexp writes each entry as M 2^e with M an odd integer of at
     most 53 bits, as float.as_integer_ratio does.  With e_0 the row's
@@ -385,6 +399,78 @@ def _exact_rows(w: np.ndarray, ells) -> np.ndarray:
         ).reshape(len(ells), len(w))
     except OverflowError:
         raise ValueError("exact moment lies beyond the float range") from None
+
+
+def _filtered_exact_rows(W: np.ndarray, ells) -> tuple[np.ndarray, np.ndarray]:
+    """(values, pending): float(ell! h_ell(W_b)) for every row b of a (B, n)
+    array of weights, zeros included, and every even ell of ells, as a
+    (len(ells), B) array, correctly rounded in every row b where
+    pending[b] is False; `moments` leaves the pending rows to `_exact_rows`.
+
+    `_h_table` runs once on the np.longdouble columns of the whole array (a
+    zero column adds 0 to every entry) and, where some weight is negative,
+    once more on |W|.  Let v = ell! h_ell(w) be a row's exact value,
+    H = ell! h_ell(|w|) >= |v| its scale, v' and H' their long-double
+    values, u the unit roundoff of long double (_LONGDOUBLE_UNIT),
+    gamma_j = j u / (1 - j u) and delta = gamma_k H'.  A row is decided
+    where float(v' - delta) == float(v' + delta) is finite and H' is at
+    least 4 ell! S (below).  v lies between those two long doubles, so
+    float, which is monotone, rounds it to the same float: the correctly
+    rounded value, bit for bit what `_exact_rows` gives.  The upper end is
+    kept, so that a moment that rounds to zero is +0.0 (v >= 0, Hunter).
+
+    The bound, each rounding a factor 1 + e with |e| <= u (Higham,
+    Accuracy and Stability of Numerical Algorithms, chapter 3):
+
+    - h_ell is the sum of the monomials of degree ell, each carried from
+      h_0 = 1 along a path of the recurrence h_d += w_j h_(d-1): an
+      addition per column and a product and an addition per degree, at
+      most n + 2 ell roundings;
+    - ell! is the long-double product 2 3 ... ell, up to ell roundings, and
+      ell! h_ell one more: v' is ell! times the sum of the monomials, each
+      times 1 + theta with |theta| <= gamma_K, K = n + 3 ell + 1, so
+      |v' - v| <= gamma_K H + E, E the error of underflows;
+    - only products underflow, each by at most half the smallest subnormal
+      s besides its rounding.  One at degree d reaches h_ell through at
+      most C(n + ell, ell) monomials of degree ell - d, each at most
+      max(1, H / ell!).  Over the n ell + 1 products, E <= u^2 S
+      max(ell!, H), with S the power of two above (n ell + 1)
+      C(n + ell, ell) s / u^2.  Where S <= 1 and H >= ell! S, E <= u^2 H.
+      H' >= 4 ell! S implies H >= ell! S (the 4 covers E and the rounding
+      of ell!), and an (n, ell) with S > 1 decides no row;
+    - the float ends hold v where delta (1 - u) >= |v' - v| + u |v'|, the
+      rounding of v' -+ delta.  The right side is at most gamma_(K+2) H.
+      gamma_k and delta take three roundings and H' >= (1 - K u - u^2) H,
+      and gamma_k H' lies far above the smallest normal, so k = K + 3 =
+      n + 3 ell + 4 suffices while (K + 2) (K + 5) u < 1.
+
+    A tie or a near-midpoint, cancellation, a long-double overflow or
+    underflow and a value beyond the float range leave a row pending.
+    Where long double is binary64 the bound spans more than a float's
+    spacing, and every row is pending."""
+    n = W.shape[1]
+    unit = _LONGDOUBLE_UNIT
+    subnormal = np.finfo(np.longdouble).smallest_subnormal
+    values = np.empty((len(ells), len(W)))
+    pending = np.zeros(len(W), dtype=bool)
+    # a silent long-double overflow or 0 * inf is an undecided row
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        h = _h_table(np.ascontiguousarray(W.T, dtype=np.longdouble), max(ells))
+        h_abs = _h_table(np.ascontiguousarray(np.abs(W).T, dtype=np.longdouble), max(ells)) if (W < 0.0).any() else h
+        for i, ell in enumerate(ells):
+            factorial = np.prod(np.arange(2, ell + 1, dtype=np.longdouble))
+            value = factorial * h[ell]
+            scale = factorial * h_abs[ell] if h_abs is not h else value
+            k = n + 3 * ell + 4
+            gamma = k * unit / (1 - k * unit)
+            floor = np.ldexp(subnormal / unit**2, ((n * ell + 1) * math.comb(n + ell, ell)).bit_length())
+            floor = 4 * factorial * floor if floor <= 1 else np.inf
+            delta = gamma * scale
+            low = (value - delta).astype(float)
+            high = (value + delta).astype(float)
+            values[i] = high
+            pending |= ~((low == high) & np.isfinite(high) & (scale >= floor))
+    return values, pending
 
 
 def _exact_float(num: int, den: int) -> float:

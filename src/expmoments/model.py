@@ -169,9 +169,10 @@ def _chs_scaled(x: Sequence, ell: int) -> tuple[int, int]:
 def _h_table(x: Sequence, max_ell: int) -> list:
     """h_0(x) .. h_max_ell(x) by the recurrence h_ell(x_1..x_n) =
     h_ell(x_1..x_{n-1}) + x_n h_{ell-1}(x_1..x_n), h_0 = 1; exact on
-    integers, in floating point on floats.  Entries of x that are object
-    arrays of integers, one per coordinate, give every degree of every
-    row at once, one array operation per coordinate and degree."""
+    integers, in floating point on floats.  Entries of x that are arrays,
+    one per coordinate (object arrays of integers, or np.longdouble arrays
+    as in `engines._filtered_exact_rows`), give every degree of every row
+    at once, one array operation per coordinate and degree."""
     h = [1] + [0] * max_ell
     for w in x:
         for degree in range(1, max_ell + 1):

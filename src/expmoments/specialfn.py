@@ -34,7 +34,10 @@ _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 _LOG_2 = math.log(2.0)
 # closed_integral_iqs takes Stirling's series for the Gamma ratio from this x
 _STIRLING_FROM = 10.0
-# machine epsilon with a little slack, the unit of every closed-form roundoff bound
+# the unit of every closed-form roundoff bound.  It is 0.9% below the unit
+# roundoff of a double, 2^-53 = 1.1102e-16, not above it, so every charge
+# counted in its units is that much light; setting it to 2^-53 widens every
+# density bar and is ROADMAP direction 14
 _UNIT_ROUNDOFF = 1.1e-16
 # the relative error of numpy's exp in units of _UNIT_ROUNDOFF: up to 1.17
 # against mpmath on 900,000 arguments (numpy 2.4 on an AVX-512 Xeon), where

@@ -2,6 +2,7 @@ import cmath
 import gc
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -17,6 +18,7 @@ from expmoments.model import (
     MomentQuery,
     PartialFractionDensity,
     _chs_scaled,
+    _h_table,
     _power_moment_scaled,
     _power_moments_scaled,
     charfn,
@@ -746,6 +748,95 @@ def test_moments_exact_rows_match_the_rational_at_any_scale(rows, ell):
         else:
             est = moment(model, MomentQuery(p=float(ell)), engine="exact")
             assert est.value == value and est.error == 0.0
+
+
+def _rational_rows(W, ell):
+    # float(ell! h_ell(w)) for each row, by one int true division of
+    # `_chs_scaled`'s integers; None beyond the float range
+    rounded = []
+    for row in W.tolist():
+        h, d = _chs_scaled([w for w in row if w], ell)
+        try:
+            rounded.append(math.factorial(ell) * h / d**ell)
+        except OverflowError:
+            rounded.append(None)
+    return rounded
+
+
+def test_filter_leaves_a_double_rounding_tie_to_the_integers():
+    # 2 h_2(1, 2^-53) = 2 + 2^-52 + 2^-105 lies just above 2 + 2^-52, the
+    # midpoint of two floats.  Long double loses the 2^-105 and rounds the
+    # tie to even, 2.0; the bound spans the midpoint, so the row is left to
+    # the integers, which round it up.
+    W = np.array([[1.0, 2.0**-53]])
+    unbounded = 2 * _h_table(W.T.astype(np.longdouble), 2)[2]
+    assert float(unbounded[0]) == 2.0
+    assert engines._filtered_exact_rows(W, [2])[1].tolist() == [True]
+    assert moments(W, 2.0)[0].tolist() == [float.fromhex("0x1.0000000000001p+1")]
+
+
+def _filter_classes(rng, B, n):
+    signs = rng.choice([-1.0, 1.0], (B, n))
+    zeros = rng.normal(size=(B, n))
+    zeros[rng.random((B, n)) < 0.4] = 0.0
+    zeros[:3] = 0.0  # all-zero rows
+    return {
+        "scan": np.sqrt(rng.dirichlet(np.ones(n), B)),
+        "signed": rng.normal(size=(B, n)),
+        # mixed signs that cancel
+        "cancelling": np.concatenate([rng.normal(size=(B, n // 2)), -rng.normal(size=(B, n - n // 2))], axis=1),
+        # ties and near-midpoints: short binary fractions and 1 + k 2^-27
+        "fractions": rng.integers(-8, 9, (B, n)) / 2.0 ** rng.integers(0, 4, (B, n)),
+        "clusters": 1.0 + rng.integers(-4, 5, (B, n)) * 2.0**-27,
+        "zeros": zeros,
+        "exp700": signs * np.exp(rng.uniform(-700.0, 700.0, (B, n))),
+        "subnormal": signs * rng.uniform(0.0, 1.0, (B, n)) * 2.0**-1060 * np.where(rng.random((B, n)) < 0.5, 1.0, 2.0**1000),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_filtered_exact_rows_are_the_rationals_correctly_rounded(n):
+    rng = np.random.default_rng(40 + n)
+    # the filter's own long-double overflows and 0 * inf are silent: no
+    # RuntimeWarning leaves it, whatever the pytest configuration
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, W in _filter_classes(rng, 40, n).items():
+            # p = 0, low even p and, where the integers stay small, the cap
+            ells = [0, 2, 6] if name in ("exp700", "subnormal") else [0, 2, 6, engines._EXACT_MAX_P]
+            expected = [_rational_rows(W, ell) for ell in ells]
+            values, pending = engines._filtered_exact_rows(W, ells)
+            for ell, value, rounded in zip(ells, values.tolist(), expected):
+                for b in np.flatnonzero(~pending):
+                    # the sign too: a tiny moment rounds to +0.0
+                    assert math.copysign(1.0, value[b]) == 1.0 and value[b] == rounded[b], (name, ell, W[b])
+            if np.finfo(np.longdouble).nmant >= 63 and name == "scan":
+                # an 80-bit long double decides most rows at low p
+                assert engines._filtered_exact_rows(W, [2, 6])[1].mean() < 0.1
+            if any(None in rounded for rounded in expected):
+                with pytest.raises(ValueError):
+                    moments(W, [float(ell) for ell in ells])
+            else:
+                got, errors = moments(W, [float(ell) for ell in ells])
+                assert got.tolist() == expected and not errors.any()
+
+
+def test_every_row_deferred_gives_the_same_moments(monkeypatch):
+    rng = np.random.default_rng(47)
+    W = np.concatenate([W for name, W in _filter_classes(rng, 30, 4).items() if name != "exp700"])
+    ps = [0.0, 2.0, 6.0, float(engines._EXACT_MAX_P)]
+    expected, _ = moments(W, ps)
+    # binary64's unit, as where long double is a double: the bound spans
+    # more than a float's spacing, and every row goes to the integers
+    monkeypatch.setattr(engines, "_LONGDOUBLE_UNIT", np.longdouble(2.0**-53))
+    assert engines._filtered_exact_rows(W, [0, 2, 6])[1].all()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("moments called the scalar moment at even p")
+
+    monkeypatch.setattr(engines, "moment", refuse)
+    got, errors = moments(W, ps)
+    assert got.tobytes() == expected.tobytes() and not errors.any()
 
 
 def _assert_rows_are_single_p(W, ps):
