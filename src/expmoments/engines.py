@@ -31,12 +31,14 @@ poor bound does; a forced engine raises it instead.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
+    _ERLANG_BLOCK,
     _MERGE_GAP,
     GammaSumModel,
     MomentQuery,
@@ -70,6 +72,26 @@ ENGINES = ("exact", "density", "fourier", "montecarlo")
 # two-sided 99% normal quantile for Monte Carlo confidence intervals
 _Z99 = 2.5758293035489004
 _MC_PARTITIONS = 8
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# chunk groups of an antithetic Monte Carlo query, each on its own thread:
+# one per usable CPU, at most one per chunk, and each of at least
+# _MC_GROUP_UNIFORMS uniforms per side.  Criterion 16's queries (50,000
+# uniforms per side) stay on one thread, where the threads cost more than
+# they gain; the benchmark's 400,000-count queries (200,000 to 1.6 million)
+# split
+_MC_WORKERS = min(_MC_PARTITIONS, _usable_cpus())
+_MC_GROUP_UNIFORMS = 4 * _ERLANG_BLOCK
+# the worker threads of split queries, made by the first query that splits
+_pool = None
 # relative floor under every density error bound
 _REL_FLOOR = 1e-15
 # auto dispatch leaves the density closed form when its bound exceeds this
@@ -176,8 +198,8 @@ def moments(W, p, cfg: QuadratureConfig | None = None) -> tuple[np.ndarray, np.n
 
     - even integer p up to _EXACT_MAX_P: the exact engine, error 0, rounded
       from a long-double h table of every row at once with a rigorous
-      bound (`_filtered_exact_rows`), and on Python integers, one pass per
-      count of nonzero entries, where the bound cannot decide the rounding
+      bound (`_filtered_exact_rows`), and on Python integers, in one pass
+      at full width over the rows whose rounding the bound cannot decide
       (`_exact_rows`);
     - distinct weights at relative gaps of at least model._MERGE_GAP: the
       density closed form Gamma(p+1) sum_k c_k |w_k|^p with
@@ -212,25 +234,22 @@ def moments(W, p, cfg: QuadratureConfig | None = None) -> tuple[np.ndarray, np.n
     even = [i for i, v in enumerate(ps) if _even_integer(v) and v <= _EXACT_MAX_P]
     other = [i for i in range(len(ps)) if i not in even]
     ells = [int(ps[i]) for i in even]
-    # the exact rows that the long-double filter cannot round
-    pending = np.zeros(W.shape[0], dtype=bool)
     if even:
         values[even], pending = _filtered_exact_rows(W, ells)
+        # the rows that the long-double filter cannot round, zeros and all
+        if pending.any():
+            values[np.ix_(even, np.flatnonzero(pending))] = _exact_rows(W[pending], ells)
     # for each row the batch leaves to moment, the indices of its p
     scalar_rows = {}
-    for m in range(W.shape[1] + 1):
+    for m in range(1, W.shape[1] + 1) if other else ():
         rows = np.flatnonzero(counts == m)
         if not rows.size:
             continue
-        exact = rows[pending[rows]]
-        if exact.size:
-            values[np.ix_(even, exact)] = _exact_rows(packed[exact, :m], ells)
-        if other and m:
-            for i, value, err, ok in zip(other, *_simple_pole_moments(packed[rows, :m], [ps[i] for i in other])):
-                values[i, rows[ok]] = value[ok]
-                errors[i, rows[ok]] = err[ok]
-                for b in rows[~ok].tolist():
-                    scalar_rows.setdefault(b, []).append(i)
+        for i, value, err, ok in zip(other, *_simple_pole_moments(packed[rows, :m], [ps[i] for i in other])):
+            values[i, rows[ok]] = value[ok]
+            errors[i, rows[ok]] = err[ok]
+            for b in rows[~ok].tolist():
+                scalar_rows.setdefault(b, []).append(i)
     for b, picks in scalar_rows.items():
         model = GammaSumModel.of(W[b].tolist())
         for i in picks:
@@ -368,25 +387,28 @@ def _exact_moment(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
 
 
 def _exact_rows(w: np.ndarray, ells) -> np.ndarray:
-    """float(ell! h_ell(w_b)) for every row b of a (B, m) array of nonzero
-    weights and every even ell of ells, as a (len(ells), B) array, correctly
-    rounded: Hunter's identity E S_b^ell at even ell.  `moments` sends it
-    only the rows that `_filtered_exact_rows` leaves pending.
+    """float(ell! h_ell(w_b)) for every row b of a (B, m) array of weights,
+    zeros included, and every even ell of ells, as a (len(ells), B) array,
+    correctly rounded: Hunter's identity E S_b^ell at even ell.  `moments`
+    sends it only the rows that `_filtered_exact_rows` leaves pending.
 
-    One np.frexp writes each entry as M 2^e with M an odd integer of at
-    most 53 bits, as float.as_integer_ratio does.  With e_0 the row's
-    smallest e, capped at 0, the row over D = 2^(-e_0) is the integers
-    M 2^(e - e_0), so ell! h_ell(D w) and D^ell are Python integers whose
-    ratio is h_ell(w) exactly.  `_h_table`'s recurrence runs on every row
-    at once, one object-array operation per column and degree, and one
-    object-array int true division per ell rounds.  ValueError where a
-    value lies beyond the float range."""
+    One np.frexp writes each nonzero entry as M 2^e with M an odd integer
+    of at most 53 bits, as float.as_integer_ratio does, and each zero as
+    M = 0, e = 0.  With e_0 the row's smallest e, capped at 0, the row over
+    D = 2^(-e_0) is the integers M 2^(e - e_0), so ell! h_ell(D w) and
+    D^ell are Python integers whose ratio is h_ell(w) exactly; a zero adds
+    0 to every h_ell and leaves e_0, and so the integers, as they are.
+    `_h_table`'s recurrence runs on every row at once, one object-array
+    operation per column and degree, and one object-array int true
+    division per ell rounds.  ValueError where a value lies beyond the
+    float range."""
     mantissa, exponent = np.frexp(w)
     digits = np.ldexp(mantissa, 53).astype(np.int64)
-    # the trailing zero bits of each M, from its lowest set bit
-    zeros = np.frexp((digits & -digits).astype(float))[1] - 1
+    # the trailing zero bits of each M, from its lowest set bit (0 in a zero)
+    zeros = np.maximum(np.frexp((digits & -digits).astype(float))[1] - 1, 0)
     digits >>= zeros
     exponent += zeros - 53
+    exponent[digits == 0] = 0
     base = exponent.min(axis=1, initial=0)
     scaled = digits.astype(object) << (exponent - base[:, None]).astype(object)
     ones = np.full(len(w), 1, dtype=object)
@@ -641,46 +663,115 @@ def fourier_abs_moment_from_cf(re_phi, q, mu246, abs_phi_bound, cfg=None):
 def _montecarlo_moment(model: GammaSumModel, q: MomentQuery, seed: int, count: int) -> MomentEstimate:
     """Monte Carlo with a 99% normal-quantile interval.
 
-    One `Generator(PCG64(SeedSequence(seed)))` per query, the generator of
-    `model.sample`, draws _MC_PARTITIONS consecutive chunks of
-    max(2, count // _MC_PARTITIONS) samples each, so results depend on
-    (seed, count) and not on the sampler's block size; count < 1 raises
-    ValueError.  With every shape an integer, a chunk is half as many
-    antithetic pairs, and one call of the Erlang kernel `model._erlang_rows`
-    draws all of them, small chunks sharing a pass; memory is bounded by
+    One `Generator(PCG64(SeedSequence(seed)))` stream per query, the
+    generator of `model.sample`, gives _MC_PARTITIONS consecutive chunks of
+    per = max(2, count // _MC_PARTITIONS) samples each, so results depend
+    on (seed, count), and not on the sampler's block size or the number of
+    cores; count < 1 raises ValueError.  Each chunk's size, sum of payoffs
+    and sum of their squares are added in chunk order.  Raises ValueError
+    where the sum of the payoffs or of their squares leaves the float range
+    (or a payoff is not a number): the interval would be meaningless there.
+
+    With every shape an integer, a chunk is rows = per // 2 antithetic
+    pairs, each drawn by the Erlang kernel `model._erlang_rows` from K =
+    sum(orders) uniforms, and `Generator.random` takes one 64-bit output of
+    PCG64 per double, so chunk c starts at output c rows K of the stream.
+    The chunks are split into contiguous groups (`_chunk_groups`); the
+    group from chunk c0 draws on its own generator, advanced by
+    `PCG64.advance(c0 rows K)` in O(log) steps, the very uniforms the
+    serial kernel draws there, and each row is contracted on its own, so
+    no row depends on the grouping and every estimate is bit for bit the
+    one-thread estimate.  Group 0 runs on the calling thread and the
+    others on worker threads (`_workers`): numpy releases the GIL in the
+    draws, logs, contraction and powers.  Memory is bounded per group by
     one chunk or one pass of _ERLANG_BLOCK uniforms per side, whichever is
-    larger.  Otherwise a chunk is plain draws of S (`model._draw`), and
-    memory is bounded by one chunk.  The chunks' sums of payoffs and of
-    their squares are added in order.  Raises ValueError where the sum of
-    the payoffs or of their squares leaves the float range (or a payoff is
-    not a number): the interval would be meaningless there.
+    larger.  Otherwise a chunk is plain draws of S (`model._draw`), whose
+    variable number of uniforms per draw keeps every chunk on the calling
+    thread, and memory is bounded by one chunk.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if _beyond_float_range(model, q):
         raise ValueError("the moment lies beyond the float range")
+    per = max(2, count // _MC_PARTITIONS)
+    if model.integer_shapes:
+        orders = [int(s) for s in model.shapes]
+        rows = per // 2
+        groups = _chunk_groups(rows * sum(orders))
+        work = [(model.weights, orders, rows, q, seed, first, chunks) for first, chunks in groups]
+        pending = [_workers().submit(_antithetic_sums, *args) for args in work[1:]]
+        sums = _antithetic_sums(*work[0])
+        for future in pending:
+            sums += future.result()
+    else:
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            sums = _chunk_sums(_payoff(_draw(model, rng, per), q) for _ in range(_MC_PARTITIONS))
     n = 0
     acc = 0.0
     acc2 = 0.0
-    per = max(2, count // _MC_PARTITIONS)
-    orders = [int(s) for s in model.shapes] if model.integer_shapes else None
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    if orders is None:
-        chunks = (_payoff(_draw(model, rng, per), q) for _ in range(_MC_PARTITIONS))
-    else:
-        chunks = _erlang_rows(rng, model.weights, orders, per // 2, lambda s: _payoff(s, q), _MC_PARTITIONS)
-    # an overflowing payoff or sum is caught by the finiteness check below
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for h in chunks:
-            n += h.size
-            acc += float(h.sum())
-            acc2 += float((h * h).sum())
+    for size, total, squares in sums:
+        n += size
+        acc += total
+        acc2 += squares
     if not (math.isfinite(acc) and math.isfinite(acc2)):
         raise ValueError("Monte Carlo payoffs or their squares sum beyond the float range")
     mean = acc / n
     var = max(0.0, (acc2 - n * mean * mean) / (n - 1))
     ci = _Z99 * math.sqrt(var / n)
     return MomentEstimate(mean, ci, "montecarlo", q.p)
+
+
+def _chunk_groups(uniforms: int) -> list[tuple[int, int]]:
+    """(first chunk, chunks) of each contiguous group of the _MC_PARTITIONS
+    chunks of an antithetic query with this many uniforms per side in each
+    chunk: _MC_WORKERS groups, fewer where a group would hold less than
+    _MC_GROUP_UNIFORMS uniforms per side."""
+    count = max(1, min(_MC_WORKERS, _MC_PARTITIONS * uniforms // _MC_GROUP_UNIFORMS))
+    bounds = [g * _MC_PARTITIONS // count for g in range(count + 1)]
+    return [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _antithetic_sums(weights, orders, rows: int, q: MomentQuery, seed: int, first: int, chunks: int) -> list:
+    """`_chunk_sums` of chunks antithetic chunks of rows pairs from chunk
+    first on, drawn from the query's stream advanced to that chunk's first
+    uniform.  It enters its own np.errstate, which numpy keeps per thread:
+    an overflowing payoff or sum is caught by the caller's finiteness
+    check."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)).advance(first * rows * sum(orders)))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _chunk_sums(_erlang_rows(rng, weights, orders, rows, lambda s: _payoff(s, q), chunks))
+
+
+def _chunk_sums(chunks) -> list[tuple[int, float, float]]:
+    """(size, sum, sum of squares) of each chunk of payoffs.  A chunk is
+    squared in place once summed, the products and pairwise sum of
+    (h * h).sum() without its temporary."""
+    sums = []
+    for h in chunks:
+        total = float(h.sum())
+        sums.append((h.size, total, float(np.square(h, out=h).sum())))
+    return sums
+
+
+def _workers():
+    """The pool of worker threads of split Monte Carlo queries, made on
+    first use (a forked child drops its parent's)."""
+    global _pool
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(_MC_WORKERS - 1, thread_name_prefix="expmoments-montecarlo")
+    return _pool
+
+
+def _drop_pool() -> None:
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 def _beyond_float_range(model: GammaSumModel, q: MomentQuery) -> bool:

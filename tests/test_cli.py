@@ -359,17 +359,20 @@ PACKAGE_NAMES = [
 
 def test_package_names_load_their_modules_on_first_access():
     # in a fresh interpreter: importing the engines, or running a moment
-    # query from the CLI, loads neither schur nor analysis, and every public
+    # query from the CLI, loads neither schur nor analysis, nor the thread
+    # pool of split Monte Carlo queries, and starts no thread; every public
     # name of the package still resolves
     src = str(Path(expmoments.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = f"""
-import sys, types
+import sys, threading, types
 import expmoments.engines
 assert "expmoments.schur" not in sys.modules and "expmoments.analysis" not in sys.modules
 from expmoments.cli import main
 assert main(["moment", "-m", "1,2", "-p", "2.5", "--format", "json"]) == 0
 assert not {{"expmoments.schur", "expmoments.analysis", "expmoments.acceptance"}} & set(sys.modules)
+assert "concurrent.futures" not in sys.modules and threading.active_count() == 1
+assert expmoments.engines._pool is None
 import expmoments
 assert expmoments.moment is expmoments.engines.moment
 for name in {PACKAGE_NAMES!r}:

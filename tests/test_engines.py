@@ -701,6 +701,27 @@ def test_exact_rows_match_the_per_row_h_table_on_signed_scaled_rows():
                 assert got[i, b] == math.factorial(ell) * h / d**ell
 
 
+def test_exact_rows_take_zero_entries_in_one_pass(monkeypatch):
+    # a zero adds nothing, wherever it sits: each row of signed weights,
+    # zeros among them, rounds as its nonzero weights alone do, and moments
+    # sends every row the long-double filter leaves pending to one pass
+    rng = np.random.default_rng(37)
+    W = rng.uniform(0.05, 2.0, (80, 6)) * rng.choice([-1.0, 1.0], (80, 6))
+    W *= 2.0 ** rng.integers(-40, 40, (80, 1))
+    W[rng.random(W.shape) < 0.3] = 0.0
+    ells = [2, 4, 6]
+    got = engines._exact_rows(W, ells)
+    for b, row in enumerate(W):
+        assert got[:, b].tolist() == engines._exact_rows(row[row != 0.0][None, :], ells)[:, 0].tolist()
+    passes = []
+    exact_rows = engines._exact_rows
+    monkeypatch.setattr(engines, "_exact_rows", lambda w, ells: passes.append(len(w)) or exact_rows(w, ells))
+    values, _ = moments(W, [2.0, 4.0, 6.0])
+    pending = engines._filtered_exact_rows(W, ells)[1]
+    assert passes == [pending.sum()] and len(set((W[pending] != 0.0).sum(axis=1))) > 1
+    assert values[:, pending].tolist() == got[:, pending].tolist()
+
+
 def _exact_or_none(row, ell):
     try:
         return float(even_moment_exact([w for w in row if w > 0.0], ell))

@@ -3,12 +3,19 @@ per query drawn in 8 consecutive chunks, checked against a live one-shot
 reference; chunks that share kernel passes, bit for bit against a live
 chunk-by-chunk reference; block-size invariance, the contraction of one
 and two columns, recorded estimates, bounded memory, the domain errors
-for payoffs beyond the float range and for sample counts below 1; and
-the coverage of the intervals drawn on fractional shapes and on a
-signed, shifted antithetic class."""
+for payoffs beyond the float range and for sample counts below 1; chunk
+groups on worker threads, each on the stream advanced to its first
+uniform, bit for bit at any worker count, with no thread for criterion
+16's queries and none left to a forked child; and the coverage of the
+intervals drawn on fractional shapes and on a signed, shifted antithetic
+class."""
 
 import math
+import os
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +257,117 @@ def test_criterion_16_draws_are_bit_identical_to_the_record():
     values, errors = zip(*(_forced([1.0, 2.0], [1.0, 1.0], 2.0, seed=1600 + run, count=50_000) for run in range(200)))
     covered = sum(abs(v - 14.0) <= e for v, e in zip(values, errors))
     assert (covered, repr(sum(values)), repr(sum(errors))) == (199, "2799.0546160958484", "46.084320733911724")
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 1000, 600_000])
+def test_an_advanced_stream_starts_at_the_double_it_skips_to(k):
+    # Generator.random takes one 64-bit output per double, so advancing the
+    # bit generator by k outputs skips k doubles of the serial draw
+    serial = np.random.Generator(np.random.PCG64(np.random.SeedSequence(9))).random(k + 1)
+    advanced = np.random.Generator(np.random.PCG64(np.random.SeedSequence(9)).advance(k))
+    assert advanced.random() == serial[k]
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """No worker pool at the start; the one the test makes is shut down."""
+    monkeypatch.setattr(engines, "_pool", None)
+    yield
+    if engines._pool is not None:
+        engines._pool.shutdown()
+
+
+def _record_groups(monkeypatch):
+    """The (first chunk, chunks) of the chunk groups of each antithetic
+    query, one list per query."""
+    groups = []
+    split = engines._chunk_groups
+
+    def recorded(uniforms):
+        groups.append(split(uniforms))
+        return groups[-1]
+
+    monkeypatch.setattr(engines, "_chunk_groups", recorded)
+    return groups
+
+
+@pytest.mark.parametrize("split_all", [False, True])
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_estimates_do_not_depend_on_the_worker_count(monkeypatch, fresh_pool, workers, split_all):
+    # every recorded estimate, at each worker count; with split_all every
+    # antithetic query splits, whatever its size
+    monkeypatch.setattr(engines, "_MC_WORKERS", workers)
+    if split_all:
+        monkeypatch.setattr(engines, "_MC_GROUP_UNIFORMS", 1)
+    groups = _record_groups(monkeypatch)
+    queries = SHARED + CORPUS + [query for query, _ in COLUMNS]
+    pins = SHARED_PINS + CORPUS_PINS + [pinned for _, pinned in COLUMNS]
+    assert [_forced(*query) for query in queries] == pins
+    # contiguous groups of the 8 chunks; the largest queries split into one
+    # group per worker
+    for split in groups:
+        assert [first for first, _ in split] == [sum(chunks for _, chunks in split[:g]) for g in range(len(split))]
+        assert sum(chunks for _, chunks in split) == 8
+    assert max(map(len, groups)) == workers
+
+
+def test_criterion_16_queries_start_no_thread(monkeypatch, fresh_pool):
+    # 50,000 uniforms per side stay in one group at any worker count
+    monkeypatch.setattr(engines, "_MC_WORKERS", 8)
+    groups = _record_groups(monkeypatch)
+    threads = threading.active_count()
+    assert _forced([1.0, 2.0], [1.0, 1.0], 2.0, seed=1600, count=50_000) == CORPUS_PINS[4]
+    assert groups == [[(0, 8)]]
+    assert engines._pool is None and threading.active_count() == threads
+
+
+def test_split_criterion_16_draws_are_bit_identical_to_the_record(monkeypatch, fresh_pool):
+    # criterion 16's 200 queries, each split into 3 groups of chunks
+    monkeypatch.setattr(engines, "_MC_WORKERS", 3)
+    monkeypatch.setattr(engines, "_MC_GROUP_UNIFORMS", 1)
+    test_criterion_16_draws_are_bit_identical_to_the_record()
+
+
+def test_payoffs_overflowing_in_a_worker_group_are_a_domain_error(monkeypatch, fresh_pool):
+    # sgn(S - 1) |S - 1|^150: S - 1 takes both signs, so no bound refuses
+    # the query, and a square overflows where S - 1 > 10.7.  At seed 7 that
+    # happens in chunk 4 alone, the first chunk of the worker's group when
+    # there are 2 groups, which must neither warn nor lose it
+    model, query = GammaSumModel.of([1.0]), MomentQuery(150.0, 1.0, signed=True)
+    sums = engines._antithetic_sums(model.weights, [1], 25_000, query, 7, 0, 8)
+    finite = [math.isfinite(total) and math.isfinite(squares) for _, total, squares in sums]
+    assert finite == [True] * 4 + [False] + [True] * 3
+    monkeypatch.setattr(engines, "_MC_WORKERS", 2)
+    groups = _record_groups(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="float range"):
+            moment(model, query, engine="montecarlo", seed=7, count=400_000)
+    assert groups == [[(0, 4), (4, 4)]]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_draws_on_its_own_threads(monkeypatch, fresh_pool):
+    # the parent's pool has no threads in a forked child, which makes its
+    # own and gets the same estimate
+    monkeypatch.setattr(engines, "_MC_WORKERS", 2)
+    query, pinned = COLUMNS[7]
+    assert _forced(*query) == pinned
+    assert engines._pool is not None
+    pid = os.fork()
+    if pid == 0:
+        status = 2
+        try:
+            status = 0 if engines._pool is None and _forced(*query) == pinned else 1
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 60.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
 
 
 @pytest.mark.parametrize("count", [0, -5])
