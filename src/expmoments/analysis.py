@@ -18,7 +18,6 @@ import numpy as np
 
 from . import engines
 from .model import GammaSumModel, MomentQuery, _h_table
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .specialfn import gaussian_abs_moment, gaussian_even_moment_exact, loggamma
 
 __all__ = [
@@ -113,28 +112,17 @@ def laplace_abs_moment(p: float) -> float:
 
 
 def centered_exp_abs_moment(p: float) -> float:
-    """E|E - 1|^p = e^{-1} (Gamma(p+1) + sum_{k>=0} 1/(k! (p+k+1))).
+    """E|E - 1|^p for p > -1: the density engine's Exp(1) row at shift 1,
+    exact at even p and within the engine's error bar elsewhere.
 
-    The Gamma term is the t > 1 branch of the defining integral; the
-    series (truncated when a term drops under 1e-16 of the partial sum)
-    is the t < 1 branch and converges for every p > -1.
+    The referee in the tests is e^{-1} (Gamma(p+1) + sum_{k>=0} 1/(k! (p+k+1))):
+    the Gamma term is the t > 1 branch of the defining integral and the
+    series the t < 1 branch.
     """
     p = float(p)
     if p <= -1.0:
         raise ValueError("centered_exp_abs_moment requires p > -1")
-    series = 0.0
-    inv_fact = 1.0
-    k = 0
-    while True:
-        term = inv_fact / (p + k + 1.0)
-        series += term
-        if term < 1e-16 * series and k > 2:
-            break
-        k += 1
-        inv_fact /= k
-        if k > 500:
-            break
-    return math.exp(-1.0) * (math.exp(loggamma(p + 1.0)) + series)
+    return engines.moment(GammaSumModel.of([1.0]), MomentQuery(p=p, shift=1.0)).value
 
 
 def brent_root(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> RootResult:
@@ -365,9 +353,7 @@ def _pstar() -> float:
     return solve_pstar().value
 
 
-def verify_mrtt(
-    p: float, trials: int = 100, seed: int = 0, cfg: QuadratureConfig | None = None
-) -> VerificationReport:
+def verify_mrtt(p: float, trials: int = 100, seed: int = 0) -> VerificationReport:
     """Sharp two-sided bounds on r = ||X - EX||_p / ||X - EX||_1 for
     exponential sums: r >= Gamma(p+1)^(1/p) on -1 < p <= 1, r <= the same
     on 1 <= p <= p*, and r <= kappa (E|E-1|^p)^(1/p) with kappa = e/2
@@ -376,7 +362,6 @@ def verify_mrtt(
     if p <= -1.0 or p == 0.0:
         raise ValueError("verify_mrtt requires p > -1, p != 0")
     _check_trials("verify_mrtt", trials)
-    cfg = cfg or DEFAULT_CONFIG
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     pstar = _pstar()
     report = VerificationReport(
@@ -390,8 +375,8 @@ def verify_mrtt(
         w = _distinct_weights(rng, n)
         model = GammaSumModel.of(w)
         mean = model.mean_variance()[0]
-        num = engines.moment(model, MomentQuery(p=p, shift=mean), cfg=cfg)
-        den = engines.moment(model, MomentQuery(p=1.0, shift=mean), cfg=cfg)
+        num = engines.moment(model, MomentQuery(p=p, shift=mean))
+        den = engines.moment(model, MomentQuery(p=1.0, shift=mean))
         r = num.value ** (1.0 / p) / den.value
         rel_budget = abs(num.error / (p * num.value)) + den.error / den.value
         budget = 3.0 * r * rel_budget + 1e-9
@@ -606,7 +591,6 @@ def minimize_sphere(
     seed: int = 0,
     max_iter: int = 400,
     grad_tol: float = 1e-7,
-    cfg: QuadratureConfig | None = None,
 ) -> MinimizeResult:
     """Projected gradient descent for E|S_x|^p on the unit sphere, p >= 2.
 
@@ -621,14 +605,13 @@ def minimize_sphere(
         raise ValueError("minimize_sphere requires p >= 2 and n >= 2")
     if multistart < 1:
         raise ValueError("minimize_sphere requires multistart >= 1")
-    cfg = cfg or DEFAULT_CONFIG
     best = None
     starts = []
     for start in range(multistart):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(start,))))
         x = rng.standard_normal(n)
         x /= math.sqrt(x.dot(x))
-        val = float(engines.moments(x[None, :], p, cfg)[0][0])
+        val = float(engines.moments(x[None, :], p)[0][0])
         converged = False
         it = 0
         for it in range(1, max_iter + 1):
@@ -649,7 +632,7 @@ def minimize_sphere(
                 step *= 0.5
             best_y = None
             best_val = val
-            for y, yval in zip(ladder, engines.moments(ladder, p, cfg)[0].tolist()):
+            for y, yval in zip(ladder, engines.moments(ladder, p)[0].tolist()):
                 if yval < best_val:
                     best_val, best_y = yval, y
             if best_y is None:
@@ -660,13 +643,13 @@ def minimize_sphere(
         if best is None or val < best[1]:
             best = (x, val, converged, it)
     x, val, converged, it = best
-    crux = _crux_residual(x, p, val, cfg)
+    crux = _crux_residual(x, p, val)
     return MinimizeResult(
         x_min=x, value=val, crux_residual=crux, converged=converged, iterations=it, starts=starts
     )
 
 
-def _crux_residual(x: np.ndarray, p: float, val: float, cfg) -> float | None:
+def _crux_residual(x: np.ndarray, p: float, val: float) -> float | None:
     """|p E|S|^p - p(p-1) E|S + x1 E + x2 E'|^(p-2)| / (p E|S|^p) for the two
     largest-magnitude distinct coordinate values; None when all equal."""
     xs = x.tolist()
@@ -674,7 +657,7 @@ def _crux_residual(x: np.ndarray, p: float, val: float, cfg) -> float | None:
     if len(vals) < 2:
         return None
     model = GammaSumModel.of(xs + vals[:2])
-    inner = engines.moment(model, MomentQuery(p=p - 2.0), cfg=cfg)
+    inner = engines.moment(model, MomentQuery(p=p - 2.0))
     lhs = p * val
     rhs = p * (p - 1.0) * inner.value
     return abs(lhs - rhs) / abs(lhs)
@@ -702,7 +685,7 @@ class LogConvexityReport:
         }
 
 
-def logconvexity_probe(x, p_grid=None, cfg: QuadratureConfig | None = None) -> LogConvexityReport:
+def logconvexity_probe(x, p_grid=None) -> LogConvexityReport:
     """Second differences of p -> log(E|S_x|^p / E|G|^p) on a grid, for
     mean-zero weights.
 
@@ -721,7 +704,7 @@ def logconvexity_probe(x, p_grid=None, cfg: QuadratureConfig | None = None) -> L
     model = GammaSumModel.of(xs)
     g = []
     for p in p_grid:
-        est = engines.moment(model, MomentQuery(p=p), cfg=cfg)
+        est = engines.moment(model, MomentQuery(p=p))
         g.append(math.log(est.value) - math.log(gaussian_abs_moment(p)))
     second = [g[i + 1] - 2.0 * g[i] + g[i - 1] for i in range(1, len(g) - 1)]
     symmetric = sorted(xs) == sorted(-v for v in xs)

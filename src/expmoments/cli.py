@@ -9,10 +9,11 @@ Output formats: ``table`` (human), ``csv`` (header row, comma separator,
 dot decimal), and ``json`` (sorted keys, carries a schema_version field;
 byte-identical across runs for a fixed seed).  Exit codes: 0 success /
 suite pass, 1 violations or acceptance failures, 2 parse errors,
-3 domain errors.  ``failure``, ``solve`` and ``reproduce`` take no
-``--seed`` or ``--tol``, and each ``verify`` suite only the flags it
-reads; elsewhere the ``EXPMOMENTS_SEED`` environment variable supplies
-the default seed.
+3 domain errors.  Only ``moment`` takes ``--tol``, since only its
+Fourier engine reads it; ``failure``, ``solve`` and ``reproduce`` take no
+``--seed`` either, and each ``verify`` suite only the flags it reads;
+elsewhere the ``EXPMOMENTS_SEED`` environment variable supplies the
+default seed.
 """
 
 from __future__ import annotations
@@ -110,18 +111,11 @@ def _csv_cell(value):
     return value
 
 
-def _cfg(args) -> QuadratureConfig | None:
-    if getattr(args, "tol", None):
-        return QuadratureConfig(rel_tol=args.tol, abs_tol=min(args.tol * 1e-4, 1e-14))
-    return None
-
-
 def cmd_moment(args) -> int:
     model = parse_model_literal(args.model)
     query = MomentQuery(p=args.p, shift=args.shift, signed=args.signed)
-    est = engines.moment(
-        model, query, engine=args.engine, cfg=_cfg(args), seed=args.seed, count=args.count
-    )
+    cfg = QuadratureConfig(rel_tol=args.tol, abs_tol=min(args.tol * 1e-4, 1e-14)) if args.tol else None
+    est = engines.moment(model, query, engine=args.engine, cfg=cfg, seed=args.seed, count=args.count)
     _emit(
         args,
         {
@@ -147,7 +141,7 @@ def cmd_verify(args) -> int:
     elif suite == "hunter":
         report = analysis.verify_hunter_exact(trials=args.trials, seed=args.seed)
     elif suite == "mrtt":
-        report = analysis.verify_mrtt(p=args.p, trials=args.trials, seed=args.seed, cfg=_cfg(args))
+        report = analysis.verify_mrtt(p=args.p, trials=args.trials, seed=args.seed)
     elif suite == "all-equal":
         report = analysis.verify_all_equal()
     elif suite == "gamma":
@@ -165,7 +159,7 @@ def cmd_verify(args) -> int:
 def cmd_schur(args) -> int:
     from . import schur
 
-    res = schur.schur_scan(p=args.p, n=args.n, trials=args.trials, seed=args.seed, cfg=_cfg(args))
+    res = schur.schur_scan(p=args.p, n=args.n, trials=args.trials, seed=args.seed)
     payload = res.to_dict()
     fields = ["trial", "x", "y", "i", "j", "lam", "mp_x", "err_x", "mp_y", "err_y", "gap", "contribution"]
     _emit(args, payload, rows=list(res.rows), row_fields=fields)
@@ -176,15 +170,8 @@ def cmd_failure(args) -> int:
     from . import schur
 
     prof = schur.failure_profile(args.p)
-    xs = prof.xs
-    fs = prof.f
-    rows = []
-    for i in range(len(xs)):
-        if 0 < i < len(xs) - 1:
-            d = float((fs[i + 1] - fs[i - 1]) / (xs[i + 1] - xs[i - 1]))
-        else:
-            d = None  # one-sided endpoints reported in the summary instead
-        rows.append({"x": float(xs[i]), "f": float(fs[i]), "fprime": d})
+    rows = [{"x": x, "f": f, "fprime": d}
+            for x, f, d in zip(prof.xs.tolist(), prof.f.tolist(), prof.fprime.tolist())]
     payload = {
         "p": prof.p,
         "monotone_regime": prof.monotone_regime,
@@ -212,9 +199,7 @@ def cmd_solve(args) -> int:
 def cmd_minimize(args) -> int:
     from . import analysis
 
-    res = analysis.minimize_sphere(
-        n=args.n, p=args.p, multistart=args.multistart, seed=args.seed, cfg=_cfg(args)
-    )
+    res = analysis.minimize_sphere(n=args.n, p=args.p, multistart=args.multistart, seed=args.seed)
     _emit(args, res.to_dict())
     return 0
 
@@ -276,11 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("table", "csv", "json"), default="table")
         sp.add_argument("--out", default=None, help="write output to FILE instead of stdout")
 
-    def common(sp, trials_default=None, tol=True):
+    def common(sp, trials_default=None):
         sp.add_argument("--seed", type=int, default=None)
         output(sp)
-        if tol:
-            sp.add_argument("--tol", type=float, default=None, help="relative tolerance override")
         if trials_default is not None:
             sp.add_argument("--trials", type=_positive_int, default=trials_default)
 
@@ -292,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--engine", choices=engines.ENGINES, default=None)
     sp.add_argument("--count", type=_positive_int, default=1_000_000, help="Monte Carlo sample count")
     common(sp)
+    sp.add_argument("--tol", type=float, default=None, help="relative tolerance override")
     sp.set_defaults(func=cmd_moment)
 
     sp = sub.add_parser("verify", help="run an inequality verification suite")
@@ -305,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         if suite == "all-equal":
             output(ss)
         else:
-            common(ss, trials_default=200, tol=suite == "mrtt")
+            common(ss, trials_default=200)
         ss.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("schur", help="scan Schur-monotonicity of M_p")

@@ -56,7 +56,7 @@ def _entries(x, name: str) -> list:
     return xs
 
 
-def m_p(x, p, cfg: QuadratureConfig | None = None) -> engines.MomentEstimate:
+def m_p(x, p) -> engines.MomentEstimate:
     """M_p(x) = E (sum_j sqrt(x_j) E_j)^p for nonnegative x and p > -1.
 
     The sum is nonnegative, so the power moment equals the absolute
@@ -74,7 +74,7 @@ def m_p(x, p, cfg: QuadratureConfig | None = None) -> engines.MomentEstimate:
         if p == 0.0:
             return engines.MomentEstimate(1.0, 0.0, "exact", p)
         raise ValueError("negative moment of the zero sum diverges")
-    return engines.moment(GammaSumModel.of(weights), MomentQuery(p=p), cfg=cfg)
+    return engines.moment(GammaSumModel.of(weights), MomentQuery(p=p))
 
 
 def q_k(k: int, t: float) -> float:
@@ -235,7 +235,7 @@ def mp_representation_check(x, p: float, cfg: QuadratureConfig | None = None) ->
     integral = head_val + sign * (lap_val - poly_val)
 
     cp = c_p_constant(p)
-    mp_val = m_p(xs, p, cfg).value
+    mp_val = m_p(xs, p).value
     return abs(mp_val - integral / cp) / abs(mp_val)
 
 
@@ -392,9 +392,7 @@ def _draw_trials(rng: np.random.Generator, n: int, trials: int):
     return xs, ij, rng.random(trials)
 
 
-def schur_scan(
-    p: float, n: int, trials: int = 500, seed: int = 0, cfg: QuadratureConfig | None = None
-) -> ScanResult:
+def schur_scan(p: float, n: int, trials: int = 500, seed: int = 0) -> ScanResult:
     """Compare M_p across random T-transform pairs and classify monotonicity.
 
     A trial counts as directional evidence only when the gap exceeds three
@@ -423,11 +421,11 @@ def schur_scan(
     verdicts and evidence counts every time; a run with fewer trials is
     not a prefix of a longer one.
     """
-    return next(schur_sweep([p], n, trials, seed, cfg))
+    return next(schur_sweep([p], n, trials, seed))
 
 
-def schur_sweep(ps, n: int, trials: int = 500, seed: int = 0, cfg: QuadratureConfig | None = None):
-    """`schur_scan(p, n, trials, seed, cfg)` for each p of ps, in order, as
+def schur_sweep(ps, n: int, trials: int = 500, seed: int = 0):
+    """`schur_scan(p, n, trials, seed)` for each p of ps, in order, as
     an iterator of ScanResults.
 
     The scans share their trials: the draw, the T-transforms, the square
@@ -444,10 +442,10 @@ def schur_sweep(ps, n: int, trials: int = 500, seed: int = 0, cfg: QuadratureCon
         raise ValueError("schur_scan requires n >= 2")
     if trials < 0:
         raise ValueError("schur_scan requires trials >= 0")
-    return _sweep(ps, n, trials, seed, cfg)
+    return _sweep(ps, n, trials, seed)
 
 
-def _sweep(ps: list, n: int, trials: int, seed: int, cfg: QuadratureConfig | None):
+def _sweep(ps: list, n: int, trials: int, seed: int):
     xs, ij, lam = _draw_trials(np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))), n, trials)
 
     # T-transform of every trial, entrywise as in t_transform
@@ -459,7 +457,7 @@ def _sweep(ps: list, n: int, trials: int, seed: int, cfg: QuadratureConfig | Non
     ys[t, ij[:, 1]] = (1.0 - lam) * xi + lam * xj
 
     # M_p(x) = E|sum sqrt(x_j) E_j|^p for the x rows, then the y rows
-    values, errors = engines.moments(np.sqrt(np.concatenate([xs, ys])), ps, cfg)
+    values, errors = engines.moments(np.sqrt(np.concatenate([xs, ys])), ps)
     for p, value, error in zip(ps, values, errors):
         yield _scan_result(p, n, trials, xs, ys, ij, lam, value, error)
 
@@ -505,11 +503,17 @@ def _scan_result(p, n, trials, xs, ys, ij, lam, values, errors) -> ScanResult:
 
 @dataclass
 class FailureProfile:
-    """Profile of f(v) = M_p(v^2, 1-v^2) / Gamma(p+1) on [0, 1/sqrt(2)]."""
+    """Profile of f(v) = M_p(v^2, 1-v^2) / Gamma(p+1) on [0, 1/sqrt(2)]:
+    f and f' on the grid xs, the endpoint values and derivatives, and for
+    p > 4 the interior maximum, the root of f' in the grid cell where f'
+    turns from positive to nonpositive (the last cell excluded, since
+    f'(1/sqrt(2)) = 0 for every p).  Every derivative is analytic
+    (`_failure_f`); f'(0) is -inf for p < 0."""
 
     p: float
     xs: np.ndarray
     f: np.ndarray
+    fprime: np.ndarray
     monotone_regime: bool
     critical_point: float | None
     critical_value: float | None
@@ -521,95 +525,95 @@ class FailureProfile:
     monotone_increasing: bool
 
 
-def _failure_f(v: float, p: float) -> float:
-    """(a^(p+1) - b^(p+1)) / (a - b) with a = sqrt(1-v^2), b = v.
+def _failure_f(v: float, p: float) -> tuple:
+    """(f, f', f'') at v for f = (a^(p+1) - b^(p+1)) / (a - b), a = sqrt(1-v^2),
+    b = v.
 
-    The ratio is removable at a = b; within 1e-6 of that point a
-    symmetric-mean expansion (p+1) m^p (1 + p(p-1) d^2 / (6 m^2)),
-    m = (a+b)/2, d = (a-b)/2, replaces the ill-conditioned division.
+    With N and D the numerator and denominator, a' = -b/a and a'' = -1/a^3,
+    f = -a^(p+1) expm1((p+1) log(b/a)) / D, which keeps N's digits as p
+    nears -1, f' = (N' - f D') / D and f'' = (N'' - 2 f' D' - f D'') / D.
+    The last two cancel as a - b -> 0, so where (|p| + 2) |d| < m, with
+    m = (a+b)/2 and d = (a-b)/2, the symmetric-mean expansion
+    f = sum_j c_j m^(p-2j) d^(2j), c_j = C(p+1, 2j+1), is differentiated
+    term by term instead (m' = d/a, d' = -m/a): a f' = sum_j b_j
+    m^(p-2j-1) d^(2j+1) and a^2 f'' = b f' + sum_j e_j m^(p-2j) d^(2j), with
+    b_j = c_j (p-2j)(4j+4-p)/(2j+3) and e_j = (p-2j+1) b_(j-1) - (2j+1) b_j.
+    There each term is at most 1/4 of the one before, so the sums stop once
+    a term of f falls under 1e-18 of f, after 30 terms at most.  At v = 0
+    the v^(p+1) term of f = 1 + v + (1 - p/2) v^2 - v^(p+1) + ... sends f'
+    to -inf for p < 0 and f'' to -inf for 0 < p < 1 and +inf for p < 0; at
+    p = 0, f = 1.
     """
+    if p == 0.0:
+        return 1.0, 0.0, 0.0
+    if v == 0.0:
+        tail = math.inf if p < 1.0 else float(p == 1.0)  # lim v^(p-1)
+        return 1.0, 1.0 if p > 0.0 else -math.inf, 2.0 - p - (p + 1.0) * p * tail
     a = math.sqrt(max(0.0, 1.0 - v * v))
     b = v
-    diff = a - b
-    if abs(diff) < 1e-6:
-        mmid = 0.5 * (a + b)
-        d = 0.5 * diff
-        lead = (p + 1.0) * mmid**p
-        return lead * (1.0 + p * (p - 1.0) * d * d / (6.0 * mmid * mmid))
-    return (a ** (p + 1.0) - b ** (p + 1.0)) / diff
+    m, d = 0.5 * (a + b), 0.5 * (a - b)
+    if (abs(p) + 2.0) * abs(d) >= m:
+        q = b / a
+        f = -(a ** (p + 1.0)) * math.expm1((p + 1.0) * math.log(q)) / (a - b)
+        f1 = (f * (1.0 + q) - (p + 1.0) * (a**p * q + b**p)) / (a - b)
+        n2 = (p + 1.0) * ((p - 1.0) * a ** (p - 1.0) * q * q - a ** (p - 1.0) - p * b ** (p - 1.0))
+        return f, f1, (n2 + 2.0 * f1 * (1.0 + q) + f / a**3) / (a - b)
+    # term = c_j m^(p-2j) d^(2j), and b_term and b_prev the same with b_j
+    # and b_(j-1) in place of c_j
+    r2 = (d / m) ** 2
+    term = (p + 1.0) * m**p
+    f = g1 = g2 = b_prev = 0.0
+    for k in range(0, 60, 2):  # k = 2j
+        b_term = term * (p - k) * (2 * k + 4 - p) / (k + 3)
+        f += term
+        g1 += b_term * d / m
+        g2 += (p - k + 1) * b_prev - (k + 1) * b_term
+        b_prev = b_term * r2
+        term *= (p - k) * (p - k - 1) / ((k + 2) * (k + 3)) * r2
+        if abs(term) <= 1e-18 * abs(f):
+            break
+    return f, g1 / a, (g2 + b * g1 / a) / (a * a)
 
 
 def failure_profile(p: float, grid_size: int = 512) -> FailureProfile:
     """Locate the interior maximum of the two-coordinate profile for p > 4.
 
     For p <= 4 the profile is in its monotone regime; the report then
-    carries the grid and endpoint derivatives with no critical point.
+    carries the grid and endpoint derivatives with no critical point.  For
+    p > 4 the critical point is `analysis.brent_root` on the analytic f'
+    over the first grid cell where f' turns from positive to nonpositive.
     """
     p = float(p)
     if not (math.isfinite(p) and p > -1.0):
         raise ValueError(f"failure_profile requires a finite p > -1, got {p!r}")
     if grid_size < 2:
         raise ValueError(f"failure_profile requires grid_size >= 2, got {grid_size!r}")
-    right = _INV_SQRT2
-    xs = np.linspace(0.0, right, grid_size)
-    fs = np.array([_failure_f(v, p) for v in xs])
-
-    h = 1e-5
-    d1_zero = (-3.0 * _failure_f(0.0, p) + 4.0 * _failure_f(h, p) - _failure_f(2.0 * h, p)) / (2.0 * h)
-    h = 1e-4
-    d1_right = (
-        3.0 * _failure_f(right, p) - 4.0 * _failure_f(right - h, p) + _failure_f(right - 2.0 * h, p)
-    ) / (2.0 * h)
-    h = 1e-3
-    d2_right = (
-        35.0 / 12.0 * _failure_f(right, p)
-        - 26.0 / 3.0 * _failure_f(right - h, p)
-        + 19.0 / 2.0 * _failure_f(right - 2.0 * h, p)
-        - 14.0 / 3.0 * _failure_f(right - 3.0 * h, p)
-        + 11.0 / 12.0 * _failure_f(right - 4.0 * h, p)
-    ) / (h * h)
-
-    increasing = bool(np.all(np.diff(fs) > -1e-12))
+    xs = np.linspace(0.0, _INV_SQRT2, grid_size)
+    fs, d1, d2 = np.array([_failure_f(v, p) for v in xs.tolist()]).T
     crit = crit_val = None
     if p > 4.0:
-        # bracket the sign change of f' on the grid, then bisect the
-        # central-difference derivative
-        fd_h = right / (8.0 * grid_size)
+        cell = np.flatnonzero((d1[1:-2] > 0.0) & (d1[2:-1] <= 0.0))
+        if cell.size:
+            # a lazy import: importing schur loads no analysis
+            from .analysis import brent_root
 
-        def dfd(v: float) -> float:
-            lo = max(v - fd_h, 0.0)
-            hi = min(v + fd_h, right)
-            return (_failure_f(hi, p) - _failure_f(lo, p)) / (hi - lo)
-
-        for a, b in zip(xs[1:-2], xs[2:-1]):
-            da, db = dfd(a), dfd(b)
-            if da > 0.0 and db <= 0.0:
-                lo, hi = a, b
-                for _ in range(200):
-                    mid = 0.5 * (lo + hi)
-                    if dfd(mid) > 0.0:
-                        lo = mid
-                    else:
-                        hi = mid
-                    if hi - lo < 1e-12:
-                        break
-                crit = 0.5 * (lo + hi)
-                break
-        if crit is not None:
-            crit_val = _failure_f(crit, p)
+            i = int(cell[0]) + 1
+            crit = brent_root(lambda v: _failure_f(v, p)[1], xs[i], xs[i + 1], tol=0.0).value
+            crit_val = _failure_f(crit, p)[0]
     return FailureProfile(
         p=p,
         xs=xs,
         f=fs,
+        fprime=d1,
         monotone_regime=p <= 4.0,
         critical_point=crit,
         critical_value=crit_val,
         f_at_zero=float(fs[0]),
         f_at_right=float(fs[-1]),
-        d1_at_zero=d1_zero,
-        d1_at_right=d1_right,
-        d2_at_right=d2_right,
-        monotone_increasing=increasing,
+        d1_at_zero=float(d1[0]),
+        d1_at_right=float(d1[-1]),
+        d2_at_right=float(d2[-1]),
+        monotone_increasing=bool(np.all(np.diff(fs) > -1e-12)),
     )
 
 

@@ -1,6 +1,8 @@
 import hashlib
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -54,6 +56,30 @@ def test_centered_exp_abs_moment_values():
     assert centered_exp_abs_moment(0.5) == pytest.approx(0.7879451591738777, rel=1e-12)
     with pytest.raises(ValueError):
         centered_exp_abs_moment(-1.0)
+
+
+def _centered_exp_series(p):
+    """e^-1 (Gamma(p+1) + sum_k 1/(k! (p+k+1))) at 40 digits."""
+    with mpmath.workdps(40):
+        p = mpmath.mpf(p)
+        series = mpmath.nsum(lambda k: 1 / (mpmath.factorial(k) * (p + k + 1)), [0, mpmath.inf])
+        return mpmath.exp(-1) * (mpmath.gamma(p + 1) + series)
+
+
+def test_centered_exp_abs_moment_within_the_engine_bar():
+    # the value is the density engine's Exp(1) row at shift 1; its bar
+    # covers the distance to the series referee
+    for p in (-0.99, -0.9, -0.5, 0.5, 2.5, 2.9414, 3.5):
+        est = moment(GammaSumModel.of([1.0]), MomentQuery(p=p, shift=1.0))
+        value = centered_exp_abs_moment(p)
+        assert value == est.value
+        with mpmath.workdps(40):
+            assert abs(value - _centered_exp_series(p)) <= est.error, p
+    # at even p, E(E-1)^p is the number of derangements of p things, 1, 9
+    # and 265, and the value is that rational correctly rounded
+    for p, count in ((2, 1), (4, 9), (6, 265)):
+        assert centered_exp_abs_moment(p) == float(Fraction(count))
+        assert abs(_centered_exp_series(p) - count) < 1e-30
 
 
 def test_centered_moment_against_quadrature():

@@ -10,6 +10,7 @@ import pytest
 import expmoments
 from expmoments import cli
 from expmoments.cli import main, parse_model_literal
+from expmoments.schur import failure_profile
 
 
 def run(capsys, *argv):
@@ -193,6 +194,7 @@ def test_verify_remaining_suites(capsys):
     [
         ("theorem1", ("--tol", "1e-8")),
         ("hunter", ("-p", "3")),
+        ("mrtt", ("--tol", "1e-8")),
         ("all-equal", ("--trials", "3")),
         ("all-equal", ("--seed", "9")),
         ("all-equal", ("--tol", "1e-3")),
@@ -202,8 +204,8 @@ def test_verify_remaining_suites(capsys):
     ],
 )
 def test_verify_suites_refuse_flags_they_do_not_read(capsys, suite, flag):
-    # -p: theorem1 and mrtt; --tol: mrtt; --seed and --trials: all but
-    # all-equal
+    # -p: theorem1 and mrtt; --seed and --trials: all but all-equal; --tol:
+    # none
     with pytest.raises(SystemExit) as exc:
         main(["verify", suite, *flag])
     assert exc.value.code == 2
@@ -211,9 +213,19 @@ def test_verify_suites_refuse_flags_they_do_not_read(capsys, suite, flag):
 
 
 def test_verify_mrtt_reads_every_flag(capsys):
-    argv = ("verify", "mrtt", "-p", "0.5", "--tol", "1e-9", "--seed", "2", "--trials", "3", "--format", "json")
+    argv = ("verify", "mrtt", "-p", "0.5", "--seed", "2", "--trials", "3", "--format", "json")
     code, out, _ = run(capsys, *argv)
     assert code == 0 and json.loads(out)["params"]["seed"] == 2
+
+
+@pytest.mark.parametrize("argv", [("schur", "-p", "3", "-n", "2"), ("minimize", "-n", "2", "-p", "3")],
+                         ids=["schur", "minimize"])
+def test_commands_whose_engines_read_no_tolerance_refuse_tol(capsys, argv):
+    # only the Fourier engine reads --tol, and only `moment` reaches it
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", "1e-8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-8" in capsys.readouterr().err
 
 
 def test_schur_report_carries_certificate_note(capsys):
@@ -243,8 +255,20 @@ def test_failure_command(capsys):
     payload = json.loads(out)
     assert payload["critical_point"] is not None
     assert payload["d2_at_right"] == pytest.approx(3.5355339059327378, rel=1e-4)
+    # every row carries the profile's analytic f', endpoints included
+    assert [row["fprime"] for row in payload["rows"]] == failure_profile(5.0).fprime.tolist()
+    assert payload["rows"][0]["fprime"] == 1.0 and abs(payload["rows"][-1]["fprime"]) < 1e-15
     code, out, _ = run(capsys, "failure", "-p", "5", "--format", "csv")
     assert out.splitlines()[0] == "x,f,fprime"
+
+
+def test_failure_command_below_p_zero(capsys):
+    # f'(0) = -inf for p < 0: reported, not raised
+    code, out, _ = run(capsys, "failure", "-p", "-0.5", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["d1_at_zero"] == -math.inf and payload["rows"][0]["fprime"] == -math.inf
+    assert all(math.isfinite(row["fprime"]) for row in payload["rows"][1:])
 
 
 def test_solve_command(capsys):
@@ -360,8 +384,9 @@ PACKAGE_NAMES = [
 def test_package_names_load_their_modules_on_first_access():
     # in a fresh interpreter: importing the engines, or running a moment
     # query from the CLI, loads neither schur nor analysis, nor the thread
-    # pool of split Monte Carlo queries, and starts no thread; every public
-    # name of the package still resolves
+    # pool of split Monte Carlo queries, and starts no thread; importing
+    # schur loads no analysis; every public name of the package still
+    # resolves
     src = str(Path(expmoments.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = f"""
@@ -373,6 +398,8 @@ assert main(["moment", "-m", "1,2", "-p", "2.5", "--format", "json"]) == 0
 assert not {{"expmoments.schur", "expmoments.analysis", "expmoments.acceptance"}} & set(sys.modules)
 assert "concurrent.futures" not in sys.modules and threading.active_count() == 1
 assert expmoments.engines._pool is None
+import expmoments.schur
+assert "expmoments.analysis" not in sys.modules
 import expmoments
 assert expmoments.moment is expmoments.engines.moment
 for name in {PACKAGE_NAMES!r}:

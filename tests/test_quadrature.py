@@ -105,8 +105,8 @@ def test_config_validation():
 
 
 def test_abs_power_negative_exponent_endpoint():
-    # int_0^inf |t-1|^(-1/2) e^(-t) dt; oracle: series/Gamma evaluation of
-    # the same centered-exponential moment (independent code path)
+    # int_0^inf |t-1|^(-1/2) e^(-t) dt; oracle: the density engine's closed
+    # form of the same centered-exponential moment (no quadrature)
     from expmoments.analysis import centered_exp_abs_moment
 
     val, err = integrate_abs_power(lambda t: np.exp(-t), -0.5, 1.0, 0.0, math.inf)

@@ -1,11 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from expmoments.schur import (
     MajorizationPair,
     _draw_trials,
+    _failure_f,
     c_p_constant,
     claim_inequality_check,
     f_k,
@@ -433,6 +435,111 @@ def test_failure_profile_just_above_threshold():
     prof = failure_profile(4.5)
     assert prof.critical_point is not None
     assert prof.critical_value > prof.f_at_right
+
+
+def _profile_mp(p):
+    """f(v) = (a^(p+1) - v^(p+1)) / (a - v), a = sqrt(1 - v^2), in mpmath."""
+    p = mpmath.mpf(p)
+
+    def f(v):
+        a = mpmath.sqrt(1 - v * v)
+        return (a ** (p + 1) - v ** (p + 1)) / (a - v)
+
+    return f
+
+
+@pytest.mark.parametrize("p", [-0.5, 0.5, 3.0, 4.0, 5.0, 8.0])
+def test_failure_derivatives_match_finite_differences(p):
+    # the stencils the profile once used for its endpoint derivatives, here
+    # the reference for the analytic f' and f'' at interior points on both
+    # sides of the switch to the near-diagonal expansion
+    def f(v):
+        return _failure_f(v, p)[0]
+
+    for v in (0.05, 0.2, 0.4, 0.6, 0.65, 0.69, 0.7):
+        _, d1, d2 = _failure_f(v, p)
+        h = 1e-5
+        forward = (-3.0 * f(v) + 4.0 * f(v + h) - f(v + 2.0 * h)) / (2.0 * h)
+        h = 1e-4
+        backward = (3.0 * f(v) - 4.0 * f(v - h) + f(v - 2.0 * h)) / (2.0 * h)
+        h = 1e-3
+        second = (
+            35.0 / 12.0 * f(v) - 26.0 / 3.0 * f(v - h) + 19.0 / 2.0 * f(v - 2.0 * h)
+            - 14.0 / 3.0 * f(v - 3.0 * h) + 11.0 / 12.0 * f(v - 4.0 * h)
+        ) / (h * h)
+        assert abs(forward - d1) <= 1e-7 * max(1.0, abs(d1)), (v, forward, d1)
+        assert abs(backward - d1) <= 1e-5 * max(1.0, abs(d1)), (v, backward, d1)
+        assert abs(second - d2) <= 1e-3 * max(1.0, abs(d2)), (v, second, d2)
+
+
+@pytest.mark.parametrize("p", [-0.99, -0.5, 0.5, 3.0, 4.0, 4.5, 5.0, 8.0, 30.5])
+def test_failure_derivatives_continuous_across_the_expansion_switch(p):
+    # the expansion takes over where (|p| + 2) |a - b| < a + b, that is
+    # above b/a = (1 - s)/(1 + s) with s = 1/(|p| + 2); 65 consecutive
+    # floats there straddle the switch
+    s = 1.0 / (abs(p) + 2.0)
+    ratio = (1.0 - s) / (1.0 + s)
+    vs = [ratio / math.sqrt(1.0 + ratio * ratio)]
+    for _ in range(32):
+        vs.insert(0, math.nextafter(vs[0], 0.0))
+        vs.append(math.nextafter(vs[-1], 1.0))
+    gap = [(abs(p) + 2.0) * (math.sqrt(1.0 - v * v) - v) / (math.sqrt(1.0 - v * v) + v) for v in (vs[0], vs[-1])]
+    assert gap[0] > 1.0 > gap[1]
+    values = np.array([_failure_f(v, p) for v in vs])
+    jumps = np.abs(np.diff(values, axis=0)).max(axis=0)
+    assert (jumps <= 1e-12 * np.maximum(1.0, np.abs(values).max(axis=0))).all(), jumps
+    # and each side, and points within 1e-7 of 1/sqrt(2), against mpmath
+    f = _profile_mp(p)
+    with mpmath.workdps(50):
+        for v in (vs[0], vs[-1], INV_SQRT2 - 1e-7, INV_SQRT2 - 1e-9, INV_SQRT2):
+            ref = [float(mpmath.diff(f, mpmath.mpf(v), k)) for k in (0, 1, 2)]
+            got = _failure_f(v, p)
+            assert got[0] == pytest.approx(ref[0], rel=1e-13), v
+            # f' vanishes at 1/sqrt(2): an absolute bound on its scale there
+            assert abs(got[1] - ref[1]) <= 1e-13 * max(1.0, abs(ref[2])), v
+            assert got[2] == pytest.approx(ref[2], rel=1e-12, abs=1e-14), v
+
+
+@pytest.mark.parametrize("p, root", [(4.5, 0.39218328728877327), (5.0, 0.30433389954802054),
+                                     (8.0, 0.14879661054636744)])
+def test_failure_critical_point_against_mpmath(p, root):
+    f = _profile_mp(p)
+    with mpmath.workdps(50):
+        ref = mpmath.findroot(lambda v: mpmath.diff(f, v), mpmath.mpf(root))
+        value = f(ref)
+    assert abs(float(ref) - root) < 1e-15
+    prof = failure_profile(p)
+    assert abs(prof.critical_point - float(ref)) <= 1e-12
+    assert prof.critical_value == pytest.approx(float(value), rel=1e-15)
+
+
+def test_failure_profile_endpoint_derivatives():
+    # f'(0) = 1 for p > 0, f'(1/sqrt(2)) = 0, and f''(1/sqrt(2)) is the
+    # closed form (1/3) 2^(1-p/2) p (p+1) (p-4)
+    for p in (0.5, 3.0, 4.5, 5.0, 8.0):
+        prof = failure_profile(p)
+        assert prof.d1_at_zero == 1.0
+        assert abs(prof.d1_at_right) <= 1e-15
+        closed = 2.0 ** (1.0 - 0.5 * p) * p * (p + 1.0) * (p - 4.0) / 3.0
+        assert prof.d2_at_right == pytest.approx(closed, rel=1e-14)
+        assert prof.fprime[0] == prof.d1_at_zero and prof.fprime[-1] == prof.d1_at_right
+    assert abs(failure_profile(4.0).d2_at_right) <= 1e-14
+
+
+def test_failure_profile_below_p_zero():
+    # the v^(p+1) term sends f'(0) to -inf; nothing raises
+    prof = failure_profile(-0.5)
+    assert prof.d1_at_zero == -math.inf
+    assert np.isfinite(prof.fprime[1:]).all() and np.isfinite(prof.f).all()
+    assert prof.monotone_regime and prof.critical_point is None
+
+
+def test_failure_profile_at_p_zero():
+    # f = (a - b)/(a - b) = 1
+    prof = failure_profile(0.0)
+    assert (prof.f == 1.0).all() and (prof.fprime == 0.0).all()
+    assert prof.d1_at_zero == prof.d1_at_right == prof.d2_at_right == 0.0
+    assert prof.monotone_increasing and prof.critical_point is None
 
 
 def test_ostrowski_symmetry_and_sign():
