@@ -10,22 +10,20 @@ sign almost surely (weights all positive and m <= 0, or all negative and
 m >= 0).  Signed even p and unsigned odd p on mixed support are not
 polynomial.  At every shift, 0 included, it is capped at p = _EXACT_MAX_P,
 beyond which its integers grow too costly, and a forced exact query above
-the cap raises.  Auto dispatch also leaves shift 0 with integer shapes
-(other than unsigned even p) to the density closed form, which is cheaper
-there.  The density engine serves integer shapes through the closed-form
-Erlang mixture, each term integrated against |t - shift|^p in closed form
-at every shift (Gamma values at shift 0; Gamma sums, a Kummer series and
-a scaled incomplete gamma otherwise): the partial fractions of the model, and where those reject it
-(weights closer than model._MERGE_GAP), leave the float range or give a
-poor bound, the partial fractions of its gamma mixture, in which each
-group of close weights of one sign is one pole (`gamma_mixture`), signed
-or not, shifted or not.  The Fourier engine serves 0 < p < 2 unsigned,
-its doubling blocks integrated together on numpy arrays
-(`quadrature.integrate_doubling`); the Monte Carlo engine serves
-everything that is left.  A density outside the float range, or a
-Fourier integral that fails to converge (`QuadratureError`) or whose
-blocks reach the float range, falls through to the next engine, as a
-poor bound does; a forced engine raises it instead.
+the cap raises.  The density engine serves integer shapes through the
+closed-form Erlang mixture, each term integrated against |t - shift|^p in
+closed form at every shift (Gamma values at shift 0; Gamma sums, a Kummer
+series and a scaled incomplete gamma otherwise): the partial fractions of
+the model, and where those reject it (weights closer than
+model._MERGE_GAP), leave the float range or give a poor bound, the partial
+fractions of its gamma mixture, in which each group of close weights of one
+sign is one pole (`gamma_mixture`), signed or not, shifted or not.  The
+Fourier engine serves 0 < p < 2 unsigned, its doubling blocks integrated
+together on numpy arrays (`quadrature.integrate_doubling`); the Monte Carlo
+engine serves everything that is left.  A density outside the float range,
+or a Fourier integral that fails to converge (`QuadratureError`) or whose
+blocks reach the float range, falls through to the next engine, as a poor
+bound does; a forced engine raises it instead.
 """
 
 from __future__ import annotations
@@ -115,7 +113,9 @@ _FOURIER_MAX_WT = 1e150
 @dataclass(frozen=True)
 class MomentEstimate:
     """A moment value with engine tag and an absolute error bound
-    (99% CI half-width for the Monte Carlo engine)."""
+    (99% CI half-width for the Monte Carlo engine).  The exact engine's
+    error 0 means the value is the exact rational moment, correctly
+    rounded."""
 
     value: float
     error: float
@@ -161,7 +161,7 @@ def moment(
 def _auto_moment(
     model: GammaSumModel, query: MomentQuery, cfg: QuadratureConfig, seed: int, count: int
 ) -> MomentEstimate:
-    if _exact_applies(model, query):
+    if query.p <= _EXACT_MAX_P and _polynomial_sign(model, query) is not None:
         return _exact_moment(model, query)
     # a density estimate is kept only while its honest bound is good; one
     # outside the engine's domain falls through to the next engine as a
@@ -184,7 +184,7 @@ def _poor(est: MomentEstimate) -> bool:
     return est.error > _FALLBACK_REL * max(1.0, abs(est.value))
 
 
-def moments(W, p, cfg: QuadratureConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
+def moments(W, p) -> tuple[np.ndarray, np.ndarray]:
     """E|S_b|^p with S_b = sum_k W[b, k] E_k, for every row b of a (B, n)
     array of exponential weights of either sign, at one p or at each p of
     a sequence; zero entries are absent terms.
@@ -196,11 +196,12 @@ def moments(W, p, cfg: QuadratureConfig | None = None) -> tuple[np.ndarray, np.n
     its equal weights (an all-zero row, which has no model, gets 0, or 1 at
     p = 0, as the zero sum):
 
-    - even integer p up to _EXACT_MAX_P: the exact engine, error 0, rounded
-      from a long-double h table of every row at once with a rigorous
-      bound (`_filtered_exact_rows`), and on Python integers, in one pass
-      at full width over the rows whose rounding the bound cannot decide
-      (`_exact_rows`);
+    - integer p up to _EXACT_MAX_P where the moment is polynomial (every
+      row at even p, the rows of one sign at odd p): the exact engine,
+      error 0, rounded from a long-double h table of every row at once with
+      a rigorous bound (`_filtered_exact_rows`), and on Python integers, in
+      one pass at full width over the rows whose rounding the bound cannot
+      decide (`_exact_rows`);
     - distinct weights at relative gaps of at least model._MERGE_GAP: the
       density closed form Gamma(p+1) sum_k c_k |w_k|^p with
       c_k = prod_{j != k} 1 / (1 - w_j / w_k), with the scalar path's
@@ -212,7 +213,7 @@ def moments(W, p, cfg: QuadratureConfig | None = None) -> tuple[np.ndarray, np.n
 
     What does not depend on p is done once for every p: the packing and
     counting of the rows, the long-double h tables and the integer scaling
-    of the exact rows, each with one h table up to the highest even p, and
+    of the exact rows, each with one h table per parity of the exact p, and
     the pole factors, sensitivities, merge-gap test and log |w| of the
     closed form.
     """
@@ -231,29 +232,43 @@ def moments(W, p, cfg: QuadratureConfig | None = None) -> tuple[np.ndarray, np.n
         raise ValueError("negative moment of the zero sum diverges")
     # each row's nonzero entries first, in their order
     packed = np.take_along_axis(W, np.argsort(~active, axis=1, kind="stable"), axis=1)
-    even = [i for i, v in enumerate(ps) if _even_integer(v) and v <= _EXACT_MAX_P]
-    other = [i for i in range(len(ps)) if i not in even]
-    ells = [int(ps[i]) for i in even]
-    if even:
-        values[even], pending = _filtered_exact_rows(W, ells)
+    # the (p, row) pairs that the exact engine leaves to the closed form
+    rest = np.ones(values.shape, dtype=bool)
+    exact = [i for i, v in enumerate(ps) if v.is_integer() and 0.0 <= v <= _EXACT_MAX_P]
+    for parity in (0.0, 1.0) if exact else ():
+        picks = [i for i in exact if ps[i] % 2 == parity]
+        # E|S|^ell is ell! h_ell(w) on every row at even ell, and
+        # ell! h_ell(|w|) on a row of one sign at every ell
+        one_sign = (W >= 0.0).all(axis=1) | (W <= 0.0).all(axis=1) if parity and picks else []
+        rows = np.flatnonzero(one_sign) if parity else np.arange(len(W))
+        if not (picks and rows.size):
+            continue
+        A = np.abs(W[rows]) if parity else W
+        ells = [int(ps[i]) for i in picks]
+        found, pending = _filtered_exact_rows(A, ells)
         # the rows that the long-double filter cannot round, zeros and all
         if pending.any():
-            values[np.ix_(even, np.flatnonzero(pending))] = _exact_rows(W[pending], ells)
+            found[:, pending] = _exact_rows(A[pending], ells)
+        values[np.ix_(picks, rows)] = found
+        rest[np.ix_(picks, rows)] = False
     # for each row the batch leaves to moment, the indices of its p
     scalar_rows = {}
+    other = [i for i in range(len(ps)) if rest[i].any()]
     for m in range(1, W.shape[1] + 1) if other else ():
         rows = np.flatnonzero(counts == m)
         if not rows.size:
             continue
         for i, value, err, ok in zip(other, *_simple_pole_moments(packed[rows, :m], [ps[i] for i in other])):
-            values[i, rows[ok]] = value[ok]
-            errors[i, rows[ok]] = err[ok]
-            for b in rows[~ok].tolist():
+            left = rest[i, rows]
+            done = left & ok
+            values[i, rows[done]] = value[done]
+            errors[i, rows[done]] = err[done]
+            for b in rows[left & ~ok].tolist():
                 scalar_rows.setdefault(b, []).append(i)
     for b, picks in scalar_rows.items():
         model = GammaSumModel.of(W[b].tolist())
         for i in picks:
-            est = moment(model, queries[i], cfg=cfg)
+            est = moment(model, queries[i])
             values[i, b] = est.value
             errors[i, b] = est.error
     if np.ndim(p) == 0:
@@ -327,22 +342,6 @@ def density_at(model: GammaSumModel, t: float, shift: float = 0.0) -> float:
     return pfd.density(float(t) + float(shift))
 
 
-def _even_integer(p: float) -> bool:
-    return float(p).is_integer() and p >= 0.0 and int(p) % 2 == 0
-
-
-def _exact_applies(model: GammaSumModel, q: MomentQuery) -> bool:
-    """Auto dispatch's part of the exact engine's domain, p up to
-    _EXACT_MAX_P: at shift 0 with integer shapes only unsigned even p (the
-    density closed form is cheaper for the rest), elsewhere every
-    polynomial query."""
-    if q.p > _EXACT_MAX_P:
-        return False
-    if q.shift == 0.0 and model.integer_shapes:
-        return (not q.signed) and _even_integer(q.p)
-    return _polynomial_sign(model, q) is not None
-
-
 def _polynomial_sign(model: GammaSumModel, q: MomentQuery) -> int | None:
     """sigma in {1, -1} with E|S - m|^p (times sgn(S - m) when signed) =
     sigma E(S - m)^p, or None where no such identity holds: p not an
@@ -377,20 +376,21 @@ def _exact_moment(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
         )
     if q.p > _EXACT_MAX_P:
         raise ValueError(f"exact engine is capped at p = {_EXACT_MAX_P}")
-    if (not q.signed) and q.shift == 0.0 and _even_integer(q.p) and model.integer_shapes:
-        # Hunter's identity E S^ell = ell! h_ell(w)
+    if q.shift == 0.0 and model.integer_shapes:
+        # Hunter's identity E S^ell = ell! h_ell(w), at every integer ell
         ell = int(q.p)
         h, d = _chs_scaled(model.expanded_weights(), ell)
-        return MomentEstimate(_exact_float(math.factorial(ell) * h, d**ell), 0.0, "exact", q.p)
+        return MomentEstimate(_exact_float(sign * math.factorial(ell) * h, d**ell), 0.0, "exact", q.p)
     num, den = _power_moment_scaled(model.weights, model.shapes, q.shift, int(q.p))
     return MomentEstimate(_exact_float(sign * num, den), 0.0, "exact", q.p)
 
 
 def _exact_rows(w: np.ndarray, ells) -> np.ndarray:
     """float(ell! h_ell(w_b)) for every row b of a (B, m) array of weights,
-    zeros included, and every even ell of ells, as a (len(ells), B) array,
-    correctly rounded: Hunter's identity E S_b^ell at even ell.  `moments`
-    sends it only the rows that `_filtered_exact_rows` leaves pending.
+    zeros included, and every ell of ells, as a (len(ells), B) array,
+    correctly rounded: Hunter's identity E S_b^ell.  `moments` sends it
+    only the rows that `_filtered_exact_rows` leaves pending, and at odd
+    ell only rows of one sign made nonnegative, so every value is >= 0.
 
     One np.frexp writes each nonzero entry as M 2^e with M an odd integer
     of at most 53 bits, as float.as_integer_ratio does, and each zero as
@@ -425,7 +425,7 @@ def _exact_rows(w: np.ndarray, ells) -> np.ndarray:
 
 def _filtered_exact_rows(W: np.ndarray, ells) -> tuple[np.ndarray, np.ndarray]:
     """(values, pending): float(ell! h_ell(W_b)) for every row b of a (B, n)
-    array of weights, zeros included, and every even ell of ells, as a
+    array of weights, zeros included, and every ell of ells, as a
     (len(ells), B) array, correctly rounded in every row b where
     pending[b] is False; `moments` leaves the pending rows to `_exact_rows`.
 
@@ -439,7 +439,8 @@ def _filtered_exact_rows(W: np.ndarray, ells) -> tuple[np.ndarray, np.ndarray]:
     least 4 ell! S (below).  v lies between those two long doubles, so
     float, which is monotone, rounds it to the same float: the correctly
     rounded value, bit for bit what `_exact_rows` gives.  The upper end is
-    kept, so that a moment that rounds to zero is +0.0 (v >= 0, Hunter).
+    kept, so that a moment that rounds to zero is +0.0: v >= 0 at even ell
+    (Hunter) and at odd ell, where `moments` sends only nonnegative rows.
 
     The bound, each rounding a factor 1 + e with |e| <= u (Higham,
     Accuracy and Stability of Numerical Algorithms, chapter 3):

@@ -370,7 +370,7 @@ def integrate_doubling(f, lo, done, cfg=None, cap=math.inf):
             raise QuadratureError(f"no stop within {_MAX_BLOCKS} doubling blocks", body, err)
 
 
-def integrate_abs_power(g, p, m, a, b, cfg=None, singular_points=()):
+def integrate_abs_power(g, p, m, a, b, singular_points=()):
     """Integrate |t - m|^p g(t) over [a, b] for p > -1 (b may be +inf).
 
     For p in (-1, 0) the substitution u = |t - m|^(p+1) is applied on each
@@ -379,7 +379,6 @@ def integrate_abs_power(g, p, m, a, b, cfg=None, singular_points=()):
     """
     if p <= -1.0:
         raise ValueError(f"power must exceed -1, got {p!r}")
-    cfg = cfg or DEFAULT_CONFIG
     if a < m < b:
         pieces = [(a, m), (m, b)]
     else:
@@ -388,18 +387,18 @@ def integrate_abs_power(g, p, m, a, b, cfg=None, singular_points=()):
     err = 0.0
     for lo, hi in pieces:
         if p < 0.0 and (lo == m or hi == m):
-            v, e = _abs_power_endpoint(g, p, m, lo, hi, cfg, singular_points)
+            v, e = _abs_power_endpoint(g, p, m, lo, hi, singular_points)
         else:
             def h(t, _g=g):
                 return np.abs(t - m) ** p * _g(t)
 
-            v, e = integrate(h, lo, hi, cfg, singular_points)
+            v, e = integrate(h, lo, hi, singular_points=singular_points)
         val += v
         err += e
     return val, err
 
 
-def _abs_power_endpoint(g, p, m, lo, hi, cfg, singular_points):
+def _abs_power_endpoint(g, p, m, lo, hi, singular_points):
     q = p + 1.0
     inv_q = 1.0 / q
     if lo == m:
@@ -409,7 +408,7 @@ def _abs_power_endpoint(g, p, m, lo, hi, cfg, singular_points):
             return _g(m + u**inv_q) * inv_q
 
         mapped = [(s - m) ** q for s in singular_points if m < s < hi]
-        return integrate(tf, 0.0, ub, cfg, mapped)
+        return integrate(tf, 0.0, ub, singular_points=mapped)
     if math.isinf(lo):
         raise ValueError("left endpoint of a singular piece must be finite")
 
@@ -417,10 +416,10 @@ def _abs_power_endpoint(g, p, m, lo, hi, cfg, singular_points):
         return _g(m - u**inv_q) * inv_q
 
     mapped = [(m - s) ** q for s in singular_points if lo < s < m]
-    return integrate(tf, 0.0, (m - lo) ** q, cfg, mapped)
+    return integrate(tf, 0.0, (m - lo) ** q, singular_points=mapped)
 
 
-def integral_iqs(q, s, cfg=None):
+def integral_iqs(q, s):
     """Quadrature of int_0^inf (1 - (1 + t^2/s)^(-(1+s)/2)) / t^(q+1) dt.
 
     Independent of the closed form: the head (0, 1] runs through the
@@ -430,7 +429,6 @@ def integral_iqs(q, s, cfg=None):
     """
     if not 0.0 < q < 2.0 or s <= 0.0:
         raise ValueError(f"integral_iqs requires 0 < q < 2 and s > 0, got ({q!r}, {s!r})")
-    cfg = cfg or DEFAULT_CONFIG
     alpha = 0.5 * (1.0 + s)
 
     def gfun(t):
@@ -444,18 +442,18 @@ def integral_iqs(q, s, cfg=None):
             -np.expm1(-alpha * np.log1p(u)) / tt,
         )
 
-    head_val, head_err = integrate_abs_power(gfun, 1.0 - q, 0.0, 0.0, 1.0, cfg)
+    head_val, head_err = integrate_abs_power(gfun, 1.0 - q, 0.0, 0.0, 1.0)
 
-    target = max(cfg.abs_tol, 1e-13)
+    target = max(DEFAULT_CONFIG.abs_tol, 1e-13)
     decay = 2.0 * alpha + q
     log_T = (alpha * math.log(s) - math.log(decay * target)) / decay
-    T = max(math.exp(log_T), 2.0, cfg.tail_threshold if s <= 1.0 else 2.0)
+    T = max(math.exp(log_T), 2.0, DEFAULT_CONFIG.tail_threshold if s <= 1.0 else 2.0)
 
     def body(t):
         # on t >= 1, where alpha u >= 1/2 keeps gfun off its series
         return gfun(t) * t ** (1.0 - q)
 
-    body_val, body_err, _ = integrate_doubling(body, 1.0, lambda hi, _: hi >= T, cfg, cap=T)
+    body_val, body_err, _ = integrate_doubling(body, 1.0, lambda hi, _: hi >= T, cap=T)
     tail_val = 1.0 / (q * T**q)
     tail_resid = math.exp(alpha * math.log(s) - decay * math.log(T)) / decay
     return head_val + body_val + tail_val, head_err + body_err + tail_resid

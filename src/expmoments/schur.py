@@ -20,7 +20,7 @@ import numpy as np
 
 from . import engines
 from .model import GammaSumModel, MomentQuery, _h_table, sample
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
+from .quadrature import integrate
 from .specialfn import loggamma
 
 __all__ = [
@@ -172,7 +172,7 @@ def f_k_mc(x, k: int, seed: int = 0, count: int = 1_000_000) -> engines.MomentEs
     return engines.MomentEstimate(mean, ci, "montecarlo", float(k))
 
 
-def mp_representation_check(x, p: float, cfg: QuadratureConfig | None = None) -> float:
+def mp_representation_check(x, p: float) -> float:
     """Relative residual of M_p(x) = C_p^{-1} int_0^inf F_k(t^2 x) t^{-p-1} dt.
 
     Non-integer p in (0, 4), k = floor(p).  The head (0, 1] goes through
@@ -184,7 +184,6 @@ def mp_representation_check(x, p: float, cfg: QuadratureConfig | None = None) ->
     p = float(p)
     if not 0.0 < p < 4.0 or float(p).is_integer():
         raise ValueError("representation check requires non-integer p in (0, 4)")
-    cfg = cfg or DEFAULT_CONFIG
     k = math.floor(p)
     xs = _entries(x, "mp_representation_check")
     b = [math.sqrt(v) for v in xs if v > 0.0]
@@ -224,13 +223,13 @@ def mp_representation_check(x, p: float, cfg: QuadratureConfig | None = None) ->
             power = power * t
         return np.where(t * h[1] < 0.5, near, sign * far / t ** (k + 1)) * inv_expo
 
-    head_val, _ = integrate(head, 0.0, 1.0, cfg)
+    head_val, _ = integrate(head, 0.0, 1.0)
 
     # tail from 1, where the polynomial part integrates exactly
     def laplace_piece(t):
         return laplace_product(t) * t ** (-p - 1.0)
 
-    lap_val, _ = integrate(laplace_piece, 1.0, math.inf, cfg)
+    lap_val, _ = integrate(laplace_piece, 1.0, math.inf)
     poly_val = sum((-1.0) ** j * h[j] / (p - j) for j in range(0, k + 1))
     integral = head_val + sign * (lap_val - poly_val)
 
@@ -592,12 +591,13 @@ def failure_profile(p: float, grid_size: int = 512) -> FailureProfile:
     fs, d1, d2 = np.array([_failure_f(v, p) for v in xs.tolist()]).T
     crit = crit_val = None
     if p > 4.0:
-        cell = np.flatnonzero((d1[1:-2] > 0.0) & (d1[2:-1] <= 0.0))
+        # every cell but the last, where f'(1/sqrt(2)) = 0
+        cell = np.flatnonzero((d1[:-2] > 0.0) & (d1[1:-1] <= 0.0))
         if cell.size:
             # a lazy import: importing schur loads no analysis
             from .analysis import brent_root
 
-            i = int(cell[0]) + 1
+            i = int(cell[0])
             crit = brent_root(lambda v: _failure_f(v, p)[1], xs[i], xs[i + 1], tol=0.0).value
             crit_val = _failure_f(crit, p)[0]
     return FailureProfile(

@@ -66,6 +66,33 @@ def test_moment_command_values(capsys):
     assert abs(payload["value"] - math.factorial(170)) <= payload["error"]
 
 
+@pytest.mark.parametrize(
+    "argv, engine, value, error",
+    [
+        # polynomial moments at shift 0 with integer shapes: exact at odd p,
+        # signed or not, as at even p
+        (("-m", "1,2,3", "-p", "3"), "exact", 540.0, 0.0),
+        (("-m", "1,2,3", "-p", "3", "--signed"), "exact", 540.0, 0.0),
+        (("-m", "1,2,3", "-p", "5"), "exact", 115920.0, 0.0),
+        (("-m", "1,2,3", "-p", "4", "--signed"), "exact", 7224.0, 0.0),
+        (("-m", "1,-2", "-p", "3", "--signed"), "exact", -30.0, 0.0),
+        (("-m", "0.3,1.7^2", "-p", "9"), "exact", 511348213.20300466, 0.0),
+        (("-m", "1e-300", "-p", "3"), "exact", 0.0, 0.0),
+        # not polynomial (mixed signs at odd p), above the exact cap, and
+        # fractional shapes, which were exact already
+        (("-m", "1,-2", "-p", "3"), "density", 34.0, 2.222860737210139e-13),
+        (("-m", "1,2,3", "-p", "101"), "density", 6.55819414247007e208, 1.589702363667598e196),
+        (("-m", "1^0.5,2^1.5", "-p", "3"), "exact", 136.125, 0.0),
+    ],
+)
+def test_moment_command_corpus(capsys, argv, engine, value, error):
+    code, out, _ = run(capsys, "moment", *argv, "--format", "json")
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["engine"], payload["value"], payload["error"]) == (engine, value, error)
+    assert math.copysign(1.0, payload["value"]) == math.copysign(1.0, value)
+
+
 def test_moment_exit_codes(capsys):
     code, _, err = run(capsys, "moment", "-m", "1,,2", "-p", "2")
     assert code == 2 and "error" in err

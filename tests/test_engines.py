@@ -127,14 +127,15 @@ def test_exact_engine_domain():
         assert est.engine == "exact"
         want = fraction_moment([-1.0, -2.0], [0.5, 1.5], int(p), 0.5) * (-1) ** (int(p) + signed)
         assert est.value == float(want)
-    # shift 0 with integer shapes stays on the density closed form except for
-    # unsigned even p; the forced exact engine takes all of it
+    # shift 0 with integer shapes takes the exact engine wherever the moment
+    # is polynomial, as every other shift does
     positive = GammaSumModel.of([1.0, 2.0])
     for query in (MomentQuery(3.0), MomentQuery(3.0, signed=True), MomentQuery(4.0, signed=True)):
-        assert moment(positive, query).engine == "density"
         want = fraction_moment([1.0, 2.0], [1, 1], int(query.p), 0)
-        assert moment(positive, query, engine="exact").value == float(want)
-    assert moment(mixed, MomentQuery(3.0, signed=True)).engine == "density"
+        assert moment(positive, query) == moment(positive, query, engine="exact")
+        assert moment(positive, query) == engines.MomentEstimate(float(want), 0.0, "exact", query.p)
+    est = moment(mixed, MomentQuery(3.0, signed=True))
+    assert (est.value, est.error, est.engine) == (float(fraction_moment([1.0, -2.0], [1, 1], 3, 0)), 0.0, "exact")
     # above the cap, auto dispatch goes on to the next engine and the forced
     # engine refuses, Hunter's identity at shift 0 included
     p = float(engines._EXACT_MAX_P + 2)
@@ -151,13 +152,51 @@ def test_exact_engine_domain():
 @given(
     st.lists(st.floats(0.05, 3.0) | st.floats(-3.0, -0.05), min_size=1, max_size=5),
     st.lists(st.integers(1, 3), min_size=5, max_size=5),
-    st.sampled_from(range(0, 13, 2)),
+    st.integers(0, 12),
+    st.sampled_from((None, 1.0, -1.0)),
 )
-def test_exact_hunter_branch_matches_exact_rows_on_signed_weights(weights, shapes, ell):
-    # both round the same rational ell! h_ell(w) correctly
+def test_exact_hunter_branch_matches_exact_rows_on_signed_weights(weights, shapes, ell, side):
+    # both round the same rational E|S|^ell correctly: ell! h_ell(w) at even
+    # ell, and ell! h_ell(|w|) on weights of one sign, either sign, which
+    # moments sends made nonnegative
+    if ell % 2 and side is None:
+        side = 1.0
+    if side is not None:
+        weights = [side * abs(w) for w in weights]
     model = GammaSumModel.of(weights, shapes[: len(weights)])
     est = moment(model, MomentQuery(float(ell)), engine="exact")
-    assert est.value == engines._exact_rows(np.array([model.expanded_weights()]), [ell])[0, 0]
+    row = [abs(w) if side is not None else w for w in model.expanded_weights()]
+    assert est.value == engines._exact_rows(np.array([row]), [ell])[0, 0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(0.05, 3.0), min_size=1, max_size=5),
+    st.lists(st.integers(1, 3), min_size=5, max_size=5),
+    st.sampled_from(("positive", "negative", "mixed")),
+    st.data(),
+    st.integers(0, 12),
+    st.booleans(),
+)
+def test_shift_0_integer_shapes_take_the_exact_engine_where_polynomial(mags, shapes, signs, data, p, signed):
+    # one dispatch rule: auto dispatch answers exact exactly where the moment
+    # is polynomial, the signed Hunter branch gives the cumulant recurrence's
+    # rational, correctly rounded, and the density engine's bar covers it
+    if signs == "mixed":
+        flips = data.draw(st.lists(st.sampled_from((1.0, -1.0)), min_size=len(mags), max_size=len(mags)))
+    else:
+        flips = [1.0 if signs == "positive" else -1.0] * len(mags)
+    model = GammaSumModel.of([f * m for f, m in zip(flips, mags)], shapes[: len(mags)])
+    query = MomentQuery(float(p), signed=signed)
+    sign = engines._polynomial_sign(model, query)
+    est = moment(model, query)
+    assert (est.engine == "exact") == (sign is not None)
+    if sign is None:
+        return
+    exact = Fraction(*_power_moment_scaled(model.weights, model.shapes, 0.0, p))
+    assert est.value == float(exact) * sign and est.error == 0.0
+    density = moment(model, query, engine="density")
+    assert abs(Fraction(density.value) - sign * exact) <= Fraction(density.error)
 
 
 def test_density_engine_unshifted():
@@ -642,17 +681,18 @@ def test_moments_match_moment_row_by_row():
 
 
 def test_moments_match_moment_at_odd_integer_p():
-    # at odd p the batch keeps no exact rows, so the scalar route must stay
-    # on the density closed form too: the shift-0 integer-shape limit
+    # at odd p the batch keeps the rows of one sign, of either sign, on the
+    # exact engine, as the scalar route does
     rng = np.random.default_rng(11)
     W = rng.uniform(0.05, 2.0, (60, 4))
     W[rng.random(W.shape) < 0.25] = 0.0
-    for p in (3.0, 5.0):
-        values, errors = moments(W, p)
-        for row, value, err in zip(W, values, errors):
-            est = moment(GammaSumModel.of(row.tolist()), MomentQuery(p=p))
-            assert est.engine == "density"
-            assert value == est.value and err == est.error > 0.0
+    for V in (W, -W):
+        for p in (3.0, 5.0):
+            values, errors = moments(V, p)
+            for row, value, err in zip(V, values, errors):
+                est = moment(GammaSumModel.of(row.tolist()), MomentQuery(p=p))
+                assert est.engine == "exact"
+                assert value == est.value and err == est.error == 0.0
 
 
 def test_moments_zero_rows_and_rejections():
@@ -908,11 +948,14 @@ def test_moments_at_many_p_with_zero_rows_and_overflow():
     values, errors = moments(big, 150.0)
     for row, value, error in zip(big.tolist(), values, errors):
         assert abs(value - float(even_moment_exact(row, 150))) <= error
-    # a moment below the float range rounds to 0 within a nonzero bar
-    tiny = np.array([[0.0, 2.2250738585072014e-308], [1e-300, 3e-300]])
+    # a moment below the float range rounds to +0.0: exactly on rows of one
+    # sign, and within a nonzero bar on the density engine's mixed-sign row
+    tiny = np.array([[0.0, 2.2250738585072014e-308], [1e-300, 3e-300], [1e-300, -3e-300]])
     _assert_rows_are_single_p(tiny, [3.0])
     values, errors = moments(tiny, 3.0)
-    assert values.tolist() == [0.0, 0.0] and (errors > 0.0).all()
+    assert values.tolist() == [0.0, 0.0, 0.0] and all(math.copysign(1.0, v) == 1.0 for v in values)
+    assert errors[:2].tolist() == [0.0, 0.0] and errors[2] == 1.5e-323
+    assert moment(GammaSumModel.of([1e-300, -3e-300]), MomentQuery(3.0)).engine == "density"
     # one p beyond the float range fails the call, as it fails alone
     for p in (400.0, 160.5):
         with pytest.raises(ValueError):
@@ -990,7 +1033,12 @@ def test_shift_0_closed_form_bars_cover_a_high_precision_reference():
                     abs(wk) ** p * mpmath.fprod(1 / (1 - wj / wk) for j, wj in enumerate(w) if j != k)
                     for k, wk in enumerate(w)
                 )
-                assert abs(value - truth) <= err
+                if err == 0.0:
+                    # an exact row (one sign at odd p): the rational, correctly rounded
+                    assert p == 3.0 and len({math.copysign(1.0, x) for x in row}) == 1
+                    assert value == float(truth)
+                else:
+                    assert abs(value - truth) <= err
 
 
 def test_density_fallback_leaves_no_reference_cycle():

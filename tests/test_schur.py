@@ -437,6 +437,17 @@ def test_failure_profile_just_above_threshold():
     assert prof.critical_value > prof.f_at_right
 
 
+def test_failure_profile_finds_a_maximum_in_the_first_cell():
+    # at p = 2000, f' turns negative before the first grid point past 0
+    prof = failure_profile(2000.0)
+    assert prof.fprime[0] > 0.0 >= prof.fprime[1]
+    assert not prof.monotone_increasing
+    assert prof.critical_point is not None and 0.0 < prof.critical_point < prof.xs[1]
+    assert prof.critical_value > max(prof.f[0], prof.f[1])
+    # a maximum further in is found as before
+    assert failure_profile(500.0).critical_point == 0.0020040201208179256
+
+
 def _profile_mp(p):
     """f(v) = (a^(p+1) - v^(p+1)) / (a - v), a = sqrt(1 - v^2), in mpmath."""
     p = mpmath.mpf(p)
