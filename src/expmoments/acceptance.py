@@ -251,7 +251,7 @@ def criterion_14_gradient() -> CriterionResult:
         x = analysis._distinct_weights(rng, n)
         p = float(rng.uniform(2.0, 5.0))
         j = int(rng.integers(0, n))
-        grad = analysis.gradient(x, p, j, engine="density")
+        grad = analysis.gradient(x, p, j)
         h = 1e-5 * max(1.0, abs(x[j]))
         xp = list(x)
         xm = list(x)

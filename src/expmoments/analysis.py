@@ -194,8 +194,7 @@ def solve_pstar(bracket: tuple = (2.0, 4.0)) -> RootResult:
     def gap(p: float) -> float:
         return loggamma(p + 1.0) / p - log_kappa - math.log(centered_exp_abs_moment(p)) / p
 
-    res = brent_root(gap, bracket[0], bracket[1], tol=1e-12)
-    return RootResult(res.value, bracket, abs(gap(res.value)), res.iterations)
+    return brent_root(gap, bracket[0], bracket[1], tol=1e-12)
 
 
 def solve_p0(bracket: tuple = (-0.99, -0.01)) -> RootResult:
@@ -209,8 +208,7 @@ def solve_p0(bracket: tuple = (-0.99, -0.01)) -> RootResult:
     def gap(p: float) -> float:
         return math.log(centered_exp_abs_moment(p)) - math.log(gaussian_abs_moment(p))
 
-    res = brent_root(gap, bracket[0], bracket[1], tol=1e-12)
-    return RootResult(res.value, bracket, abs(gap(res.value)), res.iterations)
+    return brent_root(gap, bracket[0], bracket[1], tol=1e-12)
 
 
 def _distinct_weights(rng: np.random.Generator, n: int, lo: float = -1.0, hi: float = 1.0):
@@ -535,15 +533,9 @@ def verify_stepII_bound(trials: int = 50, seed: int = 0) -> VerificationReport:
     return report
 
 
-def gradient(
-    x,
-    p: float,
-    j: int,
-    engine: str = "density",
-    seed: int = 0,
-    count: int = 400_000,
-) -> float:
-    """d/dx_j E|S_x|^p = p E |S_x + x_j E|^(p-1) sgn(S_x + x_j E), p >= 2.
+def gradient(x, p: float, j: int) -> float:
+    """d/dx_j E|S_x|^p = p E |S_x + x_j E|^(p-1) sgn(S_x + x_j E), p >= 2,
+    on the density engine.
 
     The extra summand repeats the j-th weight, which the augmented model
     merges into a doubled pole there.
@@ -557,7 +549,7 @@ def gradient(
     if not any(xs):
         return 0.0
     model = GammaSumModel.of(xs + [xs[j]])
-    est = engines.moment(model, MomentQuery(p=p - 1.0, signed=True), engine=engine, seed=seed, count=count)
+    est = engines.moment(model, MomentQuery(p=p - 1.0, signed=True), engine="density")
     return p * est.value
 
 
@@ -581,7 +573,7 @@ class MinimizeResult:
 
 
 def _sphere_gradient(x: np.ndarray, p: float) -> np.ndarray:
-    return np.array([gradient(x, p, j, engine="density") for j in range(len(x))])
+    return np.array([gradient(x, p, j) for j in range(len(x))])
 
 
 def minimize_sphere(

@@ -54,7 +54,7 @@ from .model import (
     partial_fraction_density,
     term_roundoff,
 )
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureError, integrate_doubling
+from .quadrature import _TAIL_THRESHOLD, DEFAULT_CONFIG, QuadratureConfig, QuadratureError, integrate_doubling
 from .specialfn import _NUMPY_EXP_UNITS, exp_units, fourier_constant, loggamma
 
 __all__ = [
@@ -199,9 +199,9 @@ def moments(W, p) -> tuple[np.ndarray, np.ndarray]:
     - integer p up to _EXACT_MAX_P where the moment is polynomial (every
       row at even p, the rows of one sign at odd p): the exact engine,
       error 0, rounded from a long-double h table of every row at once with
-      a rigorous bound (`_filtered_exact_rows`), and on Python integers, in
-      one pass at full width over the rows whose rounding the bound cannot
-      decide (`_exact_rows`);
+      a rigorous bound (`_filtered_exact_rows`), and where the bound cannot
+      decide a row, from `model._chs_scaled`'s integers, as the scalar
+      exact engine rounds them;
     - distinct weights at relative gaps of at least model._MERGE_GAP: the
       density closed form Gamma(p+1) sum_k c_k |w_k|^p with
       c_k = prod_{j != k} 1 / (1 - w_j / w_k), with the scalar path's
@@ -212,10 +212,10 @@ def moments(W, p) -> tuple[np.ndarray, np.ndarray]:
       gamma mixture keeps clustered rows on the density engine.
 
     What does not depend on p is done once for every p: the packing and
-    counting of the rows, the long-double h tables and the integer scaling
-    of the exact rows, each with one h table per parity of the exact p, and
+    counting of the rows, the long-double h tables of the exact rows and
+    each pending row's integer h table, one per parity of the exact p, and
     the pole factors, sensitivities, merge-gap test and log |w| of the
-    closed form.
+    closed form, which takes only the rows with a pair still left.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2:
@@ -246,16 +246,19 @@ def moments(W, p) -> tuple[np.ndarray, np.ndarray]:
         A = np.abs(W[rows]) if parity else W
         ells = [int(ps[i]) for i in picks]
         found, pending = _filtered_exact_rows(A, ells)
-        # the rows that the long-double filter cannot round, zeros and all
-        if pending.any():
-            found[:, pending] = _exact_rows(A[pending], ells)
+        # the rows that the long-double filter cannot round, by the scalar
+        # exact engine's integers and its rounding
+        for b in np.flatnonzero(pending).tolist():
+            h, d = _chs_scaled([w for w in A[b].tolist() if w], max(ells))
+            found[:, b] = [_exact_float(math.factorial(ell) * h[ell], d**ell) for ell in ells]
         values[np.ix_(picks, rows)] = found
         rest[np.ix_(picks, rows)] = False
     # for each row the batch leaves to moment, the indices of its p
     scalar_rows = {}
     other = [i for i in range(len(ps)) if rest[i].any()]
+    left_rows = rest[other].any(axis=0)
     for m in range(1, W.shape[1] + 1) if other else ():
-        rows = np.flatnonzero(counts == m)
+        rows = np.flatnonzero((counts == m) & left_rows)
         if not rows.size:
             continue
         for i, value, err, ok in zip(other, *_simple_pole_moments(packed[rows, :m], [ps[i] for i in other])):
@@ -380,54 +383,16 @@ def _exact_moment(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
         # Hunter's identity E S^ell = ell! h_ell(w), at every integer ell
         ell = int(q.p)
         h, d = _chs_scaled(model.expanded_weights(), ell)
-        return MomentEstimate(_exact_float(sign * math.factorial(ell) * h, d**ell), 0.0, "exact", q.p)
+        return MomentEstimate(_exact_float(sign * math.factorial(ell) * h[ell], d**ell), 0.0, "exact", q.p)
     num, den = _power_moment_scaled(model.weights, model.shapes, q.shift, int(q.p))
     return MomentEstimate(_exact_float(sign * num, den), 0.0, "exact", q.p)
-
-
-def _exact_rows(w: np.ndarray, ells) -> np.ndarray:
-    """float(ell! h_ell(w_b)) for every row b of a (B, m) array of weights,
-    zeros included, and every ell of ells, as a (len(ells), B) array,
-    correctly rounded: Hunter's identity E S_b^ell.  `moments` sends it
-    only the rows that `_filtered_exact_rows` leaves pending, and at odd
-    ell only rows of one sign made nonnegative, so every value is >= 0.
-
-    One np.frexp writes each nonzero entry as M 2^e with M an odd integer
-    of at most 53 bits, as float.as_integer_ratio does, and each zero as
-    M = 0, e = 0.  With e_0 the row's smallest e, capped at 0, the row over
-    D = 2^(-e_0) is the integers M 2^(e - e_0), so ell! h_ell(D w) and
-    D^ell are Python integers whose ratio is h_ell(w) exactly; a zero adds
-    0 to every h_ell and leaves e_0, and so the integers, as they are.
-    `_h_table`'s recurrence runs on every row at once, one object-array
-    operation per column and degree, and one object-array int true
-    division per ell rounds.  ValueError where a value lies beyond the
-    float range."""
-    mantissa, exponent = np.frexp(w)
-    digits = np.ldexp(mantissa, 53).astype(np.int64)
-    # the trailing zero bits of each M, from its lowest set bit (0 in a zero)
-    zeros = np.maximum(np.frexp((digits & -digits).astype(float))[1] - 1, 0)
-    digits >>= zeros
-    exponent += zeros - 53
-    exponent[digits == 0] = 0
-    base = exponent.min(axis=1, initial=0)
-    scaled = digits.astype(object) << (exponent - base[:, None]).astype(object)
-    ones = np.full(len(w), 1, dtype=object)
-    h = _h_table(scaled.T, max(ells))
-    try:
-        return np.array(
-            [(factorial * h[ell] / (ones << (-ell * base).astype(object))).astype(float)
-             for ell, factorial in zip(ells, map(math.factorial, ells))],
-            dtype=float,
-        ).reshape(len(ells), len(w))
-    except OverflowError:
-        raise ValueError("exact moment lies beyond the float range") from None
 
 
 def _filtered_exact_rows(W: np.ndarray, ells) -> tuple[np.ndarray, np.ndarray]:
     """(values, pending): float(ell! h_ell(W_b)) for every row b of a (B, n)
     array of weights, zeros included, and every ell of ells, as a
     (len(ells), B) array, correctly rounded in every row b where
-    pending[b] is False; `moments` leaves the pending rows to `_exact_rows`.
+    pending[b] is False; `moments` leaves the pending rows to `_chs_scaled`.
 
     `_h_table` runs once on the np.longdouble columns of the whole array (a
     zero column adds 0 to every entry) and, where some weight is negative,
@@ -438,9 +403,11 @@ def _filtered_exact_rows(W: np.ndarray, ells) -> tuple[np.ndarray, np.ndarray]:
     where float(v' - delta) == float(v' + delta) is finite and H' is at
     least 4 ell! S (below).  v lies between those two long doubles, so
     float, which is monotone, rounds it to the same float: the correctly
-    rounded value, bit for bit what `_exact_rows` gives.  The upper end is
-    kept, so that a moment that rounds to zero is +0.0: v >= 0 at even ell
-    (Hunter) and at odd ell, where `moments` sends only nonnegative rows.
+    rounded value, bit for bit what `_chs_scaled`'s integers give.  The
+    upper end is kept, so that a moment that rounds to zero is +0.0: v >= 0
+    at even ell (Hunter) and at odd ell, where `moments` sends only
+    nonnegative rows.  An all-zero row's table is exact, 1 at ell = 0 and
+    +0.0 above, and is decided whatever its scale.
 
     The bound, each rounding a factor 1 + e with |e| <= u (Higham,
     Accuracy and Stability of Numerical Algorithms, chapter 3):
@@ -470,12 +437,13 @@ def _filtered_exact_rows(W: np.ndarray, ells) -> tuple[np.ndarray, np.ndarray]:
     A tie or a near-midpoint, cancellation, a long-double overflow or
     underflow and a value beyond the float range leave a row pending.
     Where long double is binary64 the bound spans more than a float's
-    spacing, and every row is pending."""
+    spacing, and every row with a nonzero weight is pending."""
     n = W.shape[1]
     unit = _LONGDOUBLE_UNIT
     subnormal = np.finfo(np.longdouble).smallest_subnormal
     values = np.empty((len(ells), len(W)))
     pending = np.zeros(len(W), dtype=bool)
+    zero = ~W.any(axis=1)
     # a silent long-double overflow or 0 * inf is an undecided row
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         h = _h_table(np.ascontiguousarray(W.T, dtype=np.longdouble), max(ells))
@@ -492,7 +460,7 @@ def _filtered_exact_rows(W: np.ndarray, ells) -> tuple[np.ndarray, np.ndarray]:
             low = (value - delta).astype(float)
             high = (value + delta).astype(float)
             values[i] = high
-            pending |= ~((low == high) & np.isfinite(high) & (scale >= floor))
+            pending |= ~((low == high) & np.isfinite(high) & ((scale >= floor) | zero))
     return values, pending
 
 
@@ -505,7 +473,7 @@ def _exact_float(num: int, den: int) -> float:
         raise ValueError("exact moment lies beyond the float range") from None
 
 
-def _density_moment(model: GammaSumModel, pfd: PartialFractionDensity, q: MomentQuery) -> MomentEstimate:
+def _density_moment(pfd: PartialFractionDensity, q: MomentQuery) -> MomentEstimate:
     """The query on one partial-fraction density, by its closed form
     (`PartialFractionDensity.power_moment_with_error`) at every shift."""
     value, err = pfd.power_moment_with_error(q.p, signed=q.signed, shift=q.shift)
@@ -543,7 +511,7 @@ def _density_estimate(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
 
 
 def _partial_fraction_moment(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
-    return _density_moment(model, partial_fraction_density(model), q)
+    return _density_moment(partial_fraction_density(model), q)
 
 
 def _mixture_moment(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
@@ -572,7 +540,7 @@ def _mixture_moment(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
             # coefficient that cancels to 0 carries its charge instead
             coeff = term.coeff or charge * _UNIT_ROUNDOFF
             terms.append(PfdTerm(coeff, term.scale, term.order, charge / abs(coeff) - 2.0))
-    est = _density_moment(model, PartialFractionDensity(tuple(terms)), q)
+    est = _density_moment(PartialFractionDensity(tuple(terms)), q)
     return MomentEstimate(est.value, est.error + tail, "density", q.p)
 
 
@@ -629,7 +597,7 @@ def fourier_abs_moment_from_cf(re_phi, q, mu246, abs_phi_bound, cfg=None):
     ... of `quadrature.integrate_doubling`, all blocks of a batch evaluated
     together, so re_phi maps an array of t to an array (abs_phi_bound is
     called on floats).  The blocks stop at the first edge T >=
-    cfg.tail_threshold whose tail residual falls below max(abs_tol,
+    quadrature._TAIL_THRESHOLD whose tail residual falls below max(abs_tol,
     1e-13 |body|); beyond T the exact power tail 1/(q T^q) is added with
     the residual bounded through the decreasing envelope abs_phi_bound.
     """
@@ -652,7 +620,7 @@ def fourier_abs_moment_from_cf(re_phi, q, mu246, abs_phi_bound, cfg=None):
         return abs_phi_bound(lo) / (q * lo**q)
 
     def done(hi: float, body: float) -> bool:
-        return hi >= cfg.tail_threshold and resid(hi) < max(cfg.abs_tol, 1e-13 * abs(body))
+        return hi >= _TAIL_THRESHOLD and resid(hi) < max(cfg.abs_tol, 1e-13 * abs(body))
 
     body_val, body_err, lo = integrate_doubling(integrand, t0, done, cfg)
     tail_val = 1.0 / (q * lo**q)

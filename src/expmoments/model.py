@@ -153,17 +153,17 @@ def chs(x: Sequence, ell: int) -> Fraction:
         raise ValueError("degree must be nonnegative")
     xs = [w if isinstance(w, (int, float, Fraction)) else Fraction(w) for w in x]
     h, d = _chs_scaled(xs, ell)
-    return Fraction(h, d**ell)
+    return Fraction(h[ell], d**ell)
 
 
-def _chs_scaled(x: Sequence, ell: int) -> tuple[int, int]:
-    """(h_ell(D x), D) on Python integers, with D the least common
-    denominator of the x_j, which must have `as_integer_ratio` (int, float,
-    Fraction).  h_ell(x) = h_ell(D x) / D^ell exactly, without a gcd per
-    step."""
+def _chs_scaled(x: Sequence, max_ell: int) -> tuple[list, int]:
+    """(h_0(D x) .. h_max_ell(D x), D) on Python integers, with D the least
+    common denominator of the x_j, which must have `as_integer_ratio` (int,
+    float, Fraction).  h_ell(x) = h_ell(D x) / D^ell exactly, without a gcd
+    per step."""
     ratios = [w.as_integer_ratio() for w in x]
     d = math.lcm(*(den for _, den in ratios))
-    return _h_table([num * (d // den) for num, den in ratios], ell)[ell], d
+    return _h_table([num * (d // den) for num, den in ratios], max_ell), d
 
 
 def _h_table(x: Sequence, max_ell: int) -> list:

@@ -75,7 +75,6 @@ class QuadratureConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
     max_depth: int = 60
-    tail_threshold: float = 1e3
     max_panels: int = 20000
 
     def __post_init__(self):
@@ -86,6 +85,9 @@ class QuadratureConfig:
 
 
 DEFAULT_CONFIG = QuadratureConfig()
+# the least block edge at which the Fourier engine's doubling blocks may stop
+# and add the power tail, and the floor of `integral_iqs`' tail point at s <= 1
+_TAIL_THRESHOLD = 1e3
 
 
 class QuadratureError(RuntimeError):
@@ -370,7 +372,7 @@ def integrate_doubling(f, lo, done, cfg=None, cap=math.inf):
             raise QuadratureError(f"no stop within {_MAX_BLOCKS} doubling blocks", body, err)
 
 
-def integrate_abs_power(g, p, m, a, b, singular_points=()):
+def integrate_abs_power(g, p, m, a, b):
     """Integrate |t - m|^p g(t) over [a, b] for p > -1 (b may be +inf).
 
     For p in (-1, 0) the substitution u = |t - m|^(p+1) is applied on each
@@ -387,18 +389,18 @@ def integrate_abs_power(g, p, m, a, b, singular_points=()):
     err = 0.0
     for lo, hi in pieces:
         if p < 0.0 and (lo == m or hi == m):
-            v, e = _abs_power_endpoint(g, p, m, lo, hi, singular_points)
+            v, e = _abs_power_endpoint(g, p, m, lo, hi)
         else:
             def h(t, _g=g):
                 return np.abs(t - m) ** p * _g(t)
 
-            v, e = integrate(h, lo, hi, singular_points=singular_points)
+            v, e = integrate(h, lo, hi)
         val += v
         err += e
     return val, err
 
 
-def _abs_power_endpoint(g, p, m, lo, hi, singular_points):
+def _abs_power_endpoint(g, p, m, lo, hi):
     q = p + 1.0
     inv_q = 1.0 / q
     if lo == m:
@@ -407,16 +409,14 @@ def _abs_power_endpoint(g, p, m, lo, hi, singular_points):
         def tf(u, _g=g):
             return _g(m + u**inv_q) * inv_q
 
-        mapped = [(s - m) ** q for s in singular_points if m < s < hi]
-        return integrate(tf, 0.0, ub, singular_points=mapped)
+        return integrate(tf, 0.0, ub)
     if math.isinf(lo):
         raise ValueError("left endpoint of a singular piece must be finite")
 
     def tf(u, _g=g):
         return _g(m - u**inv_q) * inv_q
 
-    mapped = [(m - s) ** q for s in singular_points if lo < s < m]
-    return integrate(tf, 0.0, (m - lo) ** q, singular_points=mapped)
+    return integrate(tf, 0.0, (m - lo) ** q)
 
 
 def integral_iqs(q, s):
@@ -447,7 +447,7 @@ def integral_iqs(q, s):
     target = max(DEFAULT_CONFIG.abs_tol, 1e-13)
     decay = 2.0 * alpha + q
     log_T = (alpha * math.log(s) - math.log(decay * target)) / decay
-    T = max(math.exp(log_T), 2.0, DEFAULT_CONFIG.tail_threshold if s <= 1.0 else 2.0)
+    T = max(math.exp(log_T), 2.0, _TAIL_THRESHOLD if s <= 1.0 else 2.0)
 
     def body(t):
         # on t >= 1, where alpha u >= 1/2 keeps gfun off its series

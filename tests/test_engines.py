@@ -4,6 +4,7 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -155,18 +156,22 @@ def test_exact_engine_domain():
     st.integers(0, 12),
     st.sampled_from((None, 1.0, -1.0)),
 )
-def test_exact_hunter_branch_matches_exact_rows_on_signed_weights(weights, shapes, ell, side):
+def test_exact_hunter_branch_matches_moments_on_signed_weights(weights, shapes, ell, side):
     # both round the same rational E|S|^ell correctly: ell! h_ell(w) at even
     # ell, and ell! h_ell(|w|) on weights of one sign, either sign, which
-    # moments sends made nonnegative
+    # moments sends made nonnegative; once through the long-double filter
+    # and once with the row left pending to the integers
     if ell % 2 and side is None:
         side = 1.0
     if side is not None:
         weights = [side * abs(w) for w in weights]
     model = GammaSumModel.of(weights, shapes[: len(weights)])
     est = moment(model, MomentQuery(float(ell)), engine="exact")
-    row = [abs(w) if side is not None else w for w in model.expanded_weights()]
-    assert est.value == engines._exact_rows(np.array([row]), [ell])[0, 0]
+    W = np.array([model.expanded_weights()])
+    assert [a.tolist() for a in moments(W, float(ell))] == [[est.value], [0.0]]
+    with mock.patch.object(engines, "_LONGDOUBLE_UNIT", np.longdouble(2.0**-53)):
+        assert engines._filtered_exact_rows(np.abs(W) if ell % 2 else W, [ell])[1].all()
+        assert [a.tolist() for a in moments(W, float(ell))] == [[est.value], [0.0]]
 
 
 @settings(max_examples=300, deadline=None)
@@ -727,40 +732,39 @@ def test_moments_exact_rows_are_bit_identical_to_even_moment_exact():
             assert value == float(even_moment_exact(row[row > 0.0].tolist(), ell))
 
 
-def test_exact_rows_match_the_per_row_h_table_on_signed_scaled_rows():
-    # every row against `_h_table` on its own integers (`_chs_scaled`),
-    # rounded by one int true division
+def test_pending_rows_match_the_cumulant_rational_on_signed_scaled_rows(monkeypatch):
+    # every row left pending to the integers, against the cumulant
+    # recurrence's rational E S^ell, an independent route, correctly rounded
+    monkeypatch.setattr(engines, "_LONGDOUBLE_UNIT", np.longdouble(2.0**-53))
     rng = np.random.default_rng(31)
     for m in range(1, 6):
         W = rng.uniform(0.05, 2.0, (60, m)) * rng.choice([-1.0, 1.0], (60, m))
         W *= 2.0 ** rng.integers(-40, 40, (60, 1)) * 2.0 ** rng.integers(-8, 8, (60, m))
         ells = [2, 4, 6, 8, 10]
-        got = engines._exact_rows(W, ells)
+        assert engines._filtered_exact_rows(W, ells)[1].all()
+        got, errors = moments(W, [float(ell) for ell in ells])
+        assert not errors.any()
         for b, row in enumerate(W.tolist()):
             for i, ell in enumerate(ells):
-                h, d = _chs_scaled(row, ell)
-                assert got[i, b] == math.factorial(ell) * h / d**ell
+                assert got[i, b] == float(Fraction(*_power_moment_scaled(row, [1.0] * m, 0.0, ell)))
 
 
-def test_exact_rows_take_zero_entries_in_one_pass(monkeypatch):
-    # a zero adds nothing, wherever it sits: each row of signed weights,
-    # zeros among them, rounds as its nonzero weights alone do, and moments
-    # sends every row the long-double filter leaves pending to one pass
+def test_pending_rows_take_zero_entries_as_absent(monkeypatch):
+    # a zero adds nothing, wherever it sits: each pending row of signed
+    # weights, zeros among them, rounds as its nonzero weights alone do, and
+    # as the long-double filter rounds it
     rng = np.random.default_rng(37)
     W = rng.uniform(0.05, 2.0, (80, 6)) * rng.choice([-1.0, 1.0], (80, 6))
     W *= 2.0 ** rng.integers(-40, 40, (80, 1))
     W[rng.random(W.shape) < 0.3] = 0.0
-    ells = [2, 4, 6]
-    got = engines._exact_rows(W, ells)
+    ps = [2.0, 4.0, 6.0]
+    filtered, _ = moments(W, ps)
+    monkeypatch.setattr(engines, "_LONGDOUBLE_UNIT", np.longdouble(2.0**-53))
+    assert engines._filtered_exact_rows(W, [2, 4, 6])[1].all() and len(set((W != 0.0).sum(axis=1))) > 1
+    got, _ = moments(W, ps)
+    assert got.tobytes() == filtered.tobytes()
     for b, row in enumerate(W):
-        assert got[:, b].tolist() == engines._exact_rows(row[row != 0.0][None, :], ells)[:, 0].tolist()
-    passes = []
-    exact_rows = engines._exact_rows
-    monkeypatch.setattr(engines, "_exact_rows", lambda w, ells: passes.append(len(w)) or exact_rows(w, ells))
-    values, _ = moments(W, [2.0, 4.0, 6.0])
-    pending = engines._filtered_exact_rows(W, ells)[1]
-    assert passes == [pending.sum()] and len(set((W[pending] != 0.0).sum(axis=1))) > 1
-    assert values[:, pending].tolist() == got[:, pending].tolist()
+        assert got[:, b].tolist() == moments(row[row != 0.0][None, :], ps)[0][:, 0].tolist()
 
 
 def _exact_or_none(row, ell):
@@ -819,7 +823,7 @@ def _rational_rows(W, ell):
     for row in W.tolist():
         h, d = _chs_scaled([w for w in row if w], ell)
         try:
-            rounded.append(math.factorial(ell) * h / d**ell)
+            rounded.append(math.factorial(ell) * h[ell] / d**ell)
         except OverflowError:
             rounded.append(None)
     return rounded
@@ -835,6 +839,38 @@ def test_filter_leaves_a_double_rounding_tie_to_the_integers():
     assert float(unbounded[0]) == 2.0
     assert engines._filtered_exact_rows(W, [2])[1].tolist() == [True]
     assert moments(W, 2.0)[0].tolist() == [float.fromhex("0x1.0000000000001p+1")]
+
+
+def test_filter_decides_all_zero_rows():
+    # an all-zero row's long-double table is exact: 1 at ell = 0, +0.0 above;
+    # a nonzero row whose table underflows stays pending, and rounds to 0.0
+    values, pending = engines._filtered_exact_rows(np.zeros((2, 3)), [2, 3])
+    assert pending.tolist() == [False, False]
+    assert values.tolist() == [[0.0, 0.0], [0.0, 0.0]] and (np.copysign(1.0, values) == 1.0).all()
+    if np.finfo(np.longdouble).nmant >= 63:
+        # an 80-bit long double decides ell = 0 too: 1 +- delta rounds to 1.0
+        values, pending = engines._filtered_exact_rows(np.zeros((2, 3)), [0, 2, 3])
+        assert pending.tolist() == [False, False]
+        assert values.tolist() == [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]] and (np.copysign(1.0, values) == 1.0).all()
+    assert engines._filtered_exact_rows(np.array([[1e-300]]), [100])[1].tolist() == [True]
+    value = moments([[1e-300]], 100.0)[0]
+    assert value.tolist() == [0.0] and math.copysign(1.0, value[0]) == 1.0
+
+
+def test_closed_form_takes_only_the_rows_with_a_pair_left(monkeypatch):
+    # at odd p the rows of one sign are exact; the closed form runs on the
+    # other 35 alone, and every row stays bit for bit what moment gives
+    rng = np.random.default_rng(53)
+    W = rng.uniform(0.1, 2.0, (40, 2)) * np.array([1.0, -1.0])
+    W[:5] = np.abs(W[:5]) * rng.choice([-1.0, 1.0], (5, 1))
+    seen = []
+    simple_pole_moments = engines._simple_pole_moments
+    monkeypatch.setattr(engines, "_simple_pole_moments", lambda w, ps: seen.append(len(w)) or simple_pole_moments(w, ps))
+    values, errors = moments(W, 3.0)
+    assert seen == [35]
+    for row, value, error in zip(W.tolist(), values.tolist(), errors.tolist()):
+        est = moment(GammaSumModel.of(row), MomentQuery(p=3.0))
+        assert (value, error) == (est.value, est.error)
 
 
 def _filter_classes(rng, B, n):
