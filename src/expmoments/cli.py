@@ -13,7 +13,8 @@ suite pass, 1 violations or acceptance failures, 2 parse errors,
 Fourier engine reads it; ``failure``, ``solve`` and ``reproduce`` take no
 ``--seed`` either, and each ``verify`` suite only the flags it reads;
 elsewhere the ``EXPMOMENTS_SEED`` environment variable supplies the
-default seed.
+default seed.  ``reproduce --only`` takes comma-separated criterion
+numbers from 1 to 16, and anything else is a parse error.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ from .model import GammaSumModel, MomentQuery
 from .quadrature import QuadratureConfig, QuadratureError
 
 SCHEMA_VERSION = 1
+# the criteria of the acceptance battery, len(acceptance.CRITERIA), which
+# `reproduce --only` checks before it imports the battery
+_CRITERIA = 16
 
 
 class ModelLiteralError(ValueError):
@@ -207,10 +211,7 @@ def cmd_minimize(args) -> int:
 def cmd_reproduce(args) -> int:
     from . import acceptance
 
-    only = None
-    if args.only:
-        only = [int(tok) for tok in args.only.split(",") if tok.strip()]
-    results = acceptance.run_battery(only=only)
+    results = acceptance.run_battery(only=args.only)
     rows = [r.to_dict() for r in results]
     n_fail = sum(1 for r in results if not r.passed)
     if args.format == "table":
@@ -245,6 +246,21 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
+
+
+def _criteria(text: str) -> list[int]:
+    """An argparse type: comma-separated criterion numbers, each in
+    1.._CRITERIA, else a parse error (exit 2)."""
+    picked = []
+    for tok in text.split(","):
+        try:
+            index = int(tok)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid criterion number: {tok!r}") from None
+        if not 1 <= index <= _CRITERIA:
+            raise argparse.ArgumentTypeError(f"criteria are numbered 1-{_CRITERIA}, got {index}")
+        picked.append(index)
+    return picked
 
 
 @functools.cache
@@ -316,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_minimize)
 
     sp = sub.add_parser("reproduce", help="run the acceptance battery")
-    sp.add_argument("--only", default=None, help="comma-separated criterion numbers")
+    sp.add_argument("--only", type=_criteria, default=None, help=f"comma-separated criterion numbers, 1-{_CRITERIA}")
     output(sp)
     sp.set_defaults(func=cmd_reproduce)
 

@@ -320,6 +320,22 @@ def test_reproduce_subset(capsys):
     assert out.count("[PASS]") == 3
 
 
+@pytest.mark.parametrize("only, message", [("0", "numbered 1-16, got 0"), ("17", "numbered 1-16, got 17"),
+                                           ("x", "invalid criterion number: 'x'")])
+def test_reproduce_only_takes_criterion_numbers(capsys, only, message):
+    # a number outside the battery is a parse error, not an empty pass
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "--only", only])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_reproduce_only_range_is_the_battery():
+    from expmoments import acceptance
+
+    assert cli._CRITERIA == len(acceptance.CRITERIA)
+
+
 def test_reproduce_sweeps_are_pinned(capsys):
     # criteria 7 and 8, byte for byte as recorded when each p drew its own
     # trials and made its own engines.moments call
