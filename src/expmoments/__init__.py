@@ -17,7 +17,7 @@ _EXPORTS = {
     "engines": "MomentEstimate density_at moment moments",
     "model": "GammaSumModel MomentQuery PartialFractionDensity charfn chs even_moment_exact gamma_mixture"
     " partial_fraction_density sample",
-    "quadrature": "QuadratureConfig QuadratureError integrate integrate_abs_power",
+    "quadrature": "QuadratureError integrate integrate_abs_power",
     "schur": "MajorizationPair c_p_constant claim_inequality_check f_k f_k_mc failure_profile m_p majorizes"
     " mp_representation_check ostrowski_differential q_k schur_scan t_transform",
     "specialfn": "closed_integral_iqs fourier_constant gaussian_abs_moment gaussian_even_moment_exact loggamma psi"

@@ -9,12 +9,15 @@ Output formats: ``table`` (human), ``csv`` (header row, comma separator,
 dot decimal), and ``json`` (sorted keys, carries a schema_version field;
 byte-identical across runs for a fixed seed).  Exit codes: 0 success /
 suite pass, 1 violations or acceptance failures, 2 parse errors,
-3 domain errors.  Only ``moment`` takes ``--tol``, since only its
-Fourier engine reads it; ``failure``, ``solve`` and ``reproduce`` take no
-``--seed`` either, and each ``verify`` suite only the flags it reads;
-elsewhere the ``EXPMOMENTS_SEED`` environment variable supplies the
-default seed.  ``reproduce --only`` takes comma-separated criterion
-numbers from 1 to 16, and anything else is a parse error.
+3 domain errors.  A weight must be finite and a shape finite and
+positive, else the literal is a parse error.  No command takes a
+tolerance: every quadrature runs at one fixed accuracy.  ``failure``,
+``solve`` and ``reproduce`` take no ``--seed``, and each ``verify``
+suite only the flags it reads; elsewhere a seed is an integer >= 0, from
+``--seed`` or, where that is unset, the ``EXPMOMENTS_SEED`` environment
+variable (default 0), and any other value of either is a parse error.
+``reproduce --only`` takes comma-separated criterion numbers from 1 to
+16, and anything else is a parse error.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import sys
 # moment query loads neither
 from . import engines
 from .model import GammaSumModel, MomentQuery
-from .quadrature import QuadratureConfig, QuadratureError
+from .quadrature import QuadratureError
 
 SCHEMA_VERSION = 1
 # the criteria of the acceptance battery, len(acceptance.CRITERIA), which
@@ -65,8 +68,8 @@ def parse_model_literal(text: str) -> GammaSumModel:
             raise ModelLiteralError(f"cannot parse {part!r}: {exc}") from None
         if not math.isfinite(w):
             raise ModelLiteralError(f"non-finite weight in {part!r}")
-        if s <= 0.0:
-            raise ModelLiteralError(f"shape must be positive in {part!r}")
+        if not 0.0 < s < math.inf:
+            raise ModelLiteralError(f"shape must be finite and positive in {part!r}")
         weights.append(w)
         shapes.append(s)
     return GammaSumModel.of(weights, shapes)
@@ -118,8 +121,7 @@ def _csv_cell(value):
 def cmd_moment(args) -> int:
     model = parse_model_literal(args.model)
     query = MomentQuery(p=args.p, shift=args.shift, signed=args.signed)
-    cfg = QuadratureConfig(rel_tol=args.tol, abs_tol=min(args.tol * 1e-4, 1e-14)) if args.tol else None
-    est = engines.moment(model, query, engine=args.engine, cfg=cfg, seed=args.seed, count=args.count)
+    est = engines.moment(model, query, engine=args.engine, seed=args.seed, count=args.count)
     _emit(
         args,
         {
@@ -227,24 +229,26 @@ def cmd_reproduce(args) -> int:
     return 1 if n_fail else 0
 
 
-def _default_seed() -> int:
-    env = os.environ.get("EXPMOMENTS_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 0
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _positive_int(text: str) -> int:
     """An argparse type: an integer >= 1, else a parse error (exit 2)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """An argparse type: an integer >= 0, else a parse error (exit 2)."""
+    value = _int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a seed must be a nonnegative integer, got {value}")
     return value
 
 
@@ -278,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="write output to FILE instead of stdout")
 
     def common(sp, trials_default=None):
-        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--seed", type=_seed, default=None)
         output(sp)
         if trials_default is not None:
             sp.add_argument("--trials", type=_positive_int, default=trials_default)
@@ -291,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--engine", choices=engines.ENGINES, default=None)
     sp.add_argument("--count", type=_positive_int, default=1_000_000, help="Monte Carlo sample count")
     common(sp)
-    sp.add_argument("--tol", type=float, default=None, help="relative tolerance override")
     sp.set_defaults(func=cmd_moment)
 
     sp = sub.add_parser("verify", help="run an inequality verification suite")
@@ -340,9 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if getattr(args, "seed", 0) is None:
-        args.seed = _default_seed()
+        try:
+            args.seed = _seed(os.environ.get("EXPMOMENTS_SEED", "0"))
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"environment variable EXPMOMENTS_SEED: {exc}")
     try:
         return args.func(args)
     except ModelLiteralError as exc:

@@ -10,14 +10,16 @@ sign almost surely (weights all positive and m <= 0, or all negative and
 m >= 0).  Signed even p and unsigned odd p on mixed support are not
 polynomial.  At every shift, 0 included, it is capped at p = _EXACT_MAX_P,
 beyond which its integers grow too costly, and a forced exact query above
-the cap raises.  The density engine serves integer shapes through the
-closed-form Erlang mixture, each term integrated against |t - shift|^p in
-closed form at every shift (Gamma values at shift 0; Gamma sums, a Kummer
-series and a scaled incomplete gamma otherwise): the partial fractions of
-the model, and where those reject it (weights closer than
-model._MERGE_GAP), leave the float range or give a poor bound, the partial
-fractions of its gamma mixture, in which each group of close weights of one
-sign is one pole (`gamma_mixture`), signed or not, shifted or not.  The
+the cap raises.  It takes Hunter's identity or the cumulant recurrence by
+the sizes of the query (_HUNTER_SHAPES), which give the same rational.
+The density engine serves integer shapes through the closed-form Erlang
+mixture, each term integrated against |t - shift|^p in closed form at
+every shift (Gamma values at shift 0; Gamma sums, a Kummer series and a
+scaled incomplete gamma otherwise): the partial fractions of the model,
+and where those reject it (weights closer than model._MERGE_GAP), leave
+the float range or give a poor bound, the partial fractions of its gamma
+mixture, in which each group of close weights of one sign is one pole
+(`gamma_mixture`), signed or not, shifted or not.  The
 Fourier engine serves 0 < p < 2 unsigned, its doubling blocks integrated
 together on numpy arrays (`quadrature.integrate_doubling`); the Monte Carlo
 engine serves everything that is left.  A density outside the float range,
@@ -54,7 +56,7 @@ from .model import (
     partial_fraction_density,
     term_roundoff,
 )
-from .quadrature import _TAIL_THRESHOLD, DEFAULT_CONFIG, QuadratureConfig, QuadratureError, integrate_doubling
+from .quadrature import _ABS_TOL, _TAIL_THRESHOLD, QuadratureError, integrate_doubling
 from .specialfn import _NUMPY_EXP_UNITS, exp_units, fourier_constant, loggamma
 
 __all__ = [
@@ -100,6 +102,12 @@ _FALLBACK_REL = 1e-3
 # with fractional shapes, on a 2-vCPU Xeon VM under Python 3.11, about
 # 4 ms at p = 50, 50 ms at p = 100 and 0.6 s at p = 200
 _EXACT_MAX_P = 100
+# the exact engine takes Hunter's identity, on the weights unrolled to one
+# per unit of shape, while the total shape is at most this many times p,
+# and the cumulant recurrence above: the two give the same rational, and
+# their costs cross, on a 2-vCPU Xeon VM under Python 3.11, between 1.5 p
+# (p <= 20) and 6 p (p = 100)
+_HUNTER_SHAPES = 2
 # the unit roundoff of np.longdouble, 2^-64 where it is the x87 80-bit
 # format; the unit of the bound `_filtered_exact_rows` rounds exact rows by
 _LONGDOUBLE_UNIT = np.finfo(np.longdouble).eps / 2
@@ -131,7 +139,6 @@ def moment(
     model: GammaSumModel,
     query: MomentQuery,
     engine: str | None = None,
-    cfg: QuadratureConfig | None = None,
     seed: int = 0,
     count: int = 1_000_000,
 ) -> MomentEstimate:
@@ -140,9 +147,8 @@ def moment(
     engine=None auto-dispatches; an explicit tag forces that engine and
     raises if the query is outside its domain.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if engine is None:
-        return _auto_moment(model, query, cfg, seed, count)
+        return _auto_moment(model, query, seed, count)
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if engine == "exact":
@@ -154,13 +160,11 @@ def moment(
             raise ValueError("fourier engine cannot compute signed moments")
         if not 0.0 < query.p < 2.0:
             raise ValueError("fourier engine requires 0 < p < 2")
-        return _fourier_estimate(model, query, cfg)
+        return _fourier_moment(model, query)
     return _montecarlo_moment(model, query, seed, count)
 
 
-def _auto_moment(
-    model: GammaSumModel, query: MomentQuery, cfg: QuadratureConfig, seed: int, count: int
-) -> MomentEstimate:
+def _auto_moment(model: GammaSumModel, query: MomentQuery, seed: int, count: int) -> MomentEstimate:
     if query.p <= _EXACT_MAX_P and _polynomial_sign(model, query) is not None:
         return _exact_moment(model, query)
     # a density estimate is kept only while its honest bound is good; one
@@ -174,7 +178,7 @@ def _auto_moment(
         pass
     if (not query.signed) and 0.0 < query.p < 2.0:
         try:
-            return _fourier_estimate(model, query, cfg)
+            return _fourier_moment(model, query)
         except (ValueError, QuadratureError):
             pass
     return _montecarlo_moment(model, query, seed, count)
@@ -379,12 +383,12 @@ def _exact_moment(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
         )
     if q.p > _EXACT_MAX_P:
         raise ValueError(f"exact engine is capped at p = {_EXACT_MAX_P}")
-    if q.shift == 0.0 and model.integer_shapes:
+    ell = int(q.p)
+    if q.shift == 0.0 and model.integer_shapes and sum(model.shapes) <= _HUNTER_SHAPES * ell:
         # Hunter's identity E S^ell = ell! h_ell(w), at every integer ell
-        ell = int(q.p)
         h, d = _chs_scaled(model.expanded_weights(), ell)
         return MomentEstimate(_exact_float(sign * math.factorial(ell) * h[ell], d**ell), 0.0, "exact", q.p)
-    num, den = _power_moment_scaled(model.weights, model.shapes, q.shift, int(q.p))
+    num, den = _power_moment_scaled(model.weights, model.shapes, q.shift, ell)
     return MomentEstimate(_exact_float(sign * num, den), 0.0, "exact", q.p)
 
 
@@ -544,13 +548,8 @@ def _mixture_moment(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
     return MomentEstimate(est.value, est.error + tail, "density", q.p)
 
 
-def _fourier_estimate(model: GammaSumModel, q: MomentQuery, cfg: QuadratureConfig) -> MomentEstimate:
-    value, err = _fourier_moment(model, q.p, q.shift, cfg)
-    return MomentEstimate(value, err, "fourier", q.p)
-
-
-def _fourier_moment(model: GammaSumModel, q: float, m: float, cfg: QuadratureConfig) -> tuple[float, float]:
-    """The Fourier engine's (value, error).  Raises ValueError where the
+def _fourier_moment(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
+    """The Fourier engine.  Raises ValueError where the
     doubling blocks reach a t with some |w t| above _FOURIER_MAX_WT before
     the tail residual is small enough (a tiny total shape, whose |phi|
     decays like a tiny power of t): beyond it (w t)^2, in the envelope and
@@ -566,10 +565,11 @@ def _fourier_moment(model: GammaSumModel, q: float, m: float, cfg: QuadratureCon
             acc += s * math.log1p((float(w) * t) ** 2)
         return math.exp(-0.5 * acc)
 
-    re_phi = _shifted_re_phi(model, m)
-    moments, scale = _power_moments_scaled(model.weights, model.shapes, m, 6)
+    re_phi = _shifted_re_phi(model, q.shift)
+    moments, scale = _power_moments_scaled(model.weights, model.shapes, q.shift, 6)
     mu246 = [_exact_float(moments[k], scale**k) for k in (2, 4, 6)]
-    return fourier_abs_moment_from_cf(re_phi, q, mu246, abs_phi_bound, cfg)
+    value, err = fourier_abs_moment_from_cf(re_phi, q.p, mu246, abs_phi_bound)
+    return MomentEstimate(value, err, "fourier", q.p)
 
 
 def _shifted_re_phi(model: GammaSumModel, m: float):
@@ -587,7 +587,7 @@ def _shifted_re_phi(model: GammaSumModel, m: float):
     return re_phi
 
 
-def fourier_abs_moment_from_cf(re_phi, q, mu246, abs_phi_bound, cfg=None):
+def fourier_abs_moment_from_cf(re_phi, q, mu246, abs_phi_bound):
     """E|Y|^q = c_q int_0^inf (1 - Re phi_Y(t)) / t^(q+1) dt for 0 < q < 2.
 
     Below a crossover t0 the integrand is replaced by the two-term series
@@ -597,17 +597,16 @@ def fourier_abs_moment_from_cf(re_phi, q, mu246, abs_phi_bound, cfg=None):
     ... of `quadrature.integrate_doubling`, all blocks of a batch evaluated
     together, so re_phi maps an array of t to an array (abs_phi_bound is
     called on floats).  The blocks stop at the first edge T >=
-    quadrature._TAIL_THRESHOLD whose tail residual falls below max(abs_tol,
-    1e-13 |body|); beyond T the exact power tail 1/(q T^q) is added with
+    quadrature._TAIL_THRESHOLD whose tail residual falls below
+    max(quadrature._ABS_TOL, 1e-13 |body|); beyond T the exact power tail 1/(q T^q) is added with
     the residual bounded through the decreasing envelope abs_phi_bound.
     """
     if not 0.0 < q < 2.0:
         raise ValueError("fourier representation requires 0 < q < 2")
-    cfg = cfg or DEFAULT_CONFIG
     mu2, mu4, mu6 = mu246
     cq = fourier_constant(q)
 
-    t0 = (720.0 * (6.0 - q) * cfg.abs_tol / max(mu6, 1e-300)) ** (1.0 / (6.0 - q))
+    t0 = (720.0 * (6.0 - q) * _ABS_TOL / max(mu6, 1e-300)) ** (1.0 / (6.0 - q))
     if mu4 > 0.0:
         t0 = min(t0, math.sqrt(mu2 / mu4), 1.0)
     series_val = mu2 * t0 ** (2.0 - q) / (2.0 * (2.0 - q)) - mu4 * t0 ** (4.0 - q) / (24.0 * (4.0 - q))
@@ -620,9 +619,9 @@ def fourier_abs_moment_from_cf(re_phi, q, mu246, abs_phi_bound, cfg=None):
         return abs_phi_bound(lo) / (q * lo**q)
 
     def done(hi: float, body: float) -> bool:
-        return hi >= _TAIL_THRESHOLD and resid(hi) < max(cfg.abs_tol, 1e-13 * abs(body))
+        return hi >= _TAIL_THRESHOLD and resid(hi) < max(_ABS_TOL, 1e-13 * abs(body))
 
-    body_val, body_err, lo = integrate_doubling(integrand, t0, done, cfg)
+    body_val, body_err, lo = integrate_doubling(integrand, t0, done)
     tail_val = 1.0 / (q * lo**q)
     value = cq * (series_val + body_val + tail_val)
     err = cq * (series_err + body_err + resid(lo))
@@ -763,11 +762,17 @@ def _beyond_float_range(model: GammaSumModel, q: MomentQuery) -> bool:
             parts = (p * math.log(abs(w)), loggamma(s + p), -loggamma(s))
             logs.append(sum(parts) - 1e-12 * sum(map(abs, parts)))
     if p >= 2.0:
-        # E(S - m)^2 = Var S + (E S - m)^2, the offset less its rounding
+        # E(S - m)^2 = Var S + (E S - m)^2, the sum of s w^2 over the terms
+        # and the offset less its rounding, summed in logarithms
         offset = abs(sum(s * w for w, s in terms) - m) - 1e-12 * (sum(abs(s * w) for w, s in terms) + abs(m))
-        second = (sum(s * w * w for w, s in terms) + max(offset, 0.0) ** 2) * (1.0 - 1e-12)
-        if second > 1.0:
-            logs.append(0.5 * p * math.log(second) * (1.0 - 1e-12))
+        exponents = [math.log(s) + 2.0 * math.log(abs(w)) for w, s in terms]
+        if offset > 0.0:
+            exponents.append(2.0 * math.log(offset))
+        top = max(exponents)
+        log_second = top + math.log(sum(math.exp(x - top) for x in exponents))
+        # every log of a float is at most 745 in size, so each exponent,
+        # and log_second, is far within 1e-9 of its value
+        logs.append(0.5 * p * (log_second - 1e-9))
     return max(logs, default=-math.inf) > _LOG_FLOAT_MAX
 
 

@@ -1,17 +1,18 @@
 """Adaptive numerical integration on finite and semi-infinite intervals.
 
 A 15-point Kronrod rule with embedded 7-point Gauss estimate drives a
-global worst-panel-first refinement.  Every integrand takes an array of
+global worst-panel-first refinement at one fixed accuracy (_REL_TOL,
+_ABS_TOL, _MAX_DEPTH and _MAX_PANELS).  Every integrand takes an array of
 nodes and returns an array of the same shape, and one driver refines
 every integral: each round calls the integrand once, on the halves of the
 worst panels of all unfinished integrals together.
 
-:func:`integrate` refines one interval, split at the interior points that
-callers list as carrying integrable singularities, with one error budget
-for all its segments.  A semi-infinite interval is mapped onto [0, 1) by
-t = a + u/(1-u).  Endpoint power singularities |t-m|^p with -1 < p < 0 go
-through :func:`integrate_abs_power`, which substitutes u = |t-m|^(p+1) on
-each side of m so the transformed integrand is bounded.
+:func:`integrate` refines one interval.  A semi-infinite interval is
+mapped onto [0, 1) by t = a + u/(1-u).  An interior kink, and endpoint
+power singularities |t-m|^p with -1 < p < 0, go through
+:func:`integrate_abs_power`, which splits the interval at m and
+substitutes u = |t-m|^(p+1) on each side of m so the transformed
+integrand is bounded.
 
 :func:`integrate_blocks` refines many finite blocks at once, each with its
 own budget, and :func:`integrate_doubling` runs the doubling blocks
@@ -26,14 +27,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "QuadratureConfig",
     "QuadratureError",
-    "DEFAULT_CONFIG",
     "integrate",
     "integrate_blocks",
     "integrate_doubling",
@@ -70,21 +68,13 @@ _WG = (
 )
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_depth: int = 60
-    max_panels: int = 20000
-
-    def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.max_depth < 10:
-            raise ValueError("max_depth must be at least 10")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
+# every integral stops once its error is at most max(_ABS_TOL, _REL_TOL
+# |value|), and fails past _MAX_PANELS panels; a panel _MAX_DEPTH halvings
+# deep is not halved again
+_REL_TOL = 1e-10
+_ABS_TOL = 1e-14
+_MAX_DEPTH = 60
+_MAX_PANELS = 20000
 # the least block edge at which the Fourier engine's doubling blocks may stop
 # and add the power tail, and the floor of `integral_iqs`' tail point at s <= 1
 _TAIL_THRESHOLD = 1e3
@@ -130,31 +120,25 @@ class _Refinement:
     time.  `next_split` names the panel to halve, or returns None once
     `outcome` holds the integral's (value, err) or its QuadratureError;
     `split` takes the GK15 results of the halves.  The rule: stop once
-    err <= max(abs_tol, rel_tol |total|), halve the panel of largest error,
-    and skip a panel at max_depth or too narrow to halve."""
+    err <= max(_ABS_TOL, _REL_TOL |total|), halve the panel of largest
+    error, and skip a panel at _MAX_DEPTH or too narrow to halve."""
 
-    __slots__ = ("cfg", "heap", "counter", "total", "err", "panels", "outcome", "_popped")
+    __slots__ = ("heap", "counter", "total", "err", "panels", "outcome", "_popped")
 
-    def __init__(self, cfg):
-        self.cfg = cfg
+    def __init__(self, lo, hi, value, err):
+        """Start from the evaluated panel [lo, hi], failed at once where
+        its value is not finite."""
         self.heap = []
         self.counter = 0
-        self.total = 0.0
-        self.err = 0.0
-        self.panels = 0
+        # a sum like every later total, so that a panel of -0.0 gives +0.0
+        self.total = 0.0 + value
+        self.err = err
+        self.panels = 1
         self.outcome = None
-
-    def add(self, lo, hi, value, err):
-        """Start one more segment from its evaluated panel; False (and a
-        failed outcome) where the value is not finite."""
-        if not math.isfinite(value):
+        if math.isfinite(value):
+            self._push(err, lo, hi, 0, value)
+        else:
             self.outcome = QuadratureError("non-finite integrand", value, math.inf)
-            return False
-        self._push(err, lo, hi, 0, value)
-        self.total += value
-        self.err += err
-        self.panels += 1
-        return True
 
     def _push(self, err, lo, hi, depth, value):
         heapq.heappush(self.heap, (-err, self.counter, lo, hi, depth, value))
@@ -163,13 +147,12 @@ class _Refinement:
     def next_split(self):
         """(key, lo, mid, hi) of the panel to halve next, key naming it
         among this integral's panels, or None once there is an outcome."""
-        cfg = self.cfg
         while self.outcome is None:
-            if self.err <= max(cfg.abs_tol, cfg.rel_tol * abs(self.total)):
+            if self.err <= max(_ABS_TOL, _REL_TOL * abs(self.total)):
                 self.outcome = (self.total, self.err)
             elif not self.heap:
                 self.outcome = QuadratureError("max subdivision depth reached", self.total, self.err)
-            elif self.panels >= cfg.max_panels:
+            elif self.panels >= _MAX_PANELS:
                 self.outcome = QuadratureError("panel budget exhausted", self.total, self.err)
             else:
                 popped = heapq.heappop(self.heap)
@@ -183,10 +166,10 @@ class _Refinement:
 
     def halving(self, lo, hi, depth):
         """The midpoint at which a panel is halved, or None for a panel at
-        max_depth or too narrow to halve."""
+        _MAX_DEPTH or too narrow to halve."""
         width = hi - lo
         mid = lo + 0.5 * width
-        if depth >= self.cfg.max_depth or width <= 1e-300 or not (lo < mid < hi):
+        if depth >= _MAX_DEPTH or width <= 1e-300 or not (lo < mid < hi):
             return None
         return mid
 
@@ -204,13 +187,12 @@ class _Refinement:
         self.panels += 1
 
 
-def _refine(f, edges, groups, cfg):
-    """Integrate the array integrand f over the segments [edges[i],
-    edges[i+1]] of a finite, increasing array of edges, segment i belonging
-    to integral groups[i]; the integrals are numbered 0, 1, ... in order,
-    and each is one `_Refinement`, whose segments share its error budget.
-    Each round of refinement calls f once, on the halves of every
-    unfinished integral's worst panel and, ahead of need, of up to
+def _refine(f, edges):
+    """Integrate the array integrand f over each segment [edges[i],
+    edges[i+1]] of a finite, increasing array of edges, each segment one
+    integral and one `_Refinement` with its own error budget.  Each round
+    of refinement calls f once, on the halves of every unfinished
+    integral's worst panel and, ahead of need, of up to
     _LOOKAHEAD panels near the top of its heap; halves evaluated ahead are
     used when their panel comes to be split, so an integral splits exactly
     the panels it would split one at a time, in the same order.
@@ -225,10 +207,9 @@ def _refine(f, edges, groups, cfg):
     # a non-finite value of f fails its integral through `_Refinement`
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         values, errors = _gk15_rows(f, edges[:-1], edges[1:])
-        for k, lo, hi, v, e in zip(groups, edges[:-1].tolist(), edges[1:].tolist(), values.tolist(), errors.tolist()):
-            if k == len(refs):
-                refs.append(_Refinement(cfg))
-            if not refs[k].add(lo, hi, v, e):
+        for panel in zip(edges[:-1].tolist(), edges[1:].tolist(), values.tolist(), errors.tolist()):
+            refs.append(_Refinement(*panel))
+            if refs[-1].outcome is not None:
                 break
         # integrals from limit on are abandoned
         limit = len(refs)
@@ -277,20 +258,18 @@ def _refine(f, edges, groups, cfg):
     return [ref.outcome for ref in refs[:limit]]
 
 
-def integrate(f, a, b, cfg=None, singular_points=()):
+def integrate(f, a, b):
     """Integrate f on [a, b] (b may be +inf); returns (value, err_estimate).
 
     f maps an array of t to an array of the same shape.  The interval is
-    split at the interior singular points, and its segments are refined
-    together against one error budget by the driver of `integrate_blocks`,
-    which calls f once per round on a (panels, 15) array of nodes.  An
-    infinite b maps the whole interval onto u in [0, 1) by t = a + u/(1-u).
-    The estimate satisfies err <= max(abs_tol, rel_tol |value|) on success.
-    A non-finite value of f, or exhausting max_depth / max_panels, raises
-    :class:`QuadratureError` carrying the best value and the achieved error
-    bound.
+    refined as one block of `integrate_blocks`, whose driver calls f once
+    per round on a (panels, 15) array of nodes.  An infinite b maps the
+    interval onto u in [0, 1) by t = a + u/(1-u).  The estimate satisfies
+    err <= max(_ABS_TOL, _REL_TOL |value|) on success.  A non-finite value
+    of f, or exhausting _MAX_DEPTH / _MAX_PANELS, raises
+    :class:`QuadratureError` carrying the best value and the achieved
+    error bound.
     """
-    cfg = cfg or DEFAULT_CONFIG
     a = float(a)
     b = float(b)
     if a == b:
@@ -298,23 +277,23 @@ def integrate(f, a, b, cfg=None, singular_points=()):
     if b < a:
         raise ValueError("integrate requires a <= b")
 
-    edges = [a] + sorted({float(p) for p in singular_points if a < p < b and math.isfinite(p)}) + [b]
     g = f
+    edges = [a, b]
     if math.isinf(b):
-        edges = [(t - a) / (1.0 + (t - a)) for t in edges[:-1]] + [1.0]
+        edges = [0.0, 1.0]
 
         def g(u):
             w = 1.0 - u
             # deep subdivision can round a node onto u = 1 exactly
             return np.where(w > 0.0, f(a + u / w) / (w * w), 0.0)
 
-    (outcome,) = _refine(g, np.array(edges), [0] * (len(edges) - 1), cfg)
+    (outcome,) = _refine(g, np.array(edges))
     if isinstance(outcome, QuadratureError):
         raise outcome
     return outcome
 
 
-def integrate_blocks(f, edges, cfg=None):
+def integrate_blocks(f, edges):
     """Integrate f over each block [edges[k], edges[k+1]] of finite edges,
     every block refined as `integrate` refines one interval, and all of
     them evaluated together: f maps an array of t to an array of the same
@@ -327,11 +306,11 @@ def integrate_blocks(f, edges, cfg=None):
     for a caller that reads the blocks in order stops at the failure.
     """
     edges = np.asarray(edges, dtype=float)
-    outcomes = _refine(f, edges, range(len(edges) - 1), cfg or DEFAULT_CONFIG)
+    outcomes = _refine(f, edges)
     return outcomes + [None] * (len(edges) - 1 - len(outcomes))
 
 
-def integrate_doubling(f, lo, done, cfg=None, cap=math.inf):
+def integrate_doubling(f, lo, done, cap=math.inf):
     """Integrate f over the doubling blocks [lo, 2 lo], [2 lo, 4 lo], ...
     (each upper edge capped at `cap`) until done(hi, body) holds after a
     block, hi being its upper edge and body the sum of the block values so
@@ -346,7 +325,6 @@ def integrate_doubling(f, lo, done, cfg=None, cap=math.inf):
     blocks as have been read.  More than _MAX_BLOCKS blocks without a stop
     raise QuadratureError.
     """
-    cfg = cfg or DEFAULT_CONFIG
     edges = [float(lo)]
     outcomes = []
     body = err = 0.0
@@ -359,7 +337,7 @@ def integrate_doubling(f, lo, done, cfg=None, cap=math.inf):
                 edges.append(min(2.0 * edges[-1], cap))
                 if done(edges[-1], estimate) or len(edges) - 1 - k >= size or len(edges) > _MAX_BLOCKS + 1:
                     break
-            outcomes += integrate_blocks(f, edges[k:], cfg)
+            outcomes += integrate_blocks(f, edges[k:])
         outcome = outcomes[k]
         if isinstance(outcome, QuadratureError):
             raise outcome
@@ -444,7 +422,7 @@ def integral_iqs(q, s):
 
     head_val, head_err = integrate_abs_power(gfun, 1.0 - q, 0.0, 0.0, 1.0)
 
-    target = max(DEFAULT_CONFIG.abs_tol, 1e-13)
+    target = max(_ABS_TOL, 1e-13)
     decay = 2.0 * alpha + q
     log_T = (alpha * math.log(s) - math.log(decay * target)) / decay
     T = max(math.exp(log_T), 2.0, _TAIL_THRESHOLD if s <= 1.0 else 2.0)

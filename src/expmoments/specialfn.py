@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .quadrature import DEFAULT_CONFIG, QuadratureError, integrate
+from .quadrature import _REL_TOL, QuadratureError, integrate
 
 __all__ = [
     "loggamma",
@@ -187,11 +187,11 @@ def erlang_abs_moment(p: float, k: int, zeta: float, log_scale: float = 0.0) -> 
       for small z and otherwise from Legendre's continued fraction, whose
       convergents bracket it (Gautschi, ACM TOMS 5, 1979).  The
       alternating sum is charged on the sum of its parts' magnitudes.
-      Where that charge exceeds DEFAULT_CONFIG.rel_tol of its value, or
-      the value is not positive (a high order far beyond the shift), the
-      row is integrated instead: exp(log_scale) int_0^inf x^k e^(-x)
-      (x + z)^p dx has a positive integrand, with nothing to cancel
-      (`_beyond_integral`).  Where that integral fails to converge, the
+      Where that charge exceeds quadrature._REL_TOL of its value (the
+      relative accuracy of the quadrature), or the value is not positive
+      (a high order far beyond the shift), the row is integrated instead:
+      exp(log_scale) int_0^inf x^k e^(-x) (x + z)^p dx has a positive
+      integrand, with nothing to cancel (`_beyond_integral`).  Where that integral fails to converge, the
       alternating sum stands.
 
     Each exp is charged as `exp_units` says, and the exp that scales a
@@ -206,7 +206,7 @@ def erlang_abs_moment(p: float, k: int, zeta: float, log_scale: float = 0.0) -> 
             lower, lower_err = _lower_piece(p, k, zeta, log_scale)
         else:
             upper, upper_err = _beyond_piece(p, k, -zeta, log_scale)
-            if upper <= 0.0 or upper_err > DEFAULT_CONFIG.rel_tol * upper:
+            if upper <= 0.0 or upper_err > _REL_TOL * upper:
                 try:
                     upper, upper_err = _beyond_integral(p, k, -zeta, log_scale)
                 except QuadratureError:
@@ -352,7 +352,7 @@ def _beyond_integral(p, k, z, log_scale):
     def row(x):
         return np.exp(log_scale + k * np.log(x) - x + p * np.log(x + z))
 
-    value, err = integrate(row, 0.0, math.inf, DEFAULT_CONFIG)
+    value, err = integrate(row, 0.0, math.inf)
     x = k + 1.0 + max(p, 0.0)
     units = exp_units((log_scale, k * math.log(x), x, p * math.log(x + z)))
     return value, err + units * _UNIT_ROUNDOFF * value

@@ -33,6 +33,13 @@ def test_parse_model_literal():
         parse_model_literal("1^-2")
 
 
+@pytest.mark.parametrize("literal", ["1^nan", "1^inf", "1,2^nan"])
+def test_non_finite_weights_and_shapes_are_parse_errors(capsys, literal):
+    code, out, err = run(capsys, "moment", "-m", literal, "-p", "2")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_moment_command_values(capsys):
     code, out, _ = run(capsys, "moment", "-m", "1,-1", "-p", "1.5", "--format", "json")
     assert code == 0
@@ -126,6 +133,13 @@ def test_moment_exit_codes(capsys):
         # an even p far above the exact engine's cap, at shift 0
         ("moment", "-m", "1,2", "-p", "1e300"),
         ("moment", "-m", "0.3,0.5", "-p", "102", "--engine", "exact"),
+        # moments whose float-range check squares an offset beyond 1e154,
+        # refused before any sampling
+        ("moment", "-m", "1e200,2e200", "-p", "2.5"),
+        ("moment", "-m", "1e160,-2e160", "-p", "2.5", "--shift", "1"),
+        ("moment", "-m", "1e300", "-p", "2.5", "--engine", "montecarlo"),
+        # an exact moment s (s + 1) of a shape far too large to unroll
+        ("moment", "-m", "1^1e300", "-p", "2"),
     ],
 )
 def test_non_finite_or_out_of_reach_p_and_shift_are_domain_errors(capsys, argv):
@@ -245,10 +259,13 @@ def test_verify_mrtt_reads_every_flag(capsys):
     assert code == 0 and json.loads(out)["params"]["seed"] == 2
 
 
-@pytest.mark.parametrize("argv", [("schur", "-p", "3", "-n", "2"), ("minimize", "-n", "2", "-p", "3")],
-                         ids=["schur", "minimize"])
+@pytest.mark.parametrize(
+    "argv",
+    [("schur", "-p", "3", "-n", "2"), ("minimize", "-n", "2", "-p", "3"), ("moment", "-m", "1,2", "-p", "2")],
+    ids=["schur", "minimize", "moment"],
+)
 def test_commands_whose_engines_read_no_tolerance_refuse_tol(capsys, argv):
-    # only the Fourier engine reads --tol, and only `moment` reaches it
+    # every quadrature runs at one fixed accuracy
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--tol", "1e-8"])
     assert exc.value.code == 2
@@ -397,6 +414,34 @@ def test_env_seed_default(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 77
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moment", "-m", "1,2", "-p", "2"),
+        ("moment", "-m", "1,2^0.5", "-p", "2.3"),
+        ("schur", "-p", "2", "-n", "3"),
+        ("verify", "hunter"),
+        ("minimize", "-n", "2", "-p", "3"),
+    ],
+)
+def test_negative_seed_is_a_parse_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: a seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
+def test_invalid_env_seed_is_a_parse_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("EXPMOMENTS_SEED", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["moment", "-m", "1,2", "-p", "2"])
+    assert exc.value.code == 2
+    assert "error: environment variable EXPMOMENTS_SEED: " in capsys.readouterr().err
+    # an explicit --seed leaves the variable unread
+    assert main(["moment", "-m", "1,2", "-p", "2", "--seed", "0"]) == 0
+
+
 def test_python_dash_m_runs_the_cli():
     # `python -m expmoments` from a checkout, the package found on PYTHONPATH
     src = str(Path(expmoments.__file__).resolve().parents[1])
@@ -412,7 +457,7 @@ def test_python_dash_m_runs_the_cli():
 # every public name of the package, submodules included
 PACKAGE_NAMES = [
     "GammaSumModel", "MajorizationPair", "MomentEstimate", "MomentQuery", "PartialFractionDensity",
-    "QuadratureConfig", "QuadratureError", "analysis", "c_p_constant", "centered_exp_abs_moment", "charfn",
+    "QuadratureError", "analysis", "c_p_constant", "centered_exp_abs_moment", "charfn",
     "chs", "claim_inequality_check", "closed_integral_iqs", "density_at", "engines", "even_moment_exact",
     "f_k", "f_k_mc", "failure_profile", "fourier_constant", "gamma_mixture", "gaussian_abs_moment",
     "gaussian_even_moment_exact", "gradient", "integrate", "integrate_abs_power", "laplace_abs_moment",

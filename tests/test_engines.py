@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expmoments import engines
+from expmoments import engines, quadrature
 from expmoments.engines import density_at, fourier_abs_moment_from_cf, moment, moments
 from expmoments.model import (
     GammaSumModel,
@@ -26,7 +26,7 @@ from expmoments.model import (
     even_moment_exact,
     partial_fraction_density,
 )
-from expmoments.quadrature import QuadratureConfig, QuadratureError, integrate_abs_power
+from expmoments.quadrature import QuadratureError, integrate_abs_power
 from expmoments.schur import t_transform
 from expmoments.specialfn import loggamma
 
@@ -147,6 +147,33 @@ def test_exact_engine_domain():
     assert moment(positive, MomentQuery(p)).engine == "density"
     with pytest.raises(ValueError, match="capped"):
         moment(positive, MomentQuery(p), engine="exact")
+
+
+def test_exact_engine_picks_its_route_from_the_sizes(monkeypatch):
+    # Hunter's identity unrolls each shape into that many weights; from a
+    # total shape above 2p on, the cumulant recurrence gives the same
+    # rational without them
+    big = 10**20
+    est = moment(GammaSumModel.of([1.0], [float(big)]), MomentQuery(2.0))
+    assert est == engines.MomentEstimate(float(big * (big + 1)), 0.0, "exact", 2.0)
+
+    def unroll(self):
+        raise AssertionError("weights unrolled")
+
+    def recur(*args):
+        raise AssertionError("cumulant recurrence")
+
+    small = GammaSumModel.of([1.0, 2.0, 0.3, 0.7], [2.0, 1.0, 3.0, 1.0])
+    want = float(Fraction(fraction_moment(small.weights, small.shapes, 100, 0)))
+    with monkeypatch.context() as patch:
+        patch.setattr(engines, "_power_moment_scaled", recur)
+        assert moment(small, MomentQuery(100.0)).value == want
+    monkeypatch.setattr(GammaSumModel, "expanded_weights", unroll)
+    model = GammaSumModel.of([1.0, 2.0], [1e6, 1.0])
+    # E (X + Y)^4 with X ~ Gamma(10^6) and Y ~ 2 Exp(1)
+    rising = [math.prod(range(10**6, 10**6 + k)) for k in range(5)]
+    want = sum(math.comb(4, k) * rising[k] * 2 ** (4 - k) * math.factorial(4 - k) for k in range(5))
+    assert moment(model, MomentQuery(4.0)) == engines.MomentEstimate(float(want), 0.0, "exact", 4.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -446,7 +473,6 @@ def test_signed_shifted_density_closed_form_agrees_with_quadrature():
 # weights 0.29^2, 0.51, 1.73^2, 1.84^2: close poles of order 2 whose
 # partial fractions cancel
 CANCELLING = GammaSumModel.of([0.29, 0.51, 1.73, 1.84], [2.0, 1.0, 2.0, 2.0])
-SMALL_BUDGET = QuadratureConfig(max_panels=200)
 
 
 def test_gamma_mixture_keeps_cancelling_close_poles_on_the_density_engine():
@@ -486,14 +512,15 @@ def test_auto_falls_through_when_the_closed_forms_fail(monkeypatch):
     assert abs(est.value - fourier_ref.value) <= est.error + fourier_ref.error
 
 
-def test_auto_falls_through_when_fourier_quadrature_fails():
+def test_auto_falls_through_when_fourier_quadrature_fails(monkeypatch):
     # total shape below 1: |phi| decays so slowly that the doubling blocks
-    # run out of panels
+    # run out of a small panel budget
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 200)
     model = GammaSumModel.of([0.9], [0.8])
     query = MomentQuery(0.7, 0.5)
     with pytest.raises(QuadratureError):
-        moment(model, query, engine="fourier", cfg=SMALL_BUDGET)
-    est = moment(model, query, cfg=SMALL_BUDGET, count=40_000)
+        moment(model, query, engine="fourier")
+    est = moment(model, query, count=40_000)
     assert est.engine == "montecarlo"
     assert 0.0 < est.error < 0.05 * est.value
 

@@ -5,10 +5,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from expmoments import quadrature
 from expmoments.engines import _shifted_re_phi, fourier_abs_moment_from_cf
 from expmoments.model import GammaSumModel
 from expmoments.quadrature import (
-    QuadratureConfig,
     QuadratureError,
     integral_iqs,
     integrate,
@@ -52,7 +52,7 @@ def test_finite_interval_polynomial():
 
 
 def test_split_at_interior_kink():
-    val, _ = integrate(lambda t: abs(t - 0.3), 0.0, 1.0, singular_points=[0.3])
+    val, _ = integrate_abs_power(np.ones_like, 1.0, 0.3, 0.0, 1.0)
     truth = 0.5 * (0.3**2 + 0.7**2)
     assert val == pytest.approx(truth, rel=1e-12)
 
@@ -64,17 +64,17 @@ def test_integrate_calls_f_once_per_round_on_a_node_array():
         shapes.append(t.shape)
         return np.exp(-t) * np.sqrt(np.abs(t - 1.0) * np.abs(t - 2.0))
 
-    integrate(f, 0.0, math.inf, singular_points=[2.0, 1.0])
+    integrate(f, 0.0, math.inf)
     assert all(len(shape) == 2 and shape[1] == 15 for shape in shapes)
-    # one row per segment, then the halves of the panels split in a round
-    assert shapes[0][0] == 3
+    # one row for the whole interval, then the halves of the panels split
+    # in a round
+    assert shapes[0][0] == 1
     assert all(rows % 2 == 0 for rows, _ in shapes[1:])
     assert len(shapes) - 1 < sum(rows for rows, _ in shapes[1:]) // 2
 
 
-def test_segments_share_one_error_budget():
-    # kinks at 1 and 2 and an infinite tail; the three segments together
-    # meet the tolerance on the whole integral
+def test_kinked_integrand_meets_the_tolerance():
+    # kinks at 1 and 2 and an infinite tail, refined as one interval
     def f(t):
         return np.exp(-t) * (np.sqrt(np.abs(t - 1.0)) + np.sqrt(np.abs(t - 2.0)))
 
@@ -83,25 +83,19 @@ def test_segments_share_one_error_budget():
             lambda t: mpmath.exp(-t) * (mpmath.sqrt(abs(t - 1)) + mpmath.sqrt(abs(t - 2))),
             [0, 1, 2, mpmath.inf],
         ))
-    cfg = QuadratureConfig()
-    val, err = integrate(f, 0.0, math.inf, cfg, singular_points=[1.0, 2.0])
-    assert err <= max(cfg.abs_tol, cfg.rel_tol * abs(val))
+    val, err = integrate(f, 0.0, math.inf)
+    assert err <= max(quadrature._ABS_TOL, quadrature._REL_TOL * abs(val))
     assert abs(val - truth) <= err
 
 
-def test_nonconvergence_carries_best_estimate():
-    cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-16, max_depth=10, max_panels=40)
+def test_nonconvergence_carries_best_estimate(monkeypatch):
+    monkeypatch.setattr(quadrature, "_ABS_TOL", 1e-16)
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 10)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 40)
     with pytest.raises(QuadratureError) as info:
-        integrate(lambda t: abs(t - 1.0 / 3.0) ** -0.9, 0.0, 1.0, cfg, singular_points=[1.0 / 3.0])
+        integrate(lambda t: np.abs(t - 1.0 / 3.0) ** -0.9, 0.0, 1.0)
     assert math.isfinite(info.value.value)
     assert info.value.err_estimate > 0.0
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_depth=5)
 
 
 def test_abs_power_negative_exponent_endpoint():
@@ -187,7 +181,7 @@ def test_blocks_agree_with_integrate_block_by_block():
             assert (ref, ref_err) == integrate_blocks(f, [lo, hi])[0]
 
 
-def test_block_failure_abandons_the_later_blocks():
+def test_block_failure_abandons_the_later_blocks(monkeypatch):
     def f(t):
         return np.where(t < 5.0, 1.0 / (t * t), np.nan)
 
@@ -204,7 +198,8 @@ def test_block_failure_abandons_the_later_blocks():
     def chirp(t):
         return np.where(t < 4.0, 1.0 / (t * t), np.sin(10.0 * t * t))
 
-    outcomes = integrate_blocks(chirp, [1.0, 2.0, 4.0, 8.0, 16.0], QuadratureConfig(max_panels=30))
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 30)
+    outcomes = integrate_blocks(chirp, [1.0, 2.0, 4.0, 8.0, 16.0])
     assert [type(outcome) for outcome in outcomes[:2]] == [tuple, tuple]
     assert isinstance(outcomes[2], QuadratureError) and "panel budget" in str(outcomes[2])
     assert outcomes[3] is None
