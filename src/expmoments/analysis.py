@@ -572,8 +572,37 @@ class MinimizeResult:
         }
 
 
-def _sphere_gradient(x: np.ndarray, p: float) -> np.ndarray:
-    return np.array([gradient(x, p, j) for j in range(len(x))])
+def _sphere_gradient(X: np.ndarray, p: float) -> np.ndarray:
+    """gradient(X[b], p, j) for every row b of a (B, n) array and every j,
+    as a (B, n) array, bit for bit.
+
+    The augmented rows X[b] with X[b, j] once more, all B n of them, take
+    the density closed form at p - 1, signed, with pole j doubled, in one
+    pass (`engines._simple_pole_moments`); a row with a zero entry, and an
+    augmented row the closed form does not keep (equal or nearly coincident
+    coordinates, a result that is not finite, a poor bar), is left to
+    `gradient`."""
+    B, n = X.shape
+    rows = np.repeat(X, n, axis=0)
+    doubled = np.tile(np.arange(n), B)
+    (value,), _, (ok,) = engines._simple_pole_moments(rows, [p - 1.0], doubled, signed=True)
+    G = (p * value).reshape(B, n)
+    ok = ok.reshape(B, n) & X.all(axis=1)[:, None]
+    for b, j in zip(*np.nonzero(~ok)):
+        G[b, j] = gradient(X[b], p, int(j))
+    return G
+
+
+def _row_dots(A: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """A[b].dot(C[b]) for every row b, bit for bit: a stacked matmul of
+    (B, 1, n) by (B, n, 1) takes ndarray.dot's kernel on each row, where
+    einsum and row sums of products add in other orders."""
+    return np.matmul(A[:, None, :], C[:, :, None])[:, 0, 0]
+
+
+def _normalized(Y: np.ndarray) -> np.ndarray:
+    """Each row of Y over its Euclidean norm."""
+    return Y / np.sqrt(_row_dots(Y, Y))[:, None]
 
 
 def minimize_sphere(
@@ -584,60 +613,94 @@ def minimize_sphere(
     max_iter: int = 400,
     grad_tol: float = 1e-7,
 ) -> MinimizeResult:
-    """Projected gradient descent for E|S_x|^p on the unit sphere, p >= 2.
+    """Projected gradient descent for E|S_x|^p on the unit sphere, p >= 2,
+    from multistart random starts.
 
-    Projection is renormalization; the step uses backtracking line search.
-    At the best converged point the criticality certificate
-    |p E|S|^p - p(p-1) E|S + x1 E + x2 E'|^(p-2)| is evaluated on the two
-    largest-magnitude distinct coordinates and reported relative to the
-    objective.
+    Each step projects the gradient g onto the sphere's tangent space and
+    scans a ladder of 40 steps along it, the first 1 / max(1, |g|) and
+    each half the one before, renormalized onto the sphere, keeping the
+    ladder's best point if it improves on the current one.  A start
+    converges when |g| < grad_tol max(1, p E|S|^p), and stops when no
+    point of the ladder improves (converged if |g| is below 1e-4 of that
+    scale) or after max_iter steps.  All starts still running step
+    together: one gradient batch (`_sphere_gradient`) and one `moments`
+    batch of every ladder per step.  Both batches are row by row what
+    one call per point gives, so each start follows the path it would
+    follow alone.  At the best point of the first start with the
+    least value, the criticality certificate |p E|S|^p - p(p-1) E|S + x1 E
+    + x2 E'|^(p-2)| is evaluated on the two largest-magnitude distinct
+    coordinates and reported relative to the objective.
     """
     p = float(p)
     if p < 2.0 or n < 2:
         raise ValueError("minimize_sphere requires p >= 2 and n >= 2")
     if multistart < 1:
         raise ValueError("minimize_sphere requires multistart >= 1")
-    best = None
-    starts = []
-    for start in range(multistart):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(start,))))
-        x = rng.standard_normal(n)
-        x /= math.sqrt(x.dot(x))
-        val = float(engines.moments(x[None, :], p)[0][0])
-        converged = False
-        it = 0
-        for it in range(1, max_iter + 1):
-            g = _sphere_gradient(x, p)
-            gt = g - float(g @ x) * x
-            gnorm = math.sqrt(gt.dot(gt))
-            if gnorm < grad_tol * max(1.0, p * abs(val)):
-                converged = True
-                break
-            # objective evaluations are closed-form cheap, so scan a whole
-            # step ladder and keep the best point; plain Armijo accepts
-            # valley-crossing steps here and ping-pongs
-            step = 1.0 / max(1.0, gnorm)
-            ladder = np.empty((40, n))
-            for y in ladder:
-                y[:] = x - step * gt
-                y /= math.sqrt(y.dot(y))
-                step *= 0.5
-            best_y = None
-            best_val = val
-            for y, yval in zip(ladder, engines.moments(ladder, p)[0].tolist()):
-                if yval < best_val:
-                    best_val, best_y = yval, y
-            if best_y is None:
-                converged = gnorm < 1e-4 * max(1.0, p * abs(val))
-                break
-            x, val = best_y, best_val
-        starts.append({"start": start, "value": val, "converged": converged, "iterations": it})
-        if best is None or val < best[1]:
-            best = (x, val, converged, it)
-    x, val, converged, it = best
+    X = np.array(
+        [
+            np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(start,)))).standard_normal(n)
+            for start in range(multistart)
+        ]
+    )
+    X = _normalized(X)
+    vals = engines.moments(X, p)[0]
+    converged = np.zeros(multistart, dtype=bool)
+    iterations = np.full(multistart, max(max_iter, 0))
+    live = np.arange(multistart)
+    for it in range(1, max_iter + 1):
+        x = X[live]
+        g = _sphere_gradient(x, p)
+        gt = g - _row_dots(g, x)[:, None] * x
+        gnorm = np.sqrt(_row_dots(gt, gt))
+        # max(1.0, p |val|), as Python's max takes it
+        scale = p * np.abs(vals[live])
+        scale = np.where(scale > 1.0, scale, 1.0)
+        small = gnorm < grad_tol * scale
+        converged[live[small]] = True
+        iterations[live[small]] = it
+        live, x, gt, gnorm, scale = live[~small], x[~small], gt[~small], gnorm[~small], scale[~small]
+        if not live.size:
+            break
+        # objective evaluations are closed-form cheap, so scan a whole
+        # step ladder and keep the best point; plain Armijo accepts
+        # valley-crossing steps here and ping-pongs.  The steps halve one
+        # after another from 1 / max(1, gnorm)
+        halvings = np.full((len(live), 40), 0.5)
+        halvings[:, 0] = 1.0 / np.where(gnorm > 1.0, gnorm, 1.0)
+        steps = np.multiply.accumulate(halvings, axis=1)
+        ladder = _normalized((x[:, None, :] - steps[:, :, None] * gt[:, None, :]).reshape(-1, n))
+        ladder_vals = engines.moments(ladder, p)[0].reshape(len(live), 40)
+        # the first least value of each ladder, taken if below the start's;
+        # a NaN never improves
+        ladder_vals[np.isnan(ladder_vals)] = np.inf
+        pick = np.argmin(ladder_vals, axis=1)
+        least = ladder_vals[np.arange(len(live)), pick]
+        better = least < vals[live]
+        X[live[better]] = ladder.reshape(len(live), 40, n)[better, pick[better]]
+        vals[live[better]] = least[better]
+        stalled = live[~better]
+        converged[stalled] = gnorm[~better] < 1e-4 * scale[~better]
+        iterations[stalled] = it
+        live = live[better]
+        if not live.size:
+            break
+    starts = [
+        {"start": start, "value": float(vals[start]), "converged": bool(converged[start]), "iterations": int(iterations[start])}
+        for start in range(multistart)
+    ]
+    best = 0
+    for start in range(1, multistart):
+        if vals[start] < vals[best]:
+            best = start
+    x, val = X[best].copy(), float(vals[best])
     crux = _crux_residual(x, p, val)
     return MinimizeResult(
-        x_min=x, value=val, crux_residual=crux, converged=converged, iterations=it, starts=starts
+        x_min=x,
+        value=val,
+        crux_residual=crux,
+        converged=bool(converged[best]),
+        iterations=int(iterations[best]),
+        starts=starts,
     )
 
 

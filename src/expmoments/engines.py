@@ -283,28 +283,50 @@ def moments(W, p) -> tuple[np.ndarray, np.ndarray]:
     return values, errors
 
 
-def _simple_pole_moments(w: np.ndarray, ps):
+def _simple_pole_moments(w: np.ndarray, ps, doubled=None, signed=False):
     """Density closed form over the rows of a (B, m) array of nonzero
     weights of either sign, at each p of ps: (values, errors, ok), each a
     list of one (B,) array per p, where ok marks the rows that auto
     dispatch keeps on the density engine as simple poles.
 
-    A kept row is bit for bit what `moment` gives, because each number is
-    formed by the float operations of `_partial_fractions` and
+    With doubled, a (B,) array of column indices, row b's pole at column
+    doubled[b] has order 2 (the model of w[b] and one more w[b, doubled[b]]);
+    with signed, each term counts with the sign of its weight (the moment
+    times sgn(S)).  `moments` takes neither; `analysis._sphere_gradient`
+    takes both.
+
+    A kept row is bit for bit what `moment` gives with engine="density",
+    and auto dispatch too where the moment is not polynomial, because each
+    number is formed by the float operations of `_partial_fractions` and
     `PartialFractionDensity.power_moment_with_error`, in their order: each
-    factor 1 / (1 - w_j / w_k) as 1.0 / c, log and exp by numpy on whole
-    arrays, as the scalar path takes them on one float, the exp charge with
-    its log Gamma(1), and the sums of terms and charges one pole (column) at
-    a time, as numpy's pairwise row sum would not add them from 8 columns
-    up.  The coefficients, sensitivities, merge-gap test and log |w| serve
-    every p; a row whose exp leaves the float range is not finite, and goes
-    to the scalar path, which raises there."""
+    factor 1 / (1 - w_j / w_k) as 1.0 / c, and a doubled pole's as
+    1.0 / c**2 by Python's pow on each element (numpy's square of an array
+    rounds differently), the doubled pole's own series in u by
+    `_convolve_trunc`'s steps, log and exp by numpy on whole arrays, as the
+    scalar path takes them on one float, the exp charge with its log
+    Gamma(order), and the sums of terms and charges one pole (column) at
+    a time, a doubled pole's order 1 and 2 at its column, as numpy's
+    pairwise row sum would not add them from 8 columns up.  The
+    coefficients, sensitivities, merge-gap test and log |w| serve every p;
+    a row whose exp leaves the float range is not finite, and goes to the
+    scalar path, which raises there."""
     m = w.shape[1]
     magnitude = np.abs(w)
     coeff = np.ones_like(w)
     sensitivity = np.ones_like(w)
     separated = np.ones(len(w), dtype=bool)
     values, errors, oks = [], [], []
+    # the terms of a row: m, and one more for a doubled pole
+    count = m
+    if doubled is not None:
+        count += 1
+        rows = np.arange(len(w))
+        w_doubled = w[rows, doubled]
+        # the doubled pole's series in u (_partial_fractions' `series`):
+        # lead is the coefficient of order 2, and coeff[rows, doubled] takes
+        # second, that of order 1, once every other pole is in
+        lead = np.ones(len(w))
+        second = np.zeros(len(w))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # pole j's factor in the coefficient and sensitivity of every other
         # pole k, accumulated in the order _partial_fractions uses
@@ -313,34 +335,87 @@ def _simple_pole_moments(w: np.ndarray, ps):
             gap = np.abs(w - w[:, j : j + 1])
             gap[:, j] = np.inf
             others = np.arange(m) != j
-            coeff[:, others] *= 1.0 / (1.0 - w[:, j : j + 1] / w[:, others])
-            sensitivity += top / gap
+            factor = 1.0 / (1.0 - w[:, j : j + 1] / w[:, others])
+            spread = top
+            if doubled is not None:
+                hit = doubled == j
+                if hit.any():
+                    c = 1.0 - w[hit, j : j + 1] / w[hit][:, others]
+                    factor[hit] = np.reshape([_inverse_square(v) for v in c.ravel().tolist()], c.shape)
+                    # the doubled pole counts twice in every other's sensitivity
+                    spread = np.where(hit[:, None], 2.0 * top, top)
+                # about the doubled pole (in the rows where it is not j),
+                # pole j's factor is 1 / c - (ratio / c) u / c + O(u^2);
+                # _convolve_trunc multiplies it into the series, skipping
+                # a zero entry
+                ratio = w[:, j] / w_doubled
+                c = 1.0 - ratio
+                first = 1.0 / c
+                slope = first * -(ratio / c)
+                nonzero = lead != 0.0
+                new_lead = np.where(nonzero, 0.0 + lead * first, 0.0)
+                new_second = np.where(nonzero, 0.0 + lead * slope, 0.0)
+                new_second = np.where(second != 0.0, new_second + second * first, new_second)
+                lead = np.where(hit, lead, new_lead)
+                second = np.where(hit, second, new_second)
+            coeff[:, others] *= factor
+            sensitivity += spread / gap
             # equal weights merge into a higher-order pole and nearly
             # coincident ones have no partial fractions: both stay scalar
             separated &= ~(gap < _MERGE_GAP * top).any(axis=1)
+        if doubled is not None:
+            coeff[rows, doubled] = second
         underflow = np.zeros(len(w))
         for k in range(m):
             underflow += np.abs(coeff[:, k]) + 1.0
+            if doubled is not None:
+                underflow = np.where(doubled == k, underflow + (np.abs(lead) + 1.0), underflow)
         log_base = loggamma(1.0)
         log_magnitude = np.log(magnitude)
+        sign = np.copysign(1.0, w) if signed else None
         for p in ps:
             log_gamma = loggamma(p + 1.0)
             log_power = p * log_magnitude
             mag = coeff * np.exp(log_gamma - log_base + log_power)
             units = exp_units((log_gamma, log_base, log_power), (p + 1.0, 1.0), _NUMPY_EXP_UNITS)
-            charge = term_roundoff(mag, sensitivity, m, units)
+            charge = term_roundoff(mag, sensitivity, count, units)
+            if doubled is not None:
+                # the doubled pole's term of order 2
+                log_gamma2 = loggamma(p + 2.0)
+                log_base2 = loggamma(2.0)
+                log_power2 = log_power[rows, doubled]
+                mag2 = lead * np.exp(log_gamma2 - log_base2 + log_power2)
+                units2 = exp_units((log_gamma2, log_base2, log_power2), (p + 2.0, 2.0), _NUMPY_EXP_UNITS)
+                charge2 = term_roundoff(mag2, sensitivity[rows, doubled], count, units2)
+                signed2 = mag2 * sign[rows, doubled] if signed else mag2
             value = np.zeros(len(w))
             err = np.zeros(len(w))
             mags = np.zeros(len(w))
             for k in range(m):
-                value += mag[:, k]
+                value += mag[:, k] * sign[:, k] if signed else mag[:, k]
                 err += charge[:, k]
                 mags += np.abs(mag[:, k])
-            err = np.maximum(err + m * _UNIT_ROUNDOFF * mags + underflow * math.ulp(0.0), _REL_FLOOR * np.abs(value))
+                if doubled is not None:
+                    at = doubled == k
+                    value = np.where(at, value + signed2, value)
+                    err = np.where(at, err + charge2, err)
+                    mags = np.where(at, mags + np.abs(mag2), mags)
+            err = np.maximum(err + count * _UNIT_ROUNDOFF * mags + underflow * math.ulp(0.0), _REL_FLOOR * np.abs(value))
             values.append(value)
             errors.append(err)
             oks.append(separated & np.isfinite(value) & (err <= _FALLBACK_REL * np.maximum(1.0, np.abs(value))))
     return values, errors, oks
+
+
+def _inverse_square(c: float) -> float:
+    """1.0 / c**2 by Python's pow, as `_partial_fractions` forms a doubled
+    pole's factor, with its results where c**2 overflows or vanishes."""
+    try:
+        return 1.0 / c**2
+    except OverflowError:
+        return 0.0
+    except ZeroDivisionError:
+        return math.inf
 
 
 def density_at(model: GammaSumModel, t: float, shift: float = 0.0) -> float:

@@ -443,7 +443,8 @@ def _partial_fractions(poles: Sequence, magnitudes: bool = False) -> PartialFrac
                 c, step = abs(c), abs(step)
             factor = None
             for r, d in weighted[j]:
-                # d / c at r = 1, as engines.moments forms its factors
+                # d / c at r = 1, as engines.moments forms its factors; c**r
+                # is libm's pow, at r = 2 not always the correctly rounded c*c
                 try:
                     coef = d / c**r
                 except OverflowError:

@@ -28,7 +28,7 @@ from expmoments.analysis import (
     verify_theorem1_sweep,
 )
 from expmoments.engines import moment
-from expmoments.model import GammaSumModel, MomentQuery
+from expmoments.model import _MERGE_GAP, GammaSumModel, MomentQuery
 from expmoments.quadrature import integrate_abs_power
 from expmoments.specialfn import gaussian_abs_moment, loggamma
 
@@ -398,6 +398,85 @@ def test_minimize_sphere_pinned():
         "converged": True,
         "iterations": 12,
     }
+
+
+def test_minimize_sphere_pinned_starts_and_n3():
+    # recorded when each start ran alone and every gradient entry was one
+    # scalar gradient call
+    assert minimize_sphere(2, 3.0, 8, 13).starts == [
+        {"start": 0, "value": 2.1213203435596455, "converged": True, "iterations": 12},
+        {"start": 1, "value": 2.1213203435596437, "converged": True, "iterations": 12},
+        {"start": 2, "value": 2.1213203435596455, "converged": True, "iterations": 12},
+        {"start": 3, "value": 2.1213203435596455, "converged": True, "iterations": 11},
+        {"start": 4, "value": 2.121320343559645, "converged": True, "iterations": 13},
+        {"start": 5, "value": 2.1213203435596446, "converged": True, "iterations": 11},
+        {"start": 6, "value": 2.1213203435596437, "converged": True, "iterations": 11},
+        {"start": 7, "value": 2.121320343559645, "converged": True, "iterations": 12},
+    ]
+    assert minimize_sphere(3, 3.0, multistart=2, seed=0).to_dict() == {
+        "x_min": [0.7748428242397645, -0.4469702066909814, -0.4470304598735603],
+        "value": 2.031032880240218,
+        "crux_residual": 1.2014512959071758e-05,
+        "converged": True,
+        "iterations": 64,
+    }
+
+
+def test_minimize_sphere_max_iter_stops_every_start():
+    # a start still improving when max_iter runs out stops unconverged
+    res = minimize_sphere(2, 3.0, multistart=3, seed=13, max_iter=1)
+    assert [s["iterations"] for s in res.starts] == [1, 1, 1]
+    assert not any(s["converged"] for s in res.starts)
+    idle = minimize_sphere(2, 3.0, multistart=3, seed=13, max_iter=0)
+    assert [(s["iterations"], s["converged"]) for s in idle.starts] == [(0, False)] * 3
+
+
+# a row whose doubled pole's factor 1 / c**2 changes the gradient where c**2
+# is taken as the correctly rounded c*c, as numpy squares an array
+_POW_TRAP = ([-0.3199296129548269, -0.6081170867893684, -1.4200694881000024, -0.03229538393163682], 2.285634388213931, 1)
+
+
+def test_sphere_gradient_is_gradient_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(31)
+    cases = []
+    for n in range(2, 6):
+        X = rng.normal(size=(12, n)) * rng.choice([1e-2, 1.0, 1e2], (12, 1))
+        X[:4] = np.abs(X[:4])
+        X[4:8] = -np.abs(X[4:8])
+        for p in [2.0, 3.0, 4.0, 5.0, 6.0, *rng.uniform(2.0, 6.0, 3)]:
+            cases.append((X, float(p)))
+    sweep = list(cases)
+    fallback = [
+        [0.6, 0.0, -0.8],  # a zero entry
+        [0.5, 0.5, -0.7],  # equal coordinates
+        [1.0, 1.0 - 0.999 * _MERGE_GAP, -0.5],  # nearly coincident
+    ]
+    kept = [[1.0, 1.0 - 1.001 * _MERGE_GAP, -0.5]]
+    for p in (2.0, 3.5):
+        cases.append((np.array(fallback + kept), p))
+    trap, trap_p, trap_j = _POW_TRAP
+    assert any((1.0 - trap[trap_j] / w) ** 2 != (1.0 - trap[trap_j] / w) * (1.0 - trap[trap_j] / w) for w in trap)
+    cases.append((np.array([trap]), trap_p))
+    scalar = analysis.gradient
+    calls = []
+    monkeypatch.setattr(analysis, "gradient", lambda x, p, j: calls.append((tuple(x), j)) or scalar(x, p, j))
+    for X, p in cases:
+        calls.clear()
+        G = analysis._sphere_gradient(X, p)
+        left = set(calls)
+        for b, row in enumerate(X.tolist()):
+            for j in range(len(row)):
+                want = scalar(row, p, j)
+                assert G[b, j] == want and math.copysign(1.0, G[b, j]) == math.copysign(1.0, want), (row, p, j)
+            if row in fallback:
+                assert {(tuple(row), j) for j in range(len(row))} <= left
+            elif row in kept or row == trap:
+                assert not any(x == tuple(row) for x, _ in left)
+    # no entry of the sweep falls back
+    calls.clear()
+    for X, p in sweep:
+        analysis._sphere_gradient(X, p)
+    assert not calls
 
 
 def test_minimize_sphere_p2_mean_zero():

@@ -900,6 +900,35 @@ def test_closed_form_takes_only_the_rows_with_a_pair_left(monkeypatch):
         assert (value, error) == (est.value, est.error)
 
 
+@pytest.mark.parametrize("signed", [False, True])
+def test_closed_form_with_a_doubled_pole_is_the_density_engine(signed):
+    # row b with its weight at doubled[b] once more: each kept row is, in
+    # value and error, the density engine on that model, and a row is kept
+    # where that engine keeps its partial fractions
+    rng = np.random.default_rng(37)
+    kept = 0
+    for n in (1, 2, 3, 5):
+        W = rng.normal(size=(40, n)) * rng.choice([1e-3, 1.0, 1e3], (40, 1))
+        W[:10] = np.abs(W[:10])
+        W[10] = np.linspace(1.0, 1.0 + 1e-5 * (n - 1), n)  # nearly coincident
+        doubled = rng.integers(0, n, len(W))
+        ps = [-0.5, 0.5, 1.0, 2.0, 3.7]
+        for p, values, errors, oks in zip(ps, *engines._simple_pole_moments(W, ps, doubled, signed)):
+            for row, d, value, err, ok in zip(W.tolist(), doubled.tolist(), values.tolist(), errors.tolist(), oks.tolist()):
+                model = GammaSumModel.of(row + [row[d]])
+                try:
+                    est = engines._partial_fraction_moment(model, MomentQuery(p=p, signed=signed))
+                except ValueError:
+                    assert not ok
+                    continue
+                assert ok == (math.isfinite(est.value) and not engines._poor(est)), (row, d, p)
+                if ok:
+                    kept += 1
+                    assert (value, err) == (est.value, est.error), (row, d, p)
+    # every row but the nearly coincident ones, 3 of them at 5 p
+    assert kept == 4 * 40 * 5 - 15
+
+
 def _filter_classes(rng, B, n):
     signs = rng.choice([-1.0, 1.0], (B, n))
     zeros = rng.normal(size=(B, n))
