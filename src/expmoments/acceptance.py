@@ -131,7 +131,7 @@ def criterion_05_density_vs_exact() -> CriterionResult:
 
 
 def criterion_06_hunter() -> CriterionResult:
-    report = analysis.verify_hunter_exact(trials=1000, ell_set=(2, 4, 6, 8), seed=6)
+    report = analysis.verify_hunter_exact(trials=1000, seed=6)
     return CriterionResult(
         6, "exact rational lower-bound certificate", report.passed,
         f"{report.trials} vectors x degrees {{2,4,6,8}}, {len(report.violations)} violations",
@@ -142,7 +142,7 @@ def criterion_07_theorem1() -> CriterionResult:
     details = []
     ok = True
     ps = (2.0, 2.5, 3.0, 4.0, 5.0, 6.0)
-    for p, report in zip(ps, analysis.verify_theorem1_sweep(ps, trials=200, n_max=8, seed=7)):
+    for p, report in zip(ps, analysis.verify_theorem1_sweep(ps, trials=200, seed=7)):
         ok = ok and report.passed
         details.append(f"p={p}: {len(report.violations)} violations, n16 ratio {report.extra['balanced_ratios'][16]:.4f}")
     return CriterionResult(7, "Gaussian lower bound sweep", ok, "; ".join(details))
@@ -202,7 +202,7 @@ def criterion_09_failure_profile() -> CriterionResult:
 
 
 def criterion_10_all_equal() -> CriterionResult:
-    report = analysis.verify_all_equal(n_max=20, p_set=(2.0, 3.0, 4.0, 6.0))
+    report = analysis.verify_all_equal()
     gap = report.extra["equality_gap_n1_p2"]
     return CriterionResult(
         10, "equal-coefficient closed-form suite", report.passed,

@@ -58,6 +58,23 @@ _KAPPA_NOTE = (
     "not normalize the L1 norm and is deliberately not used)"
 )
 
+# Every suite, solver and the minimizer runs at one configuration, these
+# constants; a report that names a setting echoes its value.
+_BRENT_MAX_ITER = 200
+_PSTAR_BRACKET = (2.0, 4.0)
+_P0_BRACKET = (-0.99, -0.01)
+_WEIGHT_RANGE = (-1.0, 1.0)  # of `_distinct_weights`
+_THEOREM1_N_MAX = 8
+_HUNTER_DEGREES = (2, 4, 6, 8)  # even
+_ALL_EQUAL_N_MAX = 20
+_ALL_EQUAL_PS = (2.0, 3.0, 4.0, 6.0)
+_GAMMA_PS = (2.0, 3.0, 4.0)  # p >= 2, as the lower bound needs
+_GAMMA_MC_COUNT = 400_000
+_CLAIM_N_MAX = 6
+_MINIMIZE_MAX_ITER = 400
+_MINIMIZE_GRAD_TOL = 1e-7
+_LOGCONVEXITY_PS = tuple(2.0 + 0.5 * i for i in range(9))
+
 
 @dataclass
 class VerificationReport:
@@ -125,10 +142,11 @@ def centered_exp_abs_moment(p: float) -> float:
     return engines.moment(GammaSumModel.of([1.0]), MomentQuery(p=p, shift=1.0)).value
 
 
-def brent_root(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> RootResult:
+def brent_root(f, lo: float, hi: float, tol: float = 1e-12) -> RootResult:
     """Brent's method: bisection safeguarded by secant/inverse-quadratic steps.
 
-    Needs a sign change on [lo, hi]; returns the root with |f| residual.
+    Needs a sign change on [lo, hi]; returns the root with |f| residual,
+    after _BRENT_MAX_ITER steps at most.
     """
     a, b = float(lo), float(hi)
     fa, fb = f(a), f(b)
@@ -141,7 +159,7 @@ def brent_root(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200)
     c, fc = a, fa
     d = e = b - a
     eps = 2.220446049250313e-16
-    for it in range(1, max_iter + 1):
+    for it in range(1, _BRENT_MAX_ITER + 1):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
@@ -180,11 +198,12 @@ def brent_root(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200)
         if (fb > 0.0) == (fc > 0.0):
             c, fc = a, fa
             d = e = b - a
-    return RootResult(b, (lo, hi), abs(fb), max_iter)
+    return RootResult(b, (lo, hi), abs(fb), _BRENT_MAX_ITER)
 
 
-def solve_pstar(bracket: tuple = (2.0, 4.0)) -> RootResult:
-    """The crossing of Gamma(p+1)^(1/p) and kappa E|E-1|^p)^(1/p), kappa = e/2.
+def solve_pstar() -> RootResult:
+    """The crossing of Gamma(p+1)^(1/p) and kappa E|E-1|^p)^(1/p), kappa = e/2,
+    in _PSTAR_BRACKET.
 
     Both profiles are normalized to 1 at p = 1, so that trivial root is
     excluded by the bracket.
@@ -194,11 +213,11 @@ def solve_pstar(bracket: tuple = (2.0, 4.0)) -> RootResult:
     def gap(p: float) -> float:
         return loggamma(p + 1.0) / p - log_kappa - math.log(centered_exp_abs_moment(p)) / p
 
-    return brent_root(gap, bracket[0], bracket[1], tol=1e-12)
+    return brent_root(gap, *_PSTAR_BRACKET, tol=1e-12)
 
 
-def solve_p0(bracket: tuple = (-0.99, -0.01)) -> RootResult:
-    """The crossing of E|E-1|^p and E|G|^p on (-1, 0).
+def solve_p0() -> RootResult:
+    """The crossing of E|E-1|^p and E|G|^p on (-1, 0), in _P0_BRACKET.
 
     Phrased on the raw moments (equality of the norms is equivalent);
     at p = 2 both sides are 1 by unit variance, which anchors the other
@@ -208,14 +227,14 @@ def solve_p0(bracket: tuple = (-0.99, -0.01)) -> RootResult:
     def gap(p: float) -> float:
         return math.log(centered_exp_abs_moment(p)) - math.log(gaussian_abs_moment(p))
 
-    return brent_root(gap, bracket[0], bracket[1], tol=1e-12)
+    return brent_root(gap, *_P0_BRACKET, tol=1e-12)
 
 
-def _distinct_weights(rng: np.random.Generator, n: int, lo: float = -1.0, hi: float = 1.0):
-    """Random weights bounded away from zero and from each other, so the
-    closed-form density stays well conditioned."""
+def _distinct_weights(rng: np.random.Generator, n: int):
+    """Random weights on _WEIGHT_RANGE, bounded away from zero and from
+    each other, so the closed-form density stays well conditioned."""
     while True:
-        w = rng.uniform(lo, hi, n).tolist()
+        w = rng.uniform(*_WEIGHT_RANGE, n).tolist()
         if any(abs(v) < 1e-3 for v in w):
             continue
         if not any(abs(a - b) < 1e-3 * max(abs(a), abs(b)) for i, a in enumerate(w) for b in w[i + 1 :]):
@@ -227,30 +246,20 @@ def _check_trials(name: str, trials: int) -> None:
         raise ValueError(f"{name} requires trials >= 0, got {trials}")
 
 
-def verify_theorem1(
-    p: float,
-    trials: int = 200,
-    n_max: int = 8,
-    seed: int = 0,
-) -> VerificationReport:
+def verify_theorem1(p: float, trials: int = 200, seed: int = 0) -> VerificationReport:
     """E|X|^p >= E|G|^p Var(X)^(p/2) for X a weighted exponential sum, p >= 2.
 
-    Random mixed-sign weight vectors, compared at the power level within
-    three combined error budgets; balanced half plus-minus vectors at
-    n in {2, 4, 8, 16} are appended as the near-extremal family and their
-    norm-level ratios recorded.
+    Random mixed-sign weight vectors of 1 to _THEOREM1_N_MAX entries,
+    compared at the power level within three combined error budgets;
+    balanced half plus-minus vectors at n in {2, 4, 8, 16} are appended as
+    the near-extremal family and their norm-level ratios recorded.
     """
-    return verify_theorem1_sweep([p], trials, n_max, seed)[0]
+    return verify_theorem1_sweep([p], trials, seed)[0]
 
 
-def verify_theorem1_sweep(
-    ps,
-    trials: int = 200,
-    n_max: int = 8,
-    seed: int = 0,
-) -> list[VerificationReport]:
-    """`verify_theorem1(p, trials, n_max, seed)` for each p of ps, in
-    order.  The reports share their trials: one draw, and one multi-p
+def verify_theorem1_sweep(ps, trials: int = 200, seed: int = 0) -> list[VerificationReport]:
+    """`verify_theorem1(p, trials, seed)` for each p of ps, in order.
+    The reports share their trials: one draw, and one multi-p
     `engines.moments` batch whose rows are what engines.moment gives each
     trial's model."""
     ps = [float(p) for p in ps]
@@ -263,21 +272,21 @@ def verify_theorem1_sweep(
     # order
     draws = []
     for _ in range(trials):
-        n = int(rng.integers(1, n_max + 1))
+        n = int(rng.integers(1, _THEOREM1_N_MAX + 1))
         draws.append(_distinct_weights(rng, n))
-    W = np.zeros((trials, n_max))
+    W = np.zeros((trials, _THEOREM1_N_MAX))
     for row, w in zip(W, draws):
         row[: len(w)] = w
     variances = [sum(v * v for v in w) for w in draws]
     values, errors = engines.moments(W, ps)
-    return [_theorem1_report(p, n_max, seed, draws, variances, value.tolist(), error.tolist())
+    return [_theorem1_report(p, seed, draws, variances, value.tolist(), error.tolist())
             for p, value, error in zip(ps, values, errors)]
 
 
-def _theorem1_report(p, n_max, seed, draws, variances, values, errors) -> VerificationReport:
+def _theorem1_report(p, seed, draws, variances, values, errors) -> VerificationReport:
     """One p's report from the trials' weights, variances and moments."""
     report = VerificationReport(
-        suite="theorem1", params={"p": p, "n_max": n_max, "seed": seed}, trials=len(draws)
+        suite="theorem1", params={"p": p, "n_max": _THEOREM1_N_MAX, "seed": seed}, trials=len(draws)
     )
     gauss = gaussian_abs_moment(p)
     for trial, (w, var, value, error) in enumerate(zip(draws, variances, values, errors)):
@@ -298,8 +307,9 @@ def _theorem1_report(p, n_max, seed, draws, variances, values, errors) -> Verifi
     return report
 
 
-def verify_hunter_exact(trials: int = 1000, ell_set=(2, 4, 6, 8), seed: int = 0) -> VerificationReport:
-    """(ell! h_ell(x))^2 >= ((ell-1)!!)^2 (sum x^2)^ell in exact rationals.
+def verify_hunter_exact(trials: int = 1000, seed: int = 0) -> VerificationReport:
+    """(ell! h_ell(x))^2 >= ((ell-1)!!)^2 (sum x^2)^ell in exact rationals,
+    at each even degree ell of _HUNTER_DEGREES.
 
     Squaring keeps both sides rational; zero tolerance, an actual
     certificate rather than a float comparison.  Three whole-array
@@ -311,30 +321,27 @@ def verify_hunter_exact(trials: int = 1000, ell_set=(2, 4, 6, 8), seed: int = 0)
     inequality times D^(2 ell) compares the integers (ell! h_ell(X))^2 and
     ((ell-1)!!)^2 (sum X^2)^ell.  One `_h_table` per vector length runs on
     the object-array columns of every such vector, giving every degree;
-    violations are recorded trial by trial, in ell_set order.
+    violations are recorded trial by trial, in _HUNTER_DEGREES order.
     """
     _check_trials("verify_hunter_exact", trials)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     report = VerificationReport(
-        suite="hunter", params={"ell_set": list(ell_set), "seed": seed}, trials=trials
+        suite="hunter", params={"ell_set": list(_HUNTER_DEGREES), "seed": seed}, trials=trials
     )
-    for ell in ell_set:
-        if ell % 2 != 0:
-            raise ValueError("hunter suite needs even degrees")
-    bounds = [(ell, math.factorial(ell), gaussian_even_moment_exact(ell) ** 2) for ell in ell_set]
+    bounds = [(ell, math.factorial(ell), gaussian_even_moment_exact(ell) ** 2) for ell in _HUNTER_DEGREES]
     lengths = rng.integers(1, 7, trials)
     nums = rng.integers(-9, 9, lengths.sum())
     nums[nums >= 0] += 1
     dens = rng.integers(1, 10, nums.size)
     starts = np.cumsum(lengths) - lengths
-    found = []  # (trial, position in ell_set, record)
+    found = []  # (trial, position in _HUNTER_DEGREES, record)
     for n in range(1, 7):
         trial = np.flatnonzero(lengths == n)
         at = starts[trial, None] + np.arange(n)
         d = np.lcm.reduce(dens[at], axis=1)
         scaled = (nums[at] * (d[:, None] // dens[at])).astype(object)
         sq = (scaled * scaled).sum(axis=1)
-        h = _h_table(scaled.T, max(ell_set, default=0))
+        h = _h_table(scaled.T, max(_HUNTER_DEGREES))
         for k, (ell, factorial, rhs_square) in enumerate(bounds):
             lhs = factorial * h[ell]
             for i in np.flatnonzero((lhs * lhs < rhs_square * sq**ell).astype(bool)):
@@ -346,6 +353,15 @@ def verify_hunter_exact(trials: int = 1000, ell_set=(2, 4, 6, 8), seed: int = 0)
     return report
 
 
+def _root(value: float, p: float) -> float:
+    """value^(1/p) for value > 0, formed as exp(log(value) / p); a
+    ValueError where it leaves the float range."""
+    try:
+        return math.exp(math.log(value) / p)
+    except OverflowError:
+        raise ValueError(f"the 1/{p!r} power of {value!r} lies beyond the float range") from None
+
+
 @functools.cache
 def _pstar() -> float:
     return solve_pstar().value
@@ -355,7 +371,8 @@ def verify_mrtt(p: float, trials: int = 100, seed: int = 0) -> VerificationRepor
     """Sharp two-sided bounds on r = ||X - EX||_p / ||X - EX||_1 for
     exponential sums: r >= Gamma(p+1)^(1/p) on -1 < p <= 1, r <= the same
     on 1 <= p <= p*, and r <= kappa (E|E-1|^p)^(1/p) with kappa = e/2
-    beyond the crossing p*."""
+    beyond the crossing p*.  A root that leaves the float range, as at
+    tiny p, is a ValueError."""
     p = float(p)
     if p <= -1.0 or p == 0.0:
         raise ValueError("verify_mrtt requires p > -1, p != 0")
@@ -367,7 +384,7 @@ def verify_mrtt(p: float, trials: int = 100, seed: int = 0) -> VerificationRepor
     )
     report.notes.append(_KAPPA_NOTE)
     gauge = math.exp(loggamma(p + 1.0) / p)
-    shifted_gauge = L1_SCALE * centered_exp_abs_moment(p) ** (1.0 / p)
+    shifted_gauge = L1_SCALE * _root(centered_exp_abs_moment(p), p)
     for trial in range(trials):
         n = int(rng.integers(1, 6))
         w = _distinct_weights(rng, n)
@@ -375,7 +392,7 @@ def verify_mrtt(p: float, trials: int = 100, seed: int = 0) -> VerificationRepor
         mean = model.mean_variance()[0]
         num = engines.moment(model, MomentQuery(p=p, shift=mean))
         den = engines.moment(model, MomentQuery(p=1.0, shift=mean))
-        r = num.value ** (1.0 / p) / den.value
+        r = _root(num.value, p) / den.value
         rel_budget = abs(num.error / (p * num.value)) + den.error / den.value
         budget = 3.0 * r * rel_budget + 1e-9
         payload = {"trial": trial, "weights": w, "p": p, "r": r, "budget": budget}
@@ -391,18 +408,20 @@ def verify_mrtt(p: float, trials: int = 100, seed: int = 0) -> VerificationRepor
     return report
 
 
-def verify_all_equal(n_max: int = 20, p_set=(2.0, 3.0, 4.0, 6.0)) -> VerificationReport:
-    """n^(-p/2) Gamma(n+p) / Gamma(n) >= 2^(p/2) E|G|^p for n >= 1, p >= 2.
+def verify_all_equal() -> VerificationReport:
+    """n^(-p/2) Gamma(n+p) / Gamma(n) >= 2^(p/2) E|G|^p for n >= 1, p >= 2,
+    at n = 1.._ALL_EQUAL_N_MAX and each p of _ALL_EQUAL_PS.
 
     The left side is the closed-form moment of a normalized Erlang-n;
     equality sits at (n, p) = (1, 2).
     """
     report = VerificationReport(
-        suite="all-equal", params={"n_max": n_max, "p_set": list(p_set)}, trials=n_max * len(p_set)
+        suite="all-equal",
+        params={"n_max": _ALL_EQUAL_N_MAX, "p_set": list(_ALL_EQUAL_PS)},
+        trials=_ALL_EQUAL_N_MAX * len(_ALL_EQUAL_PS),
     )
-    equality_gap = None
-    for n in range(1, n_max + 1):
-        for p in p_set:
+    for n in range(1, _ALL_EQUAL_N_MAX + 1):
+        for p in _ALL_EQUAL_PS:
             lhs = math.exp(loggamma(n + p) - loggamma(float(n)) - 0.5 * p * math.log(n))
             rhs = 2.0 ** (0.5 * p) * gaussian_abs_moment(p)
             if lhs < rhs * (1.0 - 1e-12):
@@ -410,34 +429,27 @@ def verify_all_equal(n_max: int = 20, p_set=(2.0, 3.0, 4.0, 6.0)) -> Verificatio
             if n == 1 and p == 2.0:
                 equality_gap = abs(lhs - rhs)
     report.extra["equality_gap_n1_p2"] = equality_gap
-    if equality_gap is not None and equality_gap > 1e-12:
+    if equality_gap > 1e-12:
         report.record_violation({"equality_case": equality_gap})
     return report
 
 
-def verify_gamma_extension(
-    p_set=(2.0, 3.0, 4.0),
-    trials: int = 40,
-    seed: int = 0,
-    mc_count: int = 400_000,
-) -> VerificationReport:
+def verify_gamma_extension(trials: int = 40, seed: int = 0) -> VerificationReport:
     """Gamma-shape generalization: ||X||_p >= ||G||_p sqrt(sum x_j^2 g_j),
-    each trial through auto dispatch: integer shapes through the exact or
-    density engine, fractional shapes at integer p through the exact engine
+    with the powers of _GAMMA_PS in turn, trial by trial, and
+    _GAMMA_MC_COUNT samples wherever an engine samples.  Each trial goes
+    through auto dispatch: integer shapes through the exact or density
+    engine, fractional shapes at integer p through the exact engine
     where the moment is polynomial (even p, or weights of one sign) and
     through Monte Carlo otherwise.  Plus the shape identity
     E[X Phi(X)] = g E Phi(X + E) checked for Phi = |.|^p by two independent
     engines: the left side is a Gamma closed form and the right side keeps
     Monte Carlo at fractional shapes, where auto dispatch would take the
     exact engine."""
-    if not p_set:
-        raise ValueError("verify_gamma_extension requires a nonempty p_set")
-    if any(p < 2.0 for p in p_set):
-        raise ValueError("the lower-bound comparison needs p >= 2")
     _check_trials("verify_gamma_extension", trials)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     report = VerificationReport(
-        suite="gamma", params={"p_set": list(p_set), "seed": seed}, trials=trials
+        suite="gamma", params={"p_set": list(_GAMMA_PS), "seed": seed}, trials=trials
     )
     for trial in range(trials):
         n = int(rng.integers(1, 5))
@@ -448,8 +460,8 @@ def verify_gamma_extension(
             shapes = [float(rng.uniform(0.4, 3.0)) for _ in range(n)]
             shapes = [s if not float(s).is_integer() else s + 0.5 for s in shapes]
         model = GammaSumModel.of(w, shapes)
-        p = float(p_set[trial % len(p_set)])
-        est = engines.moment(model, MomentQuery(p=p), seed=seed + trial, count=mc_count)
+        p = _GAMMA_PS[trial % len(_GAMMA_PS)]
+        est = engines.moment(model, MomentQuery(p=p), seed=seed + trial, count=_GAMMA_MC_COUNT)
         var = sum(v * v * s for v, s in zip(w, shapes))
         rhs = gaussian_abs_moment(p) * var ** (0.5 * p)
         budget = 3.0 * est.error + 1e-12 * rhs
@@ -468,11 +480,11 @@ def verify_gamma_extension(
     # shape identity: E X^(p+1) = g E (X + E)^p for X ~ Gamma(g)
     identity_rows = []
     for g in (2.0, 3.0, 1.7, 0.6):
-        for p in p_set:
+        for p in _GAMMA_PS:
             lhs = math.exp(loggamma(g + p + 1.0) - loggamma(g))
             aug = GammaSumModel.of([1.0, 1.0], [g, 1.0])
             engine = None if aug.integer_shapes else "montecarlo"
-            est = engines.moment(aug, MomentQuery(p=float(p)), engine=engine, seed=seed, count=mc_count)
+            est = engines.moment(aug, MomentQuery(p=p), engine=engine, seed=seed, count=_GAMMA_MC_COUNT)
             rhs = g * est.value
             budget = 3.0 * g * est.error + 1e-10 * lhs
             ok = abs(lhs - rhs) <= budget
@@ -485,18 +497,16 @@ def verify_gamma_extension(
     return report
 
 
-def verify_claim(trials: int = 10_000, n_max: int = 6, seed: int = 0) -> VerificationReport:
+def verify_claim(trials: int = 10_000, seed: int = 0) -> VerificationReport:
     """Randomized sweep of the product inequality behind the k = 2
-    concavity case."""
+    concavity case, on 2 to _CLAIM_N_MAX entries."""
     from .schur import claim_inequality_check
 
-    if n_max < 2:
-        raise ValueError(f"verify_claim requires n_max >= 2, got {n_max}")
     _check_trials("verify_claim", trials)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    report = VerificationReport(suite="claim", params={"n_max": n_max, "seed": seed}, trials=trials)
+    report = VerificationReport(suite="claim", params={"n_max": _CLAIM_N_MAX, "seed": seed}, trials=trials)
     for trial in range(trials):
-        n = int(rng.integers(2, n_max + 1))
+        n = int(rng.integers(2, _CLAIM_N_MAX + 1))
         b = [float(v) for v in np.exp(rng.uniform(math.log(1e-3), math.log(3.0), n))]
         if not claim_inequality_check(b):
             report.record_violation({"trial": trial, "b": b})
@@ -605,14 +615,7 @@ def _normalized(Y: np.ndarray) -> np.ndarray:
     return Y / np.sqrt(_row_dots(Y, Y))[:, None]
 
 
-def minimize_sphere(
-    n: int,
-    p: float,
-    multistart: int = 8,
-    seed: int = 0,
-    max_iter: int = 400,
-    grad_tol: float = 1e-7,
-) -> MinimizeResult:
+def minimize_sphere(n: int, p: float, multistart: int = 8, seed: int = 0) -> MinimizeResult:
     """Projected gradient descent for E|S_x|^p on the unit sphere, p >= 2,
     from multistart random starts.
 
@@ -620,9 +623,9 @@ def minimize_sphere(
     scans a ladder of 40 steps along it, the first 1 / max(1, |g|) and
     each half the one before, renormalized onto the sphere, keeping the
     ladder's best point if it improves on the current one.  A start
-    converges when |g| < grad_tol max(1, p E|S|^p), and stops when no
-    point of the ladder improves (converged if |g| is below 1e-4 of that
-    scale) or after max_iter steps.  All starts still running step
+    converges when |g| < _MINIMIZE_GRAD_TOL max(1, p E|S|^p), and stops
+    when no point of the ladder improves (converged if |g| is below 1e-4
+    of that scale) or after _MINIMIZE_MAX_ITER steps.  All starts still running step
     together: one gradient batch (`_sphere_gradient`) and one `moments`
     batch of every ladder per step.  Both batches are row by row what
     one call per point gives, so each start follows the path it would
@@ -645,9 +648,9 @@ def minimize_sphere(
     X = _normalized(X)
     vals = engines.moments(X, p)[0]
     converged = np.zeros(multistart, dtype=bool)
-    iterations = np.full(multistart, max(max_iter, 0))
+    iterations = np.full(multistart, _MINIMIZE_MAX_ITER)
     live = np.arange(multistart)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MINIMIZE_MAX_ITER + 1):
         x = X[live]
         g = _sphere_gradient(x, p)
         gt = g - _row_dots(g, x)[:, None] * x
@@ -655,7 +658,7 @@ def minimize_sphere(
         # max(1.0, p |val|), as Python's max takes it
         scale = p * np.abs(vals[live])
         scale = np.where(scale > 1.0, scale, 1.0)
-        small = gnorm < grad_tol * scale
+        small = gnorm < _MINIMIZE_GRAD_TOL * scale
         converged[live[small]] = True
         iterations[live[small]] = it
         live, x, gt, gnorm, scale = live[~small], x[~small], gt[~small], gnorm[~small], scale[~small]
@@ -728,21 +731,10 @@ class LogConvexityReport:
     asserted: bool
     min_second_difference: float
 
-    def to_dict(self) -> dict:
-        return {
-            "weights": self.weights,
-            "p_grid": self.p_grid,
-            "log_ratio": self.log_ratio,
-            "second_differences": self.second_differences,
-            "symmetric": self.symmetric,
-            "asserted": self.asserted,
-            "min_second_difference": self.min_second_difference,
-        }
 
-
-def logconvexity_probe(x, p_grid=None) -> LogConvexityReport:
-    """Second differences of p -> log(E|S_x|^p / E|G|^p) on a grid, for
-    mean-zero weights.
+def logconvexity_probe(x) -> LogConvexityReport:
+    """Second differences of p -> log(E|S_x|^p / E|G|^p) on the grid
+    _LOGCONVEXITY_PS, for mean-zero weights.
 
     Sign-symmetric weight multisets make S_x a scale mixture of Gaussians,
     so log-convexity is provable there and the caller may assert it; for
@@ -751,11 +743,7 @@ def logconvexity_probe(x, p_grid=None) -> LogConvexityReport:
     xs = [float(v) for v in x]
     if abs(sum(xs)) > 1e-12 * max(1.0, max(abs(v) for v in xs)):
         raise ValueError("probe requires mean-zero weights (sum x_j = 0)")
-    if p_grid is None:
-        p_grid = [2.0 + 0.5 * i for i in range(9)]
-    p_grid = [float(p) for p in p_grid]
-    if len(p_grid) < 3:
-        raise ValueError("logconvexity_probe requires at least 3 points in p_grid")
+    p_grid = list(_LOGCONVEXITY_PS)
     model = GammaSumModel.of(xs)
     g = []
     for p in p_grid:
@@ -781,15 +769,6 @@ class TangReport:
     reference: float
     meets_reference: bool
     note: str
-
-    def to_dict(self) -> dict:
-        return {
-            "weights": self.weights,
-            "density_at_mean": self.density_at_mean,
-            "reference": self.reference,
-            "meets_reference": self.meets_reference,
-            "note": self.note,
-        }
 
 
 def tang_density_check(x) -> TangReport:

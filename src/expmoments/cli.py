@@ -103,6 +103,11 @@ def _emit(args, payload: dict, rows=None, row_fields=None) -> None:
         if rows is not None:
             lines.append(f"rows: {len(rows)}")
         text = "\n".join(lines) + "\n"
+    _write(args, text)
+
+
+def _write(args, text: str) -> None:
+    """Write text to the file named by --out, else to stdout."""
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -214,17 +219,12 @@ def cmd_reproduce(args) -> int:
     from . import acceptance
 
     results = acceptance.run_battery(only=args.only)
-    rows = [r.to_dict() for r in results]
     n_fail = sum(1 for r in results if not r.passed)
     if args.format == "table":
-        for r in results:
-            sys.stdout.write(r.line() + "\n")
-        sys.stdout.write(f"total: {len(results)} criteria, {n_fail} failing\n")
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(json.dumps({"results": rows, "schema_version": SCHEMA_VERSION}, sort_keys=True))
+        lines = [r.line() for r in results] + [f"total: {len(results)} criteria, {n_fail} failing"]
+        _write(args, "\n".join(lines) + "\n")
     else:
-        _emit(args, {"failing": n_fail, "total": len(results)}, rows=rows,
+        _emit(args, {"failing": n_fail, "total": len(results)}, rows=[r.to_dict() for r in results],
               row_fields=["index", "name", "pass", "detail"])
     return 1 if n_fail else 0
 

@@ -59,6 +59,10 @@ _MIXTURE_MAX_ORDER = 100
 # heap; blocks 4 times larger ran the benchmark's montecarlo workload about
 # 1.2 times slower
 _ERLANG_BLOCK = 16384
+# the largest sum of pole orders that partial fractions, the gamma mixture
+# and `_erlang_rows` build: order 10^7 took the density engine 49 s and
+# 1.6 GB on a 2-vCPU Xeon VM
+_MAX_ORDER = 10**7
 
 
 @dataclass(frozen=True)
@@ -388,13 +392,15 @@ def term_roundoff(mag, sensitivity, count=0, units=0.0):
 def partial_fraction_density(model: GammaSumModel) -> PartialFractionDensity:
     """Expand prod_j (1 - i w_j t)^(-shape_j) into partial fractions.
 
-    Integer shapes only.  The model's equal weights arrive merged, so
-    each weight is one pole of order its shape; nearly coincident distinct
-    weights are rejected because their coefficients blow up.
+    Integer shapes only, summing to at most _MAX_ORDER.  The model's equal
+    weights arrive merged, so each weight is one pole of order its shape;
+    nearly coincident distinct weights are rejected because their
+    coefficients blow up.
     """
     if not model.integer_shapes:
         raise ValueError("partial fractions require integer shapes")
     poles = [(float(w), int(s)) for w, s in zip(model.weights, model.shapes)]
+    _check_orders(m for _, m in poles)
     for i in range(len(poles)):
         for j in range(i + 1, len(poles)):
             wi, wj = poles[i][0], poles[j][0]
@@ -520,12 +526,14 @@ def gamma_mixture(model: GammaSumModel, query: MomentQuery) -> tuple[list, float
     bound on the unsigned query (Jensen's inequality for p < 0 and p >= 1,
     the density bound 1/W for p > 0), or at _MIXTURE_MAX_ORDER.
 
-    Integer shapes only, so that partial fractions take the merged models.
-    Raises ValueError for a fractional shape, and where no two weights of
-    one sign group together (the mixture is then the model itself).
+    Integer shapes only, summing to at most _MAX_ORDER, so that partial
+    fractions take the merged models.  Raises ValueError for other shapes,
+    and where no two weights of one sign group together (the mixture is
+    then the model itself).
     """
     if not model.integer_shapes:
         raise ValueError("the gamma mixture requires integer shapes")
+    _check_orders(int(s) for s in model.shapes)
     groups = []  # (pole, total shape, q) of each group of weights of one sign
     for sign in (1.0, -1.0):
         side = sorted((abs(float(w)), int(s)) for w, s in zip(model.weights, model.shapes) if w * sign > 0.0)
@@ -631,6 +639,12 @@ def _gamma_variates(rng: np.random.Generator, shape: float, count: int) -> np.nd
     return rng.standard_gamma(shape, count)
 
 
+def _check_orders(orders) -> None:
+    """A ValueError unless the orders sum to at most _MAX_ORDER."""
+    if (total := sum(orders)) > _MAX_ORDER:
+        raise ValueError(f"orders summing to {total} exceed the largest built, {_MAX_ORDER}")
+
+
 def _erlang_rows(
     rng: np.random.Generator, weights: Sequence, orders: Sequence, rows: int, payoff=None, chunks: int = 1
 ) -> Iterator[np.ndarray]:
@@ -652,7 +666,9 @@ def _erlang_rows(
     doubles lie on the 2^-53 grid, so 1 - U is exact and log(1 - U) is as
     accurate as log1p(-U), at a fraction of its cost.  Both sides contract
     with the repeated weights by `_contract`, row by row, so the rows do
-    not depend on the block size or on how chunks share passes."""
+    not depend on the block size or on how chunks share passes.  Orders
+    summing beyond _MAX_ORDER are a ValueError, at the first pass."""
+    _check_orders(orders)
     neg = -np.repeat(np.asarray(weights, dtype=float), orders)
     cols = neg.size
     budget = max(1, _ERLANG_BLOCK // cols)  # rows

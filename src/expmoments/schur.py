@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_MAJORIZATION_TOL = 1e-12
+_FAILURE_GRID = 512
 
 
 def _entries(x, name: str) -> list:
@@ -257,22 +259,23 @@ def t_transform(x, i: int, j: int, lam: float):
     return xs
 
 
-def majorizes(x, y, tol: float = 1e-12) -> bool:
-    """True when x majorizes y: equal totals, dominating sorted partial sums.
-    Never true when an entry of either is not finite."""
+def majorizes(x, y) -> bool:
+    """True when x majorizes y: equal totals, dominating sorted partial sums,
+    each within _MAJORIZATION_TOL n max(1, max|x|).  Never true when an
+    entry of either is not finite."""
     xs = sorted((float(v) for v in x), reverse=True)
     ys = sorted((float(v) for v in y), reverse=True)
     if len(xs) != len(ys) or not all(map(math.isfinite, xs + ys)):
         return False
-    scale = max(1.0, max(map(abs, xs), default=1.0))
-    if abs(sum(xs) - sum(ys)) > tol * scale * len(xs):
+    slack = _MAJORIZATION_TOL * max(1.0, max(map(abs, xs), default=1.0)) * len(xs)
+    if abs(sum(xs) - sum(ys)) > slack:
         return False
     cx = 0.0
     cy = 0.0
     for vx, vy in zip(xs, ys):
         cx += vx
         cy += vy
-        if cx < cy - tol * scale * len(xs):
+        if cx < cy - slack:
             return False
     return True
 
@@ -503,11 +506,11 @@ def _scan_result(p, n, trials, xs, ys, ij, lam, values, errors) -> ScanResult:
 @dataclass
 class FailureProfile:
     """Profile of f(v) = M_p(v^2, 1-v^2) / Gamma(p+1) on [0, 1/sqrt(2)]:
-    f and f' on the grid xs, the endpoint values and derivatives, and for
-    p > 4 the interior maximum, the root of f' in the grid cell where f'
-    turns from positive to nonpositive (the last cell excluded, since
-    f'(1/sqrt(2)) = 0 for every p).  Every derivative is analytic
-    (`_failure_f`); f'(0) is -inf for p < 0."""
+    f and f' on the grid xs of _FAILURE_GRID points, the endpoint values
+    and derivatives, and for p > 4 the interior maximum, the root of f' in
+    the grid cell where f' turns from positive to nonpositive (the last
+    cell excluded, since f'(1/sqrt(2)) = 0 for every p).  Every derivative
+    is analytic (`_failure_f`); f'(0) is -inf for p < 0."""
 
     p: float
     xs: np.ndarray
@@ -574,7 +577,7 @@ def _failure_f(v: float, p: float) -> tuple:
     return f, g1 / a, (g2 + b * g1 / a) / (a * a)
 
 
-def failure_profile(p: float, grid_size: int = 512) -> FailureProfile:
+def failure_profile(p: float) -> FailureProfile:
     """Locate the interior maximum of the two-coordinate profile for p > 4.
 
     For p <= 4 the profile is in its monotone regime; the report then
@@ -585,9 +588,7 @@ def failure_profile(p: float, grid_size: int = 512) -> FailureProfile:
     p = float(p)
     if not (math.isfinite(p) and p > -1.0):
         raise ValueError(f"failure_profile requires a finite p > -1, got {p!r}")
-    if grid_size < 2:
-        raise ValueError(f"failure_profile requires grid_size >= 2, got {grid_size!r}")
-    xs = np.linspace(0.0, _INV_SQRT2, grid_size)
+    xs = np.linspace(0.0, _INV_SQRT2, _FAILURE_GRID)
     fs, d1, d2 = np.array([_failure_f(v, p) for v in xs.tolist()]).T
     crit = crit_val = None
     if p > 4.0:

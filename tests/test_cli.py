@@ -140,6 +140,16 @@ def test_moment_exit_codes(capsys):
         ("moment", "-m", "1e300", "-p", "2.5", "--engine", "montecarlo"),
         # an exact moment s (s + 1) of a shape far too large to unroll
         ("moment", "-m", "1^1e300", "-p", "2"),
+        # orders too large to build, refused before any table or sample
+        ("moment", "-m", "1^1e20", "-p", "2.5"),
+        ("moment", "-m", "1^1e15", "-p", "2.5"),
+        ("moment", "-m", "1^1e20,1.00000001", "-p", "2.5"),
+        ("moment", "-m", "1^1e20", "-p", "2.5", "--engine", "montecarlo", "--count", "16"),
+        ("moment", "-m", "1^1e9", "-p", "2.5", "--engine", "montecarlo", "--count", "16"),
+        # ratios r = ||X - EX||_p / ||X - EX||_1 whose 1/p-th power leaves
+        # the float range
+        ("verify", "mrtt", "-p", "1e-200", "--trials", "3"),
+        ("verify", "mrtt", "-p", "1e-300", "--trials", "3"),
     ],
 )
 def test_non_finite_or_out_of_reach_p_and_shift_are_domain_errors(capsys, argv):
@@ -387,6 +397,11 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["value"] == 14.0
+    # the battery's table goes to the file as it would go to stdout
+    _, table, _ = run(capsys, "reproduce", "--only", "3,12")
+    code, out, _ = run(capsys, "reproduce", "--only", "3,12", "--out", str(target))
+    assert code == 0 and out == ""
+    assert target.read_text() == table
 
 
 def test_repeated_main_calls_share_one_parser(capsys, monkeypatch):

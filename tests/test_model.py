@@ -10,6 +10,7 @@ from expmoments.model import (
     charfn,
     chs,
     even_moment_exact,
+    gamma_mixture,
     partial_fraction_density,
     sample,
 )
@@ -231,6 +232,18 @@ def test_partial_fraction_rejections():
         partial_fraction_density(GammaSumModel.of([1.0], [0.5]))
     with pytest.raises(ValueError, match="coincident"):
         partial_fraction_density(GammaSumModel.of([1.0, 1.0 + 1e-12]))
+
+
+def test_orders_beyond_the_cap_are_refused_before_anything_is_built():
+    # two poles whose orders sum to 10^7 + 1: one unit above the cap
+    model = GammaSumModel.of([1.0, 2.0], [5e6, 5e6 + 1.0])
+    with pytest.raises(ValueError, match="orders summing to 10000001 exceed"):
+        partial_fraction_density(model)
+    with pytest.raises(ValueError, match="orders summing to 10000001 exceed"):
+        gamma_mixture(GammaSumModel.of([1.0, 1.00000001], [5e6, 5e6 + 1.0]), MomentQuery(2.5))
+    # the sampler draws one weight at a time
+    with pytest.raises(ValueError, match="orders summing to 10000001 exceed"):
+        sample(GammaSumModel.of([1.0], [1e7 + 1.0]), 0, 4)
 
 
 def test_coefficients_sum_to_one():

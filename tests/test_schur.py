@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from expmoments import schur
 from expmoments.schur import (
     MajorizationPair,
     _draw_trials,
@@ -423,11 +424,9 @@ def test_failure_profile_monotone_regime():
 
 
 @pytest.mark.parametrize("p", [3.0, 5.0])
-def test_failure_profile_needs_two_grid_points(p):
-    for grid_size in (0, 1):
-        with pytest.raises(ValueError, match="grid_size"):
-            failure_profile(p, grid_size)
-    prof = failure_profile(p, 2)
+def test_failure_profile_on_two_grid_points(monkeypatch, p):
+    monkeypatch.setattr(schur, "_FAILURE_GRID", 2)
+    prof = failure_profile(p)
     assert prof.f_at_right == pytest.approx((p + 1.0) * 2.0 ** (-p / 2.0), rel=1e-12)
 
 
