@@ -118,7 +118,7 @@ def criterion_05_density_vs_exact() -> CriterionResult:
             cand = Fraction(num, den)
             if all(abs(float(cand) - float(v)) > 0.05 * max(abs(float(cand)), abs(float(v))) for v in x):
                 x.append(cand)
-        model = GammaSumModel.of([float(v) for v in x])
+        model = GammaSumModel.of(x)
         pfd = partial_fraction_density(model)
         for ell in (2, 4, 6):
             exact = float(math.factorial(ell) * chs(x, ell))

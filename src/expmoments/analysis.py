@@ -371,8 +371,9 @@ def verify_mrtt(p: float, trials: int = 100, seed: int = 0) -> VerificationRepor
     """Sharp two-sided bounds on r = ||X - EX||_p / ||X - EX||_1 for
     exponential sums: r >= Gamma(p+1)^(1/p) on -1 < p <= 1, r <= the same
     on 1 <= p <= p*, and r <= kappa (E|E-1|^p)^(1/p) with kappa = e/2
-    beyond the crossing p*.  A root that leaves the float range, as at
-    tiny p, is a ValueError."""
+    beyond the crossing p*, each compared with log r within three times
+    the moments' relative bars.  A root that leaves the float range, as
+    at p = 1e-200, is a ValueError."""
     p = float(p)
     if p <= -1.0 or p == 0.0:
         raise ValueError("verify_mrtt requires p > -1, p != 0")
@@ -393,17 +394,18 @@ def verify_mrtt(p: float, trials: int = 100, seed: int = 0) -> VerificationRepor
         num = engines.moment(model, MomentQuery(p=p, shift=mean))
         den = engines.moment(model, MomentQuery(p=1.0, shift=mean))
         r = _root(num.value, p) / den.value
-        rel_budget = abs(num.error / (p * num.value)) + den.error / den.value
-        budget = 3.0 * r * rel_budget + 1e-9
+        # a bar on log r, which holds at tiny p, where r = num^(1/p) is noise
+        budget = 3.0 * (abs(num.error / (p * num.value)) + den.error / den.value) + 1e-9
+        log_r = math.log(num.value) / p - math.log(den.value)
         payload = {"trial": trial, "weights": w, "p": p, "r": r, "budget": budget}
         if p <= 1.0:
-            if r < gauge - budget:
+            if log_r + budget < math.log(gauge):
                 report.record_violation({**payload, "bound": gauge, "side": "lower"})
         if 1.0 <= p <= pstar:
-            if r > gauge + budget:
+            if log_r - budget > math.log(gauge):
                 report.record_violation({**payload, "bound": gauge, "side": "upper"})
         if p >= pstar:
-            if r > shifted_gauge + budget:
+            if log_r - budget > math.log(shifted_gauge):
                 report.record_violation({**payload, "bound": shifted_gauge, "side": "upper"})
     return report
 
@@ -531,7 +533,7 @@ def verify_stepII_bound(trials: int = 50, seed: int = 0) -> VerificationReport:
         x1 = float(w[order[0]])
         x2 = float(w[order[1]])
         s = x1**-2
-        aug = GammaSumModel.of([*map(float, w), x1, x2])
+        aug = GammaSumModel.of([*w, x1, x2])
         for t in tgrid:
             phi = charfn(aug, float(t))
             envelope = (1.0 + x1 * x1 * t * t) ** (-0.5 * (1.0 + s))

@@ -304,29 +304,27 @@ def _simple_pole_moments(w: np.ndarray, ps, doubled=None, signed=False):
     rounds differently), the doubled pole's own series in u by
     `_convolve_trunc`'s steps, log and exp by numpy on whole arrays, as the
     scalar path takes them on one float, the exp charge with its log
-    Gamma(order), and the sums of terms and charges one pole (column) at
-    a time, a doubled pole's order 1 and 2 at its column, as numpy's
-    pairwise row sum would not add them from 8 columns up.  The
-    coefficients, sensitivities, merge-gap test and log |w| serve every p;
-    a row whose exp leaves the float range is not finite, and goes to the
-    scalar path, which raises there."""
+    Gamma(order), and the sums of terms and charges one term (column) at a
+    time, as numpy's pairwise row sum would not add them from 8 columns up.
+    A doubled pole's term of order 2 is one more column, right after its
+    pole's, where the scalar path sums it.  The coefficients,
+    sensitivities, merge-gap test and log |w| serve every p; a row whose
+    exp leaves the float range is not finite, and goes to the scalar path,
+    which raises there."""
     m = w.shape[1]
     magnitude = np.abs(w)
     coeff = np.ones_like(w)
     sensitivity = np.ones_like(w)
     separated = np.ones(len(w), dtype=bool)
     values, errors, oks = [], [], []
-    # the terms of a row: m, and one more for a doubled pole
-    count = m
     if doubled is not None:
-        count += 1
         rows = np.arange(len(w))
         w_doubled = w[rows, doubled]
-        # the doubled pole's series in u (_partial_fractions' `series`):
-        # lead is the coefficient of order 2, and coeff[rows, doubled] takes
-        # second, that of order 1, once every other pole is in
+        # the doubled pole's series in u (_partial_fractions' `series`): lead
+        # is the coefficient of order 2, and tail, that of order 1, goes to
+        # its pole's column once every other pole is in
         lead = np.ones(len(w))
-        second = np.zeros(len(w))
+        tail = np.zeros(len(w))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # pole j's factor in the coefficient and sensitivity of every other
         # pole k, accumulated in the order _partial_fractions uses
@@ -354,52 +352,51 @@ def _simple_pole_moments(w: np.ndarray, ps, doubled=None, signed=False):
                 slope = first * -(ratio / c)
                 nonzero = lead != 0.0
                 new_lead = np.where(nonzero, 0.0 + lead * first, 0.0)
-                new_second = np.where(nonzero, 0.0 + lead * slope, 0.0)
-                new_second = np.where(second != 0.0, new_second + second * first, new_second)
+                new_tail = np.where(nonzero, 0.0 + lead * slope, 0.0)
+                new_tail = np.where(tail != 0.0, new_tail + tail * first, new_tail)
                 lead = np.where(hit, lead, new_lead)
-                second = np.where(hit, second, new_second)
+                tail = np.where(hit, tail, new_tail)
             coeff[:, others] *= factor
             sensitivity += spread / gap
             # equal weights merge into a higher-order pole and nearly
             # coincident ones have no partial fractions: both stay scalar
             separated &= ~(gap < _MERGE_GAP * top).any(axis=1)
+        # one term per column: second marks a doubled pole's term of order 2
+        second = None
         if doubled is not None:
-            coeff[rows, doubled] = second
+            coeff[rows, doubled] = tail
+            cols = np.arange(m + 1)
+            pole = cols - (cols > doubled[:, None])
+            second = cols == doubled[:, None] + 1
+            coeff = np.where(second, lead[:, None], np.take_along_axis(coeff, pole, axis=1))
+            sensitivity = np.take_along_axis(sensitivity, pole, axis=1)
+            w = np.take_along_axis(w, pole, axis=1)
+        count = coeff.shape[1]
+
+        def by_order(f):
+            """f(r) at the order r of each term."""
+            return f(1.0) if second is None else np.where(second, f(2.0), f(1.0))
+
         underflow = np.zeros(len(w))
-        for k in range(m):
+        for k in range(count):
             underflow += np.abs(coeff[:, k]) + 1.0
-            if doubled is not None:
-                underflow = np.where(doubled == k, underflow + (np.abs(lead) + 1.0), underflow)
-        log_base = loggamma(1.0)
-        log_magnitude = np.log(magnitude)
-        sign = np.copysign(1.0, w) if signed else None
+        log_base = by_order(loggamma)
+        log_magnitude = np.log(np.abs(w))
         for p in ps:
-            log_gamma = loggamma(p + 1.0)
+            log_gamma = by_order(lambda r: loggamma(p + r))
             log_power = p * log_magnitude
             mag = coeff * np.exp(log_gamma - log_base + log_power)
-            units = exp_units((log_gamma, log_base, log_power), (p + 1.0, 1.0), _NUMPY_EXP_UNITS)
+            units = by_order(lambda r: exp_units((loggamma(p + r), loggamma(r), log_power), (p + r, r), _NUMPY_EXP_UNITS))
             charge = term_roundoff(mag, sensitivity, count, units)
-            if doubled is not None:
-                # the doubled pole's term of order 2
-                log_gamma2 = loggamma(p + 2.0)
-                log_base2 = loggamma(2.0)
-                log_power2 = log_power[rows, doubled]
-                mag2 = lead * np.exp(log_gamma2 - log_base2 + log_power2)
-                units2 = exp_units((log_gamma2, log_base2, log_power2), (p + 2.0, 2.0), _NUMPY_EXP_UNITS)
-                charge2 = term_roundoff(mag2, sensitivity[rows, doubled], count, units2)
-                signed2 = mag2 * sign[rows, doubled] if signed else mag2
+            if signed:
+                mag *= np.copysign(1.0, w)
             value = np.zeros(len(w))
             err = np.zeros(len(w))
             mags = np.zeros(len(w))
-            for k in range(m):
-                value += mag[:, k] * sign[:, k] if signed else mag[:, k]
+            for k in range(count):
+                value += mag[:, k]
                 err += charge[:, k]
                 mags += np.abs(mag[:, k])
-                if doubled is not None:
-                    at = doubled == k
-                    value = np.where(at, value + signed2, value)
-                    err = np.where(at, err + charge2, err)
-                    mags = np.where(at, mags + np.abs(mag2), mags)
             err = np.maximum(err + count * _UNIT_ROUNDOFF * mags + underflow * math.ulp(0.0), _REL_FLOOR * np.abs(value))
             values.append(value)
             errors.append(err)
@@ -565,28 +562,26 @@ def _density_estimate(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
     weights), leave the float range or give a poor bound, that of its gamma
     mixture.  The smaller bound is kept.  Raises ValueError outside the
     engine's domain (a fractional shape, a term table beyond the float
-    range)."""
+    range): where both closed forms raise, the partial fractions' error."""
     if not model.integer_shapes:
         raise ValueError("density engine needs integer shapes")
-    best = failure = None
-    for attempt in (_partial_fraction_moment, _mixture_moment):
+    try:
+        est = _partial_fraction_moment(model, q)
+    except ValueError:
         try:
-            est = attempt(model, q)
-        except ValueError as exc:
-            # kept without its traceback, whose frames, and their callers',
-            # would stay alive in a reference cycle through this one
-            failure = failure or exc.with_traceback(None)
-            continue
-        if best is None or est.error < best.error:
-            best = est
-        if not _poor(best):
-            return best
-    if best is None:
-        try:
-            raise failure
-        finally:
-            failure = None
-    return best
+            return _mixture_moment(model, q)
+        except ValueError:
+            pass
+        # both failed: the partial fractions' error, bound to no name, so
+        # that no frame of its traceback holds it in a reference cycle
+        raise
+    if not _poor(est):
+        return est
+    try:
+        mixture = _mixture_moment(model, q)
+    except ValueError:
+        return est
+    return mixture if mixture.error < est.error else est
 
 
 def _partial_fraction_moment(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
@@ -630,15 +625,12 @@ def _fourier_moment(model: GammaSumModel, q: MomentQuery) -> MomentEstimate:
     decays like a tiny power of t): beyond it (w t)^2, in the envelope and
     in `_shifted_re_phi`, would leave the float range, and the envelope
     would read 0."""
-    widest = max(abs(float(w)) for w in model.weights)
+    widest = max(map(abs, model.weights))
 
     def abs_phi_bound(t: float) -> float:
         if widest * t > _FOURIER_MAX_WT:
             raise ValueError(f"the Fourier blocks reach t = {t:.3g}, where (w t)^2 leaves the float range")
-        acc = 0.0
-        for w, s in zip(model.weights, model.shapes):
-            acc += s * math.log1p((float(w) * t) ** 2)
-        return math.exp(-0.5 * acc)
+        return math.exp(-0.5 * sum(s * math.log1p((w * t) ** 2) for w, s in zip(model.weights, model.shapes)))
 
     re_phi = _shifted_re_phi(model, q.shift)
     moments, scale = _power_moments_scaled(model.weights, model.shapes, q.shift, 6)
@@ -651,8 +643,8 @@ def _shifted_re_phi(model: GammaSumModel, m: float):
     """t -> Re E exp(it(S - m)) in real arithmetic, on an array of t: the
     principal branch of (1 - i w t)^(-s) is (1 + w^2 t^2)^(-s/2) exp(i s atan(w t)),
     so Re phi(t) e^(-itm) = exp(-1/2 sum s log1p(w^2 t^2)) cos(sum s atan(w t) - t m)."""
-    w = np.array([float(w) for w in model.weights])
-    s = np.array(model.shapes, dtype=float)
+    w = np.array(model.weights)
+    s = np.array(model.shapes)
 
     def re_phi(t):
         t = np.asarray(t, dtype=float)
@@ -827,7 +819,7 @@ def _beyond_float_range(model: GammaSumModel, q: MomentQuery) -> bool:
     cancel, and is never refused.  Each bound is taken in logarithms, less
     a margin far above their rounding."""
     p, m = q.p, q.shift
-    terms = [(float(w), s) for w, s in zip(model.weights, model.shapes)]
+    terms = list(zip(model.weights, model.shapes))
     one_sign = _one_side(model, m) != 0
     if p <= 0.0 or (q.signed and not one_sign):
         return False

@@ -71,22 +71,23 @@ class GammaSumModel:
 
     Shape 1 (the default) is the standard exponential.  Weights may carry
     either sign; shapes are strictly positive.  The model is kept in one
-    canonical form: zero weights (0 or -0.0) are dropped, since they add
-    nothing to S, and equal weights merge into the place of their first
-    appearance with their shapes added, since Gamma(a) + Gamma(b) is
-    Gamma(a + b) in law.  The weights are not sorted.  A model whose
-    weights are all zero raises ValueError.
+    canonical form: weights are stored as Python floats (a Fraction or a
+    numpy scalar becomes its float), zero weights (0 or -0.0) are dropped,
+    since they add nothing to S, and equal weights merge into the place of
+    their first appearance with their shapes added, since Gamma(a) +
+    Gamma(b) is Gamma(a + b) in law.  The weights are not sorted.  A model
+    whose weights are all zero raises ValueError.
     """
 
     weights: tuple
     shapes: tuple
 
     def __post_init__(self):
-        weights = tuple(self.weights)
+        weights = tuple(float(w) for w in self.weights)
         shapes = tuple(float(s) for s in self.shapes)
         if len(shapes) != len(weights):
             raise ValueError("weights and shapes must have the same length")
-        if not all(math.isfinite(float(w)) for w in weights):
+        if not all(math.isfinite(w) for w in weights):
             raise ValueError("weights must be finite")
         if not all(s > 0.0 and math.isfinite(s) for s in shapes):
             raise ValueError("shapes must be positive and finite")
@@ -120,12 +121,12 @@ class GammaSumModel:
         return tuple(out)
 
     def mean_variance(self) -> tuple[float, float]:
-        mean = sum(float(w) * s for w, s in zip(self.weights, self.shapes))
-        var = sum(float(w) ** 2 * s for w, s in zip(self.weights, self.shapes))
+        mean = sum(w * s for w, s in zip(self.weights, self.shapes))
+        var = sum(w**2 * s for w, s in zip(self.weights, self.shapes))
         return mean, var
 
     def fingerprint(self) -> str:
-        ws = ",".join(repr(float(w)) for w in self.weights)
+        ws = ",".join(repr(w) for w in self.weights)
         ss = ",".join(repr(s) for s in self.shapes)
         return f"w=[{ws}];g=[{ss}]"
 
@@ -204,7 +205,7 @@ def _power_moments_scaled(weights: Sequence, shapes: Sequence, shift: float, p: 
     (s_j = c_j / E), the integers P_i = sum_j c_j a_j^i (less E b at i = 1)
     give kappa_i = (i-1)! P_i / (E D^i), and M_k = mu_k (E D)^k obeys
     M_k = sum_i (k-1)! / (k-i)! E^(i-1) P_i M_{k-i}; the scale is E D."""
-    ratios = [float(w).as_integer_ratio() for w in weights] + [float(shift).as_integer_ratio()]
+    ratios = [w.as_integer_ratio() for w in weights] + [float(shift).as_integer_ratio()]
     d = math.lcm(*(den for _, den in ratios))
     a = [num * (d // den) for num, den in ratios]
     b = a.pop()
@@ -246,7 +247,7 @@ def charfn(model: GammaSumModel, t: float) -> complex:
     """E exp(itS) = prod_j (1 - i w_j t)^(-shape_j), principal branch per factor."""
     out = complex(1.0, 0.0)
     for w, s in zip(model.weights, model.shapes):
-        out *= (1.0 - 1j * float(w) * t) ** (-s)
+        out *= (1.0 - 1j * w * t) ** (-s)
     return out
 
 
@@ -399,7 +400,7 @@ def partial_fraction_density(model: GammaSumModel) -> PartialFractionDensity:
     """
     if not model.integer_shapes:
         raise ValueError("partial fractions require integer shapes")
-    poles = [(float(w), int(s)) for w, s in zip(model.weights, model.shapes)]
+    poles = [(w, int(s)) for w, s in zip(model.weights, model.shapes)]
     _check_orders(m for _, m in poles)
     for i in range(len(poles)):
         for j in range(i + 1, len(poles)):
@@ -536,7 +537,7 @@ def gamma_mixture(model: GammaSumModel, query: MomentQuery) -> tuple[list, float
     _check_orders(int(s) for s in model.shapes)
     groups = []  # (pole, total shape, q) of each group of weights of one sign
     for sign in (1.0, -1.0):
-        side = sorted((abs(float(w)), int(s)) for w, s in zip(model.weights, model.shapes) if w * sign > 0.0)
+        side = sorted((abs(w), int(s)) for w, s in zip(model.weights, model.shapes) if w * sign > 0.0)
         cuts = [0, len(side)] if side else [0]  # the groups are side[cuts[i] : cuts[i + 1]]
         while True:
             for i in range(len(cuts) - 1):
@@ -562,7 +563,7 @@ def gamma_mixture(model: GammaSumModel, query: MomentQuery) -> tuple[list, float
 
     p, m = float(query.p), float(query.shift)
     total = sum(n for _, n, _ in groups)
-    widest = max(abs(float(w)) for w in model.weights)
+    widest = max(map(abs, model.weights))
     top_pole = max(abs(v) for v, _, _ in groups)
     if p >= 0.0:
         log_spread = p * math.log(widest) + loggamma(total + p) - loggamma(float(total))
@@ -573,12 +574,12 @@ def gamma_mixture(model: GammaSumModel, query: MomentQuery) -> tuple[list, float
             + math.log1p(math.exp(-abs(log_spread - log_shift)))
         )
         log_low = p * math.log(0.25 * widest) - math.log(2.0)
-        offset = abs(sum(float(w) * s for w, s in zip(model.weights, model.shapes)) - m)
+        offset = abs(model.mean_variance()[0] - m)
         if p >= 1.0 and offset:
             log_low = max(log_low, p * math.log(offset))
     else:
         log_b0 = p * math.log(top_pole) + math.log1p(2.0 / (p + 1.0))
-        log_low = p * math.log(abs(m) + sum(abs(float(w)) * s for w, s in zip(model.weights, model.shapes)))
+        log_low = p * math.log(abs(m) + sum(abs(w) * s for w, s in zip(model.weights, model.shapes)))
     rise = max(p, 0.0)  # B_(k+1) / B_k <= 1 + rise / (N_S + k)
     # each group's share in units of B_0
     budget = math.exp(min(log_low - log_b0, 700.0)) * _UNIT_ROUNDOFF / 16.0 / sum(bool(q) for _, _, q in groups)
@@ -628,7 +629,7 @@ def _draw(model: GammaSumModel, rng: np.random.Generator, count: int) -> np.ndar
     """count realizations of S from rng, one weight after another."""
     out = np.zeros(count)
     for w, s in zip(model.weights, model.shapes):
-        out += float(w) * _gamma_variates(rng, s, count)
+        out += w * _gamma_variates(rng, s, count)
     return out
 
 

@@ -1,10 +1,11 @@
 """Rewrite the golden CLI corpus, ``tests/golden/cli.jsonl``.
 
 Each command of COMMANDS runs in-process through ``expmoments.cli.main``,
-with EXPMOMENTS_SEED unset and an 80-column terminal for argparse's usage
-line.  The file's first line records the platform (`platform_header`);
-each later line one command's argv, exit code, stdout and the first line
-of its stderr.  ``tests/test_golden.py`` runs every line again and
+with EXPMOMENTS_SEED unset.  The file's first line records the platform
+(`platform_header`); each later line one command's argv, exit code,
+stdout and the first line of its stderr (an argparse error's ``error:``
+line, after its usage), and for a command with ``--out OUT`` the text of
+the file it writes.  ``tests/test_golden.py`` runs every line again and
 compares the bytes.  A regenerated diff is a declared output change.
 
 Run from the repository root::
@@ -21,6 +22,7 @@ import os
 import platform
 import re
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -32,6 +34,8 @@ CORPUS = Path(__file__).with_name("cli.jsonl")
 _TIMING = re.compile(r"\b\d+\.\d{3}s\b")
 
 _MC = ("--count", "20000", "--format", "json")
+# the argument of --out that `run` replaces by a file of its own
+_OUT = "OUT"
 
 COMMANDS = [
     # exact: Hunter's identity (total shape <= 2 p), the cumulant
@@ -43,6 +47,7 @@ COMMANDS = [
     ("moment", "-m", "1,0,2,1^0.5", "-p", "3", "--signed", "--format", "csv"),
     # density at shift 0 by partial fractions and by the gamma mixture
     ("moment", "-m", "1,2,3", "-p", "2.5", "--format", "json"),
+    ("moment", "-m", "1,2,3", "-p", "2.5", "--format", "csv", "--out", _OUT),
     ("moment", "-m", "1,-2", "-p", "3", "--format", "json"),
     ("moment", "-m", "1,1.00000001", "-p", "2.5", "--format", "json"),
     ("moment", "-m", "1,1.00000001,1.3", "-p", "-0.5", "--format", "json"),
@@ -83,6 +88,8 @@ COMMANDS = [
     ("moment", "-m", "1^1e20", "-p", "2.5", "--engine", "montecarlo", "--count", "16"),
     ("verify", "mrtt", "-p", "1e-200", "--trials", "3"),
     ("verify", "mrtt", "-p", "1e-300", "--trials", "3"),
+    # a tiny p whose ratio r is noise, within its bar on log r
+    ("verify", "mrtt", "-p", "1e-15", "--trials", "20", "--format", "json"),
     # every verification suite
     ("verify", "theorem1", "-p", "3", "--trials", "20", "--format", "json"),
     ("verify", "hunter", "--trials", "30", "--format", "json"),
@@ -118,25 +125,32 @@ def platform_header() -> dict:
 
 def run(argv) -> dict:
     """One corpus line: `cli.main(argv)` in-process, as the console script
-    runs it.  An argparse error is its SystemExit code, and an uncaught
-    exception exit 1 with its traceback."""
+    runs it, with an argument _OUT of --out replaced by a temporary file.
+    An argparse error is its SystemExit code, and an uncaught exception
+    exit 1 with its traceback."""
     from expmoments import cli
 
     out, err = io.StringIO(), io.StringIO()
     env = {key: value for key, value in os.environ.items() if key != "EXPMOMENTS_SEED"}
-    with mock.patch.dict(os.environ, {**env, "COLUMNS": "80"}, clear=True), \
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env, clear=True), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        path = Path(tmp, "out")
         try:
-            code = cli.main(list(argv))
+            code = cli.main([str(path) if arg == _OUT else arg for arg in argv])
         except SystemExit as exc:
             code = exc.code
         except Exception:  # recorded as the interpreter reports it
             err.write("Traceback (most recent call last):\n")
             code = 1
+        written = path.read_text() if _OUT in argv else None
     stdout = out.getvalue()
     if argv[0] == "reproduce":
         stdout = _TIMING.sub("<t>s", stdout)
-    return {"argv": list(argv), "code": code, "stdout": stdout, "stderr": err.getvalue().split("\n", 1)[0]}
+    lines = err.getvalue().split("\n")
+    # argparse writes its usage, over one or more lines, before the error
+    stderr = next(line for line in lines if ": error: " in line) if lines[0].startswith("usage:") else lines[0]
+    line = {"argv": list(argv), "code": code, "stdout": stdout, "stderr": stderr}
+    return line if written is None else {**line, "out": written}
 
 
 def read() -> tuple[dict, list]:

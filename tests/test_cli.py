@@ -228,6 +228,26 @@ def test_verify_exit_codes(capsys):
     assert code == 0
 
 
+def test_a_quadrature_that_fails_to_converge_exits_1(capsys):
+    # a forced Fourier query whose shift makes every block oscillate past
+    # the panel budget
+    code, out, err = run(capsys, "moment", "-m", "1^6,-1^6", "-p", "1.9", "--shift", "3000", "--engine", "fourier")
+    assert code == 1 and not out
+    assert err.startswith("error: panel budget exhausted") and "Traceback" not in err
+
+
+def test_verify_mrtt_at_a_tiny_p_keeps_its_bar_on_log_r(capsys, monkeypatch):
+    # at p = 1e-15 r = num^(1/p) is noise, and the bar on log r covers it
+    code, out, _ = run(capsys, "verify", "mrtt", "-p", "1e-15", "--trials", "20", "--format", "json")
+    assert code == 0 and json.loads(out)["violations"] == []
+    # a bound 0.1% too tight beyond p* is still caught
+    from expmoments import analysis
+
+    monkeypatch.setattr(analysis, "L1_SCALE", 0.999 * analysis.L1_SCALE)
+    code, out, _ = run(capsys, "verify", "mrtt", "-p", "4", "--trials", "20", "--format", "json")
+    assert code == 1 and {v["side"] for v in json.loads(out)["violations"]} == {"upper"}
+
+
 def test_verify_remaining_suites(capsys):
     for argv in (
         ("verify", "theorem1", "-p", "3", "--trials", "40"),

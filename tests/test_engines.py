@@ -1185,3 +1185,30 @@ def test_moments_within_the_float_range_are_still_sampled():
         assert not engines._beyond_float_range(model, query)
     est = moment(GammaSumModel.of([1.0, -2.0]), MomentQuery(3.0, signed=True), engine="montecarlo", count=20_000)
     assert est.engine == "montecarlo" and math.isfinite(est.value)
+
+
+def test_a_fraction_weight_is_its_float():
+    # the model stores floats: a Fraction and its float are one weight, and
+    # every engine sees one number
+    merged = GammaSumModel.of([Fraction(1, 3), 1 / 3, 0.5])
+    for p in (2.5, 3.0):
+        assert moment(merged, MomentQuery(p)) == moment(GammaSumModel.of([1 / 3, 0.5], [2, 1]), MomentQuery(p))
+    # Hunter's identity at shift 0 and the cumulant recurrence at a shift
+    model = GammaSumModel.of([Fraction(1, 3), Fraction(2, 7)])
+    for shift in (0.0, 1e-300):
+        assert moment(model, MomentQuery(2.0, shift)) == engines.MomentEstimate(0.5759637188208616, 0.0, "exact", 2.0)
+
+
+def test_a_doubled_pole_factor_whose_square_overflows_is_zero():
+    # about the pole at 1e-100, the doubled pole at 1e100 has c = 1 - 1e200,
+    # whose square overflows: its factor, about 1e-400, is 0, as in the
+    # scalar partial fractions
+    assert engines._inverse_square(1.0 - 1e200) == 0.0
+    W = np.array([[1e-100, 1e100], [1e100, -1e-100]])
+    doubled = np.array([1, 0])
+    for signed in (False, True):
+        ps = [1.0, 2.5]
+        for p, values, errors, oks in zip(ps, *engines._simple_pole_moments(W, ps, doubled, signed)):
+            for row, d, value, err, ok in zip(W.tolist(), doubled.tolist(), values, errors, oks):
+                est = engines._partial_fraction_moment(GammaSumModel.of(row + [row[d]]), MomentQuery(p, signed=signed))
+                assert ok and (value, err) == (est.value, est.error)

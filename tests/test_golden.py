@@ -89,3 +89,13 @@ def test_off_platform_comparison_holds_values_within_their_bars():
     assert _matches(table, table, same_platform=False)
     shifted = {**table, "stdout": table["stdout"].replace("-0.5657572316733123", "-0.5658")}
     assert not _matches(table, shifted, same_platform=False)
+
+
+def test_written_file_is_compared_as_stdout_is():
+    # the text a command writes with --out, compared off the recording
+    # platform as its stdout would be
+    _, lines = regen.read()
+    recorded = next(line for line in lines if "out" in line)
+    line = regen.run(recorded["argv"])
+    assert line["stdout"] == "" and _close(_parsed(recorded["out"]), _parsed(line["out"]))
+    assert _matches(recorded, line, same_platform=False)

@@ -7,6 +7,7 @@ import pytest
 from expmoments.model import (
     GammaSumModel,
     MomentQuery,
+    PfdTerm,
     charfn,
     chs,
     even_moment_exact,
@@ -122,6 +123,14 @@ def test_canonical_form_drops_zeros_and_merges_equal_weights():
             GammaSumModel.of(weights)
 
 
+def test_weights_are_stored_as_floats():
+    model = GammaSumModel.of([Fraction(1, 3), 1 / 3, 0.5])
+    assert model == GammaSumModel.of([1 / 3, 0.5], [2, 1])
+    assert model.weights == (1 / 3, 0.5) and model.shapes == (2.0, 1.0)
+    for weights in ([Fraction(1, 3), 2], [np.float64(1.5), np.float64(-2.0)], [np.float32(0.5), True]):
+        assert all(type(w) is float for w in GammaSumModel.of(weights).weights)
+
+
 def test_mean_variance():
     assert GammaSumModel.of([1.0]).mean_variance() == (1.0, 1.0)
     m, v = GammaSumModel.of([2**-0.5, -(2**-0.5)]).mean_variance()
@@ -232,6 +241,18 @@ def test_partial_fraction_rejections():
         partial_fraction_density(GammaSumModel.of([1.0], [0.5]))
     with pytest.raises(ValueError, match="coincident"):
         partial_fraction_density(GammaSumModel.of([1.0, 1.0 + 1e-12]))
+
+
+def test_partial_fraction_factors_beyond_the_float_range():
+    # about the pole at 1e-100, the order-2 pole at 1e100 has c = 1 - 1e200,
+    # whose square overflows: the factor, about 1e-400, is 0
+    terms = partial_fraction_density(GammaSumModel.of([1e-100, 1e100], [1, 2])).terms
+    assert terms[0] == PfdTerm(0.0, 1e-100, 1, 3.0)
+    assert all(math.isfinite(term.coeff) for term in terms)
+    # an order-110 pole at a relative gap of 1e-3: c**110 underflows to 0,
+    # the factor is infinite and the coefficients leave the float range
+    with pytest.raises(ValueError, match="coefficients of the pole at 1.0 leave the float range"):
+        partial_fraction_density(GammaSumModel.of([1.0, 1.001], [1, 110]))
 
 
 def test_orders_beyond_the_cap_are_refused_before_anything_is_built():

@@ -271,3 +271,16 @@ def test_iqs_quadrature_tends_to_the_gaussian_limit():
         for s in (1e6, 1e9, 1e12):
             val, err = integral_iqs(q, s)
             assert abs(val - limit) <= err + limit / s
+
+
+def test_a_panel_too_narrow_to_halve_ends_the_refinement():
+    # a panel 1e-300 wide is not halved, and a jump inside it keeps the
+    # GK15 error far above the tolerance
+    with pytest.raises(QuadratureError, match="max subdivision depth reached"):
+        integrate(lambda t: np.where(t > 5e-301, 1e300, 0.0), 0.0, 1e-300)
+
+
+def test_a_half_with_a_non_finite_value_fails_the_integral():
+    # finite on the nodes of [0, 1], infinite at the centre node of its left half
+    with pytest.raises(QuadratureError, match="non-finite integrand"):
+        integrate(lambda t: 1.0 / (t - 0.25), 0.0, 1.0)

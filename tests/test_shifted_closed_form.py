@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from expmoments import specialfn
 from expmoments.engines import moment, moments
 from expmoments.model import GammaSumModel, MomentQuery, _power_moment_scaled
-from expmoments.quadrature import integrate
+from expmoments.quadrature import QuadratureError, integrate
 from expmoments.specialfn import erlang_abs_moment
 
 
@@ -175,6 +175,19 @@ def test_row_integral_takes_a_closed_form_that_cancels(row_integrals):
     est = moment(model, query)
     assert est.engine == "density" and row_integrals
     assert abs(est.value - reference(model, query)) <= est.error <= 1e-9 * est.value
+
+
+def test_the_alternating_sum_stands_where_the_row_integral_fails(monkeypatch):
+    k, a, p, shift = 11, 0.1, 2.5, -10.0
+    log_scale = (p + k + 1) * math.log(a)
+
+    def fail(*args):
+        raise QuadratureError("panel budget exhausted", 0.0, math.inf)
+
+    monkeypatch.setattr(specialfn, "_beyond_integral", fail)
+    value, err = specialfn._beyond_piece(p, k, -shift / a, log_scale)
+    assert err > 1e-3 * abs(value)
+    assert erlang_abs_moment(p, k, shift / a, log_scale) == (value, 0.0, err)
 
 
 @pytest.mark.parametrize(
