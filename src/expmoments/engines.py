@@ -300,8 +300,7 @@ def _simple_pole_moments(w: np.ndarray, ps, doubled=None, signed=False):
     number is formed by the float operations of `_partial_fractions` and
     `PartialFractionDensity.power_moment_with_error`, in their order: each
     factor 1 / (1 - w_j / w_k) as 1.0 / c, and a doubled pole's as
-    1.0 / c**2 by Python's pow on each element (numpy's square of an array
-    rounds differently), the doubled pole's own series in u by
+    1.0 / (c * c), the doubled pole's own series in u by
     `_convolve_trunc`'s steps, log and exp by numpy on whole arrays, as the
     scalar path takes them on one float, the exp charge with its log
     Gamma(order), and the sums of terms and charges one term (column) at a
@@ -333,15 +332,14 @@ def _simple_pole_moments(w: np.ndarray, ps, doubled=None, signed=False):
             gap = np.abs(w - w[:, j : j + 1])
             gap[:, j] = np.inf
             others = np.arange(m) != j
-            factor = 1.0 / (1.0 - w[:, j : j + 1] / w[:, others])
+            c = 1.0 - w[:, j : j + 1] / w[:, others]
+            factor = 1.0 / c
             spread = top
             if doubled is not None:
                 hit = doubled == j
-                if hit.any():
-                    c = 1.0 - w[hit, j : j + 1] / w[hit][:, others]
-                    factor[hit] = np.reshape([_inverse_square(v) for v in c.ravel().tolist()], c.shape)
-                    # the doubled pole counts twice in every other's sensitivity
-                    spread = np.where(hit[:, None], 2.0 * top, top)
+                factor = np.where(hit[:, None], 1.0 / (c * c), factor)
+                # the doubled pole counts twice in every other's sensitivity
+                spread = np.where(hit[:, None], 2.0 * top, top)
                 # about the doubled pole (in the rows where it is not j),
                 # pole j's factor is 1 / c - (ratio / c) u / c + O(u^2);
                 # _convolve_trunc multiplies it into the series, skipping
@@ -402,17 +400,6 @@ def _simple_pole_moments(w: np.ndarray, ps, doubled=None, signed=False):
             errors.append(err)
             oks.append(separated & np.isfinite(value) & (err <= _FALLBACK_REL * np.maximum(1.0, np.abs(value))))
     return values, errors, oks
-
-
-def _inverse_square(c: float) -> float:
-    """1.0 / c**2 by Python's pow, as `_partial_fractions` forms a doubled
-    pole's factor, with its results where c**2 overflows or vanishes."""
-    try:
-        return 1.0 / c**2
-    except OverflowError:
-        return 0.0
-    except ZeroDivisionError:
-        return math.inf
 
 
 def density_at(model: GammaSumModel, t: float, shift: float = 0.0) -> float:

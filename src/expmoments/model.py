@@ -322,8 +322,8 @@ class PartialFractionDensity:
         |tau - mu|^p, mu = side * shift, by `specialfn.erlang_abs_moment` at
         zeta = mu / a, split at mu where mu > 0: the part above mu counts
         with the sign of its side when signed, the part below with the
-        opposite one.  Raises ValueError where the term table or a piece
-        leaves the float range.
+        opposite one.  Raises ValueError where the term table, a piece, the
+        sum or its bound leaves the float range.
 
         The bound charges each term its coefficient's sensitivity and the
         product that forms it (`term_roundoff`), the rounding of exp's
@@ -346,33 +346,35 @@ class PartialFractionDensity:
                     log_gamma = loggamma(p + r)
                     log_base = loggamma(float(r))
                     log_power = p * float(np.log(abs(term.scale)))
-                    power = float(np.exp(log_gamma - log_base + log_power))
-                    if power == math.inf:
-                        raise ValueError("a density moment term leaves the float range")
-                    mag = term.coeff * power
+                    mag = term.coeff * float(np.exp(log_gamma - log_base + log_power))
                     units = exp_units((log_gamma, log_base, log_power), (p + r, float(r)), _NUMPY_EXP_UNITS)
                     total += mag * (math.copysign(1.0, term.scale) if signed else 1.0)
                     err += term_roundoff(mag, term.sensitivity, n, units)
                     mags += abs(mag)
                     underflow += abs(term.coeff) + 1.0
-            return total, err + n * _UNIT_ROUNDOFF * mags + underflow * math.ulp(0.0)
-        for side, rows in zip((1.0, -1.0), self._half_lines):
-            mu = side * shift
-            for _, k, c, term in rows:
-                a = abs(term.scale)
-                zeta = mu / a
-                upper, lower, piece_err = erlang_abs_moment(p, k, zeta, (p + (k + 1)) * math.log(a))
-                mag = c * (upper - lower if signed else upper + lower)
-                total += side * mag if signed else mag
-                # zeta's rounding moves either piece by at most
-                # |p| + k + 1 + |zeta| units of it, and the pieces' sum and
-                # product with c cost two more; the row's division by
-                # (order-1)! |scale|^order is one more factor of its coefficient
-                err += abs(c) * (piece_err + (abs(p) + k + 3.0 + abs(zeta)) * _UNIT_ROUNDOFF * (upper + lower))
-                err += term_roundoff(mag, term.sensitivity, n + 1)
-                mags += abs(mag)
-                underflow += abs(c) + 1.0
-        return total, err + n * _UNIT_ROUNDOFF * mags + underflow * math.ulp(0.0)
+        else:
+            for side, rows in zip((1.0, -1.0), self._half_lines):
+                mu = side * shift
+                for _, k, c, term in rows:
+                    a = abs(term.scale)
+                    zeta = mu / a
+                    upper, lower, piece_err = erlang_abs_moment(p, k, zeta, (p + (k + 1)) * math.log(a))
+                    mag = c * (upper - lower if signed else upper + lower)
+                    total += side * mag if signed else mag
+                    # zeta's rounding moves either piece by at most
+                    # |p| + k + 1 + |zeta| units of it, and the pieces' sum and
+                    # product with c cost two more; the row's division by
+                    # (order-1)! |scale|^order is one more factor of its coefficient
+                    err += abs(c) * (piece_err + (abs(p) + k + 3.0 + abs(zeta)) * _UNIT_ROUNDOFF * (upper + lower))
+                    err += term_roundoff(mag, term.sensitivity, n + 1)
+                    mags += abs(mag)
+                    underflow += abs(c) + 1.0
+        err += n * _UNIT_ROUNDOFF * mags + underflow * math.ulp(0.0)
+        # terms beyond the float range, or opposite ones whose sum is, leave
+        # no finite value or bound
+        if not (math.isfinite(total) and math.isfinite(err)):
+            raise ValueError("a density moment term leaves the float range")
+        return total, err
 
 
 def term_roundoff(mag, sensitivity, count=0, units=0.0):
@@ -450,10 +452,10 @@ def _partial_fractions(poles: Sequence, magnitudes: bool = False) -> PartialFrac
                 c, step = abs(c), abs(step)
             factor = None
             for r, d in weighted[j]:
-                # d / c at r = 1, as engines.moments forms its factors; c**r
-                # is libm's pow, at r = 2 not always the correctly rounded c*c
+                # d / c and d / (c * c) at r <= 2, as engines.moments forms
+                # its factors; libm's pow c**2 is not always the rounded c * c
                 try:
-                    coef = d / c**r
+                    coef = d / (c * c) if r == 2 else d / c**r
                 except OverflowError:
                     coef = 0.0
                 except ZeroDivisionError:

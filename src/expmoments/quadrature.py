@@ -14,10 +14,10 @@ power singularities |t-m|^p with -1 < p < 0, go through
 substitutes u = |t-m|^(p+1) on each side of m so the transformed
 integrand is bounded.
 
-:func:`integrate_blocks` refines many finite blocks at once, each with its
-own budget, and :func:`integrate_doubling` runs the doubling blocks
-[a, 2a], [2a, 4a], ... of the Fourier engine and of :func:`integral_iqs`
-through it in batches, read in order against a stopping rule.
+:func:`integrate_doubling` runs the doubling blocks [a, 2a], [2a, 4a], ...
+of the Fourier engine and of :func:`integral_iqs` through the driver,
+`_refine`, in batches, each block with its own budget, and reads them in
+order against a stopping rule.
 
 All routines are reentrant: one invocation runs on a single worker and
 keeps no shared state, so callers may integrate concurrently.
@@ -33,7 +33,6 @@ import numpy as np
 __all__ = [
     "QuadratureError",
     "integrate",
-    "integrate_blocks",
     "integrate_doubling",
     "integrate_abs_power",
     "integral_iqs",
@@ -262,9 +261,9 @@ def integrate(f, a, b):
     """Integrate f on [a, b] (b may be +inf); returns (value, err_estimate).
 
     f maps an array of t to an array of the same shape.  The interval is
-    refined as one block of `integrate_blocks`, whose driver calls f once
-    per round on a (panels, 15) array of nodes.  An infinite b maps the
-    interval onto u in [0, 1) by t = a + u/(1-u).  The estimate satisfies
+    refined as one integral of `_refine`, which calls f once per round on a
+    (panels, 15) array of nodes.  An infinite b maps the interval onto u in
+    [0, 1) by t = a + u/(1-u).  The estimate satisfies
     err <= max(_ABS_TOL, _REL_TOL |value|) on success.  A non-finite value
     of f, or exhausting _MAX_DEPTH / _MAX_PANELS, raises
     :class:`QuadratureError` carrying the best value and the achieved
@@ -293,32 +292,16 @@ def integrate(f, a, b):
     return outcome
 
 
-def integrate_blocks(f, edges):
-    """Integrate f over each block [edges[k], edges[k+1]] of finite edges,
-    every block refined as `integrate` refines one interval, and all of
-    them evaluated together: f maps an array of t to an array of the same
-    shape, and each round of refinement calls it once for every
-    unfinished block.
-
-    Returns one entry per block, in order: its (value, err), or its
-    QuadratureError, which is returned rather than raised.  Once a block
-    fails, the blocks after it are abandoned and their entries are None,
-    for a caller that reads the blocks in order stops at the failure.
-    """
-    edges = np.asarray(edges, dtype=float)
-    outcomes = _refine(f, edges)
-    return outcomes + [None] * (len(edges) - 1 - len(outcomes))
-
-
 def integrate_doubling(f, lo, done, cap=math.inf):
     """Integrate f over the doubling blocks [lo, 2 lo], [2 lo, 4 lo], ...
     (each upper edge capped at `cap`) until done(hi, body) holds after a
     block, hi being its upper edge and body the sum of the block values so
-    far; returns (body, err, hi).  f takes arrays, as in `integrate_blocks`.
+    far; returns (body, err, hi).  f takes arrays, as in `integrate`.
 
-    Blocks go to `integrate_blocks` in batches and are then read in order,
-    so a block past the one that stops changes nothing, and a block's
-    QuadratureError is raised only where it is read.  A batch ends at the
+    Blocks go to `_refine` in batches and are then read in order, so a
+    block past the one that stops changes nothing, and a block's
+    QuadratureError is raised only where it is read (`_refine` leaves out
+    the blocks after a failure, which are never read).  A batch ends at the
     first edge where done holds at the body read so far, taken as inf
     before any block is read (done is expected to hold more readily at a
     larger |body|); after the first batch, a batch holds at most as many
@@ -337,7 +320,7 @@ def integrate_doubling(f, lo, done, cap=math.inf):
                 edges.append(min(2.0 * edges[-1], cap))
                 if done(edges[-1], estimate) or len(edges) - 1 - k >= size or len(edges) > _MAX_BLOCKS + 1:
                     break
-            outcomes += integrate_blocks(f, edges[k:])
+            outcomes += _refine(f, np.array(edges[k:]))
         outcome = outcomes[k]
         if isinstance(outcome, QuadratureError):
             raise outcome

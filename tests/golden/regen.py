@@ -53,6 +53,8 @@ COMMANDS = [
     ("moment", "-m", "1,1.00000001,1.3", "-p", "-0.5", "--format", "json"),
     # a cluster whose partial-fraction bar, 2.5e-3 of the value, is poor
     ("moment", "-m", "2,2.001,2.002,2.003", "-p", "0.5", "--format", "json"),
+    # a doubled pole whose factor 1 / c**2 is not 1 / (c * c) in libm's pow
+    ("moment", "-m", "1.48^2,1.84", "-p", "2.5", "--format", "json"),
     # shifted, signed, and the off-support row integral
     ("moment", "-m", "1", "-p", "1", "--shift", "1", "--format", "json"),
     ("moment", "-m", "1,2", "-p", "2.5", "--shift", "1", "--format", "json"),
@@ -71,6 +73,10 @@ COMMANDS = [
     ("moment", "-m", "1", "-p", "172"),
     ("moment", "-m", "1e200,2e200", "-p", "2.5"),
     ("moment", "-m", "2^200", "-p", "2.5", "--shift", "1", "--engine", "density"),
+    # two partial-fraction terms that overflow while the moment does not
+    ("moment", "-m", "1,1.001", "-p", "169.5", "--engine", "density", "--format", "json"),
+    ("moment", "-m", "1,1.001", "-p", "169.5", "--shift", "0.5", "--engine", "density", "--format", "json"),
+    ("moment", "-m", "1,1.001", "-p", "169.5", "--signed", "--engine", "density", "--format", "json"),
     ("moment", "-m", "0,-0.0", "-p", "2.5"),
     ("moment", "-m", "1,2", "-p", "-2"),
     ("moment", "-m", "1,2", "-p", "2.5", "--signed", "--engine", "fourier"),

@@ -2,6 +2,7 @@
 tolerance, printing a pass/fail line (visible under pytest -s, and in the
 captured output on failure)."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -261,3 +262,20 @@ def test_criterion_16_output_is_the_same_bytes_forked_and_serial(monkeypatch, ca
     assert capsys.readouterr().out == forked
     assert len(forks) == 1
     assert json.loads(forked)["rows"][0]["detail"] == "99% CI covered truth in 199/200 runs (>= 190)"
+
+
+def test_criterion_09_fails_on_a_wrong_profile(monkeypatch):
+    # each check of criterion 9 alone fails it, on a profile that breaks
+    # only that check
+    good = schur.failure_profile(5.0)
+    cases = [
+        {"critical_point": None, "critical_value": None},
+        {"critical_value": good.f_at_zero},
+        {"d2_at_right": 2.0 * good.d2_at_right},
+        {"d1_at_zero": 1.0 + 1e-5},
+    ]
+    for changes in cases:
+        monkeypatch.setattr(schur, "failure_profile", lambda p, changes=changes: dataclasses.replace(good, **changes))
+        result = acceptance.criterion_09_failure_profile()
+        assert not result.passed
+        assert ("no interior critical point found" in result.detail) == (changes is cases[0])

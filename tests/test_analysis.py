@@ -546,3 +546,25 @@ def test_tang_density_random_sweep_report_level():
         rep = tang_density_check([float(v) for v in x])
         hits += rep.meets_reference
     assert hits >= 18  # report-level trend, not an assertion of the bound
+
+
+def test_brent_root_ends_rejected_steps_and_step_limit(monkeypatch):
+    # a root at either end of the bracket is returned at once
+    assert brent_root(lambda x: x - 1.0, 1.0, 2.0) == analysis.RootResult(1.0, (1.0, 2.0), 0.0, 0)
+    assert brent_root(lambda x: x - 2.0, 1.0, 2.0) == analysis.RootResult(2.0, (1.0, 2.0), 0.0, 0)
+    # on a steep exponential an interpolation step is rejected and a
+    # bisection step replaces it
+    res = brent_root(lambda x: math.exp(x) - 2.0, -10.0, 10.0)
+    assert res.value == pytest.approx(math.log(2.0), rel=1e-12) and res.iterations > 1
+    # out of steps, the last iterate is returned with its residual
+    monkeypatch.setattr(analysis, "_BRENT_MAX_ITER", 3)
+    res = brent_root(lambda x: x * x - 2.0, 0.0, 2.0, tol=0.0)
+    assert res.iterations == 3 and 0.0 < res.residual == abs(res.value**2 - 2.0)
+    assert res.bracket == (0.0, 2.0)
+
+
+def test_gradient_and_crux_residual_at_degenerate_vectors():
+    # the all-zero vector has a zero sum: every partial derivative is 0
+    assert gradient([0.0, 0.0, 0.0], 3.0, 1) == 0.0
+    # equal coordinates have no two distinct values to compare
+    assert analysis._crux_residual(np.array([0.5, 0.5, 0.5]), 3.0, 1.0) is None

@@ -543,3 +543,19 @@ else:
 """
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_parse_model_literal_rejects_an_unparsable_or_infinite_weight():
+    with pytest.raises(cli.ModelLiteralError, match="cannot parse 'x'"):
+        parse_model_literal("1,x")
+    with pytest.raises(cli.ModelLiteralError, match="non-finite weight in 'inf'"):
+        parse_model_literal("1,inf")
+
+
+@pytest.mark.parametrize("extra", [(), ("--shift", "0.5"), ("--signed",)])
+def test_opposite_density_terms_beyond_the_float_range_are_a_domain_error(capsys, extra):
+    # each of the two partial-fraction terms overflows while the moment,
+    # 1.0334180030710849e308 by mpmath, does not: their sum is no value
+    code, out, err = run(capsys, "moment", "-m", "1,1.001", "-p", "169.5", *extra, "--engine", "density")
+    assert code == 3 and not out
+    assert err == "error: a density moment term leaves the float range\n"

@@ -1203,7 +1203,6 @@ def test_a_doubled_pole_factor_whose_square_overflows_is_zero():
     # about the pole at 1e-100, the doubled pole at 1e100 has c = 1 - 1e200,
     # whose square overflows: its factor, about 1e-400, is 0, as in the
     # scalar partial fractions
-    assert engines._inverse_square(1.0 - 1e200) == 0.0
     W = np.array([[1e-100, 1e100], [1e100, -1e-100]])
     doubled = np.array([1, 0])
     for signed in (False, True):
@@ -1212,3 +1211,27 @@ def test_a_doubled_pole_factor_whose_square_overflows_is_zero():
             for row, d, value, err, ok in zip(W.tolist(), doubled.tolist(), values, errors, oks):
                 est = engines._partial_fraction_moment(GammaSumModel.of(row + [row[d]]), MomentQuery(p, signed=signed))
                 assert ok and (value, err) == (est.value, est.error)
+
+
+def test_a_doubled_pole_factor_is_the_rounded_square():
+    # libm's pow(c, 2) is not the correctly rounded c * c for about 1 c in
+    # 1000; the doubled pole's factor is 1 / (c * c) in the scalar partial
+    # fractions and in the batch alike
+    rng = np.random.default_rng(34)
+    pairs = []
+    while len(pairs) < 4:
+        wk, wj = rng.uniform(0.5, 2.0, size=2).tolist()
+        c = 1.0 - wj / wk
+        if abs(c) > 1e-3 and c**2 != c * c:
+            pairs.append((wk, wj))
+    for wk, wj in pairs:
+        c = 1.0 - wj / wk
+        assert c * c == float(Fraction(c) ** 2)
+        (term,) = [t for t in partial_fraction_density(GammaSumModel.of([wk, wj], [1, 2])).terms if t.scale == wk]
+        assert term.coeff == 1.0 / (c * c)
+    W = np.array(pairs)
+    ps = [2.5, 3.5]
+    for p, values, errors in zip(ps, *engines._simple_pole_moments(W, ps, np.ones(len(W), dtype=int))[:2]):
+        for (wk, wj), value, err in zip(pairs, values, errors):
+            est = engines._partial_fraction_moment(GammaSumModel.of([wk, wj, wj]), MomentQuery(p))
+            assert (value, err) == (est.value, est.error)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from expmoments import schur
+from expmoments.engines import MomentEstimate
 from expmoments.schur import (
     MajorizationPair,
     _draw_trials,
@@ -609,3 +610,25 @@ def test_claim_inequality():
         assert claim_inequality_check(b)
     with pytest.raises(ValueError):
         claim_inequality_check([0.5])
+
+
+def test_zero_vectors_and_non_finite_entries():
+    # the zero sum: E 0^p is 0 for p > 0 and 1 at p = 0, and diverges below
+    assert m_p([0.0, 0.0], 2.5) == MomentEstimate(0.0, 0.0, "exact", 2.5)
+    assert m_p([0.0], 0.0) == MomentEstimate(1.0, 0.0, "exact", 0.0)
+    with pytest.raises(ValueError, match="diverges"):
+        m_p([0.0, 0.0], -0.5)
+    assert f_k_mc([0.0, 0.0], 2) == MomentEstimate(0.0, 0.0, "exact", 2.0)
+    # an entry that is not finite majorizes nothing and is majorized by nothing
+    assert not majorizes([1.0, math.nan], [1.0, 1.0])
+    assert not majorizes([2.0, 0.0], [math.inf, 1.0])
+
+
+def test_scan_rows_slice_and_compare():
+    rows = schur_scan(3.5, 2, 6, seed=1).rows
+    assert rows[1:4] == [rows[1], rows[2], rows[3]]
+    assert rows[::-2] == [rows[5], rows[3], rows[1]]
+    # a row sequence equals an equal list, and no non-sequence or string
+    assert rows == list(rows)
+    assert rows != 6 and rows != "rows"
+    assert rows.__eq__(6) is NotImplemented

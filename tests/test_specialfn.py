@@ -7,6 +7,7 @@ import pytest
 from expmoments.quadrature import integrate
 from expmoments.specialfn import (
     closed_integral_iqs,
+    erlang_abs_moment,
     fourier_constant,
     gaussian_abs_moment,
     gaussian_even_moment_exact,
@@ -180,3 +181,14 @@ def test_psi_at_large_x_against_mpmath(beta, x):
         b, t = mpmath.mpf(beta), mpmath.mpf(x)
         ref = mpmath.exp(mpmath.loggamma(t + b + 0.5) - b * mpmath.log(t) - mpmath.loggamma(t + 0.5))
         assert abs(psi(beta, x) - ref) <= 1e-14 * ref
+
+
+def test_legendre_fraction_rescales_its_convergents():
+    # at s = 0.67, z = 1.7 the denominators pass 1e150 at step 92 and are
+    # scaled down by 2^-500; the fraction gives e^z Gamma(1.67, z)
+    upper, lower, err = erlang_abs_moment(0.67, 0, -1.7)
+    assert (upper, lower) == (1.9208948549089127, 0.0) and err < 3e-13
+    with mpmath.workdps(50):
+        z = mpmath.mpf(1.7)
+        ref = mpmath.exp(z) * mpmath.gammainc(1 + mpmath.mpf(0.67), z)
+    assert abs(upper - float(ref)) <= err
