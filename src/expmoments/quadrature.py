@@ -14,10 +14,10 @@ power singularities |t-m|^p with -1 < p < 0, go through
 substitutes u = |t-m|^(p+1) on each side of m so the transformed
 integrand is bounded.
 
-:func:`integrate_doubling` runs the doubling blocks [a, 2a], [2a, 4a], ...
-of the Fourier engine and of :func:`integral_iqs` through the driver,
-`_refine`, in batches, each block with its own budget, and reads them in
-order against a stopping rule.
+:func:`integrate_doubling` drives `_refine` on the doubling blocks
+[a, 2a], [2a, 4a], ... of the Fourier engine and of :func:`integral_iqs`,
+in batches, each block with its own budget, and reads them in order
+against a stopping rule.
 
 All routines are reentrant: one invocation runs on a single worker and
 keeps no shared state, so callers may integrate concurrently.
